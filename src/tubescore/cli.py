@@ -1,9 +1,9 @@
 """Command-line harness: one subcommand per experiment, tabular output.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numeric
-failures (quadrature budget exhausted, step escaping the injectivity
-radius, empty estimation windows).  Every failure writes a one-line JSON
-error record to stderr.
+failures (quadrature error estimate above tolerance, step escaping the
+injectivity radius, empty estimation windows).  Every failure writes a
+one-line JSON error record to stderr.
 """
 from __future__ import annotations
 
@@ -69,7 +69,6 @@ class RunConfig:
     sigma_grid: list
     n_samples: int
     seed: int
-    resolution: int | None = None
     out: str | None = None
     format: str = "json"
     options: dict = dataclasses.field(default_factory=dict)
@@ -100,11 +99,6 @@ class RunConfig:
         if seed < 0:
             raise ConfigError("seed must be non-negative")
         object.__setattr__(self, "seed", seed)
-        if self.resolution is not None:
-            res = int(self.resolution)
-            if res < 8:
-                raise ConfigError("resolution must be at least 8")
-            object.__setattr__(self, "resolution", res)
         if not isinstance(self.options, dict):
             raise ConfigError("options must be a dictionary")
 
@@ -116,7 +110,6 @@ class RunConfig:
             "sigma_grid": list(self.sigma_grid),
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "resolution": self.resolution,
             "out": self.out,
             "format": self.format,
             "options": dict(self.options),
@@ -152,6 +145,9 @@ def _normalize_manifold(spec: dict) -> dict:
         ambient = int(spec.get("ambient", 4))
         if not 1 <= d < ambient:
             raise ConfigError("plane requires 1 <= d < ambient")
+        if d > 4:
+            raise ConfigError("plane dimensions above 4 have no quadrature "
+                              "direction rule")
         out["d"], out["ambient"] = d, ambient
     return out
 
@@ -306,8 +302,8 @@ def _resolve_variance(args) -> RunConfig:
         manifold=_manifold_spec_from_args(args),
         density=_density_spec_from_args(args),
         sigma_grid=sigmas, n_samples=args.n, seed=args.seed,
-        resolution=args.resolution, out=args.out, format=args.format,
-        options=_options(args, rb_subsample=args.rb_subsample))
+        out=args.out, format=args.format,
+        options={"rb_subsample": args.rb_subsample})
 
 
 def _resolve_extrinsic(args) -> RunConfig:
@@ -321,8 +317,7 @@ def _resolve_extrinsic(args) -> RunConfig:
     return RunConfig(
         experiment="extrinsic-coef", manifold=manifold, density=density,
         sigma_grid=sigmas, n_samples=0, seed=args.seed,
-        resolution=args.resolution, out=args.out, format=args.format,
-        options=_options(args))
+        out=args.out, format=args.format, options={})
 
 
 def _resolve_finite_sample(args) -> RunConfig:
@@ -335,7 +330,7 @@ def _resolve_finite_sample(args) -> RunConfig:
         density={"kind": "vmf", "kappa": args.kappa},
         sigma_grid=[_single_sigma(parse_sigma_list(args.sigma),
                                   "finite-sample")],
-        n_samples=args.n, seed=args.seed, resolution=None,
+        n_samples=args.n, seed=args.seed,
         out=args.out, format=args.format,
         options={"repetitions": args.repetitions,
                  "n_grid": [args.n // 100, args.n // 10, args.n]})
@@ -347,7 +342,7 @@ def _resolve_langevin(args) -> RunConfig:
         manifold={"kind": "default-set"},
         density={"kind": "vmf", "kappa": args.kappa},
         sigma_grid=[_single_sigma(parse_sigma_list(args.sigma), "langevin")],
-        n_samples=0, seed=args.seed, resolution=None,
+        n_samples=0, seed=args.seed,
         out=args.out, format=args.format,
         options={"step": args.step,
                  "marginal_chains": args.marginal_chains,
@@ -366,7 +361,7 @@ def _resolve_flat(args) -> RunConfig:
         density={"kind": "gaussian", "tau": args.tau},
         sigma_grid=[_single_sigma(parse_sigma_list(args.sigma),
                                   "flat-check")],
-        n_samples=args.n, seed=args.seed, resolution=None,
+        n_samples=args.n, seed=args.seed,
         out=args.out, format=args.format, options={})
 
 
@@ -374,7 +369,7 @@ def _resolve_geometry(args) -> RunConfig:
     return RunConfig(
         experiment="geometry-check",
         manifold={"kind": "default-set"}, density={"kind": "none"},
-        sigma_grid=[], n_samples=args.n, seed=args.seed, resolution=None,
+        sigma_grid=[], n_samples=args.n, seed=args.seed,
         out=args.out, format=args.format, options={})
 
 
@@ -385,7 +380,7 @@ def _resolve_stein(args) -> RunConfig:
         density={"kind": "vmf", "kappa": args.kappa},
         sigma_grid=[_single_sigma(parse_sigma_list(args.sigma),
                                   "stein-check")],
-        n_samples=args.n, seed=args.seed, resolution=None,
+        n_samples=args.n, seed=args.seed,
         out=args.out, format=args.format,
         options={"moment_sigma": args.moment_sigma})
 
@@ -397,16 +392,8 @@ def _resolve_pythagorean(args) -> RunConfig:
         density={"kind": "vmf", "kappa": args.kappa},
         sigma_grid=[_single_sigma(parse_sigma_list(args.sigma),
                                   "pythagorean")],
-        n_samples=args.n, seed=args.seed, resolution=args.resolution,
-        out=args.out, format=args.format, options=_options(args))
-
-
-def _options(args, **extra) -> dict:
-    opts = dict(extra)
-    max_nodes = getattr(args, "max_nodes", None)
-    if max_nodes is not None:
-        opts["max_nodes"] = max_nodes
-    return opts
+        n_samples=args.n, seed=args.seed,
+        out=args.out, format=args.format, options={})
 
 
 RESOLVERS = {
@@ -433,9 +420,7 @@ def _run_variance(config: RunConfig):
     q = build_density(config)
     payload = run_variance_collapse(
         q, config.sigma_grid, config.n_samples, config.seed,
-        rb_subsample=config.options.get("rb_subsample", 20_000),
-        resolution=config.resolution,
-        max_nodes=config.options.get("max_nodes"))
+        rb_subsample=config.options.get("rb_subsample", 20_000))
     extras = {k: payload[k] for k in
               ("slope", "n", "rb_subsample", "smallest_sigma",
                "smallest_sigma_ratio", "score_second_moment",
@@ -448,9 +433,7 @@ def _run_extrinsic(config: RunConfig):
         models = default_extrinsic_models(config.density["kappa"])
     else:
         models = [(config.manifold["kind"], build_density(config))]
-    payload = run_extrinsic_coef(models, config.sigma_grid,
-                                 resolution=config.resolution,
-                                 max_nodes=config.options.get("max_nodes"))
+    payload = run_extrinsic_coef(models, config.sigma_grid)
     rows = _rows_from_dicts(payload["columns"], payload["rows"])
     return payload, (payload["columns"], rows, {})
 
@@ -520,9 +503,7 @@ def _run_stein(config: RunConfig):
 def _run_pythagorean(config: RunConfig):
     payload = run_pythagorean(
         kappa=config.density["kappa"], sigma=config.sigma_grid[0],
-        n=config.n_samples, seed=config.seed,
-        resolution=config.resolution,
-        max_nodes=config.options.get("max_nodes"))
+        n=config.n_samples, seed=config.seed)
     return payload, None
 
 
@@ -597,10 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="samples per sigma")
     sp.add_argument("--rb-subsample", type=int, default=20_000,
                     help="foot points used for the conditioned column")
-    sp.add_argument("--resolution", type=int, default=None,
-                    help="quadrature resolution override")
-    sp.add_argument("--max-nodes", type=int, default=None,
-                    help="quadrature node budget")
     _add_output_flags(sp, "csv")
 
     sp = sub.add_parser("extrinsic-coef",
@@ -609,10 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manifold_flags(sp, required_choice=False)
     sp.add_argument("--sigma", default="0.05,0.06,0.08",
                     help="comma-separated sigma values")
-    sp.add_argument("--resolution", type=int, default=None,
-                    help="quadrature resolution override")
-    sp.add_argument("--max-nodes", type=int, default=None,
-                    help="quadrature node budget")
     _add_output_flags(sp, "csv")
 
     sp = sub.add_parser("finite-sample",
@@ -681,10 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", type=float, default=2.0)
     sp.add_argument("--sigma", default="0.1", help="noise scale")
     sp.add_argument("--n", type=int, default=100_000, help="sample count")
-    sp.add_argument("--resolution", type=int, default=None,
-                    help="quadrature resolution override")
-    sp.add_argument("--max-nodes", type=int, default=None,
-                    help="quadrature node budget")
     _add_output_flags(sp, "json")
 
     return parser

@@ -34,7 +34,7 @@ class NotInTube(TubescoreError):
 
 
 class QuadratureNotConverged(TubescoreError):
-    """Grid refinement hit the node cap before reaching the requested tolerance."""
+    """Quadrature refinement hit the node cap before reaching the requested tolerance."""
 
 
 class DegenerateScore(TubescoreError):

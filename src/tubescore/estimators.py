@@ -241,8 +241,7 @@ def _cell_seed(master: int, label: str, index: int) -> int:
 
 
 def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
-                   seed: int, *, rb_subsample: int = RB_SUBSAMPLE,
-                   oracle_kwargs: dict | None = None) -> VarianceSweepResult:
+                   seed: int, *, rb_subsample: int = RB_SUBSAMPLE) -> VarianceSweepResult:
     """Second moments of the raw and conditioned targets across sigma.
 
     The raw column uses all in-tube draws; the conditioned column evaluates
@@ -253,7 +252,6 @@ def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
     sigmas = np.asarray(list(sigma_grid), dtype=float)
     if sigmas.size < 2:
         raise ConfigError("sigma grid needs at least two points")
-    kw = oracle_kwargs or {}
     raw_m, rb_m, raw_se, rb_se, disc = [], [], [], [], []
     for i, sig in enumerate(sigmas):
         data = collect(q, float(sig), n, _cell_seed(seed, "sweep.variance", i))
@@ -261,7 +259,7 @@ def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
         raw_m.append(sq.mean())
         raw_se.append(sq.std(ddof=1) / np.sqrt(sq.size))
         feet = data.foot[:min(rb_subsample, len(data))]
-        r = RBOracle(q, float(sig), **kw).target_coords(feet)
+        r = RBOracle(q, float(sig)).target_coords(feet)
         rsq = np.sum(r ** 2, axis=1)
         rb_m.append(rsq.mean())
         rb_se.append(rsq.std(ddof=1) / np.sqrt(rsq.size))
@@ -348,8 +346,7 @@ def _probe_mse(q, sigma, n, h, repetitions, seed, label, probes, r_true,
 def mse_sweep(q: DensityModel, sigma: float, n_grid: Sequence[int],
               h_rule="optimal", repetitions: int = 20, seed: int = 0, *,
               n_probes: int = 8, probes: np.ndarray | None = None,
-              calibration_factors=(0.5, 1.0, 1.41, 2.0, 2.83),
-              oracle_kwargs: dict | None = None) -> MSESweepResult:
+              calibration_factors=(0.5, 1.0, 1.41, 2.0, 2.83)) -> MSESweepResult:
     """Mean squared error of the local average against the quadrature target.
 
     h_rule is "optimal" for the rate-matched bandwidth c*(1/(sigma^2 n))
@@ -365,7 +362,7 @@ def mse_sweep(q: DensityModel, sigma: float, n_grid: Sequence[int],
     if probes is None:
         probes = probe_points(q, seed, n_probes)
     M = q.manifold
-    oracle = RBOracle(q, sigma, **(oracle_kwargs or {}))
+    oracle = RBOracle(q, sigma)
     r_true = oracle.target_coords(probes)
     widen = _WidenCount()
     d = M.intrinsic_dim

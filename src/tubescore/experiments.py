@@ -173,22 +173,10 @@ def sphere_vmf(d: int, kappa: float) -> VonMisesFisher:
     return VonMisesFisher(Sphere(d), mu, kappa)
 
 
-def _oracle_kwargs(resolution=None, max_nodes=None) -> dict:
-    kw = {}
-    if resolution is not None:
-        kw["resolution"] = int(resolution)
-    if max_nodes is not None:
-        kw["max_nodes"] = int(max_nodes)
-    return kw
-
-
 def run_variance_collapse(q: DensityModel, sigma_grid, n: int, seed: int,
-                          rb_subsample: int = 20_000,
-                          resolution: int | None = None,
-                          max_nodes: int | None = None) -> dict:
+                          rb_subsample: int = 20_000) -> dict:
     """Raw vs conditioned second moments across sigma, with the -2 slope."""
-    res = variance_sweep(q, sigma_grid, n, seed, rb_subsample=rb_subsample,
-                         oracle_kwargs=_oracle_kwargs(resolution, max_nodes))
+    res = variance_sweep(q, sigma_grid, n, seed, rb_subsample=rb_subsample)
     d = q.manifold.intrinsic_dim
     i0 = int(np.argmin(res.sigma))
     ssm = float(score_second_moment(q))
@@ -234,14 +222,12 @@ def default_extrinsic_probe(q: DensityModel):
     raise ConfigError(f"no default probe for {type(M).__name__}")
 
 
-def run_extrinsic_coef(models, sigmas, resolution: int | None = None,
-                       max_nodes: int | None = None) -> dict:
+def run_extrinsic_coef(models, sigmas) -> dict:
     """Fitted curvature coefficients against the operator prediction.
 
     The prediction is the score-aligned component of the curvature
     correction, exact for any geometry in the comparison set.
     """
-    kw = _oracle_kwargs(resolution, max_nodes)
     rows = []
     for name, q in models:
         z = default_extrinsic_probe(q)
@@ -250,9 +236,7 @@ def run_extrinsic_coef(models, sigmas, resolution: int | None = None,
         g = extrinsic_term(z, q).vec
         alpha_pred = float(g @ s) / s_sq
         for sig in sigmas:
-            oracle = RBOracle(q, float(sig), **kw)
-            fit = extract_extrinsic_coefficient(z, q, float(sig),
-                                                oracle=oracle)
+            fit = extract_extrinsic_coefficient(z, q, float(sig))
             rows.append({
                 "manifold": name, "sigma": float(sig),
                 "alpha_hat": float(fit.alpha), "alpha_pred": alpha_pred,
@@ -321,15 +305,13 @@ def _calibration_seed(seed: int) -> int:
 
 
 def run_pythagorean(kappa: float = 2.0, sigma: float = 0.1, n: int = 100_000,
-                    seed: int = 0, resolution: int | None = None,
-                    max_nodes: int | None = None) -> dict:
+                    seed: int = 0) -> dict:
     """Three-term decomposition and the risk-gap identity on the 2-sphere."""
     q = sphere_vmf(2, kappa)
-    oracle = RBOracle(q, sigma, **_oracle_kwargs(resolution, max_nodes))
+    oracle = RBOracle(q, sigma)
     data = collect(q, sigma, n, seed)
     calib = collect(q, sigma, n, _calibration_seed(seed))
-    # one oracle pass per dataset; data.foot goes first because the first
-    # batch settles the quadrature resolution
+    # one oracle pass per dataset
     r_data = oracle.target_coords(data.foot)
     r_calib = oracle.target_coords(calib.foot)
 

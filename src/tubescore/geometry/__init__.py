@@ -8,12 +8,7 @@ from .base import (
 )
 from .curvature import CurvatureBundle, build_bundle
 from .plane import AffinePlane
-from .quadrature import (
-    QuadratureGrid,
-    gauss_legendre,
-    monte_carlo_grid,
-    quadrature_grid,
-)
+from .quadrature import QuadratureGrid, gauss_legendre
 from .sphere import Sphere
 from .torus import FlatTorus
 
@@ -29,7 +24,5 @@ __all__ = [
     "build_bundle",
     "ensure_same_manifold",
     "gauss_legendre",
-    "monte_carlo_grid",
-    "quadrature_grid",
     "wrap_angle",
 ]

@@ -191,15 +191,6 @@ class Manifold(abc.ABC):
         """Intrinsic Ricci operator in the tangent frame, shape (d, d)."""
 
     @abc.abstractmethod
-    def split_chords(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decompose chords y_j - z at the single base point ``z``.
-
-        Returns ``(tang_sq, normal_coeffs, tang_vec)``: squared norm of the
-        tangential part, normal components in the frame at ``z`` (shape
-        (N, D - d)), and the tangential part itself (shape (N, D)).
-        """
-
-    @abc.abstractmethod
     def fiber_from_coeffs(self, m: np.ndarray, sigma: float) -> np.ndarray:
         """Gaussian fiber average of the tube Jacobian det(I - W_u).
 
@@ -208,6 +199,31 @@ class Manifold(abc.ABC):
         ``sigma`` (no tube truncation; the Jacobian determinant is a
         polynomial of degree <= d, so the average is a closed form).
         """
+
+    @abc.abstractmethod
+    def frames_batch(self, z: np.ndarray) -> np.ndarray:
+        """Orthonormal ambient frames at rows ``z``, shape (n, D, D).
+
+        The first d rows of each frame span the tangent space and the rest
+        the normal space.  These are the frames in which :meth:`polar_chords`
+        holds; the tangent rows need not equal :meth:`tangent_basis`.
+        """
+
+    @abc.abstractmethod
+    def polar_chords(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Chord of Exp_z(v) in the frames of :meth:`frames_batch`.
+
+        ``v`` holds tangent coordinates, shape (N, d).  Returns the chord
+        Exp_z(v) - z in frame coordinates (N, D), tangential part G(v) first
+        and normal part m(v) after it, and the log Jacobian of Exp_z (N,).
+        The geometries are homogeneous, so neither depends on z:
+        Exp_z(v) = z + chord @ F(z) at every base point.
+        """
+
+    @property
+    @abc.abstractmethod
+    def band_radius(self) -> float:
+        """Largest geodesic radius whose disk stays inside the tube band."""
 
     @abc.abstractmethod
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -301,9 +317,6 @@ class Manifold(abc.ABC):
         from .curvature import build_bundle
 
         return build_bundle(self, z)
-
-    def quadrature_grid(self, resolution: int, **kwargs):
-        return self.grid(resolution, **kwargs)
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         return self.point(self.random_coords(rng, 1)[0])

@@ -129,14 +129,20 @@ class AffinePlane(Manifold):
         d = self.intrinsic_dim
         return np.zeros((d, d))
 
-    def split_chords(self, z: np.ndarray, y: np.ndarray):
-        tvec = self.tangent_project_batch(None, y - z[None, :])
-        tang_sq = np.sum(tvec * tvec, axis=-1)
-        m = np.zeros((y.shape[0], self.codim))
-        return tang_sq, m, tvec
-
     def fiber_from_coeffs(self, m: np.ndarray, sigma: float) -> np.ndarray:
         return np.ones(m.shape[0])
+
+    def frames_batch(self, z: np.ndarray) -> np.ndarray:
+        frame = np.concatenate([self._frame, self.normal_basis(None)])
+        return np.broadcast_to(frame, (z.shape[0],) + frame.shape)
+
+    def polar_chords(self, v: np.ndarray):
+        n = v.shape[0]
+        return np.column_stack([v, np.zeros((n, self.codim))]), np.zeros(n)
+
+    @property
+    def band_radius(self) -> float:
+        return math.inf
 
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.embed(rng.standard_normal((n, self.intrinsic_dim)))

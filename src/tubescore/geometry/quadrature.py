@@ -1,12 +1,10 @@
 """Deterministic quadrature grids over the supported manifolds."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import UnsupportedManifold
 from .base import Manifold, ManifoldPoint, _readonly
 
 MIN_RESOLUTION = 8
@@ -18,15 +16,12 @@ class QuadratureGrid:
 
     For compact manifolds the weights sum to the volume; for affine planes the
     grid covers a finite box and the weights sum to the box volume instead.
-    ``stochastic`` flags Monte Carlo node sets (the fallback where no
-    deterministic rule is provided).
     """
 
     manifold: Manifold
     node_coords: np.ndarray
     weights: np.ndarray
     resolution: int
-    stochastic: bool = False
 
     def __post_init__(self):
         nodes = _readonly(self.node_coords)
@@ -62,24 +57,6 @@ def check_resolution(resolution: int) -> int:
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
     return resolution
-
-
-def quadrature_grid(manifold: Manifold, resolution: int, **kwargs) -> QuadratureGrid:
-    """Deterministic grid for ``manifold`` at the given per-axis resolution."""
-    return manifold.grid(resolution, **kwargs)
-
-
-def monte_carlo_grid(manifold: Manifold, n: int, rng: np.random.Generator) -> QuadratureGrid:
-    """Uniform Monte Carlo node set with equal weights Vol(M)/n.
-
-    Fallback for manifolds whose deterministic grids are not provided (for
-    example spheres of dimension above three); flagged ``stochastic``.
-    """
-    if not math.isfinite(manifold.volume):
-        raise UnsupportedManifold("Monte Carlo grids need a finite volume")
-    coords = manifold.random_coords(rng, n)
-    w = np.full(n, manifold.volume / n)
-    return QuadratureGrid(manifold, coords, w, resolution=0, stochastic=True)
 
 
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:

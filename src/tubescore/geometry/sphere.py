@@ -134,13 +134,6 @@ class Sphere(Manifold):
     def ricci_matrix(self, z: np.ndarray) -> np.ndarray:
         return (self._dim - 1.0) * np.eye(self._dim)
 
-    def split_chords(self, z: np.ndarray, y: np.ndarray):
-        c = y @ z
-        tang_sq = np.clip(1.0 - c * c, 0.0, None)
-        m = (c - 1.0)[:, None]
-        tvec = y - c[:, None] * z[None, :]
-        return tang_sq, m, tvec
-
     def fiber_from_coeffs(self, m: np.ndarray, sigma: float) -> np.ndarray:
         a = 1.0 + m[:, 0]
         d = self._dim
@@ -149,6 +142,27 @@ class Sphere(Manifold):
             out += math.comb(d, j) * _EVEN_MOMENTS[j] * sigma**j * a ** (d - j)
         return out
 
+    def frames_batch(self, z: np.ndarray) -> np.ndarray:
+        # tangent rows: rows 2..D of the Householder reflection
+        # H = I - 2 w w^T / |w|^2 with w = z + sign(z_0) e_0, which maps e_0
+        # to -sign(z_0) z (|w|^2 >= 2); normal row: z
+        w = z.copy()
+        w[:, 0] += np.where(z[:, 0] >= 0.0, 1.0, -1.0)
+        scale = 2.0 / np.sum(w * w, axis=1)
+        tangent = np.eye(self.ambient_dim)[None, 1:, :] \
+            - (scale[:, None] * w[:, 1:])[:, :, None] * w[:, None, :]
+        return np.concatenate([tangent, z[:, None, :]], axis=1)
+
+    def polar_chords(self, v: np.ndarray):
+        rho = np.linalg.norm(v, axis=1)
+        sinc = np.sinc(rho / math.pi)
+        chord = np.column_stack([sinc[:, None] * v, np.cos(rho) - 1.0])
+        return chord, (self._dim - 1) * np.log(sinc)
+
+    @property
+    def band_radius(self) -> float:
+        return math.acos(1.0 - self.tube_radius)
+
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         x = rng.standard_normal((n, self.ambient_dim))
         return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -156,31 +170,33 @@ class Sphere(Manifold):
     # ---- quadrature ------------------------------------------------------
 
     def grid(self, resolution: int, **kwargs) -> QuadratureGrid:
+        """Product rule: uniform angle on S^1, Gauss-Legendre in t times a
+        uniform angle on S^2, and for d >= 3 Gauss-Legendre in the polar
+        angle times the S^{d-1} rule."""
         if kwargs:
             raise TypeError(f"unexpected grid options: {sorted(kwargs)}")
         n = check_resolution(resolution)
-        if self._dim == 1:
-            theta = 2.0 * math.pi * np.arange(n) / n
-            nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-            weights = np.full(n, 2.0 * math.pi / n)
-        elif self._dim == 2:
-            nodes, weights = _sphere2_grid(n)
-        elif self._dim == 3:
-            chi, wchi = gauss_legendre(n, 0.0, math.pi)
-            sub_nodes, sub_w = _sphere2_grid(n)
-            s, c = np.sin(chi), np.cos(chi)
-            nodes = np.concatenate(
-                [np.repeat(c, sub_nodes.shape[0])[:, None],
-                 np.einsum("i,jk->ijk", s, sub_nodes).reshape(-1, 3)],
-                axis=1,
-            )
-            weights = np.outer(wchi * s**2, sub_w).ravel()
-        else:
-            raise UnsupportedManifold(
-                "no deterministic grid for Sphere(4); use monte_carlo_grid"
-            )
+        nodes, weights = _sphere_grid(self._dim, n)
         nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
         return QuadratureGrid(self, nodes, weights, resolution=n)
+
+
+def _sphere_grid(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if d == 1:
+        theta = 2.0 * math.pi * np.arange(n) / n
+        return (np.column_stack([np.cos(theta), np.sin(theta)]),
+                np.full(n, 2.0 * math.pi / n))
+    if d == 2:
+        return _sphere2_grid(n)
+    chi, wchi = gauss_legendre(n, 0.0, math.pi)
+    sub_nodes, sub_w = _sphere_grid(d - 1, n)
+    s, c = np.sin(chi), np.cos(chi)
+    nodes = np.concatenate(
+        [np.repeat(c, sub_nodes.shape[0])[:, None],
+         np.einsum("i,jk->ijk", s, sub_nodes).reshape(-1, d)],
+        axis=1,
+    )
+    return nodes, np.outer(wchi * s ** (d - 1), sub_w).ravel()
 
 
 def _sphere2_grid(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -172,24 +172,27 @@ class FlatTorus(Manifold):
     def ricci_matrix(self, z: np.ndarray) -> np.ndarray:
         return np.zeros((2, 2))
 
-    def split_chords(self, z: np.ndarray, y: np.ndarray):
-        r1, r2 = self._r
-        e, nrm = self._frame_vectors(z)
-        y1, y2 = self._blocks(y)
-        t1 = y1 @ e[0]
-        t2 = y2 @ e[1]
-        m1 = y1 @ nrm[0] - r1
-        m2 = y2 @ nrm[1] - r2
-        tang_sq = t1 * t1 + t2 * t2
-        m = np.stack([m1, m2], axis=-1)
-        tvec = t1[:, None] * self._pad(e[0][None, :], 0) \
-            + t2[:, None] * self._pad(e[1][None, :], 1)
-        return tang_sq, m, tvec
-
     def fiber_from_coeffs(self, m: np.ndarray, sigma: float) -> np.ndarray:
         # det(I - W_u) = (1 + u1/R1)(1 + u2/R2): linear per independent
         # coordinate, so the Gaussian average drops sigma entirely.
         return (1.0 + m[:, 0] / self._r[0]) * (1.0 + m[:, 1] / self._r[1])
+
+    def frames_batch(self, z: np.ndarray) -> np.ndarray:
+        e, nrm = self._frame_vectors(z)
+        out = np.zeros((z.shape[0], 4, 4))
+        for row, (vecs, block) in enumerate(((e, 0), (e, 1), (nrm, 0), (nrm, 1))):
+            out[:, row, 2 * block:2 * block + 2] = vecs[:, block]
+        return out
+
+    def polar_chords(self, v: np.ndarray):
+        r = np.array(self._r)
+        chord = np.column_stack([r * np.sin(v / r), r * (np.cos(v / r) - 1.0)])
+        return chord, np.zeros(v.shape[0])
+
+    @property
+    def band_radius(self) -> float:
+        # the normal offset grows fastest along a single circle
+        return min(r * math.acos(1.0 - self.tube_radius / r) for r in self._r)
 
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         theta = rng.uniform(-math.pi, math.pi, size=(n, 2))

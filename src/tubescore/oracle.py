@@ -3,24 +3,34 @@
 Given a latent density q and noise level sigma, the conditional expectation
 of the raw tangent target given the foot point z is
 
-    r_sigma(z) = (1/sigma^2) E[ P_T(z)(Y - z) | pi(X) = z ],
+    r_sigma(z) = (1/sigma^2) E[ G(v) | pi(X) = z ],
 
-where the latent posterior density over grid nodes y factorizes as
+where v in T_z M are the geodesic-polar coordinates of the latent point
+y = Exp_z(v) and G(v) = P_T(z)(y - z) is the tangential chord.  The
+posterior density of v is proportional to
 
-    w(y) propto q(y) * exp(-||P_T(z)(y-z)||^2 / (2 sigma^2))
-               * fiber_factor(z, P_N(z)(y-z), sigma).
+    q(Exp_z v) * J(v) * exp(-||G(v)||^2 / (2 sigma^2)) * fiber(m(v), sigma),
 
-Node sums are restricted to the tube band ||P_N(z)(y-z)|| < tube_radius:
-outside it the tangential chord norm can vanish again (cut locus), which
-would inject spurious posterior mass that the tube conditioning excludes.
+with J the Jacobian of Exp_z and m(v) the normal part of y - z.  Spheres,
+flat tori and planes are homogeneous: in the frames of
+``Manifold.frames_batch`` the chord, the Jacobian and the fiber factor
+depend on v alone.  One node table per (manifold, sigma, resolution) carries
+every factor but q, so a query costs one frame and one density evaluation
+per node, and a batch of queries is a few matrix products.
+
+The table is Gauss-Legendre in the radius on [0, min(14 sigma, band)] times
+a rule on the unit directions of T_z M.  The radius stops at the tube band
+||m|| < tube_radius: beyond it the tangential chord can shrink again (cut
+locus), which would add posterior mass that the tube conditioning excludes.
 
 The module also hosts the sigma^2 expansion terms (score, Tweedie drift,
 extrinsic curvature term), extraction of the dimensionless extrinsic
-coefficient, and tangent-space quadrature checks of the posterior Stein
-identity and moment bounds on spheres.
+coefficient, and the single-query posterior view behind the Stein identity,
+moment and chord checks.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,32 +38,27 @@ from typing import NamedTuple
 import numpy as np
 
 from .densities import DensityModel
-from .errors import (
-    ConfigError,
-    DegenerateScore,
-    ManifoldMismatch,
-    QuadratureNotConverged,
-    UnsupportedManifold,
-)
+from .errors import ConfigError, DegenerateScore, QuadratureNotConverged
 from .geometry import (
     AffinePlane,
-    FlatTorus,
+    Manifold,
     ManifoldPoint,
     Sphere,
     TangentVector,
     ensure_same_manifold,
 )
-from .geometry.quadrature import QuadratureGrid, gauss_legendre
+from .geometry.quadrature import gauss_legendre
 
 SIGMA_MIN = 0.01
 SIGMA_MAX = 0.5
 DEFAULT_REL_TOL = 1e-6
-DEFAULT_MAX_NODES = 20_000_000
-CAP_FACTOR = 12.0          # tangential Gaussian support cut, in units of sigma
-GAUSS_RANGE = 14.0         # quadrature domain half width, in units of sigma
-NODE_CHUNK = 2_000_000
-QUERY_CHUNK = 128
-_MASS_FLOOR = 1e-300
+GAUSS_RANGE = 14.0           # radial domain, in units of sigma
+BASE_RESOLUTION = 24         # radial nodes of the coarsest rule
+MAX_RULE_NODES = 1 << 21     # no rule is refined beyond this many nodes
+CHUNK_FLOATS = 1 << 16       # latent coordinates held per query chunk
+SCORE_MOMENT_RESOLUTION = 24
+PLANE_MOMENT_RESOLUTION = 160
+_TARGET_FLOOR = 1e-6         # targets below this norm count as zero
 
 
 def check_sigma(sigma: float) -> float:
@@ -64,71 +69,110 @@ def check_sigma(sigma: float) -> float:
     return sigma
 
 
-def auto_resolution(manifold, sigma: float, spacing: float = 0.8) -> int:
-    """Grid resolution placing nodes about ``spacing * sigma`` apart."""
-    target = spacing * sigma
-    if isinstance(manifold, Sphere):
-        if manifold.intrinsic_dim == 1:
-            n = math.ceil(2.0 * math.pi / target)
-        else:
-            n = math.ceil(math.pi / target)
-    elif isinstance(manifold, AffinePlane):
-        # the chart box scales with sigma, so the node count does not
-        n = 64
-    elif isinstance(manifold, FlatTorus):
-        n = math.ceil(2.0 * math.pi * max(manifold.radii) / target)
-    else:
-        raise UnsupportedManifold(f"no quadrature rule for {manifold.name}")
-    return max(8, n)
+@functools.lru_cache(maxsize=16)
+def _directions(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions of a d-dimensional tangent space and their weights."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
+    grid = Sphere(d - 1).grid(resolution // 2)
+    return grid.node_coords, grid.weights
 
 
-def grid_node_count(manifold, resolution: int) -> int:
-    if isinstance(manifold, Sphere):
-        d = manifold.intrinsic_dim
-        return {1: resolution, 2: 2 * resolution**2, 3: 2 * resolution**3}.get(
-            d, resolution**d)
-    if isinstance(manifold, AffinePlane):
-        return resolution**manifold.intrinsic_dim
-    return resolution**manifold.intrinsic_dim
+def grid_node_count(manifold: Manifold, resolution: int) -> int:
+    """Tangent nodes of the polar rule with ``resolution`` radial nodes."""
+    return resolution * _directions(manifold.intrinsic_dim, resolution)[1].size
+
+
+def _log_kernel(manifold: Manifold, v: np.ndarray, sigma: float):
+    """Frame-coordinate chord and query-independent log posterior factors.
+
+    At tangent coordinates ``v`` (rows) the factors are the Exp Jacobian,
+    the Gaussian of the tangential chord and the tube-fiber factor; the
+    latent density is the only factor left that depends on the query.
+    """
+    chord, log_jac = manifold.polar_chords(v)
+    tang, normal = np.split(chord, [manifold.intrinsic_dim], axis=1)
+    return chord, (log_jac - np.sum(tang * tang, axis=1) / (2.0 * sigma**2)
+                   + np.log(manifold.fiber_from_coeffs(normal, sigma)))
+
+
+def _log_posterior(density: DensityModel, z: np.ndarray, frames: np.ndarray,
+                  chord: np.ndarray, log_k: np.ndarray) -> np.ndarray:
+    """Unnormalized log posterior, nodes by queries.
+
+    ``log_k`` plus log q at Exp_z(v) = z + chord(v) @ F(z), for the frames F
+    of every query row of ``z`` side by side in one product.
+    """
+    n, dim = z.shape
+    y = chord @ frames.transpose(1, 0, 2).reshape(dim, n * dim)
+    y = (y.reshape(-1, n, dim) + z).reshape(-1, dim)
+    lw = density.log_density_batch(y).reshape(-1, n)
+    lw += log_k[:, None]
+    return lw
+
+
+@dataclass(frozen=True, eq=False)
+class PolarRule:
+    """Tangent nodes carrying every query-independent posterior factor.
+
+    Rules are cached and shared, so their arrays are read-only.
+    """
+
+    v: np.ndarray        # (N, d) tangent coordinates
+    chord: np.ndarray    # (N, D) Exp_z(v) - z in frame coordinates
+    log_w: np.ndarray    # (N,) log node weight plus _log_kernel
+
+    def __post_init__(self):
+        for a in (self.v, self.chord, self.log_w):
+            a.flags.writeable = False
+
+    @property
+    def tangent_chord(self) -> np.ndarray:
+        """G(v), the tangential part of the chord, (N, d)."""
+        return self.chord[:, :self.v.shape[1]]
+
+
+@functools.lru_cache(maxsize=32)
+def _polar_rule(manifold: Manifold, sigma: float, resolution: int) -> PolarRule:
+    d = manifold.intrinsic_dim
+    rho_max = min(GAUSS_RANGE * sigma, manifold.band_radius)
+    rho, w_rho = gauss_legendre(resolution, 0.0, rho_max)
+    dirs, w_dir = _directions(d, resolution)
+    v = (rho[:, None, None] * dirs[None]).reshape(-1, d)
+    w = np.outer(w_rho * rho ** (d - 1), w_dir).ravel()
+    chord, log_k = _log_kernel(manifold, v, sigma)
+    return PolarRule(v, chord, np.log(w) + log_k)
 
 
 class RBOracle:
     """Batched quadrature evaluator for the conditional tangent target.
 
-    Grids and per-node log densities are cached per resolution.  The first
-    query batch settles the resolution by a doubling check at a few probe
-    points; every later call reuses the settled grid.
+    Each query is evaluated with the polar rules of resolution n and 2n,
+    from n = BASE_RESOLUTION; their relative difference is the query's error
+    estimate.  Queries whose estimate exceeds ``rel_tol`` go on to 2n and
+    4n, and so on; the finer value of the accepted pair is returned.  When
+    the next rule would exceed MAX_RULE_NODES the oracle raises
+    QuadratureNotConverged.  ``convergence_report`` accumulates over calls:
+    ``queries``, ``nodes`` (tangent nodes evaluated, check rules included),
+    ``nodes_per_query``, ``max_estimate`` (largest accepted estimate),
+    ``resolution`` (largest accepted radial resolution) and ``rel_tol``.
     """
 
     def __init__(self, density: DensityModel, sigma: float, *,
-                 resolution: int | None = None,
-                 rel_tol: float = DEFAULT_REL_TOL,
-                 max_nodes: int = DEFAULT_MAX_NODES,
-                 check_convergence: bool = True):
+                 rel_tol: float = DEFAULT_REL_TOL):
         self.density = density
         self.manifold = density.manifold
         self.sigma = check_sigma(sigma)
-        self.resolution = int(resolution) if resolution is not None \
-            else auto_resolution(self.manifold, self.sigma)
-        self.rel_tol = rel_tol
-        self.max_nodes = max_nodes
-        self.check_convergence = check_convergence
-        self._cache: dict[int, tuple[QuadratureGrid, np.ndarray]] = {}
-        self._settled: int | None = None
+        d = self.manifold.intrinsic_dim
+        if d > 4:
+            raise ConfigError(
+                f"no tangent direction rule for intrinsic dimension {d}; "
+                "the oracle supports dimensions 1 to 4")
+        self.rel_tol = float(rel_tol)
         self.convergence_report: dict | None = None
 
-    # ---- grid management -------------------------------------------------
-
-    def _grid(self, res: int) -> tuple[QuadratureGrid, np.ndarray]:
-        if res not in self._cache:
-            if grid_node_count(self.manifold, res) > self.max_nodes:
-                raise QuadratureNotConverged(
-                    f"resolution {res} needs {grid_node_count(self.manifold, res)} nodes, "
-                    f"cap is {self.max_nodes}")
-            grid = self.manifold.grid(res)
-            logwq = np.log(grid.weights) + self.density.log_density_batch(grid.node_coords)
-            self._cache[res] = (grid, logwq)
-        return self._cache[res]
+    def rule(self, resolution: int) -> PolarRule:
+        return _polar_rule(self.manifold, self.sigma, resolution)
 
     # ---- evaluation ------------------------------------------------------
 
@@ -144,160 +188,80 @@ class RBOracle:
             raise ValueError("queries must be (n, ambient_dim)")
         if queries.shape[0] == 0:
             return np.empty_like(queries)
-        if self._settled is None:
-            self._settle(queries)
-        return self._eval(queries, self._settled)
+        frames = self.manifold.frames_batch(queries)
+        r, _ = self._solve(queries, frames)
+        return np.einsum("nk,nkd->nd", r, frames[:, :r.shape[1]])
 
-    def _settle(self, queries: np.ndarray) -> None:
-        if not self.check_convergence:
-            self._settled = self.resolution
-            self.convergence_report = {"resolution": self.resolution, "checked": False}
-            return
-        nq = queries.shape[0]
-        probes = queries[np.unique(np.linspace(0, nq - 1, min(nq, 4)).astype(int))]
-        res = self.resolution
-        history = []
+    def _solve(self, queries, frames) -> tuple[np.ndarray, np.ndarray]:
+        """Frame-coordinate targets and the accepted resolution per query."""
+        M = self.manifold
+        n_q = queries.shape[0]
+        out = np.empty((n_q, M.intrinsic_dim))
+        accepted = np.empty(n_q, dtype=int)
+        pending = np.arange(n_q)
+        n = BASE_RESOLUTION
+        coarse = self._frame_targets(queries, frames, n)
+        nodes = n_q * grid_node_count(M, n)
+        worst = 0.0
         while True:
-            coarse = self._eval(probes, res)
-            fine = self._eval(probes, 2 * res)
-            scale = np.maximum(np.linalg.norm(coarse, axis=1),
-                               np.linalg.norm(fine, axis=1))
-            # the floor treats targets below 1e-6 as zero for the relative
-            # check; rounding noise in the node sums sits orders below it
-            rel = float(np.max(np.linalg.norm(fine - coarse, axis=1)
-                               / np.maximum(scale, 1e-6)))
-            history.append({"resolution": res, "rel_change": rel})
-            if rel < self.rel_tol:
-                self._settled = res
-                # the doubled grid served only the check; drop its cache entry
-                self._cache.pop(2 * res, None)
-                self.convergence_report = {
-                    "resolution": res, "checked": True, "rel_change": rel,
-                    "history": history,
-                }
-                return
-            res = 2 * res
-            # next iteration compares res vs 2*res; the cap check inside
-            # _grid raises QuadratureNotConverged when 2*res is infeasible
+            n *= 2
+            fine = self._frame_targets(queries[pending], frames[pending], n)
+            nodes += pending.size * grid_node_count(M, n)
+            est = (np.linalg.norm(fine - coarse, axis=1)
+                   / np.maximum(np.linalg.norm(fine, axis=1), _TARGET_FLOOR))
+            ok = est <= self.rel_tol
+            out[pending[ok]] = fine[ok]
+            accepted[pending[ok]] = n
+            if ok.any():
+                worst = max(worst, float(est[ok].max()))
+            pending, coarse = pending[~ok], fine[~ok]
+            if pending.size == 0:
+                break
+            if grid_node_count(M, 2 * n) > MAX_RULE_NODES:
+                raise QuadratureNotConverged(
+                    f"{pending.size} of {n_q} queries have error estimates up "
+                    f"to {float(est.max()):.3g} above rel_tol "
+                    f"{self.rel_tol:g} at the largest polar rule "
+                    f"({grid_node_count(M, n)} nodes)")
+        self._record(n_q, nodes, worst, int(accepted.max()))
+        return out, accepted
 
-    def _eval(self, queries: np.ndarray, res: int) -> np.ndarray:
-        # project out the normal-direction rounding of the node sums so the
-        # convergence comparison sees exactly what callers receive
-        return self.manifold.tangent_project_batch(queries, self._eval_raw(queries, res))
+    def _frame_targets(self, queries, frames, resolution) -> np.ndarray:
+        rule = self.rule(resolution)
+        g = rule.tangent_chord
+        out = np.empty((queries.shape[0], g.shape[1]))
+        step = max(1, CHUNK_FLOATS // rule.log_w.size // queries.shape[1])
+        for s in range(0, queries.shape[0], step):
+            sl = slice(s, s + step)
+            lw = _log_posterior(self.density, queries[sl], frames[sl],
+                               rule.chord, rule.log_w)
+            top = lw.max(axis=0)
+            if not np.all(np.isfinite(top)):
+                raise QuadratureNotConverged("no posterior mass at a query point")
+            lw -= top
+            w = np.exp(lw, out=lw)
+            out[sl] = (g.T @ w / w.sum(axis=0)).T
+        return out / self.sigma**2
 
-    def _eval_raw(self, queries: np.ndarray, res: int) -> np.ndarray:
-        if isinstance(self.manifold, AffinePlane):
-            return self._eval_plane(queries, res)
-        grid, logwq = self._grid(res)
-        if isinstance(self.manifold, Sphere):
-            return self._eval_sphere(queries, grid, logwq)
-        return self._eval_generic(queries, grid, logwq)
-
-    def _assemble(self, num: np.ndarray, den: float) -> np.ndarray:
-        if not den > _MASS_FLOOR:
-            raise QuadratureNotConverged("no posterior mass at a query point")
-        return num / (den * self.sigma**2)
-
-    def _eval_sphere(self, queries: np.ndarray, grid: QuadratureGrid,
-                     logwq: np.ndarray) -> np.ndarray:
-        M = self.manifold
-        nodes = grid.node_coords
-        d = M.intrinsic_dim
-        sig = self.sigma
-        inv2s2 = 1.0 / (2.0 * sig**2)
-        cap_sq = (CAP_FACTOR * sig) ** 2
-        # tangential cut and tube band are both lower bounds on c = <y, z>
-        c_min = max(1.0 - M.tube_radius,
-                    math.sqrt(1.0 - cap_sq) if cap_sq < 1.0 else -1.0)
-        out = np.empty_like(queries)
-        for start in range(0, queries.shape[0], QUERY_CHUNK):
-            zc = queries[start:start + QUERY_CHUNK]
-            C = nodes @ zc.T
-            for j in range(zc.shape[0]):
-                c = C[:, j]
-                idx = np.flatnonzero(c > c_min)
-                cj = c[idx]
-                fiber = M.fiber_from_coeffs((cj - 1.0)[:, None], sig)
-                lg = logwq[idx] - (1.0 - cj * cj) * inv2s2 + np.log(fiber)
-                lg -= lg.max()
-                w = np.exp(lg)
-                den = float(w.sum())
-                num = w @ nodes[idx] - float(w @ cj) * zc[j]
-                out[start + j] = self._assemble(num, den)
-        return out
-
-    def _eval_generic(self, queries: np.ndarray, grid: QuadratureGrid,
-                      logwq: np.ndarray) -> np.ndarray:
-        M = self.manifold
-        sig = self.sigma
-        inv2s2 = 1.0 / (2.0 * sig**2)
-        cap_sq = (CAP_FACTOR * sig) ** 2
-        band = M.tube_radius
-        out = np.empty_like(queries)
-        n_nodes = grid.n_nodes
-        for j, z in enumerate(queries):
-            best = -np.inf
-            den = 0.0
-            num = np.zeros(M.ambient_dim)
-            for s in range(0, n_nodes, NODE_CHUNK):
-                sl = slice(s, min(s + NODE_CHUNK, n_nodes))
-                tang_sq, m, tvec = M.split_chords(z, grid.node_coords[sl])
-                mask = (tang_sq < cap_sq) & (np.linalg.norm(m, axis=-1) < band)
-                if not np.any(mask):
-                    continue
-                fiber = M.fiber_from_coeffs(m[mask], sig)
-                lg = logwq[sl][mask] - tang_sq[mask] * inv2s2 + np.log(fiber)
-                top = float(lg.max())
-                if top > best:
-                    rescale = math.exp(best - top) if best > -np.inf else 0.0
-                    den *= rescale
-                    num *= rescale
-                    best = top
-                w = np.exp(lg - best)
-                den += float(w.sum())
-                num += w @ tvec[mask]
-            out[j] = self._assemble(num, den)
-        return out
-
-    def _eval_plane(self, queries: np.ndarray, res: int) -> np.ndarray:
-        """Per-query local Gauss-Legendre box; the box tracks the query."""
-        M = self.manifold
-        sig = self.sigma
-        inv2s2 = 1.0 / (2.0 * sig**2)
-        out = np.empty_like(queries)
-        half = GAUSS_RANGE * sig
-        for j, z in enumerate(queries):
-            grid = M.grid(res, half_width=half, center=M.chart(z[None])[0])
-            nodes = grid.node_coords
-            tvec = nodes - z[None, :]
-            lg = (np.log(grid.weights)
-                  + self.density.log_density_batch(nodes)
-                  - np.sum(tvec * tvec, axis=-1) * inv2s2)
-            lg -= lg.max()
-            w = np.exp(lg)
-            out[j] = self._assemble(w @ tvec, float(w.sum()))
-        return out
+    def _record(self, queries: int, nodes: int, estimate: float,
+                resolution: int) -> None:
+        rep = self.convergence_report or {
+            "rel_tol": self.rel_tol, "queries": 0, "nodes": 0,
+            "max_estimate": 0.0, "resolution": 0}
+        rep["queries"] += queries
+        rep["nodes"] += nodes
+        rep["nodes_per_query"] = rep["nodes"] / rep["queries"]
+        rep["max_estimate"] = max(rep["max_estimate"], estimate)
+        rep["resolution"] = max(rep["resolution"], resolution)
+        self.convergence_report = rep
 
 
-def rb_target(z: ManifoldPoint, q: DensityModel, sigma: float,
-              grid: QuadratureGrid | None = None, *,
-              rel_tol: float = DEFAULT_REL_TOL,
-              check_convergence: bool = True,
-              max_nodes: int = DEFAULT_MAX_NODES) -> TangentVector:
-    """Conditional tangent target at one point, with a convergence check.
-
-    When ``grid`` is given its resolution seeds the evaluation; the doubling
-    check still runs (so the result is certified converged) unless
-    ``check_convergence`` is disabled.
-    """
+def rb_target(z: ManifoldPoint, q: DensityModel, sigma: float, *,
+              rel_tol: float = DEFAULT_REL_TOL) -> TangentVector:
+    """Conditional tangent target at one point, with its error estimate
+    checked against ``rel_tol``."""
     ensure_same_manifold(q.manifold, z.manifold)
-    resolution = grid.resolution if grid is not None else None
-    oracle = RBOracle(q, sigma, resolution=resolution, rel_tol=rel_tol,
-                      check_convergence=check_convergence, max_nodes=max_nodes)
-    if grid is not None and not isinstance(q.manifold, AffinePlane):
-        oracle._cache[grid.resolution] = (
-            grid, np.log(grid.weights) + q.log_density_batch(grid.node_coords))
-    return oracle.target(z)
+    return RBOracle(q, sigma, rel_tol=rel_tol).target(z)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +304,8 @@ class ExtrinsicFit(NamedTuple):
     sigma: float
 
 
-def extract_extrinsic_coefficient(z: ManifoldPoint, q: DensityModel, sigma: float,
-                                  grid: QuadratureGrid | None = None, *,
-                                  oracle: RBOracle | None = None) -> ExtrinsicFit:
+def extract_extrinsic_coefficient(z: ManifoldPoint, q: DensityModel,
+                                  sigma: float) -> ExtrinsicFit:
     """Project (target - score - sigma^2 tweedie) / sigma^2 onto the score.
 
     The scalar part recovers the dimensionless curvature coefficient on
@@ -356,10 +319,7 @@ def extract_extrinsic_coefficient(z: ManifoldPoint, q: DensityModel, sigma: floa
         raise DegenerateScore(
             f"score norm {math.sqrt(s_norm_sq):.2e} below 1e-3; "
             "the coefficient direction is undefined")
-    if oracle is not None:
-        r = oracle.target(z).vec
-    else:
-        r = rb_target(z, q, sigma, grid).vec
+    r = rb_target(z, q, sigma).vec
     resid = r - s - sigma**2 * q.tweedie_term(z).vec
     alpha = float(resid @ s) / (sigma**2 * s_norm_sq)
     orth = resid - (float(resid @ s) / s_norm_sq) * s
@@ -368,84 +328,65 @@ def extract_extrinsic_coefficient(z: ManifoldPoint, q: DensityModel, sigma: floa
                         sigma=sigma)
 
 
-def score_second_moment(q: DensityModel, resolution: int = 160) -> float:
-    """E_q ||grad_M log q||^2 by volume quadrature."""
-    grid = q.manifold.grid(resolution)
+def score_second_moment(q: DensityModel) -> float:
+    """E_q ||grad_M log q||^2 by volume quadrature.
+
+    Resolution 24 reaches roundoff on S^1-S^4 and the tori at the
+    concentrations of the studies; a plane's grid spans a fixed chart box,
+    so it keeps a resolution that resolves Gaussians down to half its unit
+    scale.
+    """
+    M = q.manifold
+    grid = M.grid(PLANE_MOMENT_RESOLUTION if isinstance(M, AffinePlane)
+                  else SCORE_MOMENT_RESOLUTION)
     s = q.score_batch(grid.node_coords)
     vals = np.exp(q.log_density_batch(grid.node_coords)) * np.sum(s * s, axis=-1)
     return float(grid.integrate(vals))
 
 
 # ---------------------------------------------------------------------------
-# tangent-space posterior checks (spheres only)
+# single-query posterior view
 
 
 class FiberPosterior:
-    """Tangent-coordinate tabulation of the latent posterior at a foot point.
+    """The latent posterior at one foot point, on the oracle's polar rule.
 
-    Over v in T_z M (sphere of dimension d in {1, 2}), the posterior is
-    proportional to a(v) * gaussian_sigma(v) with
+    Over tangent coordinates v at z the posterior is proportional to
+    a(v) * exp(-||v||^2 / (2 sigma^2)) with
 
-        a(v) = q(Exp_z v) * (sin rho / rho)^{d-1}
-               * exp((rho^2 - ||G(v)||^2) / (2 sigma^2)) * fiber(cos rho - 1),
+        a(v) = q(Exp_z v) * J(v) * exp((||v||^2 - ||G(v)||^2) / (2 sigma^2))
+               * fiber(m(v), sigma),
 
-    where rho = ||v|| and G(v) is the tangential chord.  All expectations
-    are Gauss-Legendre sums (radial) times uniform angular sums; the radial
-    domain stops at the tube band so the cut locus stays excluded, matching
-    the node-sum convention of the target oracle.
+    the oracle's posterior written against the Gaussian in v.  The weights
+    come from the same ``_log_posterior`` on the rule the oracle accepts for
+    this query, so every expectation here matches the target node for node.
     """
 
     def __init__(self, z: ManifoldPoint, q: DensityModel, sigma: float, *,
-                 n_radial: int = 256, n_angular: int = 256, fd_step: float = 1e-4):
-        M = q.manifold
-        if not isinstance(M, Sphere) or M.intrinsic_dim > 2:
-            raise UnsupportedManifold(
-                "tangent-coordinate posterior checks support Sphere(1) and Sphere(2)")
-        ensure_same_manifold(M, z.manifold)
-        self.sigma = check_sigma(sigma)
-        self.manifold = M
+                 fd_step: float = 1e-4):
+        ensure_same_manifold(q.manifold, z.manifold)
+        oracle = RBOracle(q, sigma)
+        self.sigma = oracle.sigma
+        self.manifold = q.manifold
         self.density = q
         self.z = z
         self.fd_step = fd_step
-        self.d = M.intrinsic_dim
-        self.basis = M.tangent_basis(z.coords)
-        rho_band = math.acos(max(1.0 - M.tube_radius, -1.0))
-        rho_max = min(rho_band, GAUSS_RANGE * self.sigma)
-        if self.d == 1:
-            x, w = gauss_legendre(n_radial, -rho_max, rho_max)
-            self.coords = x[:, None]
-            self.base_w = w
-        else:
-            r, wr = gauss_legendre(n_radial, 0.0, rho_max)
-            phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
-            rr, pp = np.meshgrid(r, phi, indexing="ij")
-            self.coords = np.stack([(rr * np.cos(pp)).ravel(),
-                                    (rr * np.sin(pp)).ravel()], axis=-1)
-            self.base_w = (np.outer(wr * r, np.full(n_angular, 2.0 * math.pi / n_angular))
-                           ).ravel()
-        log_post = self._log_a(self.coords) + self._log_gaussian(self.coords)
-        lw = np.log(self.base_w) + log_post
-        lw -= lw.max()
-        w = np.exp(lw)
+        self.d = self.manifold.intrinsic_dim
+        zc = z.coords[None]
+        self._frames = self.manifold.frames_batch(zc)
+        _, accepted = oracle._solve(zc, self._frames)
+        rule = oracle.rule(int(accepted[0]))
+        self.coords = rule.v
+        self.chord = rule.tangent_chord
+        lw = _log_posterior(q, zc, self._frames, rule.chord, rule.log_w)[:, 0]
+        w = np.exp(lw - lw.max())
         self.weights = w / w.sum()
 
-    def _log_gaussian(self, coords: np.ndarray) -> np.ndarray:
-        return -np.sum(coords * coords, axis=-1) / (2.0 * self.sigma**2)
-
     def _log_a(self, coords: np.ndarray) -> np.ndarray:
-        M = self.manifold
-        v_amb = coords @ self.basis
-        rho = np.linalg.norm(coords, axis=-1)
-        zc = np.broadcast_to(self.z.coords, v_amb.shape)
-        F = M.exp_batch(zc, v_amb)
-        g = (F - self.z.coords) @ self.basis.T
-        m = (F @ self.z.coords - 1.0)[:, None]
-        fiber = M.fiber_from_coeffs(m, self.sigma)
-        log_jac = (self.d - 1) * np.log(np.sinc(rho / math.pi))
-        rho_sq = rho * rho
-        g_sq = np.sum(g * g, axis=-1)
-        return (self.density.log_density_batch(F) + log_jac
-                + (rho_sq - g_sq) / (2.0 * self.sigma**2) + np.log(fiber))
+        chord, log_k = _log_kernel(self.manifold, coords, self.sigma)
+        log_k += np.sum(coords * coords, axis=-1) / (2.0 * self.sigma**2)
+        return _log_posterior(self.density, self.z.coords[None], self._frames,
+                             chord, log_k)[:, 0]
 
     def expectation(self, values: np.ndarray) -> np.ndarray:
         return self.weights @ values
@@ -473,12 +414,7 @@ class FiberPosterior:
 
     def chord_ratio(self) -> float:
         """||E[G(v) - v]|| / sigma^4: the chord remainder moment scale."""
-        M = self.manifold
-        v_amb = self.coords @ self.basis
-        zc = np.broadcast_to(self.z.coords, v_amb.shape)
-        F = M.exp_batch(zc, v_amb)
-        g = (F - self.z.coords) @ self.basis.T
-        return float(np.linalg.norm(self.expectation(g - self.coords))) / self.sigma**4
+        return float(np.linalg.norm(self.expectation(self.chord - self.coords))) / self.sigma**4
 
 
 def stein_residual(z: ManifoldPoint, q: DensityModel, sigma: float, **kw) -> float:

@@ -34,7 +34,7 @@ class TestRunConfig:
             make_config(manifold={"kind": "torus", "radii": [1, 2]},
                         density={"kind": "product_vonmises",
                                  "kappas": [1.5, 0.7], "phases": [0.3, 0]},
-                        resolution=64, out="x.csv", format="csv",
+                        out="x.csv", format="csv",
                         options={"rb_subsample": 100}),
             make_config(experiment="flat-check",
                         manifold={"kind": "plane", "d": 2, "ambient": 4},
@@ -62,7 +62,7 @@ class TestRunConfig:
         dict(sigma_grid=[]),
         dict(seed=-1),
         dict(n_samples=-5),
-        dict(resolution=4),
+        dict(manifold={"kind": "plane", "d": 5, "ambient": 6}),
         dict(manifold={"kind": "mystery"}),
         dict(manifold={"no_kind": 1}),
         dict(manifold={"kind": "torus", "radii": [1.0]}),
@@ -242,7 +242,7 @@ class TestMainSuccess:
     def test_extrinsic_single_manifold(self, capsys):
         code, out, _ = run_cli(capsys, "extrinsic-coef", "--manifold",
                                "sphere1", "--sigma", "0.05",
-                               "--resolution", "64", "--format", "json")
+                               "--format", "json")
         assert code == 0
         rows = json.loads(out)["results"]["rows"]
         assert len(rows) == 1
@@ -250,11 +250,26 @@ class TestMainSuccess:
 
     def test_extrinsic_default_set(self, capsys):
         code, out, _ = run_cli(capsys, "extrinsic-coef", "--sigma", "0.05",
-                               "--resolution", "64", "--format", "json")
+                               "--format", "json")
         assert code == 0
         rows = json.loads(out)["results"]["rows"]
         assert {r["manifold"] for r in rows} == {
             "sphere1", "sphere2", "sphere3", "torus_1_1"}
+
+    def test_sphere4_studies(self, capsys):
+        code, out, _ = run_cli(capsys, "variance-collapse", "--manifold",
+                               "sphere4", "--sigma", "0.05,0.1", "--n", "2000",
+                               "--rb-subsample", "20", "--format", "json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert len(res["rows"]) == 2
+        assert res["max_rb_deviation"] <= 0.3
+        code, out, _ = run_cli(capsys, "extrinsic-coef", "--manifold",
+                               "sphere4", "--sigma", "0.05", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        assert rows[0]["alpha_pred"] == pytest.approx(-1.0, abs=1e-10)
+        assert rows[0]["alpha_hat"] == pytest.approx(-1.0, abs=0.02)
 
     def test_stein_and_pythagorean(self, capsys):
         code, out, _ = run_cli(capsys, "stein-check", "--n", "2000")
@@ -333,12 +348,21 @@ class TestMainFailure:
         assert "exactly one sigma" in json.loads(err.strip())["message"]
 
     def test_quadrature_budget_exhausted(self, capsys):
-        code, _, err = run_cli(capsys, "pythagorean", "--n", "500",
-                               "--resolution", "8", "--max-nodes", "50")
+        # a posterior far narrower than sigma = 0.01 is still unresolved at
+        # the largest polar rule
+        code, _, err = run_cli(capsys, "extrinsic-coef", "--manifold",
+                               "torus", "--kappa", "1e6", "--sigma", "0.01")
         assert code == 3
         record = json.loads(err.strip())
         assert record["error"] == "QuadratureNotConverged"
         assert record["exit_code"] == 3
+
+    def test_removed_quadrature_flags_rejected(self, capsys):
+        for flag in ("--resolution", "--max-nodes"):
+            code, _, err = run_cli(capsys, "pythagorean", "--n", "500",
+                                   flag, "64")
+            assert code == 2
+            assert json.loads(err.strip().split("\n")[-1])["exit_code"] == 2
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

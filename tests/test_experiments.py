@@ -81,7 +81,7 @@ class TestVarianceDriver:
 class TestExtrinsicDriver:
     def test_default_set_matches_predictions(self):
         out = ex.run_extrinsic_coef(ex.default_extrinsic_models(2.0),
-                                    [0.05, 0.08], resolution=96)
+                                    [0.05, 0.08])
         assert len(out["rows"]) == 8
         preds = {"sphere1": 0.5, "sphere2": 0.0, "sphere3": -0.5,
                  "torus_1_1": 0.5}
@@ -92,7 +92,7 @@ class TestExtrinsicDriver:
 
     def test_trend_toward_prediction(self):
         out = ex.run_extrinsic_coef(ex.default_extrinsic_models(2.0),
-                                    [0.05, 0.08], resolution=96)
+                                    [0.05, 0.08])
         for name in ("sphere1", "sphere3", "torus_1_1"):
             errs = {row["sigma"]: abs(row["alpha_hat"] - row["alpha_pred"])
                     for row in out["rows"] if row["manifold"] == name}
@@ -100,7 +100,7 @@ class TestExtrinsicDriver:
 
     def test_single_model(self):
         out = ex.run_extrinsic_coef([("sphere1", ex.sphere_vmf(1, 2.0))],
-                                    [0.05], resolution=64)
+                                    [0.05])
         assert len(out["rows"]) == 1
         assert out["rows"][0]["alpha_hat"] == pytest.approx(0.5, abs=0.02)
 
