@@ -43,3 +43,7 @@ class DegenerateScore(TubescoreError):
 
 class EmptyWindow(TubescoreError):
     """No samples received positive kernel weight at the probe point."""
+
+
+class NonFiniteResult(TubescoreError):
+    """A result about to be written is NaN or infinite."""

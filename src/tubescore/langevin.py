@@ -282,28 +282,3 @@ def marginal_diagnostic(samples: np.ndarray, q: DensityModel, *,
     return MarginalDiagnostic(edges, density, ks, mean_t - target,
                               mean_t, float(target), t.size)
 
-
-def chain_mean_abs_bias(samples: np.ndarray, mu: np.ndarray,
-                        target_mean: float) -> np.ndarray:
-    """Per-chain |mean t - target|, the statistic the bootstrap resamples."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 3:
-        raise ConfigError("expected (chains, kept, D) samples")
-    t = arr @ np.asarray(mu, dtype=float)
-    return np.abs(t.mean(axis=1) - target_mean)
-
-
-def bootstrap_mean_difference(a: np.ndarray, b: np.ndarray, seed: int = 0,
-                              n_boot: int = 4000) -> tuple[float, float, float]:
-    """Bootstrap CI for mean(a) - mean(b) over independent replicate sets.
-
-    Returns (point estimate, lower 2.5 percent, upper 97.5 percent).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rng = derive_rng(seed, "langevin.bootstrap")
-    ia = rng.integers(0, a.size, size=(n_boot, a.size))
-    ib = rng.integers(0, b.size, size=(n_boot, b.size))
-    diffs = a[ia].mean(axis=1) - b[ib].mean(axis=1)
-    lo, hi = np.quantile(diffs, [0.025, 0.975])
-    return float(a.mean() - b.mean()), float(lo), float(hi)

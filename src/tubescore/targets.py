@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .densities import DensityModel
-from .errors import CutLocus, ManifoldMismatch, NotInTube
+from .errors import ConfigError, CutLocus, ManifoldMismatch, NotInTube
 from .geometry import AffinePlane, ManifoldPoint, TangentVector
 from .rng import derive_rng, shard_sizes
 
@@ -132,7 +132,7 @@ def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
     prefix of the batch is reproducible independently of the total size.
     """
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise ConfigError("sigma must be positive")
     M = q.manifold
     lat_blocks, noise_blocks = [], []
     for i, size in enumerate(shard_sizes(n)):

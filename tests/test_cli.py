@@ -1,90 +1,125 @@
-"""Command-line harness: config round-trips, rendering, exit codes."""
+"""Command-line harness: flags as run config, rendering, exit codes."""
 import json
+import warnings
 
 import pytest
 
 from tubescore import reporting
+from tubescore import cli
 from tubescore.cli import (
-    RunConfig,
+    STUDIES,
     build_density,
     build_manifold,
+    build_parser,
     main,
     parse_radii,
     parse_sigma_grid,
     parse_sigma_list,
 )
-from tubescore.densities import IsotropicGaussian, ProductVonMises, Uniform
+from tubescore.densities import (
+    IsotropicGaussian,
+    ProductVonMises,
+    VonMisesFisher,
+)
 from tubescore.errors import ConfigError
 from tubescore.geometry import AffinePlane, FlatTorus, Sphere
 
 
-def make_config(**over):
-    base = dict(experiment="variance-collapse",
-                manifold={"kind": "sphere2"},
-                density={"kind": "vmf", "kappa": 2.0},
-                sigma_grid=[0.05, 0.1], n_samples=1000, seed=7)
-    base.update(over)
-    return RunConfig(**base)
+def parse(*argv):
+    return build_parser().parse_args(list(argv))
+
+
+def header_config(path):
+    text = path.read_text()
+    if text.startswith("{"):
+        return json.loads(text)["config"]
+    line = next(l for l in text.split("\n") if l.startswith("# config: "))
+    return json.loads(line[len("# config: "):])
+
+
+def header_argv(config):
+    """The command line a config header records."""
+    argv = [config["experiment"]]
+    for key, value in sorted(config.items()):
+        if key != "experiment" and value is not None:
+            flag = "--D" if key == "ambient" else "--" + key.replace("_", "-")
+            argv += [flag, str(value)]
+    return argv
 
 
 class TestRunConfig:
-    def test_round_trip_identity(self):
-        configs = [
-            make_config(),
-            make_config(manifold={"kind": "torus", "radii": [1, 2]},
-                        density={"kind": "product_vonmises",
-                                 "kappas": [1.5, 0.7], "phases": [0.3, 0]},
-                        out="x.csv", format="csv",
-                        options={"rb_subsample": 100}),
-            make_config(experiment="flat-check",
-                        manifold={"kind": "plane", "d": 2, "ambient": 4},
-                        density={"kind": "gaussian", "tau": 1.0},
-                        sigma_grid=[0.1]),
-            make_config(experiment="geometry-check",
-                        manifold={"kind": "default-set"},
-                        density={"kind": "none"}, sigma_grid=[]),
-        ]
-        for c in configs:
-            wire = json.loads(json.dumps(c.to_dict()))
-            assert RunConfig.from_dict(wire) == c
-            assert RunConfig.from_dict(wire).to_dict() == c.to_dict()
+    """The parsed flags are the run config: the header records them all."""
 
-    def test_numbers_normalized(self):
-        c = make_config(sigma_grid=["0.1", 0.2], n_samples="500", seed="3")
-        assert c.sigma_grid == [0.1, 0.2]
-        assert c.n_samples == 500 and c.seed == 3
+    def test_round_trip_identity(self, tmp_path, capsys):
+        # re-running the command line a header records reproduces the file
+        for argv in (
+            ["variance-collapse", "--sigma", "0.05,0.1", "--n", "400",
+             "--rb-subsample", "40", "--seed", "7"],
+            ["variance-collapse", "--manifold", "torus", "--radii", "1,2",
+             "--kappa", "0.7", "--sigma-grid", "0.05:0.1:lin:2", "--n",
+             "400", "--rb-subsample", "40", "--format", "json"],
+            ["flat-check", "--d", "1", "--D", "3", "--n", "300"],
+            ["geometry-check", "--n", "2", "--format", "csv"],
+        ):
+            first, again = tmp_path / "first.out", tmp_path / "again.out"
+            assert main(argv + ["--out", str(first)]) == 0
+            config = header_config(first)
+            assert main(header_argv(config) + ["--out", str(again)]) == 0
+            capsys.readouterr()
+            assert again.read_bytes() == first.read_bytes()
+            assert str(tmp_path) not in first.read_text()
+
+    def test_numbers_normalized(self, tmp_path, capsys):
+        target = tmp_path / "run.json"
+        assert main(["flat-check", "--n", "300", "--seed", "3", "--tau", "2",
+                     "--sigma", "0.1", "--out", str(target)]) == 0
+        capsys.readouterr()
+        config = header_config(target)
+        assert config["n"] == 300 and config["seed"] == 3
+        assert config["tau"] == 2.0 and isinstance(config["tau"], float)
+        assert config["sigma"] == "0.1"
 
     @pytest.mark.parametrize("over", [
-        dict(experiment="nope"),
-        dict(format="yaml"),
-        dict(sigma_grid=[0.001]),
-        dict(sigma_grid=[0.9]),
-        dict(sigma_grid=[]),
-        dict(seed=-1),
-        dict(n_samples=-5),
-        dict(manifold={"kind": "plane", "d": 5, "ambient": 6}),
-        dict(manifold={"kind": "mystery"}),
-        dict(manifold={"no_kind": 1}),
-        dict(manifold={"kind": "torus", "radii": [1.0]}),
-        dict(manifold={"kind": "torus", "radii": [1.0, -2.0]}),
-        dict(manifold={"kind": "plane", "d": 4, "ambient": 4}),
-        dict(density={"kind": "mystery"}),
-        dict(density={"kind": "vmf", "kappa": -1.0}),
-        dict(density={"kind": "gaussian", "tau": 0.0}),
-        dict(options=[1, 2]),
+        ["nope"],
+        ["variance-collapse", "--format", "yaml"],
+        ["variance-collapse", "--sigma", "0.001,0.1"],
+        ["variance-collapse", "--sigma-grid", "0.1:0.9:lin"],
+        ["variance-collapse", "--sigma", ","],
+        ["geometry-check", "--seed", "-1"],
+        ["flat-check", "--n", "-5"],
+        ["flat-check", "--d", "5", "--D", "6"],
+        ["variance-collapse", "--manifold", "mystery"],
+        ["extrinsic-coef", "--manifold"],
+        ["variance-collapse", "--manifold", "torus", "--radii", "1.0"],
+        ["variance-collapse", "--manifold", "torus", "--radii", "1.0,-2.0"],
+        ["flat-check", "--d", "4", "--D", "4"],
+        ["pythagorean", "--tau", "1.0"],
+        ["stein-check", "--kappa", "-1"],
+        ["flat-check", "--tau", "0"],
+        ["langevin", "--scale", "-1"],
+        ["variance-collapse", "--kappa", "inf"],
+        ["extrinsic-coef", "--kappa", "nan"],
+        ["langevin", "--step", "nan"],
+        ["extrinsic-coef", "--manifold", "torus", "--radii", "nan,1"],
+        ["variance-collapse", "--n", "100", "--rb-subsample", "1"],
     ])
-    def test_validation(self, over):
-        with pytest.raises(ConfigError):
-            make_config(**over)
+    def test_validation(self, capsys, over):
+        code, _, err = run_cli(capsys, *over)
+        assert code == 2
+        record = json.loads(err.strip().split("\n")[-1])
+        assert record["exit_code"] == 2
+        if record["message"] != "invalid command line arguments":
+            # rejected after parsing: the record is the only output
+            assert err.count("\n") == 1
 
-    def test_from_dict_key_checks(self):
-        good = make_config().to_dict()
-        bad = dict(good, extra_key=1)
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            RunConfig.from_dict(bad)
-        del good["seed"]
-        with pytest.raises(ConfigError, match="missing config keys"):
-            RunConfig.from_dict(good)
+    def test_header_keys(self, tmp_path, capsys):
+        target = tmp_path / "geometry.json"
+        assert main(["geometry-check", "--n", "1", "--out",
+                     str(target)]) == 0
+        capsys.readouterr()
+        assert header_config(target) == {"experiment": "geometry-check",
+                                         "n": 1, "format": "json",
+                                         "seed": 0}
 
 
 class TestSigmaParsing:
@@ -125,34 +160,33 @@ class TestSigmaParsing:
 
 class TestBuilders:
     def test_manifolds(self):
-        assert isinstance(build_manifold({"kind": "sphere3"}), Sphere)
-        assert build_manifold({"kind": "sphere3"}).intrinsic_dim == 3
-        torus = build_manifold({"kind": "torus", "radii": [1.0, 2.0]})
+        M = build_manifold(parse("variance-collapse", "--manifold",
+                                 "sphere3"))
+        assert isinstance(M, Sphere) and M.intrinsic_dim == 3
+        torus = build_manifold(parse("variance-collapse", "--manifold",
+                                     "torus", "--radii", "1.0,2.0"))
         assert isinstance(torus, FlatTorus) and torus.radii == (1.0, 2.0)
-        plane = build_manifold({"kind": "plane", "d": 2, "ambient": 5})
-        assert isinstance(plane, AffinePlane) and plane.ambient_dim == 5
-        with pytest.raises(ConfigError):
-            build_manifold({"kind": "default-set"})
+        plane = build_manifold(parse("extrinsic-coef", "--manifold",
+                                     "plane"))
+        assert isinstance(plane, AffinePlane)
+        assert (plane.intrinsic_dim, plane.ambient_dim) == (2, 4)
 
     def test_densities(self):
-        q = build_density(make_config())
+        q = build_density(parse("variance-collapse"))
         assert q.kappa == 2.0 and isinstance(q.manifold, Sphere)
-        q = build_density(make_config(
-            manifold={"kind": "torus", "radii": [1, 1]},
-            density={"kind": "product_vonmises", "kappas": [1.5, 1.5],
-                     "phases": [0, 0]}))
+        q = build_density(parse("variance-collapse", "--manifold", "torus",
+                                "--kappa", "0.7"))
         assert isinstance(q, ProductVonMises)
-        q = build_density(make_config(
-            manifold={"kind": "plane", "d": 2, "ambient": 4},
-            density={"kind": "gaussian", "tau": 1.0}))
+        q = build_density(parse("variance-collapse", "--manifold", "plane",
+                                "--tau", "1.5"))
         assert isinstance(q, IsotropicGaussian)
-        q = build_density(make_config(density={"kind": "uniform"}))
-        assert isinstance(q, Uniform)
 
     def test_vmf_needs_sphere(self):
-        cfg = make_config(manifold={"kind": "torus", "radii": [1, 1]})
-        with pytest.raises(ConfigError):
-            build_density(cfg)
+        for manifold in cli.MANIFOLD_CHOICES:
+            q = build_density(parse("variance-collapse", "--manifold",
+                                    manifold))
+            assert (isinstance(q, VonMisesFisher)
+                    == manifold.startswith("sphere"))
 
 
 class TestReporting:
@@ -237,7 +271,7 @@ class TestMainSuccess:
         header = [l for l in out.split("\n") if l.startswith("# config:")]
         assert len(header) == 1
         cfg = json.loads(header[0][len("# config: "):])
-        assert cfg["n_samples"] == 2000 and cfg["seed"] == 7
+        assert cfg["n"] == 2000 and cfg["seed"] == 7
 
     def test_extrinsic_single_manifold(self, capsys):
         code, out, _ = run_cli(capsys, "extrinsic-coef", "--manifold",
@@ -363,6 +397,43 @@ class TestMainFailure:
                                    flag, "64")
             assert code == 2
             assert json.loads(err.strip().split("\n")[-1])["exit_code"] == 2
+
+    @pytest.mark.parametrize("study", [name for name, study in STUDIES.items()
+                                       if study.min_n is not None])
+    def test_n_below_minimum(self, capsys, study):
+        below = STUDIES[study].min_n[0] - 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, study, "--n", str(below))
+        assert code == 2 and out == "" and caught == []
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert f"at least {below + 1}" in record["message"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_exits_3(self, capsys, monkeypatch, fmt):
+        payload = {"rows": [], "max_gauss_residual": float("nan"),
+                   "max_frame_residual": 0.0, "max_closed_form_residual": 0.0}
+        monkeypatch.setattr(cli, "run_geometry_check", lambda *a: payload)
+        code, out, err = run_cli(capsys, "geometry-check", "--n", "1",
+                                 "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "NonFiniteResult"
+        assert record["message"] == "results.max_gauss_residual is nan"
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"),
+                                     ValueError("numpy said no")])
+    def test_other_exceptions_exit_1(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "run_pythagorean", fail)
+        code, out, err = run_cli(capsys, "pythagorean", "--n", "100")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": type(exc).__name__,
+                                   "message": str(exc), "exit_code": 1}
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -13,9 +13,7 @@ from tubescore.geometry import FlatTorus, Sphere
 from tubescore.langevin import (
     ChainConfig,
     DriftSpec,
-    bootstrap_mean_difference,
     build_drift,
-    chain_mean_abs_bias,
     ks_distance,
     langevin_step,
     marginal_diagnostic,
@@ -266,20 +264,3 @@ class TestEquivalences:
         d = (np.abs(t_deb[idx].mean(axis=1) - tm)
              - np.abs(t_raw[idx].mean(axis=1) - tm))
         assert np.quantile(d, 0.975) < 0.0
-
-    def test_bootstrap_helper(self):
-        rng = derive_rng(0, "test.boot")
-        a = rng.normal(0.0, 1.0, 400)
-        b = rng.normal(1.0, 1.0, 400)
-        est, lo, hi = bootstrap_mean_difference(a, b, seed=3)
-        assert lo < est < hi and hi < 0.0
-        est2 = bootstrap_mean_difference(a, b, seed=3)
-        assert est2 == (est, lo, hi)
-
-    def test_chain_mean_abs_bias_shape(self, vmf2):
-        out = run_chains(vmf2, DriftSpec("intrinsic"),
-                         ChainConfig(step=1e-3, n_steps=200, seed=4), 3)
-        bias = chain_mean_abs_bias(out, MU, 0.5)
-        assert bias.shape == (3,)
-        with pytest.raises(ConfigError):
-            chain_mean_abs_bias(out[0], MU, 0.5)

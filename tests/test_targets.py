@@ -7,7 +7,7 @@ import pytest
 
 from tubescore import targets as tg
 from tubescore.densities import IsotropicGaussian, VonMisesFisher
-from tubescore.errors import CutLocus, ManifoldMismatch, NotInTube
+from tubescore.errors import ConfigError, CutLocus, ManifoldMismatch, NotInTube
 from tubescore.geometry import AffinePlane, Sphere
 
 PLANE = AffinePlane.axis_aligned(2, 4)
@@ -71,7 +71,7 @@ class TestCorrupt:
 
     def test_rejects_bad_sigma(self):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="sigma must be positive"):
             tg.corrupt(q, 0.0, 10, seed=1)
 
     def test_sequence_protocol(self):
