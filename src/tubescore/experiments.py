@@ -427,10 +427,9 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     q3 = sphere_vmf(3, kappa)
     alpha = 1.0 - 3.0 / 2.0
     cfg3 = ChainConfig(step=step, n_steps=debias_steps, seed=seed)
-    raw = run_chains(q3, DriftSpec("raw_ambient", sigma, alpha), cfg3,
-                     debias_chains)
-    deb = run_chains(q3, DriftSpec("debiased", sigma, alpha), cfg3,
-                     debias_chains)
+    raw, deb = run_chains(q3, (DriftSpec("raw_ambient", sigma, alpha),
+                               DriftSpec("debiased", sigma, alpha)),
+                          cfg3, debias_chains)
     tm = float(q3.t_marginal().mean())
     t_raw = (raw @ q3.mu).mean(axis=1)
     t_deb = (deb @ q3.mu).mean(axis=1)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from ..errors import UnsupportedManifold
-from .base import Manifold, gram_schmidt_complement
+from .base import Manifold, gram_schmidt_complement, row_dots, row_norms
 from .quadrature import QuadratureGrid, check_resolution, gauss_legendre
 
 _SPHERE_VOLUMES = {1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2,
@@ -81,15 +81,14 @@ class Sphere(Manifold):
         return proj, dist, in_tube
 
     def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        dots = np.sum(w * z, axis=1, keepdims=True)
-        return w - dots * z
+        return w - row_dots(w, z)[:, None] * z
 
     def exp_batch(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(v, axis=1, keepdims=True)
+        r = row_norms(v)[:, None]
         small = r < 1e-12
         safe = np.where(small, 1.0, r)
         out = np.cos(r) * z + np.where(small, 1.0 - r**2 / 6.0, np.sin(safe) / safe) * v
-        return out / np.linalg.norm(out, axis=1, keepdims=True)
+        return out / row_norms(out)[:, None]
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):
         c = np.clip(np.sum(z * y, axis=1), -1.0, 1.0)

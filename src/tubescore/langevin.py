@@ -15,6 +15,7 @@ import numpy as np
 from .densities import DensityModel, SphereTMarginal, Uniform, VonMisesFisher
 from .errors import BeyondInjectivity, ConfigError, UnsupportedManifold
 from .geometry import ManifoldPoint, Sphere, ensure_same_manifold
+from .geometry.base import row_norms
 from .oracle import RBOracle, check_sigma
 from .rng import derive_rng
 
@@ -127,21 +128,6 @@ class ChainConfig:
         return (self.n_steps - self.burn_in) // self.thinning
 
 
-def langevin_step(z: ManifoldPoint, drift_vec: np.ndarray, eps: float,
-                  rng: np.random.Generator) -> ManifoldPoint:
-    """One Euler step through the exponential map.
-
-    drift_vec is the drift already evaluated at z (ambient tangent row).
-    The Gaussian increment is drawn ambiently and projected, which is the
-    same law as drawing in an orthonormal tangent frame.
-    """
-    M = z.manifold
-    xi = M.tangent_project_batch(
-        z.coords[None, :], rng.standard_normal((1, M.ambient_dim)))[0]
-    v = eps * np.asarray(drift_vec, dtype=float) + np.sqrt(2.0 * eps) * xi
-    return M.exp_map(z, M.tangent(z, v))
-
-
 def _initial_rows(q: DensityModel, config: ChainConfig, n_chains: int):
     if config.initial is not None:
         ensure_same_manifold(q.manifold, config.initial.manifold)
@@ -153,49 +139,68 @@ def _initial_rows(q: DensityModel, config: ChainConfig, n_chains: int):
     return np.asarray(rows)
 
 
-def run_chains(q: DensityModel, spec: DriftSpec, config: ChainConfig,
-               n_chains: int = 1, *, oracle: RBOracle | None = None
-               ) -> np.ndarray:
+def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
+               config: ChainConfig, n_chains: int = 1, *,
+               oracle: RBOracle | None = None) -> np.ndarray:
     """Run independent chains in lockstep; returns (n_chains, kept, D).
 
     Chain c draws its noise from a dedicated stream, so results for chain c
     do not depend on n_chains.  Kept samples are the post-burn-in iterates
     at the thinning stride.
+
+    ``spec`` may be a tuple of drift specs.  Each chain then runs once per
+    spec, every copy from the chain's initial point and on the chain's
+    noise, and the result is (len(spec), n_chains, kept, D): the single-spec
+    runs stacked, bit for bit wherever the manifold's kernels are row-wise
+    (spheres and tori).  Each drift field sees only its own copies; the
+    noise is drawn once and each manifold kernel called once per step.
     """
     M = q.manifold
     config.validate_for(M)
     if n_chains < 1:
         raise ConfigError("need at least one chain")
-    field = build_drift(spec, q, oracle=oracle)
+    specs = spec if isinstance(spec, tuple) else (spec,)
+    if not specs:
+        raise ConfigError("need at least one drift spec")
+    fields = [build_drift(s, q, oracle=oracle) for s in specs]
     eps = config.step
     root = np.sqrt(2.0 * eps)
     inj = M.injectivity_radius
 
-    z = _initial_rows(q, config, n_chains).copy()
+    # copy s of chain c is row s * n_chains + c
+    copies = [slice(s * n_chains, (s + 1) * n_chains) for s in range(len(specs))]
+    z = np.tile(_initial_rows(q, config, n_chains), (len(specs), 1))
+    drift = np.empty_like(z)
     D = M.ambient_dim
     kept = config.kept_count()
-    out = np.empty((n_chains, kept, D))
+    out = np.empty((len(specs), n_chains, kept, D))
     gens = [derive_rng(config.seed, "langevin.noise", c)
             for c in range(n_chains)]
+    noise = np.empty((n_chains, min(NOISE_BLOCK, config.n_steps), D))
 
     k = 0
     step_idx = 0
     while step_idx < config.n_steps:
         block = min(NOISE_BLOCK, config.n_steps - step_idx)
-        noise = np.stack([g.standard_normal((block, D)) for g in gens], axis=1)
+        for g, stream in zip(gens, noise):
+            g.standard_normal(out=stream[:block])
         for b in range(block):
             step_idx += 1
-            v = eps * field(z) + root * M.tangent_project_batch(z, noise[b])
-            lengths = np.linalg.norm(v, axis=1)
-            if np.isfinite(inj) and lengths.max() >= inj:
-                raise BeyondInjectivity(
-                    f"step length {lengths.max():.4g} at iterate {step_idx}")
+            for field, part in zip(fields, copies):
+                drift[part] = field(z[part])
+            xi = np.tile(noise[:, b], (len(specs), 1))
+            v = eps * drift + root * M.tangent_project_batch(z, xi)
+            if np.isfinite(inj):
+                longest = row_norms(v).max()
+                if longest >= inj:
+                    raise BeyondInjectivity(
+                        f"step length {longest:.4g} at iterate {step_idx}")
             z = M.exp_batch(z, v)
             past = step_idx - config.burn_in
             if past > 0 and past % config.thinning == 0:
-                out[:, k, :] = z
+                out[:, :, k, :] = z.reshape(len(specs), n_chains, D)
                 k += 1
-    return out
+    return out if isinstance(spec, tuple) else out[0]
 
 
 def run_chain(q: DensityModel, spec: DriftSpec, config: ChainConfig, *,

@@ -57,7 +57,8 @@ BASE_RESOLUTION = 24         # radial nodes of the coarsest rule
 MAX_RULE_NODES = 1 << 21     # no rule is refined beyond this many nodes
 CHUNK_FLOATS = 1 << 16       # latent coordinates held per query chunk
 SCORE_MOMENT_RESOLUTION = 24
-PLANE_MOMENT_RESOLUTION = 160
+PLANE_MOMENT_RESOLUTION = 48
+PLANE_MOMENT_HALF_WIDTH = 8.0  # box half width, in units of the Gaussian's tau
 _TARGET_FLOOR = 1e-6         # targets below this norm count as zero
 
 
@@ -332,13 +333,17 @@ def score_second_moment(q: DensityModel) -> float:
     """E_q ||grad_M log q||^2 by volume quadrature.
 
     Resolution 24 reaches roundoff on S^1-S^4 and the tori at the
-    concentrations of the studies; a plane's grid spans a fixed chart box,
-    so it keeps a resolution that resolves Gaussians down to half its unit
-    scale.
+    concentrations of the studies.  On a plane q is an isotropic Gaussian
+    and the box is its mean +- 8 tau, so the rule is the same in units of
+    tau for every Gaussian: from 40 nodes per axis its relative error is
+    the 1e-13 of the mass beyond 8 tau.
     """
     M = q.manifold
-    grid = M.grid(PLANE_MOMENT_RESOLUTION if isinstance(M, AffinePlane)
-                  else SCORE_MOMENT_RESOLUTION)
+    if isinstance(M, AffinePlane):
+        grid = M.grid(PLANE_MOMENT_RESOLUTION,
+                      half_width=PLANE_MOMENT_HALF_WIDTH * q.tau, center=q.mean)
+    else:
+        grid = M.grid(SCORE_MOMENT_RESOLUTION)
     s = q.score_batch(grid.node_coords)
     vals = np.exp(q.log_density_batch(grid.node_coords)) * np.sum(s * s, axis=-1)
     return float(grid.integrate(vals))

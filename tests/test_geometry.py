@@ -17,6 +17,7 @@ from tubescore.errors import (
     OutsideTube,
 )
 from tubescore.geometry import wrap_angle
+from tubescore.geometry.base import row_dots, row_norms
 
 from conftest import ALL_MANIFOLDS, GRIDDED_MANIFOLDS, make_manifold, random_tangent
 
@@ -391,6 +392,15 @@ def test_wrap_angle():
     assert wrap_angle(np.array([math.pi])) == math.pi
     assert wrap_angle(np.array([-math.pi]))[0] == math.pi
     assert abs(wrap_angle(np.array([3 * math.pi / 2]))[0] + math.pi / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_reductions_match_numpy(width, rng):
+    # left-to-right column sums are numpy's order on rows under 8 entries
+    a = rng.standard_normal((500, width)) * np.exp(rng.uniform(-30, 30, (500, width)))
+    b = rng.standard_normal((500, width))
+    assert np.array_equal(row_dots(a, b), np.sum(a * b, axis=1))
+    assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1))
 
 
 def test_plane_chart_roundtrip(rng):

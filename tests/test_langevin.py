@@ -15,7 +15,6 @@ from tubescore.langevin import (
     DriftSpec,
     build_drift,
     ks_distance,
-    langevin_step,
     marginal_diagnostic,
     run_chain,
     run_chains,
@@ -103,28 +102,78 @@ class TestChainConfig:
 
 
 class TestStepping:
+    @staticmethod
+    def one_step(q, z0, eps, seed, n=8000):
+        cfg = ChainConfig(step=eps, n_steps=1, burn_in=0, thinning=1,
+                          seed=seed, initial=z0)
+        return run_chains(q, DriftSpec("intrinsic"), cfg, n)[:, 0]
+
     def test_brownian_displacement_scaling(self):
         z0 = S2.point(np.array([1.0, 0.0, 0.0]))
-        rng = derive_rng(0, "test.brownian")
         eps = 1e-4
-        d2 = [S2.distance_to_batch(
-            langevin_step(z0, np.zeros(3), eps, rng).coords[None], z0.coords
-        )[0] ** 2 for _ in range(8000)]
+        # the uniform density has zero score, so the step is pure noise
+        ends = self.one_step(Uniform(S2), z0, eps, 0)
+        d2 = S2.distance_to_batch(ends, z0.coords) ** 2
         assert np.mean(d2) / (2 * eps * 2) == pytest.approx(1.0, abs=0.05)
 
     def test_drift_pushes_toward_mode(self, vmf2):
         z0 = S2.point(np.array([1.0, 0.0, 0.0]))  # t = 0 < mode
-        rng = derive_rng(1, "test.drift")
-        eps = 4e-3
-        drift = vmf2.score(z0).vec
-        gains = [langevin_step(z0, drift, eps, rng).coords @ MU
-                 for _ in range(8000)]
+        gains = self.one_step(vmf2, z0, 4e-3, 1) @ MU
         assert np.mean(gains) > 3.0 * np.std(gains) / np.sqrt(len(gains))
 
     def test_beyond_injectivity(self, vmf2):
         cfg = ChainConfig(step=0.9, n_steps=10, seed=0)
         with pytest.raises(BeyondInjectivity):
             run_chains(vmf2, DriftSpec("intrinsic", scale=50.0), cfg, 2)
+
+
+class TestCoupledChains:
+    """A tuple of drift specs runs every chain once per spec on shared noise."""
+
+    S3_PAIR = (DriftSpec("raw_ambient", 0.3, -0.5),
+               DriftSpec("debiased", 0.3, -0.5))
+
+    @pytest.fixture(scope="class")
+    def vmf3(self):
+        return VonMisesFisher(Sphere(3), np.array([0., 0., 0., 1.]), 2.0)
+
+    def test_sphere3_pair_equals_single_runs(self, vmf3):
+        cfg = ChainConfig(step=1e-3, n_steps=300, seed=11)
+        coupled = run_chains(vmf3, self.S3_PAIR, cfg, 5)
+        assert coupled.shape == (2, 5, cfg.kept_count(), 4)
+        for spec, run in zip(self.S3_PAIR, coupled):
+            assert np.array_equal(run, run_chains(vmf3, spec, cfg, 5))
+
+    def test_torus_pair_equals_single_runs(self):
+        T2 = FlatTorus(1.0, 1.0)
+        q = ProductVonMises(T2, (1.5, 1.5))
+        specs = (DriftSpec("intrinsic"), DriftSpec("intrinsic", scale=1.5))
+        cfg = ChainConfig(step=1e-3, n_steps=300, seed=12)
+        coupled = run_chains(q, specs, cfg, 3)
+        for spec, run in zip(specs, coupled):
+            assert np.array_equal(run, run_chains(q, spec, cfg, 3))
+
+    def test_chain_count_prefix_stable(self, vmf3):
+        cfg = ChainConfig(step=1e-3, n_steps=300, seed=7)
+        wide = run_chains(vmf3, self.S3_PAIR, cfg, 8)
+        narrow = run_chains(vmf3, self.S3_PAIR, cfg, 3)
+        assert np.array_equal(wide[:, :3], narrow)
+
+    def test_one_spec_tuple_keeps_the_spec_axis(self, vmf2):
+        cfg = ChainConfig(step=1e-3, n_steps=50, seed=3)
+        single = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 2)
+        coupled = run_chains(vmf2, (DriftSpec("intrinsic"),), cfg, 2)
+        assert np.array_equal(coupled, single[None])
+
+    def test_empty_tuple_rejected(self, vmf2):
+        with pytest.raises(ConfigError):
+            run_chains(vmf2, (), ChainConfig(n_steps=10), 2)
+
+    def test_beyond_injectivity(self, vmf2):
+        cfg = ChainConfig(step=0.9, n_steps=10, seed=0)
+        specs = (DriftSpec("intrinsic"), DriftSpec("intrinsic", scale=50.0))
+        with pytest.raises(BeyondInjectivity):
+            run_chains(vmf2, specs, cfg, 2)
 
 
 class TestChains:
@@ -253,8 +302,8 @@ class TestEquivalences:
         S3 = Sphere(3)
         q = VonMisesFisher(S3, np.array([0., 0., 0., 1.]), 2.0)
         cfg = ChainConfig(step=1e-3, n_steps=10_000, seed=17)
-        raw = run_chains(q, DriftSpec("raw_ambient", 0.5, -0.5), cfg, 96)
-        deb = run_chains(q, DriftSpec("debiased", 0.5, -0.5), cfg, 96)
+        raw, deb = run_chains(q, (DriftSpec("raw_ambient", 0.5, -0.5),
+                                  DriftSpec("debiased", 0.5, -0.5)), cfg, 96)
         tm = q.t_marginal().mean()
         t_raw = (raw @ q.mu).mean(axis=1)
         t_deb = (deb @ q.mu).mean(axis=1)

@@ -366,6 +366,14 @@ class TestOracleMechanics:
             expect = 4.0 * marg.moment(lambda t: 1.0 - t * t)
             assert score_second_moment(q) == pytest.approx(expect, rel=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_score_second_moment_plane_closed_form(self, d, tau):
+        # E ||c - mean||^2 / tau^4 = d / tau^2, also off the chart origin
+        q = IsotropicGaussian(AffinePlane.axis_aligned(d, d + 1),
+                              np.linspace(5.0, -3.0, d), tau)
+        assert score_second_moment(q) == pytest.approx(d / tau**2, rel=1e-10)
+
 
 def random_rotation(rng, n):
     qm, r = np.linalg.qr(rng.standard_normal((n, n)))
