@@ -14,18 +14,15 @@ from typing import Sequence
 import numpy as np
 
 from .densities import DensityModel
-from .errors import ConfigError, EmptyWindow
-from .geometry import (
-    Manifold,
-    ManifoldPoint,
-    TangentVector,
-    ensure_same_manifold,
-)
+from .errors import ConfigError, EmptyWindow, ManifoldMismatch
+from .geometry import Manifold
+from .geometry.base import POINT_ATOL
 from .oracle import RBOracle
 from .rng import seed_sequence
 from .targets import CorruptedBatch, corrupt
 
 RB_SUBSAMPLE = 20_000
+CALIBRATION_FACTORS = (0.5, 1.0, 1.41, 2.0, 2.83)
 
 
 # ---------------------------------------------------------------------------
@@ -93,43 +90,61 @@ class KernelSpec:
         if not self.bandwidth > 0:
             raise ConfigError("bandwidth must be positive")
 
-    def weights(self, t: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def weights(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return np.maximum(0.0, 1.0 - t * t)
 
-    def widened(self, factor: float = 2.0) -> "KernelSpec":
-        return KernelSpec(self.bandwidth * factor, self.shape)
+
+def window_cap(M: Manifold) -> float:
+    """Largest bandwidth a window is calibrated or widened to: half the
+    injectivity radius, so every window stays inside a normal ball and the
+    transport bias bound behind the rate keeps its meaning."""
+    return 0.5 * M.injectivity_radius
 
 
-def local_average(data: Dataset, z: ManifoldPoint,
-                  kernel: KernelSpec) -> TangentVector:
-    """Kernel-weighted average of the targets, transported to z.
+def local_average(data: Dataset, z: np.ndarray,
+                  bandwidths) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel-weighted averages of the targets at K bandwidths, moved to z.
 
-    Each target is carried from its foot to z along the minimizing geodesic,
-    weighted by K(d_M(foot, z) / h), and projected to the tangent space at z
-    (a no-op for transported vectors, kept for form).  Samples whose foot is
-    at the cut locus of z have no distinguished geodesic and get weight zero.
+    Each target is carried from its foot to the probe row z along the
+    minimizing geodesic and weighted by K(d_M(foot, z) / h); feet at the
+    cut locus of z get weight zero.  Distances are computed once, and
+    targets transported once over the widest window.  Returns the (K, D)
+    averages, row k at bandwidths[k], and each bandwidth's doublings.
 
-    Raises EmptyWindow when no sample lies within the bandwidth; the caller
-    decides whether to widen.
+    An empty window's bandwidth doubles until the window holds a sample,
+    up to window_cap; EmptyWindow is raised when it is still empty there,
+    or when every in-window foot sits at the cut locus.
     """
     M = data.manifold
-    ensure_same_manifold(M, z.manifold)
-    zc = z.coords
-    dist = M.distance_to_batch(data.foot, zc)
-    w = kernel.weights(dist / kernel.bandwidth)
-    idx = np.flatnonzero(w > 0.0)
-    if idx.size == 0:
-        raise EmptyWindow(
-            f"no samples within bandwidth {kernel.bandwidth:.4g} of probe")
-    moved, ok = M.transport_to_batch(data.foot[idx], data.targets[idx], zc)
-    w = np.where(ok, w[idx], 0.0)
-    total = w.sum()
-    if total <= 0.0:
+    z = np.asarray(z, dtype=float)
+    if (z.shape != (M.ambient_dim,)
+            or not M.constraint_residual_batch(z[None, :])[0] <= POINT_ATOL):
+        raise ManifoldMismatch(f"probe {z} is not a point of {M.name}")
+    hs = np.array(bandwidths, dtype=float, ndmin=1)
+    if not np.all(hs > 0):
+        raise ConfigError("bandwidth must be positive")
+    dist = M.distance_to_batch(data.foot, z)
+    nearest = dist.min(initial=np.inf)
+    cap = window_cap(M)
+    doublings = np.zeros(hs.size, dtype=int)
+    for k in range(hs.size):
+        while KernelSpec.weights(nearest / hs[k]) == 0.0:
+            if hs[k] >= cap or nearest == np.inf:
+                raise EmptyWindow(
+                    f"no samples within bandwidth {hs[k]:.4g} of probe")
+            hs[k] = min(2.0 * hs[k], cap)
+            doublings[k] += 1
+    idx = np.flatnonzero(KernelSpec.weights(dist / hs.max()) > 0.0)
+    moved, ok = M.transport_to_batch(data.foot[idx], data.targets[idx], z)
+    w = KernelSpec.weights(dist[idx] / hs[:, None]) * ok
+    total = w.sum(axis=1)
+    if not np.all(total > 0.0):
         raise EmptyWindow("all in-bandwidth samples sit at the cut locus")
-    est = (w @ moved) / total
-    est = M.tangent_project_batch(zc[None, :], est[None, :])[0]
-    return TangentVector(z, est)
+    est = (w @ moved) / total[:, None]
+    est = M.tangent_project_batch(np.broadcast_to(z, est.shape), est)
+    return est, doublings
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +308,53 @@ def optimal_bandwidth(c: float, sigma: float, n: int, d: int) -> float:
     return c * (1.0 / (sigma**2 * n)) ** (1.0 / (d + 2))
 
 
+def bandwidth_mse(q: DensityModel, sigma: float, n: int, bandwidths,
+                  probes: np.ndarray, r_true: np.ndarray, *,
+                  repetitions: int, seed: int, label: str):
+    """Probe MSE of the local average at K bandwidths, in one pass.
+
+    Repetition rep draws its dataset once, from the stream (seed, label,
+    rep), and scores every bandwidth on it against r_true, the quadrature
+    target at the probes.  Returns the (K,) MSE over repetitions, its
+    standard error, and the number of doublings.
+    """
+    if repetitions < 1:
+        raise ConfigError("repetitions must be at least 1")
+    hs = np.array(bandwidths, dtype=float, ndmin=1)
+    per_rep = np.empty((hs.size, repetitions))
+    est = np.empty((hs.size,) + probes.shape)
+    widened = 0
+    for rep in range(repetitions):
+        data = collect(q, sigma, n, _cell_seed(seed, label, rep))
+        for j, z in enumerate(probes):
+            est[:, j], doublings = local_average(data, z, hs)
+            widened += int(doublings.sum())
+        per_rep[:, rep] = np.mean(np.sum((est - r_true) ** 2, axis=2), axis=1)
+    se = (per_rep.std(axis=1, ddof=1) / np.sqrt(repetitions)
+          if repetitions > 1 else np.zeros(hs.size))
+    return per_rep.mean(axis=1), se, widened
+
+
+def calibrate_bandwidth(q: DensityModel, sigma: float, n: int,
+                        probes: np.ndarray, r_true: np.ndarray, *,
+                        repetitions: int, seed: int,
+                        factors=CALIBRATION_FACTORS):
+    """The c of the rate rule c*(1/(sigma^2 n))**(1/(d+2)), picked by
+    probe MSE among five multiples of the c = 1 pilot at n, capped at
+    window_cap; returns c and the number of doublings."""
+    d = q.manifold.intrinsic_dim
+    pilot = optimal_bandwidth(1.0, sigma, n, d)
+    h_cap = window_cap(q.manifold)
+    grid = np.array([min(f * pilot, h_cap) for f in factors])
+    if grid.size != 5:
+        raise ConfigError("bandwidth calibration uses a 5-point grid")
+    mse, _, widened = bandwidth_mse(q, sigma, n, grid, probes, r_true,
+                                    repetitions=repetitions, seed=seed,
+                                    label="sweep.mse.calib")
+    best = float(grid[int(np.argmin(mse))])
+    return best / (1.0 / (sigma**2 * n)) ** (1.0 / (d + 2)), widened
+
+
 @dataclass(frozen=True)
 class MSESweepResult:
     n_grid: np.ndarray
@@ -302,116 +364,46 @@ class MSESweepResult:
     slope: float
     c: float
     widened: int
-    sigma: float
-    repetitions: int
-
-    columns = ("n", "h", "mse", "se")
-
-    def rows(self):
-        for i in range(self.n_grid.size):
-            yield (int(self.n_grid[i]), self.h_used[i],
-                   self.mse[i], self.se[i])
-
-
-class _WidenCount:
-    def __init__(self):
-        self.count = 0
-
-
-def _estimate_at_probes(data: Dataset, probes: np.ndarray, h: float,
-                        widen: _WidenCount) -> np.ndarray:
-    out = np.empty_like(probes)
-    for j, row in enumerate(probes):
-        z = data.manifold.point(row)
-        try:
-            out[j] = local_average(data, z, KernelSpec(h)).vec
-        except EmptyWindow:
-            # one doubling, reported via the counter; a second miss is real
-            widen.count += 1
-            out[j] = local_average(data, z, KernelSpec(2.0 * h)).vec
-    return out
-
-
-def _probe_mse(q, sigma, n, h, repetitions, seed, label, probes, r_true,
-               widen: _WidenCount):
-    per_rep = np.empty(repetitions)
-    for rep in range(repetitions):
-        data = collect(q, sigma, n, _cell_seed(seed, label, rep))
-        est = _estimate_at_probes(data, probes, h, widen)
-        per_rep[rep] = np.mean(np.sum((est - r_true) ** 2, axis=1))
-    se = per_rep.std(ddof=1) / np.sqrt(repetitions) if repetitions > 1 else 0.0
-    return float(per_rep.mean()), float(se)
 
 
 def mse_sweep(q: DensityModel, sigma: float, n_grid: Sequence[int],
               h_rule="optimal", repetitions: int = 20, seed: int = 0, *,
               n_probes: int = 8, probes: np.ndarray | None = None,
-              calibration_factors=(0.5, 1.0, 1.41, 2.0, 2.83)) -> MSESweepResult:
+              calibration_factors=CALIBRATION_FACTORS) -> MSESweepResult:
     """Mean squared error of the local average against the quadrature target.
 
     h_rule is "optimal" for the rate-matched bandwidth c*(1/(sigma^2 n))
-    ** (1/(d+2)) with c picked by the empirical 5-point grid at the smallest
-    n, a float for a fixed bandwidth, or a callable n -> h.  Probes are fixed
+    ** (1/(d+2)) with c picked by calibrate_bandwidth at the smallest n, a
+    float for a fixed bandwidth, or a callable n -> h.  Probes are fixed
     across cells so the sweep isolates the estimation error.
     """
     ns = np.asarray(sorted(int(v) for v in n_grid), dtype=int)
     if ns.size == 0 or ns[0] < 1:
         raise ConfigError("n grid must hold positive sample counts")
-    if repetitions < 1:
-        raise ConfigError("repetitions must be at least 1")
     if probes is None:
         probes = probe_points(q, seed, n_probes)
-    M = q.manifold
-    oracle = RBOracle(q, sigma)
-    r_true = oracle.target_coords(probes)
-    widen = _WidenCount()
-    d = M.intrinsic_dim
+    r_true = RBOracle(q, sigma).target_coords(probes)
+    d = q.manifold.intrinsic_dim
 
-    c = np.nan
+    c, widened = np.nan, 0
     if h_rule == "optimal":
-        pilot = optimal_bandwidth(1.0, sigma, int(ns[0]), d)
-        # candidate windows must stay inside a normal ball or the transport
-        # bias bound behind the rate has no meaning
-        h_cap = 0.5 * M.injectivity_radius
-        grid = np.array([min(f * pilot, h_cap) for f in calibration_factors])
-        if grid.size != 5:
-            raise ConfigError("bandwidth calibration uses a 5-point grid")
-        # paired over repetitions: one dataset scores all five bandwidths
-        scores = np.zeros(grid.size)
-        for rep in range(repetitions):
-            data = collect(q, sigma, int(ns[0]),
-                           _cell_seed(seed, "sweep.mse.calib", rep))
-            for k, h in enumerate(grid):
-                est = _estimate_at_probes(data, probes, float(h), widen)
-                scores[k] += np.mean(np.sum((est - r_true) ** 2, axis=1))
-        best = float(grid[int(np.argmin(scores))])
-        c = best / (1.0 / (sigma**2 * ns[0])) ** (1.0 / (d + 2))
-
-        def rule(n):
-            return optimal_bandwidth(c, sigma, n, d)
-    elif callable(h_rule):
-        rule = h_rule
+        c, widened = calibrate_bandwidth(
+            q, sigma, int(ns[0]), probes, r_true, repetitions=repetitions,
+            seed=seed, factors=calibration_factors)
+        hs = np.array([optimal_bandwidth(c, sigma, n, d) for n in ns])
     else:
-        h_fixed = float(h_rule)
-        if not h_fixed > 0:
-            raise ConfigError("fixed bandwidth must be positive")
-
-        def rule(n):
-            return h_fixed
-
-    hs, mses, ses = [], [], []
+        # local_average refuses a bandwidth that is not positive
+        hs = np.array([float(h_rule(int(n)) if callable(h_rule) else h_rule)
+                       for n in ns])
+    mses, ses = np.empty(ns.size), np.empty(ns.size)
     for i, n in enumerate(ns):
-        h = float(rule(int(n)))
-        m, s = _probe_mse(q, sigma, int(n), h, repetitions, seed,
-                          f"sweep.mse.{i}", probes, r_true, widen)
-        hs.append(h)
-        mses.append(m)
-        ses.append(s)
+        (mses[i],), (ses[i],), w = bandwidth_mse(
+            q, sigma, int(n), hs[i], probes, r_true,
+            repetitions=repetitions, seed=seed, label=f"sweep.mse.{i}")
+        widened += w
     slope = (float(np.polyfit(np.log(ns), np.log(mses), 1)[0])
              if ns.size > 1 else np.nan)
-    return MSESweepResult(ns, np.array(hs), np.array(mses), np.array(ses),
-                          slope, float(c), widen.count, float(sigma),
-                          repetitions)
+    return MSESweepResult(ns, hs, mses, ses, slope, float(c), widened)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ from .densities import (
 )
 from .errors import ConfigError
 from .estimators import (
+    bandwidth_mse,
+    calibrate_bandwidth,
     coarsening_check,
     collect,
     first_coordinate_bins,
-    mse_sweep,
     optimal_bandwidth,
     probe_points,
     projected_risk,
@@ -360,43 +361,47 @@ def run_finite_sample(kappa: float = 2.0, sigma: float = 0.1,
     n_grid = sorted(int(v) for v in n_grid)
     d = q.manifold.intrinsic_dim
     probes = probe_points(q, seed, 8)
+    r_true = RBOracle(q, sigma).target_coords(probes)
 
-    rate = mse_sweep(q, sigma, n_grid, "optimal", repetitions, seed,
-                     probes=probes)
-    h_frozen = float(rate.h_used[0])
-    fixed = mse_sweep(q, sigma, n_grid, h_frozen, repetitions, seed,
-                      probes=probes)
+    c, widened = calibrate_bandwidth(q, sigma, n_grid[0], probes, r_true,
+                                     repetitions=repetitions, seed=seed)
+    rate_hs = [optimal_bandwidth(c, sigma, n, d) for n in n_grid]
+    h_frozen = rate_hs[0]
     pilot = optimal_bandwidth(1.0, sigma, n_grid[0], d)
     small_hs = [pilot, 0.5 * pilot, 0.25 * pilot]
-    small = [mse_sweep(q, sigma, n_grid[:1], h, repetitions, seed,
-                       probes=probes) for h in small_hs]
 
+    # each cell scores its rate and frozen bandwidths, and the smallest
+    # cell also the undersized ones, on one draw per repetition
+    modes = ("rate", "fixed", "small_h", "small_h", "small_h")
     rows = []
-    for res, mode in ((rate, "rate"), (fixed, "fixed")):
-        for n_val, h, m, s in res.rows():
-            rows.append({"mode": mode, "n": int(n_val), "h": float(h),
-                         "mse": float(m), "se": float(s)})
-    for res in small:
-        n_val, h, m, s = next(iter(res.rows()))
-        rows.append({"mode": "small_h", "n": int(n_val), "h": float(h),
-                     "mse": float(m), "se": float(s)})
-
-    small_mse = [float(r.mse[0]) for r in small]
+    for i, n in enumerate(n_grid):
+        hs = [rate_hs[i], h_frozen] + (small_hs if i == 0 else [])
+        mse, se, w = bandwidth_mse(q, sigma, n, hs, probes, r_true,
+                                   repetitions=repetitions, seed=seed,
+                                   label=f"sweep.mse.{i}")
+        widened += w
+        rows += [{"mode": mode, "n": n, "h": float(h), "mse": float(m),
+                  "se": float(e)} for mode, h, m, e in zip(modes, hs, mse, se)]
+    rows.sort(key=lambda r: modes.index(r["mode"]))
+    by_mode = {mode: [r["mse"] for r in rows if r["mode"] == mode]
+               for mode in modes}
     return {
         "sigma": sigma, "repetitions": repetitions, "seed": seed,
-        "n_grid": [int(v) for v in n_grid],
+        "n_grid": n_grid,
         "columns": ["mode", "n", "h", "mse", "se"],
         "rows": rows,
-        "rate_slope": float(rate.slope),
-        "calibrated_c": float(rate.c),
-        "widened": int(rate.widened + fixed.widened
-                       + sum(r.widened for r in small)),
-        "fixed_h": h_frozen,
-        "fixed_plateau_ratio": float(fixed.mse[-1] / fixed.mse[-2]),
-        "fixed_over_rate_at_largest_n": float(fixed.mse[-1] / rate.mse[-1]),
+        "rate_slope": float(np.polyfit(np.log(n_grid),
+                                       np.log(by_mode["rate"]), 1)[0]),
+        "calibrated_c": float(c),
+        "widened": widened,
+        "fixed_h": float(h_frozen),
+        "fixed_plateau_ratio": by_mode["fixed"][-1] / by_mode["fixed"][-2],
+        "fixed_over_rate_at_largest_n": (by_mode["fixed"][-1]
+                                         / by_mode["rate"][-1]),
         "small_h_values": [float(h) for h in small_hs],
-        "small_h_mse": small_mse,
-        "small_h_blowup_ratio": float(small_mse[-1] / small_mse[0]),
+        "small_h_mse": by_mode["small_h"],
+        "small_h_blowup_ratio": (by_mode["small_h"][-1]
+                                 / by_mode["small_h"][0]),
     }
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +62,31 @@ def check_resolution(resolution: int) -> int:
 
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = _legendre_rule(int(n))
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node rule on [-1, 1], built once per n and kept read-only:
+    Newton's method on P_n from Tricomi's estimates of the nonnegative
+    roots, mirrored.  (scipy's roots_legendre imports scipy.linalg, about
+    60 ms and 6 MB per process.)"""
+    # deferred: importing scipy.special here at module level measured
+    # about 30 ms more on every `import tubescore`
+    from scipy.special import eval_legendre
+
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (np.cos(np.pi * (k - 0.25) / (n + 0.5))
+         * (1.0 - (n - 1) / (8.0 * n**3)))
+    for _ in range(10):
+        p, q = eval_legendre(n, x), eval_legendre(n - 1, x)
+        step = p * (1.0 - x * x) / (n * (q - x * p))
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    w = 2.0 * (1.0 - x * x) / (n * eval_legendre(n - 1, x)) ** 2
+    mirror = slice(-1 - n % 2, None, -1)  # an odd n's root 0 appears once
+    x, w = np.concatenate([-x, x[mirror]]), np.concatenate([w, w[mirror]])
+    return _readonly(x), _readonly(2.0 * w / w.sum())

@@ -101,21 +101,14 @@ class Sphere(Manifold):
         return factor[:, None] * rest, ok
 
     def transport_to_batch(self, p: np.ndarray, v: np.ndarray, z: np.ndarray):
+        # P v = v - <v,z> / (1 + <p,z>) (p + z).  With s = p + z, <v,s> =
+        # <v,z> on T_p and |s|^2 = 2 (1 + <p,z>), so P is the reflection
+        # through s-perp; that form keeps full accuracy near the antipode.
         c = p @ z
         ok = c > -1.0 + _CUT_TOL
-        w = z[None, :] - c[:, None] * p
-        s = np.linalg.norm(w, axis=1)
-        aligned = s < 1e-12
-        safe = np.where(aligned, 1.0, s)
-        u = w / safe[:, None]
-        a = np.sum(v * u, axis=1)
-        theta = np.arccos(np.clip(c, -1.0, 1.0))
-        out = v + a[:, None] * ((np.cos(theta) - 1.0)[:, None] * u
-                                - np.sin(theta)[:, None] * p)
-        out = np.where(aligned[:, None], v, out)
-        # Re-orthogonalize against z to keep validation exact.
-        out = out - (out @ z)[:, None] * z[None, :]
-        return out, ok
+        s = p + z
+        k = 2.0 * row_dots(v, s) / np.where(ok, row_dots(s, s), 1.0)
+        return v - k[:, None] * s, ok
 
     def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.arccos(np.clip(p @ z, -1.0, 1.0))

@@ -7,6 +7,7 @@ from tubescore.errors import ConfigError, EmptyWindow, ManifoldMismatch
 from tubescore.estimators import (
     Dataset,
     KernelSpec,
+    bandwidth_mse,
     coarsening_check,
     collect,
     equal_mass_bins,
@@ -19,9 +20,8 @@ from tubescore.estimators import (
     pythagorean_gap,
     score_field,
     variance_sweep,
+    window_cap,
     zero_field,
-    _estimate_at_probes,
-    _WidenCount,
 )
 from tubescore.geometry import AffinePlane, Sphere
 from tubescore.oracle import RBOracle
@@ -84,36 +84,40 @@ class TestKernel:
         with pytest.raises(ConfigError):
             KernelSpec(1.0, shape="gaussian")
 
-    def test_widened(self):
-        assert KernelSpec(0.3).widened().bandwidth == pytest.approx(0.6)
+
+def average(data, z, h):
+    """The local average at one bandwidth, as a single tangent row."""
+    est, doublings = local_average(data, z.coords, [h])
+    assert est.shape == (1, z.coords.size) and doublings.tolist() == [0]
+    return est[0]
 
 
 class TestLocalAverage:
     def test_single_sample_at_probe(self, vmf2, data):
         z = S2.point(data.foot[0])
         one = Dataset(vmf2, 0.1, data.foot[:1], data.targets[:1], 0)
-        est = local_average(one, z, KernelSpec(0.5))
-        assert np.allclose(est.vec, data.targets[0], atol=1e-12)
+        est = average(one, z, 0.5)
+        assert np.allclose(est, data.targets[0], atol=1e-12)
 
     def test_permutation_invariance(self, data):
         z = S2.point(np.array([1.0, 0.0, 0.0]))
         order = np.random.default_rng(0).permutation(len(data))
-        a = local_average(data, z, KernelSpec(0.4)).vec
-        b = local_average(data.permuted(order), z, KernelSpec(0.4)).vec
+        a = average(data, z, 0.4)
+        b = average(data.permuted(order), z, 0.4)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_estimate_is_tangent(self, data):
         z = S2.point(np.array([0.0, 1.0, 0.0]))
-        est = local_average(data, z, KernelSpec(0.4))
-        assert abs(est.vec @ z.coords) <= 1e-12
+        est = average(data, z, 0.4)
+        assert abs(est @ z.coords) <= 1e-12
 
     def test_uniform_symmetry_shrinks(self):
         u = Uniform(S2)
         z = S2.point(np.array([1.0, 0.0, 0.0]))
         small = collect(u, 0.1, 500, 2)
         big = collect(u, 0.1, 50_000, 2)
-        e_small = np.linalg.norm(local_average(small, z, KernelSpec(0.8)).vec)
-        e_big = np.linalg.norm(local_average(big, z, KernelSpec(0.8)).vec)
+        e_small = np.linalg.norm(average(small, z, 0.8))
+        e_big = np.linalg.norm(average(big, z, 0.8))
         assert e_big < e_small
 
     def test_error_decreases_with_n(self, vmf2, oracle):
@@ -125,20 +129,46 @@ class TestLocalAverage:
             for rep in range(5):
                 ds = collect(vmf2, 0.1, n, 100 + rep)
                 h = optimal_bandwidth(2.8, 0.1, n, 2)
-                per_rep.append(np.sum(
-                    (local_average(ds, z, KernelSpec(h)).vec - r) ** 2))
+                per_rep.append(np.sum((average(ds, z, h) - r) ** 2))
             errs.append(np.mean(per_rep))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_empty_window(self, data):
+    def test_empty_window(self, vmf2, data):
         z = S2.point(-MU)  # antipode of the mode: sparse region
+        # every foot lies beyond the widening cap (pi/2 on S^2) of z
+        assert window_cap(S2) == pytest.approx(np.pi / 2)
+        far = S2.distance_to_batch(data.foot, z.coords) > np.pi / 2 + 0.05
+        ds = Dataset(vmf2, 0.1, data.foot[far], data.targets[far], 0)
         with pytest.raises(EmptyWindow):
-            local_average(data, z, KernelSpec(1e-4))
+            local_average(ds, z.coords, [1e-4])
+        # a window that holds only the cut locus of z has no estimate
+        anti = Dataset(vmf2, 0.1, MU[None, :], np.array([[1.0, 0.0, 0.0]]),
+                       0)
+        with pytest.raises(EmptyWindow):
+            local_average(anti, z.coords, [3.2])
 
     def test_manifold_mismatch(self, data):
         z3 = Sphere(3).point(np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ManifoldMismatch):
-            local_average(data, z3, KernelSpec(0.4))
+            local_average(data, z3.coords, [0.4])
+        with pytest.raises(ManifoldMismatch):
+            local_average(data, np.array([1.0, 1.0, 0.0]), [0.4])
+
+    def test_bandwidths_validated(self, data):
+        with pytest.raises(ConfigError):
+            local_average(data, MU, [0.4, 0.0])
+
+    def test_many_bandwidths_equal_single_calls(self, data):
+        # one distance pass, one window and one transport serve every
+        # bandwidth; each row matches its own single-bandwidth call
+        hs = [0.05, 0.4, 0.1, 0.8, 0.4, 0.2]
+        for row in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])):
+            z = S2.point(row)
+            est, doublings = local_average(data, row, hs)
+            assert est.shape == (len(hs), 3)
+            assert doublings.tolist() == [0] * len(hs)
+            for h, got in zip(hs, est):
+                assert np.max(np.abs(got - average(data, z, h))) <= 1e-13
 
 
 class TestProjectedRisk:
@@ -260,17 +290,47 @@ class TestMSESweep:
         assert np.array_equal(pts, again)
 
     def test_widening_counted_then_raises(self, vmf2, data):
-        # foot cluster at geodesic distance ~0.3 from the probe: h=0.2
-        # misses, the doubled 0.4 reaches, so one widen event is recorded
-        z = S2.point(np.array([1.0, 0.0, 0.0]))
-        dists = S2.distance_to_batch(data.foot, z.coords)
+        # foot cluster at geodesic distance 0.25-0.35 from the probe: h=0.2
+        # reaches it after one doubling (0.4), h=0.05 after three
+        z = np.array([1.0, 0.0, 0.0])
+        dists = S2.distance_to_batch(data.foot, z)
         ring = (dists > 0.25) & (dists < 0.35)
         ds = Dataset(vmf2, 0.1, data.foot[ring], data.targets[ring], 0)
-        widen = _WidenCount()
-        out = _estimate_at_probes(ds, z.coords[None, :], 0.2, widen)
-        assert widen.count == 1 and np.all(np.isfinite(out))
+        est, doublings = local_average(ds, z, [0.2, 0.05, 0.4])
+        assert doublings.tolist() == [1, 3, 0] and np.all(np.isfinite(est))
+        # the widened windows are the doubled bandwidths
+        assert np.array_equal(est, local_average(ds, z, [0.4, 0.4, 0.4])[0])
+        # feet all beyond pi/2 of the probe: widening stops at the cap
+        far = dists > np.pi / 2 + 0.05
+        ds = Dataset(vmf2, 0.1, data.foot[far], data.targets[far], 0)
         with pytest.raises(EmptyWindow):
-            _estimate_at_probes(ds, z.coords[None, :], 0.05, _WidenCount())
+            local_average(ds, z, [0.2])
+
+    def test_sweep_widens_past_one_doubling(self, vmf2):
+        # a quarter of the pilot bandwidth at n = 1000: at this seed some
+        # probe window is still empty after one doubling, and repeated
+        # doubling keeps every MSE finite
+        seed = 2872064946
+        probes = probe_points(vmf2, seed, 8)
+        h = 0.25 * optimal_bandwidth(1.0, 0.1, 1000, 2)
+        res = mse_sweep(vmf2, 0.1, [1000], h_rule=h, repetitions=20,
+                        seed=seed, probes=probes)
+        assert np.all(np.isfinite(res.mse)) and np.all(np.isfinite(res.se))
+        assert res.widened > 0
+
+    def test_bandwidth_mse_shapes(self, vmf2, oracle):
+        probes = probe_points(vmf2, 4, 3)
+        r_true = oracle.target_coords(probes)
+        mse, se, widened = bandwidth_mse(
+            vmf2, 0.1, 2000, [0.3, 0.6], probes, r_true, repetitions=3,
+            seed=4, label="sweep.mse.0")
+        assert mse.shape == se.shape == (2,) and widened >= 0
+        one = mse_sweep(vmf2, 0.1, [2000], h_rule=0.6, repetitions=3,
+                        seed=4, probes=probes)
+        assert mse[1] == pytest.approx(one.mse[0], rel=1e-13)
+        with pytest.raises(ConfigError):
+            bandwidth_mse(vmf2, 0.1, 2000, [0.3], probes, r_true,
+                          repetitions=0, seed=4, label="sweep.mse.0")
 
 
 class TestCoarsening:

@@ -177,6 +177,22 @@ class TestFiniteSampleDriver:
         b = ex.run_finite_sample(n_grid=(200, 2000), repetitions=2, seed=9)
         assert a == b
 
+    def test_one_draw_per_dataset(self, monkeypatch):
+        from tubescore import estimators
+        calls = []
+        corrupt = estimators.corrupt
+
+        def counted(q, sigma, n, seed):
+            calls.append(n)
+            return corrupt(q, sigma, n, seed)
+        monkeypatch.setattr(estimators, "corrupt", counted)
+        ex.run_finite_sample(n_grid=(1000, 2000, 4000), repetitions=20,
+                             seed=3)
+        # 20 calibration datasets, then 20 per cell; every bandwidth of a
+        # cell (rate, frozen and, at the smallest n, the three undersized
+        # ones) is scored on the same draw
+        assert calls == [1000] * 40 + [2000] * 20 + [4000] * 20
+
 
 class TestLangevinDriver:
     def test_structure_and_determinism(self):

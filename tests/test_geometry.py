@@ -16,7 +16,7 @@ from tubescore.errors import (
     ManifoldMismatch,
     OutsideTube,
 )
-from tubescore.geometry import wrap_angle
+from tubescore.geometry import gauss_legendre, wrap_angle
 from tubescore.geometry.base import row_dots, row_norms
 
 from conftest import ALL_MANIFOLDS, GRIDDED_MANIFOLDS, make_manifold, random_tangent
@@ -122,6 +122,51 @@ def test_transport_roundtrip_sphere(rng):
         v = random_tangent(M, z, rng)
         back = M.parallel_transport(y, z, M.parallel_transport(z, y, v))
         assert np.max(np.abs(back.vec - v.vec)) <= 1e-10
+
+
+def _geodesic_transport(p, v, z):
+    """Reference transport along the great circle from p to z, through its
+    angle (arccos, sin, cos): independent of the closed form under test."""
+    c = p @ z
+    w = z[None, :] - c[:, None] * p
+    s = np.linalg.norm(w, axis=1)
+    aligned = s < 1e-12
+    u = w / np.where(aligned, 1.0, s)[:, None]
+    a = np.sum(v * u, axis=1)
+    theta = np.arccos(np.clip(c, -1.0, 1.0))
+    out = v + a[:, None] * ((np.cos(theta) - 1.0)[:, None] * u
+                            - np.sin(theta)[:, None] * p)
+    out = np.where(aligned[:, None], v, out)
+    return out - (out @ z)[:, None] * z[None, :]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sphere_transport_closed_form(dim, rng):
+    M = Sphere(dim)
+    z = M.random_coords(rng, 1)[0]
+    # feet at every angle from 0 to pi - 1e-3, plus z itself
+    n = 400
+    angle = np.concatenate([rng.uniform(0.0, math.pi - 1e-3, n - 2),
+                            [math.pi - 1e-3, 0.0]])
+    u = M.tangent_project_batch(np.broadcast_to(z, (n, dim + 1)),
+                                rng.standard_normal((n, dim + 1)))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    p = np.cos(angle)[:, None] * z + np.sin(angle)[:, None] * u
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    v = M.tangent_project_batch(p, rng.standard_normal((n, dim + 1)))
+    got, ok = M.transport_to_batch(p, v, z)
+    assert ok.all()
+    assert np.max(np.abs(got - _geodesic_transport(p, v, z))) <= 1e-12
+    assert np.max(np.abs(got[-1] - v[-1])) <= 1e-15
+    # random pairs, and the antipode, whose transport is masked
+    p = np.vstack([M.random_coords(rng, 50), -z])
+    v = M.tangent_project_batch(p, rng.standard_normal((51, dim + 1)))
+    got, ok = M.transport_to_batch(p, v, z)
+    keep = (p @ z) > -1.0 + 1e-3
+    assert np.max(np.abs(got[keep] - _geodesic_transport(p, v, z)[keep])) \
+        <= 1e-12
+    assert not ok[-1] and ok[:-1].all()
+    assert np.all(np.isfinite(got))
 
 
 def test_cut_locus_and_injectivity_errors(rng):
@@ -370,6 +415,36 @@ def test_grid_refinement_monotone(name):
     errors = [err(r) for r in (8, 12, 16, 24)]
     for lo, hi in zip(errors[1:], errors[:-1]):
         assert lo <= hi + 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 9, 24, 48, 512])
+def test_gauss_legendre_matches_numpy(n):
+    from tubescore.geometry.quadrature import _legendre_rule
+    x, w = _legendre_rule(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - xr)) <= np.finfo(float).eps
+    # relative to the largest weight: the end weights of large rules are
+    # only as good as their nodes (at n = 512 numpy and scipy differ in the
+    # 9th digit of the 2.8e-5 end weight)
+    assert np.max(np.abs(w - wr)) <= 7e-12 * wr.max()
+    assert abs(w.sum() - 2.0) <= 1e-14
+    lo, hi = 0.3, 2.0
+    xt, wt = gauss_legendre(n, lo, hi)
+    assert np.array_equal(xt, lo + 0.85 * (x + 1.0))
+    assert np.array_equal(wt, 0.85 * w)
+
+
+def test_gauss_legendre_rule_cached_read_only():
+    from tubescore.geometry.quadrature import _legendre_rule
+    x, w = _legendre_rule(24)
+    assert _legendre_rule(24)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    # transplanted copies are the caller's to change
+    xt, wt = gauss_legendre(24, 0.0, 1.0)
+    xt[0] = wt[0] = 5.0
+    assert _legendre_rule(24)[0][0] == x[0] != 5.0
 
 
 def test_grid_resolution_floor():
