@@ -415,11 +415,23 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
                        scaled_steps: int = 20_000,
                        scale: float = 1.5) -> dict:
     """The three equilibrium studies: marginal fit on the 2-sphere,
-    drift debiasing on the 3-sphere, and scaled-drift equivalence."""
-    q2 = sphere_vmf(2, kappa)
+    drift debiasing on the 3-sphere, and scaled-drift equivalence.
+    Chains keep only t = mu . z, the one coordinate the studies read."""
+    cfg, cfg3, cfg_scaled = (ChainConfig(step=step, n_steps=n, seed=seed)
+                             for n in (marginal_steps, debias_steps,
+                                       scaled_steps))
+    for name, chains, c in (("marginal", marginal_chains, cfg),
+                            ("debias", debias_chains, cfg3),
+                            ("scaled", scaled_chains, cfg_scaled)):
+        if chains < 1 or c.kept_count() < 1:
+            raise ConfigError(
+                f"the {name} study keeps no iterate: {chains} chains of"
+                f" {c.n_steps} steps, burn-in {c.burn_in},"
+                f" thinning {c.thinning}")
 
-    cfg = ChainConfig(step=step, n_steps=marginal_steps, seed=seed)
-    samples = run_chains(q2, DriftSpec("intrinsic"), cfg, marginal_chains)
+    q2 = sphere_vmf(2, kappa)
+    samples = run_chains(q2, DriftSpec("intrinsic"), cfg, marginal_chains,
+                         direction=q2.mu)
     diag = marginal_diagnostic(samples, q2)
     marginal = {
         "n_kept": int(diag.n), "ks": float(diag.ks),
@@ -431,13 +443,12 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
 
     q3 = sphere_vmf(3, kappa)
     alpha = 1.0 - 3.0 / 2.0
-    cfg3 = ChainConfig(step=step, n_steps=debias_steps, seed=seed)
-    raw, deb = run_chains(q3, (DriftSpec("raw_ambient", sigma, alpha),
-                               DriftSpec("debiased", sigma, alpha)),
-                          cfg3, debias_chains)
+    t = run_chains(q3, (DriftSpec("raw_ambient", sigma, alpha),
+                        DriftSpec("debiased", sigma, alpha)),
+                   cfg3, debias_chains, direction=q3.mu)
+    t_raw, t_deb = t.mean(axis=2)
+    del t  # the kept iterates, freed before the bootstrap's gathers
     tm = float(q3.t_marginal().mean())
-    t_raw = (raw @ q3.mu).mean(axis=1)
-    t_deb = (deb @ q3.mu).mean(axis=1)
     # paired bootstrap over chains; both drifts share the chain noise, so
     # resampling the same chain indices cancels the common fluctuation
     rng = derive_rng(seed, "experiments.langevin.bootstrap")
@@ -460,17 +471,16 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     }
 
     q_scaled = sphere_vmf(2, scale * kappa)
-    a = run_chains(q2, DriftSpec("intrinsic", scale=scale),
-                   ChainConfig(step=step, n_steps=scaled_steps, seed=seed),
-                   scaled_chains)
+    a = run_chains(q2, DriftSpec("intrinsic", scale=scale), cfg_scaled,
+                   scaled_chains, direction=q2.mu)
     b = run_chains(q_scaled, DriftSpec("intrinsic"),
                    ChainConfig(step=step, n_steps=scaled_steps, seed=seed + 1),
-                   scaled_chains)
+                   scaled_chains, direction=q2.mu)
     scaled = {
         "scale": scale,
-        "two_sample_ks": float(two_sample_ks(a @ q2.mu, b @ q2.mu)),
+        "two_sample_ks": float(two_sample_ks(a, b)),
         "vs_analytic_ks": float(marginal_diagnostic(a, q_scaled).ks),
-        "n_each": int(a.shape[0] * a.shape[1]),
+        "n_each": int(a.size),
         "n_chains": scaled_chains, "n_steps": scaled_steps,
     }
 

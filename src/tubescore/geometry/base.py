@@ -10,7 +10,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -320,10 +319,6 @@ class Manifold(abc.ABC):
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         return self.point(self.random_coords(rng, 1)[0])
-
-    def iter_points(self, coords: np.ndarray) -> Iterator[ManifoldPoint]:
-        for row in coords:
-            yield self.point(row)
 
 
 def gram_schmidt_complement(rows: np.ndarray, dim: int, ambient: int) -> np.ndarray:

@@ -45,9 +45,6 @@ class QuadratureGrid:
     def node(self, i: int) -> ManifoldPoint:
         return self.manifold.point(self.node_coords[i])
 
-    def points(self):
-        return self.manifold.iter_points(self.node_coords)
-
     def integrate(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=float)
         return float(self.weights @ values)

@@ -141,7 +141,8 @@ def _initial_rows(q: DensityModel, config: ChainConfig, n_chains: int):
 
 def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
                config: ChainConfig, n_chains: int = 1, *,
-               oracle: RBOracle | None = None) -> np.ndarray:
+               oracle: RBOracle | None = None,
+               direction: np.ndarray | None = None) -> np.ndarray:
     """Run independent chains in lockstep; returns (n_chains, kept, D).
 
     Chain c draws its noise from a dedicated stream, so results for chain c
@@ -154,6 +155,11 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     runs stacked, bit for bit wherever the manifold's kernels are row-wise
     (spheres and tori).  Each drift field sees only its own copies; the
     noise is drawn once and each manifold kernel called once per step.
+
+    With ``direction`` (a length-D vector), each kept iterate z is stored
+    only as z @ direction and the trailing D axis is dropped: the result
+    is (n_chains, kept), or (len(spec), n_chains, kept) for a tuple, and
+    equals the row result @ direction bit for bit.
     """
     M = q.manifold
     config.validate_for(M)
@@ -173,7 +179,9 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     drift = np.empty_like(z)
     D = M.ambient_dim
     kept = config.kept_count()
-    out = np.empty((len(specs), n_chains, kept, D))
+    item = (D,) if direction is None else ()  # shape of one kept value
+    out = np.empty((len(specs), n_chains, kept, *item))
+    by_row = out.reshape(len(specs) * n_chains, kept, *item)  # a view
     gens = [derive_rng(config.seed, "langevin.noise", c)
             for c in range(n_chains)]
     noise = np.empty((n_chains, min(NOISE_BLOCK, config.n_steps), D))
@@ -198,7 +206,7 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
             z = M.exp_batch(z, v)
             past = step_idx - config.burn_in
             if past > 0 and past % config.thinning == 0:
-                out[:, :, k, :] = z.reshape(len(specs), n_chains, D)
+                by_row[:, k] = z if direction is None else z @ direction
                 k += 1
     return out if isinstance(spec, tuple) else out[0]
 
@@ -261,23 +269,19 @@ def _t_marginal_of(q: DensityModel) -> SphereTMarginal:
     raise UnsupportedManifold(f"no analytic t-marginal for {type(q).__name__}")
 
 
-def marginal_diagnostic(samples: np.ndarray, q: DensityModel, *,
-                        mu: np.ndarray | None = None,
+def marginal_diagnostic(t: np.ndarray, q: DensityModel, *,
                         bins: int = 64) -> MarginalDiagnostic:
-    """Compare chain output against the analytic marginal of t = mu . z.
+    """Compare chain output t = mu . z against the analytic marginal of t.
 
-    samples may be (n, D) or (chains, kept, D); chains are pooled.  The
-    reference law is the colatitude marginal of the density itself, so this
-    measures equilibrium error of the sampler, discretization included.
+    t holds projections of samples onto the mean axis mu (any unit axis
+    for the uniform law), in any shape, such as the (chains, kept) result
+    of ``run_chains(direction=mu)``; chains are pooled.  The reference law
+    is the colatitude marginal of the density itself, so this measures
+    equilibrium error of the sampler, discretization included.
     """
-    rows = np.asarray(samples, dtype=float).reshape(-1, q.manifold.ambient_dim)
-    if rows.shape[0] == 0:
+    t = np.asarray(t, dtype=float).ravel()
+    if t.size == 0:
         raise ConfigError("no samples to diagnose")
-    if mu is None:
-        if not isinstance(q, VonMisesFisher):
-            raise ConfigError("mu is required when q carries no mean axis")
-        mu = q.mu
-    t = rows @ np.asarray(mu, dtype=float)
     marg = _t_marginal_of(q)
     edges = np.linspace(-1.0, 1.0, bins + 1)
     density, _ = np.histogram(t, bins=edges, density=True)

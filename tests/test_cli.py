@@ -411,6 +411,20 @@ class TestMainFailure:
         assert record["error"] == "ConfigError"
         assert f"at least {below + 1}" in record["message"]
 
+    @pytest.mark.parametrize("study", ["marginal", "debias", "scaled"])
+    def test_empty_langevin_study_refused(self, capsys, tmp_path, study):
+        # 4 steps at thinning 5 keep no iterate; refused before any chain runs
+        artifact = tmp_path / "langevin.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "langevin", f"--{study}-steps",
+                                     "4", "--out", str(artifact))
+        assert code == 2 and out == "" and caught == []
+        assert not artifact.exists()
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert f"the {study} study keeps no iterate" in record["message"]
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_exits_3(self, capsys, monkeypatch, fmt):
         payload = {"rows": [], "max_gauss_residual": float("nan"),

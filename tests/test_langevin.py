@@ -165,6 +165,28 @@ class TestCoupledChains:
         coupled = run_chains(vmf2, (DriftSpec("intrinsic"),), cfg, 2)
         assert np.array_equal(coupled, single[None])
 
+    @pytest.mark.parametrize("case", ["sphere3_pair", "sphere2_single",
+                                      "torus_pair", "all_burn_in"])
+    def test_direction_keeps_only_the_projection(self, vmf2, vmf3, case):
+        torus = ProductVonMises(FlatTorus(1.0, 1.0), (1.5, 1.5))
+        one = DriftSpec("intrinsic")
+        torus_pair = (one, DriftSpec("intrinsic", scale=1.5))
+        cfg = ChainConfig(step=1e-3, n_steps=300, seed=11)
+        burnt = ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1)
+        kept = cfg.kept_count()
+        q, spec, c, n, shape = {
+            "sphere3_pair": (vmf3, self.S3_PAIR, cfg, 5, (2, 5, kept)),
+            "sphere2_single": (vmf2, one, cfg, 4, (4, kept)),
+            "torus_pair": (torus, torus_pair, cfg, 3, (2, 3, kept)),
+            "all_burn_in": (vmf2, one, burnt, 3, (3, 0)),
+        }[case]
+        d = derive_rng(5, "test.direction").standard_normal(
+            q.manifold.ambient_dim)
+        d /= np.linalg.norm(d)
+        t = run_chains(q, spec, c, n, direction=d)
+        assert t.shape == shape
+        assert np.array_equal(t, run_chains(q, spec, c, n) @ d)
+
     def test_empty_tuple_rejected(self, vmf2):
         with pytest.raises(ConfigError):
             run_chains(vmf2, (), ChainConfig(n_steps=10), 2)
@@ -247,7 +269,7 @@ class TestDiagnostics:
 
     def test_exact_sampler_matches_marginal(self, vmf2):
         pts = vmf2.sample_coords_seeded(100_000, 13)
-        diag = marginal_diagnostic(pts, vmf2)
+        diag = marginal_diagnostic(pts @ MU, vmf2)
         assert diag.ks <= 0.012
         assert abs(diag.mean_bias) <= 0.01
         assert diag.n == 100_000
@@ -255,35 +277,31 @@ class TestDiagnostics:
     def test_uniform_marginal(self):
         u = Uniform(S2)
         pts = u.sample_coords_seeded(50_000, 14)
-        diag = marginal_diagnostic(pts, u, mu=MU)
+        diag = marginal_diagnostic(pts @ MU, u)
         assert diag.ks <= 0.012
         assert abs(diag.target_mean) <= 1e-12
-
-    def test_requires_mu_for_uniform(self):
-        u = Uniform(S2)
-        pts = u.sample_coords_seeded(100, 15)
-        with pytest.raises(ConfigError):
-            marginal_diagnostic(pts, u)
 
     def test_sphere_only(self):
         T2 = FlatTorus(1.0, 1.0)
         q = ProductVonMises(T2, (1.0, 1.0))
         with pytest.raises(UnsupportedManifold):
-            marginal_diagnostic(np.zeros((10, 4)), q, mu=np.zeros(4))
+            marginal_diagnostic(np.zeros(10), q)
 
     def test_empty_samples_rejected(self, vmf2):
         with pytest.raises(ConfigError):
-            marginal_diagnostic(np.zeros((0, 3)), vmf2)
+            marginal_diagnostic(np.zeros((2, 0)), vmf2)
 
 
 class TestEquivalences:
     def test_scaled_drift_matches_scaled_kappa(self, vmf2):
         q3 = VonMisesFisher(S2, MU, 3.0)
         a = run_chains(vmf2, DriftSpec("intrinsic", scale=1.5),
-                       ChainConfig(step=1e-3, n_steps=10_000, seed=41), 64)
+                       ChainConfig(step=1e-3, n_steps=10_000, seed=41), 64,
+                       direction=MU)
         b = run_chains(q3, DriftSpec("intrinsic"),
-                       ChainConfig(step=1e-3, n_steps=10_000, seed=42), 64)
-        assert two_sample_ks(a @ MU, b @ MU) <= 0.03
+                       ChainConfig(step=1e-3, n_steps=10_000, seed=42), 64,
+                       direction=MU)
+        assert two_sample_ks(a, b) <= 0.03
         assert marginal_diagnostic(a, q3).ks <= 0.03
 
     def test_step_halving_stable(self, vmf2):
