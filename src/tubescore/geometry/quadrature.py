@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import Manifold, ManifoldPoint, _readonly
+from .base import Manifold, _readonly
 
 MIN_RESOLUTION = 8
 
@@ -41,9 +41,6 @@ class QuadratureGrid:
     @property
     def weight_sum(self) -> float:
         return float(self.weights.sum())
-
-    def node(self, i: int) -> ManifoldPoint:
-        return self.manifold.point(self.node_coords[i])
 
     def integrate(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=float)

@@ -14,14 +14,18 @@ posterior density of v is proportional to
 with J the Jacobian of Exp_z and m(v) the normal part of y - z.  Spheres,
 flat tori and planes are homogeneous: in the frames of
 ``Manifold.frames_batch`` the chord, the Jacobian and the fiber factor
-depend on v alone.  One node table per (manifold, sigma, resolution) carries
-every factor but q, so a query costs one frame and one density evaluation
-per node, and a batch of queries is a few matrix products.
+depend on v alone.  One node table per (manifold, sigma, n, m) carries every
+factor but q, so a query costs one frame and one density evaluation per
+node, and a batch of queries is a few matrix products.
 
-The table is Gauss-Legendre in the radius on [0, min(14 sigma, band)] times
-a rule on the unit directions of T_z M.  The radius stops at the tube band
-||m|| < tube_radius: beyond it the tangential chord can shrink again (cut
+The table is Gauss-Legendre with n nodes in the radius on
+[0, min(14 sigma, band)] times a rule of angular resolution m on the unit
+directions of T_z M (``_directions``).  The radius stops at the tube band
+||m(v)|| < tube_radius: beyond it the tangential chord can shrink again (cut
 locus), which would add posterior mass that the tube conditioning excludes.
+The two axes converge at their own rates, so each query carries a radial
+and an angular error estimate, and only the axis whose estimate fails is
+refined (``RBOracle``).
 
 The module also hosts the sigma^2 expansion terms (score, Tweedie drift,
 extrinsic curvature term), extraction of the dimensionless extrinsic
@@ -54,6 +58,13 @@ SIGMA_MAX = 0.5
 DEFAULT_REL_TOL = 1e-6
 GAUSS_RANGE = 14.0           # radial domain, in units of sigma
 BASE_RESOLUTION = 24         # radial nodes of the coarsest rule
+# The direction rule's angular resolution m, by intrinsic dimension d: the
+# coarsest m and the least step to the next finer m.  A step is at least m's
+# distance from the coarsest, so refinements near it are fine-grained and
+# far from it m about doubles.  Equally spaced angles on the circle (d = 2)
+# gain less per node than the Gauss rules of d = 3, 4, so their step is
+# wider; the two directions of a line (d = 1) are exact and never refined.
+ANGULAR_RULE = {1: (0, 0), 2: (10, 6), 3: (8, 2), 4: (8, 2)}
 MAX_RULE_NODES = 1 << 21     # no rule is refined beyond this many nodes
 CHUNK_FLOATS = 1 << 16       # latent coordinates held per query chunk
 SCORE_MOMENT_RESOLUTION = 24
@@ -71,17 +82,46 @@ def check_sigma(sigma: float) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _directions(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions of a d-dimensional tangent space and their weights."""
+def _directions(d: int, angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions of a d-dimensional tangent space and their weights.
+
+    For d = 1 the exact pair +-1; for d = 2, 3 ``Sphere(d-1).grid(angular)``.
+    For d = 4 the polar angle chi of S^3 takes the Gauss-Jacobi (1/2, 1/2)
+    rule in cos chi, whose nodes chi_k = k pi / (m + 1) and weights
+    pi sin^2 chi_k / (m + 1) are closed-form, times ``Sphere(2).grid``.  It
+    is exact for degree 2m - 1 in cos chi against the sin^2 chi weight;
+    Gauss-Legendre in chi, as ``Sphere(3).grid`` has it, needs about half
+    again as many polar nodes for the same error.
+    """
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.ones(2)
-    grid = Sphere(d - 1).grid(resolution // 2)
-    return grid.node_coords, grid.weights
+    sub = Sphere(min(d - 1, 2)).grid(angular)
+    if d < 4:
+        return sub.node_coords, sub.weights
+    chi = math.pi * np.arange(1, angular + 1) / (angular + 1)
+    nodes = np.concatenate(
+        [np.repeat(np.cos(chi), sub.n_nodes)[:, None],
+         np.einsum("i,jk->ijk", np.sin(chi), sub.node_coords).reshape(-1, 3)],
+        axis=1)
+    w_chi = math.pi * np.sin(chi) ** 2 / (angular + 1)
+    return nodes, np.outer(w_chi, sub.weights).ravel()
 
 
-def grid_node_count(manifold: Manifold, resolution: int) -> int:
-    """Tangent nodes of the polar rule with ``resolution`` radial nodes."""
-    return resolution * _directions(manifold.intrinsic_dim, resolution)[1].size
+def _finer_angles(d: int, angular: int) -> int:
+    """The angular resolution after ``angular`` in dimension d."""
+    base, step = ANGULAR_RULE[d]
+    return angular + max(step, angular - base)
+
+
+def grid_node_count(manifold: Manifold, resolution: int,
+                    angular: int | None = None) -> int:
+    """Tangent nodes of the polar rule with ``resolution`` radial nodes and
+    angular resolution ``angular`` (by default the coarsest direction rule
+    of the manifold's dimension)."""
+    d = manifold.intrinsic_dim
+    if angular is None:
+        angular = ANGULAR_RULE[d][0]
+    return resolution * _directions(d, angular)[1].size
 
 
 def _log_kernel(manifold: Manifold, v: np.ndarray, sigma: float):
@@ -134,11 +174,12 @@ class PolarRule:
 
 
 @functools.lru_cache(maxsize=32)
-def _polar_rule(manifold: Manifold, sigma: float, resolution: int) -> PolarRule:
+def _polar_rule(manifold: Manifold, sigma: float, resolution: int,
+                angular: int) -> PolarRule:
     d = manifold.intrinsic_dim
     rho_max = min(GAUSS_RANGE * sigma, manifold.band_radius)
     rho, w_rho = gauss_legendre(resolution, 0.0, rho_max)
-    dirs, w_dir = _directions(d, resolution)
+    dirs, w_dir = _directions(d, angular)
     v = (rho[:, None, None] * dirs[None]).reshape(-1, d)
     w = np.outer(w_rho * rho ** (d - 1), w_dir).ravel()
     chord, log_k = _log_kernel(manifold, v, sigma)
@@ -148,15 +189,22 @@ def _polar_rule(manifold: Manifold, sigma: float, resolution: int) -> PolarRule:
 class RBOracle:
     """Batched quadrature evaluator for the conditional tangent target.
 
-    Each query is evaluated with the polar rules of resolution n and 2n,
-    from n = BASE_RESOLUTION; their relative difference is the query's error
-    estimate.  Queries whose estimate exceeds ``rel_tol`` go on to 2n and
-    4n, and so on; the finer value of the accepted pair is returned.  When
-    the next rule would exceed MAX_RULE_NODES the oracle raises
-    QuadratureNotConverged.  ``convergence_report`` accumulates over calls:
-    ``queries``, ``nodes`` (tangent nodes evaluated, check rules included),
-    ``nodes_per_query``, ``max_estimate`` (largest accepted estimate),
-    ``resolution`` (largest accepted radial resolution) and ``rel_tol``.
+    A query at state (n, m), from n = BASE_RESOLUTION radial nodes and the
+    angular resolution m of ANGULAR_RULE[d], with m' the next angular
+    resolution, is evaluated with the polar rules (n, m), (n, m') and
+    (2n, m').  It carries two relative error estimates: radial, (2n, m')
+    against (n, m'), and angular, (n, m') against (n, m).  A query whose
+    estimates are both within ``rel_tol`` returns its (2n, m') value, the
+    finest rule on both axes.  Otherwise only the failing axis is refined:
+    n goes to 2n, m to m', or both, and the rules already evaluated at the
+    new state are reused.  When the finest rule of the next state would
+    exceed MAX_RULE_NODES the oracle raises QuadratureNotConverged.
+    ``convergence_report`` accumulates over calls: ``queries``, ``nodes``
+    (tangent nodes evaluated, check rules included), ``nodes_per_query``,
+    ``max_estimate`` (largest accepted estimate on either axis),
+    ``resolution`` (largest accepted radial resolution),
+    ``angular_resolution`` (largest accepted angular resolution) and
+    ``rel_tol``.
     """
 
     def __init__(self, density: DensityModel, sigma: float, *,
@@ -172,8 +220,8 @@ class RBOracle:
         self.rel_tol = float(rel_tol)
         self.convergence_report: dict | None = None
 
-    def rule(self, resolution: int) -> PolarRule:
-        return _polar_rule(self.manifold, self.sigma, resolution)
+    def rule(self, resolution: int, angular: int) -> PolarRule:
+        return _polar_rule(self.manifold, self.sigma, resolution, angular)
 
     # ---- evaluation ------------------------------------------------------
 
@@ -194,41 +242,54 @@ class RBOracle:
         return np.einsum("nk,nkd->nd", r, frames[:, :r.shape[1]])
 
     def _solve(self, queries, frames) -> tuple[np.ndarray, np.ndarray]:
-        """Frame-coordinate targets and the accepted resolution per query."""
+        """Frame-coordinate targets and the accepted (n, m) rule per query."""
         M = self.manifold
+        d = M.intrinsic_dim
         n_q = queries.shape[0]
-        out = np.empty((n_q, M.intrinsic_dim))
-        accepted = np.empty(n_q, dtype=int)
-        pending = np.arange(n_q)
-        n = BASE_RESOLUTION
-        coarse = self._frame_targets(queries, frames, n)
-        nodes = n_q * grid_node_count(M, n)
-        worst = 0.0
-        while True:
-            n *= 2
-            fine = self._frame_targets(queries[pending], frames[pending], n)
-            nodes += pending.size * grid_node_count(M, n)
-            est = (np.linalg.norm(fine - coarse, axis=1)
-                   / np.maximum(np.linalg.norm(fine, axis=1), _TARGET_FLOOR))
-            ok = est <= self.rel_tol
-            out[pending[ok]] = fine[ok]
-            accepted[pending[ok]] = n
+        out = np.empty((n_q, d))
+        accepted = np.empty((n_q, 2), dtype=int)
+        nodes, worst = 0, 0.0
+        # pending groups: state (n, m), query indices, targets by rule
+        groups = [(BASE_RESOLUTION, ANGULAR_RULE[d][0], np.arange(n_q), {})]
+        while groups:
+            n, m, idx, known = groups.pop()
+            m_fine = _finer_angles(d, m)
+            for rule in ((n, m), (n, m_fine), (2 * n, m_fine)):
+                if rule not in known:
+                    known[rule] = self._frame_targets(
+                        queries[idx], frames[idx], *rule)
+                    nodes += idx.size * grid_node_count(M, *rule)
+            fine, mid = known[2 * n, m_fine], known[n, m_fine]
+            scale = np.maximum(np.linalg.norm(fine, axis=1), _TARGET_FLOOR)
+            radial = np.linalg.norm(fine - mid, axis=1) / scale
+            angular = np.linalg.norm(mid - known[n, m], axis=1) / scale
+            r_ok, a_ok = radial <= self.rel_tol, angular <= self.rel_tol
+            ok = r_ok & a_ok
+            out[idx[ok]] = fine[ok]
+            accepted[idx[ok]] = (2 * n, m_fine)
             if ok.any():
-                worst = max(worst, float(est[ok].max()))
-            pending, coarse = pending[~ok], fine[~ok]
-            if pending.size == 0:
-                break
-            if grid_node_count(M, 2 * n) > MAX_RULE_NODES:
-                raise QuadratureNotConverged(
-                    f"{pending.size} of {n_q} queries have error estimates up "
-                    f"to {float(est.max()):.3g} above rel_tol "
-                    f"{self.rel_tol:g} at the largest polar rule "
-                    f"({grid_node_count(M, n)} nodes)")
-        self._record(n_q, nodes, worst, int(accepted.max()))
+                worst = max(worst, float(radial[ok].max()),
+                            float(angular[ok].max()))
+            for n_next, m_next, sel in ((2 * n, m, ~r_ok & a_ok),
+                                        (n, m_fine, r_ok & ~a_ok),
+                                        (2 * n, m_fine, ~r_ok & ~a_ok)):
+                if not sel.any():
+                    continue
+                if grid_node_count(M, 2 * n_next,
+                                   _finer_angles(d, m_next)) > MAX_RULE_NODES:
+                    est = float(np.maximum(radial, angular).max())
+                    raise QuadratureNotConverged(
+                        f"{int((~ok).sum())} of {n_q} queries have error "
+                        f"estimates up to {est:.3g} above rel_tol "
+                        f"{self.rel_tol:g} at the largest polar rule "
+                        f"({grid_node_count(M, 2 * n, m_fine)} nodes)")
+                groups.append((n_next, m_next, idx[sel],
+                               {k: v[sel] for k, v in known.items()}))
+        self._record(n_q, nodes, worst, accepted.max(axis=0))
         return out, accepted
 
-    def _frame_targets(self, queries, frames, resolution) -> np.ndarray:
-        rule = self.rule(resolution)
+    def _frame_targets(self, queries, frames, resolution, angular) -> np.ndarray:
+        rule = self.rule(resolution, angular)
         g = rule.tangent_chord
         out = np.empty((queries.shape[0], g.shape[1]))
         step = max(1, CHUNK_FLOATS // rule.log_w.size // queries.shape[1])
@@ -245,15 +306,17 @@ class RBOracle:
         return out / self.sigma**2
 
     def _record(self, queries: int, nodes: int, estimate: float,
-                resolution: int) -> None:
+                accepted: np.ndarray) -> None:
         rep = self.convergence_report or {
             "rel_tol": self.rel_tol, "queries": 0, "nodes": 0,
-            "max_estimate": 0.0, "resolution": 0}
+            "max_estimate": 0.0, "resolution": 0, "angular_resolution": 0}
         rep["queries"] += queries
         rep["nodes"] += nodes
         rep["nodes_per_query"] = rep["nodes"] / rep["queries"]
         rep["max_estimate"] = max(rep["max_estimate"], estimate)
-        rep["resolution"] = max(rep["resolution"], resolution)
+        rep["resolution"] = max(rep["resolution"], int(accepted[0]))
+        rep["angular_resolution"] = max(rep["angular_resolution"],
+                                        int(accepted[1]))
         self.convergence_report = rep
 
 
@@ -380,7 +443,7 @@ class FiberPosterior:
         zc = z.coords[None]
         self._frames = self.manifold.frames_batch(zc)
         _, accepted = oracle._solve(zc, self._frames)
-        rule = oracle.rule(int(accepted[0]))
+        rule = oracle.rule(*map(int, accepted[0]))
         self.coords = rule.v
         self.chord = rule.tangent_chord
         lw = _log_posterior(q, zc, self._frames, rule.chord, rule.log_w)[:, 0]

@@ -1,5 +1,6 @@
 """Command-line harness: flags as run config, rendering, exit codes."""
 import json
+import math
 import warnings
 
 import pytest
@@ -255,6 +256,20 @@ class TestMainSuccess:
         assert code == 0
         res = json.loads(out)["results"]
         assert res["max_rel_residual"] <= 1e-12
+        assert res["second_order_slope"] >= 3.8
+
+    def test_flat_check_four_plane(self, capsys):
+        # every oracle query of a 4-plane runs on the 3-sphere direction rule
+        code, out, _ = run_cli(capsys, "flat-check", "--n", "100", "--d", "4",
+                               "--D", "5")
+        assert code == 0
+        res = json.loads(out)["results"]
+        numbers = [v for _, v in reporting.flatten_scalars(res)
+                   if isinstance(v, float)]
+        numbers += res["second_order_remainders"]
+        assert numbers and all(math.isfinite(v) for v in numbers)
+        assert res["max_rel_residual"] <= 1e-12
+        assert res["oracle_closed_form_error"] <= 1e-6
         assert res["second_order_slope"] >= 3.8
 
     def test_variance_csv_columns(self, capsys):

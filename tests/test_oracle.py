@@ -20,7 +20,10 @@ from tubescore.errors import (
     UnsupportedManifold,
 )
 from tubescore.geometry import AffinePlane, FlatTorus, Sphere
+from tubescore import oracle as oracle_mod
 from tubescore.oracle import (
+    ANGULAR_RULE,
+    BASE_RESOLUTION,
     FiberPosterior,
     RBOracle,
     chord_moment_ratio,
@@ -62,6 +65,19 @@ class TestFlatOracle:
             oracle = RBOracle(q, sig)
             got = oracle.target_coords(pts)
             expect = PLANE.embed_tangent(-PLANE.chart(pts) / (TAU**2 + sig**2))
+            assert np.abs(got - expect).max() <= 1e-6
+            assert oracle.convergence_report["max_estimate"] <= oracle.rel_tol
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_higher_plane_matches_closed_form_tweedie_score(self, d):
+        # the 2-sphere and 3-sphere direction rules against -x / (tau^2 + sigma^2)
+        plane = AffinePlane.axis_aligned(d, d + 1)
+        q = IsotropicGaussian(plane, np.zeros(d), TAU)
+        pts = plane.embed(TAU * np.random.default_rng(6).standard_normal((8, d)))
+        for sig in (0.05, 0.1, 0.2, 0.4):
+            oracle = RBOracle(q, sig)
+            got = oracle.target_coords(pts)
+            expect = plane.embed_tangent(-plane.chart(pts) / (TAU**2 + sig**2))
             assert np.abs(got - expect).max() <= 1e-6
             assert oracle.convergence_report["max_estimate"] <= oracle.rel_tol
 
@@ -373,6 +389,105 @@ class TestOracleMechanics:
         q = IsotropicGaussian(AffinePlane.axis_aligned(d, d + 1),
                               np.linspace(5.0, -3.0, d), tau)
         assert score_second_moment(q) == pytest.approx(d / tau**2, rel=1e-10)
+
+
+class TestRefinement:
+    """Each error estimate refines only its own axis of the polar rule."""
+
+    @staticmethod
+    def base_pair(d):
+        return (2 * BASE_RESOLUTION,
+                oracle_mod._finer_angles(d, ANGULAR_RULE[d][0]))
+
+    def test_radial_failure_refines_only_the_radius(self):
+        # on S^3 at sigma = 0.05 the base directions are at roundoff, while
+        # 24 radial nodes leave about 1e-9
+        q = sphere_vmf(3)
+        pts = Sphere(3).random_coords(np.random.default_rng(11), 4)
+        base = RBOracle(q, 0.05)
+        r_base = base.target_coords(pts)
+        tight = RBOracle(q, 0.05, rel_tol=1e-11)
+        r_tight = tight.target_coords(pts)
+        rep = tight.convergence_report
+        n_base, m_base = self.base_pair(3)
+        assert (base.convergence_report["resolution"],
+                base.convergence_report["angular_resolution"]) == (n_base, m_base)
+        assert rep["resolution"] > n_base
+        assert rep["angular_resolution"] == m_base
+        assert rep["max_estimate"] <= 1e-11
+        assert np.abs(r_tight - r_base).max() <= 1e-8
+
+    def test_angular_failure_refines_only_the_directions(self):
+        # a wide latent seen through sigma = 0.3 from far off its mean
+        # varies with the direction faster than the base circle rule resolves
+        q = flat_density()
+        z = PLANE.embed(np.array([[2.0, -1.0], [1.5, 1.5]]))
+        oracle = RBOracle(q, 0.3)
+        got = oracle.target_coords(z)
+        rep = oracle.convergence_report
+        n_base, m_base = self.base_pair(2)
+        assert rep["resolution"] == n_base
+        assert rep["angular_resolution"] > m_base
+        expect = PLANE.embed_tangent(-PLANE.chart(z) / (TAU**2 + 0.3**2))
+        assert np.abs(got - expect).max() <= 1e-6
+
+    def test_fiber_posterior_uses_the_accepted_pair(self):
+        # the posterior view rebuilds the refined rule, so its mean chord
+        # is the oracle's target node for node
+        q = flat_density()
+        z = PLANE.point(PLANE.embed(np.array([2.0, -1.0])))
+        oracle = RBOracle(q, 0.3)
+        target = oracle.target(z).vec
+        rep = oracle.convergence_report
+        post = FiberPosterior(z, q, 0.3)
+        assert post.weights.size == oracle_mod.grid_node_count(
+            PLANE, rep["resolution"], rep["angular_resolution"])
+        frame = PLANE.frames_batch(z.coords[None])[0, :2]
+        got = post.expectation(post.chord) / 0.3**2 @ frame
+        assert np.abs(got - target).max() <= 1e-12
+
+    def test_reused_rules_are_not_counted_twice(self):
+        # a radial refinement at (48, m) evaluates (48, m) and (96, m') only;
+        # (48, m') comes from the base state
+        q = sphere_vmf(3)
+        oracle = RBOracle(q, 0.05, rel_tol=1e-11)
+        oracle.target(equator_point(3))
+        M, m = Sphere(3), ANGULAR_RULE[3][0]
+        m_fine = oracle_mod._finer_angles(3, m)
+        count = oracle_mod.grid_node_count
+        expect = (count(M, 24, m) + count(M, 24, m_fine) + count(M, 48, m_fine)
+                  + count(M, 48, m) + count(M, 96, m_fine))
+        assert oracle.convergence_report["nodes"] == expect
+
+    @pytest.mark.parametrize("sig", [0.05, 0.4])
+    def test_sphere4_rules_under_10mb(self, monkeypatch, sig):
+        built = []
+        cached = oracle_mod._polar_rule
+
+        def record(*args):
+            built.append(cached(*args))
+            return built[-1]
+
+        monkeypatch.setattr(oracle_mod, "_polar_rule", record)
+        RBOracle(sphere_vmf(4), sig).target_coords(
+            Sphere(4).random_coords(np.random.default_rng(2), 3))
+        assert built
+        for rule in built:
+            size = rule.v.nbytes + rule.chord.nbytes + rule.log_w.nbytes
+            assert size < 10 * 2**20
+
+    def test_sphere3_direction_rule_exact(self):
+        # Gauss-Jacobi in cos(chi) times the S^2 grid integrates the
+        # moments of S^3 exactly: |S^3| = 2 pi^2, E x_i^2 = 1/4,
+        # E x_0^4 = 1/8, E x_0^2 x_3^2 = 1/24
+        x, w = oracle_mod._directions(4, ANGULAR_RULE[4][0])
+        vol = 2.0 * math.pi**2
+        assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-14)
+        assert w.sum() == pytest.approx(vol, rel=1e-13)
+        assert np.allclose(w @ x**2, vol / 4, rtol=1e-13)
+        assert w @ x[:, 0]**4 == pytest.approx(vol / 8, rel=1e-13)
+        assert w @ (x[:, 0]**2 * x[:, 3]**2) == pytest.approx(vol / 24, rel=1e-13)
+        assert np.abs(w @ x).max() <= 1e-13
 
 
 def random_rotation(rng, n):
