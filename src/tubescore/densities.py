@@ -6,27 +6,19 @@ drift correction
 
     b_q = (1/2) grad_M [ Delta_M log q + ||grad_M log q||^2 ],
 
-all as closed forms, plus a deterministic sampler driven by an explicit
-numpy Generator.
+all as closed-form row kernels on (n, D) ambient coordinate rows, plus a
+deterministic sampler driven by an explicit numpy Generator.
 """
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import i0e
 
 from .errors import ManifoldMismatch, UnsupportedManifold
-from .geometry import (
-    AffinePlane,
-    FlatTorus,
-    ManifoldPoint,
-    Sphere,
-    TangentVector,
-    ensure_same_manifold,
-)
+from .geometry import AffinePlane, FlatTorus, Sphere
 from .geometry.quadrature import gauss_legendre
 from .rng import derive_rng, shard_sizes
 
@@ -51,24 +43,7 @@ class DensityModel(abc.ABC):
     @abc.abstractmethod
     def params(self) -> dict: ...
 
-    # ---- pointwise API -------------------------------------------------
-
-    def log_density(self, z: ManifoldPoint) -> float:
-        self._check(z)
-        return float(self.log_density_batch(z.coords[None])[0])
-
-    def score(self, z: ManifoldPoint) -> TangentVector:
-        self._check(z)
-        return TangentVector(z, self.score_batch(z.coords[None])[0])
-
-    @abc.abstractmethod
-    def laplacian_log_density(self, z: ManifoldPoint) -> float: ...
-
-    @abc.abstractmethod
-    def tweedie_term(self, z: ManifoldPoint) -> TangentVector:
-        """The closed-form drift correction b_q at ``z``."""
-
-    # ---- batch API -------------------------------------------------------
+    # ---- row kernels -----------------------------------------------------
 
     @abc.abstractmethod
     def log_density_batch(self, coords: np.ndarray) -> np.ndarray: ...
@@ -76,14 +51,18 @@ class DensityModel(abc.ABC):
     @abc.abstractmethod
     def score_batch(self, coords: np.ndarray) -> np.ndarray: ...
 
+    @abc.abstractmethod
+    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
+        """Delta_M log q at each row, shape (n,)."""
+
+    @abc.abstractmethod
+    def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
+        """The drift correction b_q at each row, as ambient tangent rows."""
+
     # ---- sampling ----------------------------------------------------------
 
     @abc.abstractmethod
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray: ...
-
-    def sample_latent(self, n: int, seed: int) -> list[ManifoldPoint]:
-        coords = self.sample_coords_seeded(n, seed)
-        return [self._manifold.point(row) for row in coords]
 
     def sample_coords_seeded(self, n: int, seed: int, label: str = "densities.sample") -> np.ndarray:
         """Sharded deterministic sampling: fixed blocks, one derived stream each."""
@@ -93,9 +72,6 @@ class DensityModel(abc.ABC):
         if not blocks:
             return np.empty((0, self._manifold.ambient_dim))
         return np.concatenate(blocks, axis=0)
-
-    def _check(self, z: ManifoldPoint) -> None:
-        ensure_same_manifold(self._manifold, z.manifold)
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +155,16 @@ class VonMisesFisher(DensityModel):
         t = coords @ self.mu
         return self.kappa * (self.mu[None, :] - t[:, None] * coords)
 
-    def laplacian_log_density(self, z: ManifoldPoint) -> float:
+    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
         # <mu, z> restricted to S^d is a first spherical harmonic:
         # Delta_M <mu, z> = -d <mu, z>.
-        self._check(z)
-        d = self._manifold.intrinsic_dim
-        return -self.kappa * d * float(z.coords @ self.mu)
+        return -self.kappa * self._manifold.intrinsic_dim * (coords @ self.mu)
 
-    def tweedie_term(self, z: ManifoldPoint) -> TangentVector:
-        self._check(z)
+    def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         d = self._manifold.intrinsic_dim
-        t = float(z.coords @ self.mu)
-        tang = self.mu - t * z.coords
+        t = coords @ self.mu
         coeff = 0.5 * (-self.kappa * d - 2.0 * self.kappa**2 * t)
-        return TangentVector(z, coeff * tang)
+        return coeff[:, None] * (self.mu - t[:, None] * coords)
 
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         chi = self._marginal.sample_chi(rng.random(n))
@@ -261,24 +233,20 @@ class ProductVonMises(DensityModel):
         return a1[..., None] * FlatTorus._pad(e[..., 0, :], 0) \
             + a2[..., None] * FlatTorus._pad(e[..., 1, :], 1)
 
-    def laplacian_log_density(self, z: ManifoldPoint) -> float:
-        self._check(z)
-        delta = self._deltas(z.coords[None])[0]
+    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
+        delta = self._deltas(coords)
         r1, r2 = self._manifold.radii
         k1, k2 = self.kappas
-        return float(-k1 * math.cos(delta[0]) / r1**2 - k2 * math.cos(delta[1]) / r2**2)
+        return -k1 * np.cos(delta[:, 0]) / r1**2 - k2 * np.cos(delta[:, 1]) / r2**2
 
-    def tweedie_term(self, z: ManifoldPoint) -> TangentVector:
-        self._check(z)
-        delta = self._deltas(z.coords[None])[0]
-        r = self._manifold.radii
-        e, _ = self._manifold._frame_vectors(z.coords)
-        vec = np.zeros(4)
-        for i in range(2):
-            k = self.kappas[i]
-            coeff = k * math.sin(delta[i]) * (1.0 + 2.0 * k * math.cos(delta[i])) / (2.0 * r[i] ** 3)
-            vec += coeff * FlatTorus._pad(e[i], i)
-        return TangentVector(z, vec)
+    def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
+        delta = self._deltas(coords)
+        r = np.array(self._manifold.radii)
+        k = np.array(self.kappas)
+        coeff = k * np.sin(delta) * (1.0 + 2.0 * k * np.cos(delta)) / (2.0 * r**3)
+        e, _ = self._manifold._frame_vectors(coords)
+        return coeff[:, 0:1] * FlatTorus._pad(e[:, 0], 0) \
+            + coeff[:, 1:2] * FlatTorus._pad(e[:, 1], 1)
 
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         a = rng.vonmises(self.phases[0], self.kappas[0], size=n) if self.kappas[0] > 0 \
@@ -324,14 +292,12 @@ class IsotropicGaussian(DensityModel):
         c = self._manifold.chart(coords) - self.mean
         return self._manifold.embed_tangent(-c / self.tau**2)
 
-    def laplacian_log_density(self, z: ManifoldPoint) -> float:
-        self._check(z)
-        return -self._manifold.intrinsic_dim / self.tau**2
+    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
+        return np.full(coords.shape[0], -self._manifold.intrinsic_dim / self.tau**2)
 
-    def tweedie_term(self, z: ManifoldPoint) -> TangentVector:
-        self._check(z)
-        c = self._manifold.chart(z.coords[None])[0] - self.mean
-        return TangentVector(z, self._manifold.embed_tangent(c / self.tau**4))
+    def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
+        c = self._manifold.chart(coords) - self.mean
+        return self._manifold.embed_tangent(c / self.tau**4)
 
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         c = self.mean + self.tau * rng.standard_normal((n, self._manifold.intrinsic_dim))
@@ -364,45 +330,13 @@ class Uniform(DensityModel):
     def score_batch(self, coords: np.ndarray) -> np.ndarray:
         return np.zeros_like(coords)
 
-    def laplacian_log_density(self, z: ManifoldPoint) -> float:
-        self._check(z)
-        return 0.0
+    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
+        return np.zeros(coords.shape[0])
 
-    def tweedie_term(self, z: ManifoldPoint) -> TangentVector:
-        self._check(z)
-        return TangentVector(z, np.zeros(self._manifold.ambient_dim))
+    def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
+        return np.zeros_like(coords)
 
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # random_coords is volume-uniform for spheres and flat tori
         return self._manifold.random_coords(rng, n)
 
-
-@dataclass(frozen=True)
-class _FD:
-    """Geodesic finite-difference helpers (test oracles, not production paths)."""
-
-    @staticmethod
-    def gradient(fn, manifold, z: ManifoldPoint, step: float | None = None) -> np.ndarray:
-        basis = manifold.tangent_basis(z.coords)
-        if step is None:
-            step = 1e-4
-        out = np.zeros(manifold.ambient_dim)
-        for e in basis:
-            up = manifold.exp_map(z, manifold.tangent(z, step * e))
-            dn = manifold.exp_map(z, manifold.tangent(z, -step * e))
-            out += (fn(up) - fn(dn)) / (2.0 * step) * e
-        return out
-
-    @staticmethod
-    def laplacian(fn, manifold, z: ManifoldPoint, step: float = 1e-3) -> float:
-        basis = manifold.tangent_basis(z.coords)
-        mid = fn(z)
-        total = 0.0
-        for e in basis:
-            up = manifold.exp_map(z, manifold.tangent(z, step * e))
-            dn = manifold.exp_map(z, manifold.tangent(z, -step * e))
-            total += (fn(up) - 2.0 * mid + fn(dn)) / step**2
-        return total
-
-
-finite_difference = _FD()

@@ -29,10 +29,6 @@ class CutLocus(TubescoreError):
     """No unique minimizing geodesic between the given points."""
 
 
-class NotInTube(TubescoreError):
-    """Sample was flagged as outside the tube; the requested target is undefined."""
-
-
 class QuadratureNotConverged(TubescoreError):
     """Quadrature refinement hit the node cap before reaching the requested tolerance."""
 

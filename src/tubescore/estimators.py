@@ -25,48 +25,15 @@ RB_SUBSAMPLE = 20_000
 CALIBRATION_FACTORS = (0.5, 1.0, 1.41, 2.0, 2.83)
 
 
-# ---------------------------------------------------------------------------
-# data container
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """In-tube corrupted samples with their raw tangent targets.
-
-    foot[i] is the tube projection of noisy draw i and targets[i] the raw
-    tangent target at that foot; rows outside the tube were dropped and
-    counted in n_discarded.
-    """
-
-    density: DensityModel
-    sigma: float
-    foot: np.ndarray
-    targets: np.ndarray
-    n_discarded: int
-    seed: int | None = None
-
-    @property
-    def manifold(self) -> Manifold:
-        return self.density.manifold
-
-    def __len__(self) -> int:
-        return self.foot.shape[0]
-
-    @classmethod
-    def from_batch(cls, batch: CorruptedBatch) -> "Dataset":
-        keep = batch.in_tube
-        targets = batch.raw_targets()[keep]
-        return cls(batch.density, batch.sigma, batch.foot[keep],
-                   targets, int(np.sum(~keep)), batch.seed)
-
-    def permuted(self, order: np.ndarray) -> "Dataset":
-        return Dataset(self.density, self.sigma, self.foot[order],
-                       self.targets[order], self.n_discarded, self.seed)
-
-
-def collect(q: DensityModel, sigma: float, n: int, seed: int) -> Dataset:
+def collect(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
     """Draw n corrupted samples and keep the in-tube ones."""
-    return Dataset.from_batch(corrupt(q, sigma, n, seed))
+    return corrupt(q, sigma, n, seed).kept()
+
+
+def _require_kept(data: CorruptedBatch) -> CorruptedBatch:
+    if not data.in_tube.all():
+        raise ConfigError("estimators take in-tube rows; pass batch.kept()")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +70,7 @@ def window_cap(M: Manifold) -> float:
     return 0.5 * M.injectivity_radius
 
 
-def local_average(data: Dataset, z: np.ndarray,
+def local_average(data: CorruptedBatch, z: np.ndarray,
                   bandwidths) -> tuple[np.ndarray, np.ndarray]:
     """Kernel-weighted averages of the targets at K bandwidths, moved to z.
 
@@ -117,7 +84,7 @@ def local_average(data: Dataset, z: np.ndarray,
     up to window_cap; EmptyWindow is raised when it is still empty there,
     or when every in-window foot sits at the cut locus.
     """
-    M = data.manifold
+    M = _require_kept(data).manifold
     z = np.asarray(z, dtype=float)
     if (z.shape != (M.ambient_dim,)
             or not M.constraint_residual_batch(z[None, :])[0] <= POINT_ATOL):
@@ -160,8 +127,10 @@ class RiskEstimate:
     n: int
 
 
-def _field_values(values, foot: np.ndarray) -> np.ndarray:
+def _field_values(values, data: CorruptedBatch) -> np.ndarray:
+    """Field values at the feet of data, one row per sample."""
     vals = np.asarray(values, dtype=float)
+    foot = _require_kept(data).foot
     if vals.shape != foot.shape:
         raise ConfigError(
             f"field values have shape {vals.shape}, expected {foot.shape}")
@@ -179,12 +148,12 @@ def score_field(q: DensityModel, scale: float = 1.0):
     return h
 
 
-def projected_risk(data: Dataset, values: np.ndarray) -> RiskEstimate:
+def projected_risk(data: CorruptedBatch, values: np.ndarray) -> RiskEstimate:
     """Monte Carlo estimate of E || T - h(foot) ||^2 with standard error.
 
     values holds h at the feet, one row per sample of data.
     """
-    vals = _field_values(values, data.foot)
+    vals = _field_values(values, data)
     sq = np.sum((data.targets - vals) ** 2, axis=1)
     n = sq.size
     se = sq.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
@@ -206,7 +175,7 @@ class PairedGap:
         return abs(self.gap_mean) / self.gap_se if self.gap_se > 0 else np.inf
 
 
-def pythagorean_gap(data: Dataset, h_values: np.ndarray,
+def pythagorean_gap(data: CorruptedBatch, h_values: np.ndarray,
                     r_values: np.ndarray) -> PairedGap:
     """Paired check of risk(h) = risk(rb) + E||rb - h||^2.
 
@@ -216,8 +185,8 @@ def pythagorean_gap(data: Dataset, h_values: np.ndarray,
     pairing keeps the standard error far below the sizes of the individual
     terms.
     """
-    h_vals = _field_values(h_values, data.foot)
-    r_vals = _field_values(r_values, data.foot)
+    h_vals = _field_values(h_values, data)
+    r_vals = _field_values(r_values, data)
     p = (np.sum((data.targets - h_vals) ** 2, axis=1)
          - np.sum((data.targets - r_vals) ** 2, axis=1)
          - np.sum((r_vals - h_vals) ** 2, axis=1))
@@ -260,30 +229,32 @@ def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
     """Second moments of the raw and conditioned targets across sigma.
 
     The raw column uses all in-tube draws; the conditioned column evaluates
-    the quadrature target at a fixed-size subsample of the feet (the oracle
+    the quadrature target at the first rb_subsample in-tube feet (the oracle
     call dominates the cost and its Monte Carlo error is tiny next to the
-    15 percent tolerance the flatness check uses).
+    15 percent tolerance the flatness check uses).  The result's
+    rb_subsample is the fewest feet any row used.
     """
     sigmas = np.asarray(list(sigma_grid), dtype=float)
     if sigmas.size < 2:
         raise ConfigError("sigma grid needs at least two points")
     raw_m, rb_m, raw_se, rb_se, disc = [], [], [], [], []
+    used = rb_subsample
     for i, sig in enumerate(sigmas):
         data = collect(q, float(sig), n, _cell_seed(seed, "sweep.variance", i))
         sq = np.sum(data.targets ** 2, axis=1)
         raw_m.append(sq.mean())
         raw_se.append(sq.std(ddof=1) / np.sqrt(sq.size))
-        feet = data.foot[:min(rb_subsample, len(data))]
+        feet = data.foot[:rb_subsample]
+        used = min(used, len(feet))
         r = RBOracle(q, float(sig)).target_coords(feet)
         rsq = np.sum(r ** 2, axis=1)
         rb_m.append(rsq.mean())
         rb_se.append(rsq.std(ddof=1) / np.sqrt(rsq.size))
-        disc.append(data.n_discarded)
+        disc.append(data.n_outside)
     slope = float(np.polyfit(np.log(sigmas), np.log(raw_m), 1)[0])
     return VarianceSweepResult(
         sigmas, np.array(raw_m), np.array(rb_m), np.array(raw_se),
-        np.array(rb_se), np.array(disc, dtype=int), slope, n,
-        min(rb_subsample, n))
+        np.array(rb_se), np.array(disc, dtype=int), slope, n, used)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +301,7 @@ def bandwidth_mse(q: DensityModel, sigma: float, n: int, bandwidths,
             est[:, j], doublings = local_average(data, z, hs)
             widened += int(doublings.sum())
         per_rep[:, rep] = np.mean(np.sum((est - r_true) ** 2, axis=2), axis=1)
+        del data  # free this draw before collect makes the next one
     se = (per_rep.std(axis=1, ddof=1) / np.sqrt(repetitions)
           if repetitions > 1 else np.zeros(hs.size))
     return per_rep.mean(axis=1), se, widened
@@ -353,57 +325,6 @@ def calibrate_bandwidth(q: DensityModel, sigma: float, n: int,
                                     label="sweep.mse.calib")
     best = float(grid[int(np.argmin(mse))])
     return best / (1.0 / (sigma**2 * n)) ** (1.0 / (d + 2)), widened
-
-
-@dataclass(frozen=True)
-class MSESweepResult:
-    n_grid: np.ndarray
-    h_used: np.ndarray
-    mse: np.ndarray
-    se: np.ndarray
-    slope: float
-    c: float
-    widened: int
-
-
-def mse_sweep(q: DensityModel, sigma: float, n_grid: Sequence[int],
-              h_rule="optimal", repetitions: int = 20, seed: int = 0, *,
-              n_probes: int = 8, probes: np.ndarray | None = None,
-              calibration_factors=CALIBRATION_FACTORS) -> MSESweepResult:
-    """Mean squared error of the local average against the quadrature target.
-
-    h_rule is "optimal" for the rate-matched bandwidth c*(1/(sigma^2 n))
-    ** (1/(d+2)) with c picked by calibrate_bandwidth at the smallest n, a
-    float for a fixed bandwidth, or a callable n -> h.  Probes are fixed
-    across cells so the sweep isolates the estimation error.
-    """
-    ns = np.asarray(sorted(int(v) for v in n_grid), dtype=int)
-    if ns.size == 0 or ns[0] < 1:
-        raise ConfigError("n grid must hold positive sample counts")
-    if probes is None:
-        probes = probe_points(q, seed, n_probes)
-    r_true = RBOracle(q, sigma).target_coords(probes)
-    d = q.manifold.intrinsic_dim
-
-    c, widened = np.nan, 0
-    if h_rule == "optimal":
-        c, widened = calibrate_bandwidth(
-            q, sigma, int(ns[0]), probes, r_true, repetitions=repetitions,
-            seed=seed, factors=calibration_factors)
-        hs = np.array([optimal_bandwidth(c, sigma, n, d) for n in ns])
-    else:
-        # local_average refuses a bandwidth that is not positive
-        hs = np.array([float(h_rule(int(n)) if callable(h_rule) else h_rule)
-                       for n in ns])
-    mses, ses = np.empty(ns.size), np.empty(ns.size)
-    for i, n in enumerate(ns):
-        (mses[i],), (ses[i],), w = bandwidth_mse(
-            q, sigma, int(n), hs[i], probes, r_true,
-            repetitions=repetitions, seed=seed, label=f"sweep.mse.{i}")
-        widened += w
-    slope = (float(np.polyfit(np.log(ns), np.log(mses), 1)[0])
-             if ns.size > 1 else np.nan)
-    return MSESweepResult(ns, hs, mses, ses, slope, float(c), widened)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +367,17 @@ class CoarseningResult:
         return (self.fiber_term, self.coarsening_term, self.approx_term)
 
 
-def _calibration_target(calibration: Dataset | None,
+def _calibration_target(calibration: CorruptedBatch | None,
                         r_calibration: np.ndarray | None,
                         kind: str) -> np.ndarray:
     if calibration is None or r_calibration is None:
         raise ConfigError(f"{kind} coarsening needs a calibration batch "
                           "and its quadrature target")
-    return _field_values(r_calibration, calibration.foot)
+    return _field_values(r_calibration, calibration)
 
 
-def coarsening_check(data: Dataset, coarse_stat, *, r: np.ndarray,
-                     calibration: Dataset | None = None,
+def coarsening_check(data: CorruptedBatch, coarse_stat, *, r: np.ndarray,
+                     calibration: CorruptedBatch | None = None,
                      r_calibration: np.ndarray | None = None,
                      eta: np.ndarray | None = None) -> CoarseningResult:
     """Estimate the three-term decomposition for a coarsening S of the foot.
@@ -471,7 +392,7 @@ def coarsening_check(data: Dataset, coarse_stat, *, r: np.ndarray,
     fixed function.  eta is the S-measurable field under test, given as
     values at the evaluation feet; None means zero.
     """
-    r_eval = _field_values(r, data.foot)
+    r_eval = _field_values(r, data)
     if coarse_stat == "identity":
         eta_s = r_eval
     elif coarse_stat == "constant":
@@ -496,7 +417,7 @@ def coarsening_check(data: Dataset, coarse_stat, *, r: np.ndarray,
     if eta is None:
         eta_vals = np.zeros_like(r_eval)
     else:
-        eta_vals = _field_values(eta, data.foot)
+        eta_vals = _field_values(eta, data)
 
     t = data.targets
     a = np.sum((t - r_eval) ** 2, axis=1)

@@ -6,7 +6,7 @@ from .base import (
     ensure_same_manifold,
     wrap_angle,
 )
-from .curvature import CurvatureBundle, build_bundle
+from .curvature import CurvatureBundle
 from .plane import AffinePlane
 from .quadrature import QuadratureGrid, gauss_legendre
 from .sphere import Sphere
@@ -21,7 +21,6 @@ __all__ = [
     "QuadratureGrid",
     "Sphere",
     "TangentVector",
-    "build_bundle",
     "ensure_same_manifold",
     "gauss_legendre",
     "wrap_angle",

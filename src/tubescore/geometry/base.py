@@ -183,11 +183,13 @@ class Manifold(abc.ABC):
 
     @abc.abstractmethod
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
-        """Coefficients h[a, i, j] = <II(e_i, e_j), n_a> in the frames above."""
+        """Coefficients h[n, a, i, j] = <II(e_i, e_j), n_a> at rows ``z``,
+        in the frames of :meth:`frames_batch`, shape (n, D - d, d, d)."""
 
     @abc.abstractmethod
     def ricci_matrix(self, z: np.ndarray) -> np.ndarray:
-        """Intrinsic Ricci operator in the tangent frame, shape (d, d)."""
+        """Intrinsic Ricci operator at rows ``z`` in the tangent rows of
+        :meth:`frames_batch`, shape (n, d, d)."""
 
     @abc.abstractmethod
     def fiber_from_coeffs(self, m: np.ndarray, sigma: float) -> np.ndarray:
@@ -290,13 +292,6 @@ class Manifold(abc.ABC):
         ensure_same_manifold(self, y.manifold)
         return float(self.distance_to_batch(y.coords[None, :], z.coords)[0])
 
-    def chord_map(self, z: ManifoldPoint, v: TangentVector) -> TangentVector:
-        """Tangential part of Exp_z(v) - z, as a vector in T_zM."""
-        y = self.exp_map(z, v)
-        chord = y.coords - z.coords
-        tang = self.tangent_project_batch(z.coords[None, :], chord[None, :])[0]
-        return TangentVector(z, tang)
-
     def fiber_factor(self, z: ManifoldPoint, m, sigma: float) -> float:
         """Fiber average of the tube Jacobian for a normal offset ``m`` at ``z``."""
         ensure_same_manifold(self, z.manifold)
@@ -312,7 +307,8 @@ class Manifold(abc.ABC):
         # Underflow guard keeps downstream log-domain accumulation finite.
         return max(value, 1e-300)
 
-    def curvature_bundle(self, z: ManifoldPoint):
+    def curvature_bundle(self, z: np.ndarray):
+        """Curvature data at the coordinate rows ``z``."""
         from .curvature import build_bundle
 
         return build_bundle(self, z)

@@ -123,11 +123,11 @@ class AffinePlane(Manifold):
 
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
         d = self.intrinsic_dim
-        return np.zeros((self.codim, d, d))
+        return np.zeros((z.shape[0], self.codim, d, d))
 
     def ricci_matrix(self, z: np.ndarray) -> np.ndarray:
         d = self.intrinsic_dim
-        return np.zeros((d, d))
+        return np.zeros((z.shape[0], d, d))
 
     def fiber_from_coeffs(self, m: np.ndarray, sigma: float) -> np.ndarray:
         return np.ones(m.shape[0])

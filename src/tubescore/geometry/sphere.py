@@ -120,11 +120,13 @@ class Sphere(Manifold):
         return z[None, :].copy()
 
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
-        # II(u, v) = -<u, v> z for the outward normal frame [z].
-        return -np.eye(self._dim)[None, :, :]
+        # II(u, v) = -<u, v> z for the outward normal row z.
+        d = self._dim
+        return np.broadcast_to(-np.eye(d), (z.shape[0], 1, d, d))
 
     def ricci_matrix(self, z: np.ndarray) -> np.ndarray:
-        return (self._dim - 1.0) * np.eye(self._dim)
+        d = self._dim
+        return np.broadcast_to((d - 1.0) * np.eye(d), (z.shape[0], d, d))
 
     def fiber_from_coeffs(self, m: np.ndarray, sigma: float) -> np.ndarray:
         a = 1.0 + m[:, 0]

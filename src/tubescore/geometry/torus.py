@@ -167,10 +167,10 @@ class FlatTorus(Manifold):
         h = np.zeros((2, 2, 2))
         h[0, 0, 0] = -1.0 / self._r[0]
         h[1, 1, 1] = -1.0 / self._r[1]
-        return h
+        return np.broadcast_to(h, (z.shape[0], 2, 2, 2))
 
     def ricci_matrix(self, z: np.ndarray) -> np.ndarray:
-        return np.zeros((2, 2))
+        return np.zeros((z.shape[0], 2, 2))
 
     def fiber_from_coeffs(self, m: np.ndarray, sigma: float) -> np.ndarray:
         # det(I - W_u) = (1 + u1/R1)(1 + u2/R2): linear per independent

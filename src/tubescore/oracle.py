@@ -48,7 +48,6 @@ from .geometry import (
     Manifold,
     ManifoldPoint,
     Sphere,
-    TangentVector,
     ensure_same_manifold,
 )
 from .geometry.quadrature import gauss_legendre
@@ -225,11 +224,6 @@ class RBOracle:
 
     # ---- evaluation ------------------------------------------------------
 
-    def target(self, z: ManifoldPoint) -> TangentVector:
-        ensure_same_manifold(self.manifold, z.manifold)
-        out = self.target_coords(z.coords[None])[0]
-        return TangentVector(z, out)
-
     def target_coords(self, queries: np.ndarray) -> np.ndarray:
         """Conditional targets for query rows, as ambient tangent rows."""
         queries = np.asarray(queries, dtype=float)
@@ -320,76 +314,80 @@ class RBOracle:
         self.convergence_report = rep
 
 
-def rb_target(z: ManifoldPoint, q: DensityModel, sigma: float, *,
-              rel_tol: float = DEFAULT_REL_TOL) -> TangentVector:
-    """Conditional tangent target at one point, with its error estimate
-    checked against ``rel_tol``."""
-    ensure_same_manifold(q.manifold, z.manifold)
-    return RBOracle(q, sigma, rel_tol=rel_tol).target(z)
-
-
 # ---------------------------------------------------------------------------
-# sigma^2 expansion
+# sigma^2 expansion, on coordinate rows
 
 
 @dataclass(frozen=True)
 class ExpansionTerms:
-    """Closed-form pieces of the small-sigma expansion of the target."""
+    """Closed-form pieces of the small-sigma expansion of the target, as
+    ambient tangent rows, one per query row."""
 
-    score: TangentVector
-    tweedie: TangentVector
-    extrinsic: TangentVector
-    predicted: TangentVector
+    score: np.ndarray
+    tweedie: np.ndarray
+    extrinsic: np.ndarray
+    predicted: np.ndarray
     sigma: float
 
 
-def extrinsic_term(z: ManifoldPoint, q: DensityModel) -> TangentVector:
-    """Curvature correction (W_H/2 - Ric) applied to the score."""
-    ensure_same_manifold(q.manifold, z.manifold)
-    bundle = q.manifold.curvature_bundle(z)
-    return TangentVector(z, bundle.apply_extrinsic(q.score(z).vec))
+def extrinsic_term(z: np.ndarray, q: DensityModel) -> np.ndarray:
+    """Curvature correction (W_H/2 - Ric) applied to the score at rows z."""
+    return q.manifold.curvature_bundle(z).apply_extrinsic(q.score_batch(z))
 
 
-def predicted_expansion(z: ManifoldPoint, q: DensityModel, sigma: float) -> ExpansionTerms:
-    score = q.score(z)
-    tweedie = q.tweedie_term(z)
+def predicted_expansion(z: np.ndarray, q: DensityModel, sigma: float) -> ExpansionTerms:
+    score = q.score_batch(z)
+    tweedie = q.tweedie_batch(z)
     extrinsic = extrinsic_term(z, q)
-    predicted = TangentVector(
-        z, score.vec + sigma**2 * (tweedie.vec + extrinsic.vec))
     return ExpansionTerms(score=score, tweedie=tweedie, extrinsic=extrinsic,
-                          predicted=predicted, sigma=float(sigma))
+                          predicted=score + sigma**2 * (tweedie + extrinsic),
+                          sigma=float(sigma))
 
 
 class ExtrinsicFit(NamedTuple):
-    """Scalar curvature coefficient plus the off-axis remainder."""
+    """Fitted and predicted curvature coefficients plus the off-axis
+    remainders, one per query row."""
 
-    alpha: float
-    orthogonal: float
+    alpha: np.ndarray
+    alpha_pred: np.ndarray
+    orthogonal: np.ndarray
     sigma: float
 
 
-def extract_extrinsic_coefficient(z: ManifoldPoint, q: DensityModel,
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products, each with the bits of the 1-D ``a[i] @ b[i]`` (a
+    BLAS dot), so a fit at one row reads the same as the single-point fit
+    did; ``geometry.base.row_dots`` sums in another order."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def extract_extrinsic_coefficient(z: np.ndarray, q: DensityModel,
                                   sigma: float) -> ExtrinsicFit:
     """Project (target - score - sigma^2 tweedie) / sigma^2 onto the score.
 
     The scalar part recovers the dimensionless curvature coefficient on
     geometries where the extrinsic operator is a multiple of the identity;
     elsewhere the orthogonal remainder (same normalization) is diagnostic.
+    ``alpha_pred`` is the score-aligned part of the extrinsic term, the
+    coefficient the operator predicts.  Raises DegenerateScore when any
+    row's score vanishes.
     """
     sigma = check_sigma(sigma)
-    s = q.score(z).vec
-    s_norm_sq = float(s @ s)
-    if s_norm_sq < 1e-6:
+    s = q.score_batch(z)
+    s_norm_sq = _row_dots(s, s)
+    if np.any(s_norm_sq < 1e-6):
         raise DegenerateScore(
-            f"score norm {math.sqrt(s_norm_sq):.2e} below 1e-3; "
+            f"score norm {math.sqrt(s_norm_sq.min()):.2e} below 1e-3; "
             "the coefficient direction is undefined")
-    r = rb_target(z, q, sigma).vec
-    resid = r - s - sigma**2 * q.tweedie_term(z).vec
-    alpha = float(resid @ s) / (sigma**2 * s_norm_sq)
-    orth = resid - (float(resid @ s) / s_norm_sq) * s
-    return ExtrinsicFit(alpha=alpha,
-                        orthogonal=float(np.linalg.norm(orth)) / (sigma**2 * math.sqrt(s_norm_sq)),
-                        sigma=sigma)
+    r = RBOracle(q, sigma).target_coords(z)
+    resid = r - s - sigma**2 * q.tweedie_batch(z)
+    along = _row_dots(resid, s)
+    orth = resid - (along / s_norm_sq)[:, None] * s
+    return ExtrinsicFit(
+        alpha=along / (sigma**2 * s_norm_sq),
+        alpha_pred=_row_dots(extrinsic_term(z, q), s) / s_norm_sq,
+        orthogonal=np.sqrt(_row_dots(orth, orth)) / (sigma**2 * np.sqrt(s_norm_sq)),
+        sigma=sigma)
 
 
 def score_second_moment(q: DensityModel) -> float:

@@ -1,5 +1,4 @@
-"""Gaussian corruption of manifold-supported latents and per-sample
-denoising targets.
+"""Gaussian corruption of manifold-supported latents, as coordinate rows.
 
 A draw is X = Z + sigma * xi with xi standard normal in the ambient space.
 The raw tangent target at the foot point z = pi(X) is
@@ -7,122 +6,77 @@ The raw tangent target at the foot point z = pi(X) is
     T = (1/sigma^2) P_T(z) (Z - z),
 
 and the logmap variant replaces the projected chord with Exp_z^{-1}(Z).
-Samples whose noise leaves the projection tube are flagged, never dropped:
-conditional statistics exclude them and report the count.
+Draws whose noise leaves the projection tube are flagged in a mask;
+statistics run on the kept rows and report the count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .densities import DensityModel
-from .errors import ConfigError, CutLocus, ManifoldMismatch, NotInTube
-from .geometry import AffinePlane, ManifoldPoint, TangentVector
+from .errors import ConfigError, ManifoldMismatch
+from .geometry import AffinePlane, Manifold
 from .rng import derive_rng, shard_sizes
 
 
-class OutsideTubeMarker:
-    """Singleton placeholder for the foot point of a flagged sample."""
+@dataclass(frozen=True, eq=False)
+class CorruptedBatch:
+    """Corrupted draws, one row each.
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OUTSIDE_TUBE"
-
-
-OUTSIDE_TUBE = OutsideTubeMarker()
-
-
-@dataclass(frozen=True)
-class CorruptedSample:
-    """One corrupted draw: latent Z, noisy X, and the derived foot point."""
-
-    Z: ManifoldPoint
-    X: np.ndarray
-    sigma: float
-    projected: object  # ManifoldPoint, or OUTSIDE_TUBE when flagged
-    in_tube: bool
-
-    @property
-    def manifold(self):
-        return self.Z.manifold
-
-    @property
-    def T(self) -> TangentVector:
-        return raw_tangent_target(self)
-
-
-class CorruptedBatch(Sequence):
-    """Array-backed sequence of CorruptedSample views.
-
-    The noisy draws and their projections are stored as dense arrays so the
-    estimators can stay vectorized; indexing materializes a per-sample view.
+    Row i holds the latent Z_i (``latents``), the noisy draw X_i
+    (``noisy``), its tube projection (``foot``) and the raw tangent target
+    there (``targets``).  ``in_tube`` is False where X_i left the tube: that
+    row's foot is an arbitrary valid point and its target meaningless, so
+    statistics run on ``kept()``.  ``n_outside`` counts the draws that left
+    the tube, the rows ``kept()`` dropped included.
     """
 
-    def __init__(self, density: DensityModel, sigma: float, seed: int,
-                 latents: np.ndarray, noisy: np.ndarray,
-                 foot: np.ndarray, normal_dist: np.ndarray, in_tube: np.ndarray):
-        self.density = density
-        self.manifold = density.manifold
-        self.sigma = float(sigma)
-        self.seed = seed
-        self.latents = latents
-        self.noisy = noisy
-        self.foot = foot
-        self.normal_dist = normal_dist
-        self.in_tube = in_tube
+    density: DensityModel
+    sigma: float
+    latents: np.ndarray
+    noisy: np.ndarray
+    foot: np.ndarray
+    targets: np.ndarray
+    in_tube: np.ndarray
+    n_dropped: int = 0
+
+    @classmethod
+    def from_draws(cls, density: DensityModel, sigma: float,
+                   latents: np.ndarray, noisy: np.ndarray) -> "CorruptedBatch":
+        """Project noisy rows to their feet and form the raw targets."""
+        M = density.manifold
+        foot, _, in_tube = M.project_batch(noisy)
+        targets = M.tangent_project_batch(foot, latents - foot) / sigma**2
+        return cls(density, float(sigma), latents, noisy, foot, targets,
+                   in_tube)
+
+    @property
+    def manifold(self) -> Manifold:
+        return self.density.manifold
 
     def __len__(self) -> int:
-        return self.latents.shape[0]
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [self[i] for i in range(*idx.indices(len(self)))]
-        i = int(idx)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(idx)
-        ok = bool(self.in_tube[i])
-        return CorruptedSample(
-            Z=self.manifold.point(self.latents[i]),
-            X=self.noisy[i].copy(),
-            sigma=self.sigma,
-            projected=self.manifold.point(self.foot[i]) if ok else OUTSIDE_TUBE,
-            in_tube=ok,
-        )
+        return self.foot.shape[0]
 
     @property
     def n_outside(self) -> int:
-        return int(np.sum(~self.in_tube))
+        return self.n_dropped + int(np.count_nonzero(~self.in_tube))
 
-    def raw_targets(self) -> np.ndarray:
-        """Raw tangent targets, one ambient row per sample.
-
-        Rows are populated for every sample (the projection formula is
-        defined almost everywhere); statistics must filter by ``in_tube``.
-        """
-        chord = self.latents - self.foot
-        tang = self.manifold.tangent_project_batch(self.foot, chord)
-        return tang / self.sigma**2
+    def kept(self) -> "CorruptedBatch":
+        """The in-tube rows, with the dropped ones counted in n_outside."""
+        m = self.in_tube
+        if m.all():
+            return self
+        return CorruptedBatch(self.density, self.sigma, self.latents[m],
+                              self.noisy[m], self.foot[m], self.targets[m],
+                              m[m], self.n_outside)
 
     def logmap_targets(self) -> tuple[np.ndarray, np.ndarray]:
         """Logmap targets and a validity mask (in tube and inside injectivity)."""
         v, ok = self.manifold.log_batch(self.foot, self.latents)
         return v / self.sigma**2, ok & self.in_tube
-
-    def subset(self, mask: np.ndarray) -> "CorruptedBatch":
-        return CorruptedBatch(self.density, self.sigma, self.seed,
-                              self.latents[mask], self.noisy[mask],
-                              self.foot[mask], self.normal_dist[mask],
-                              self.in_tube[mask])
 
 
 def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
@@ -133,43 +87,18 @@ def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
     """
     if sigma <= 0:
         raise ConfigError("sigma must be positive")
-    M = q.manifold
-    lat_blocks, noise_blocks = [], []
-    for i, size in enumerate(shard_sizes(n)):
-        lat = q.sample_coords(size, derive_rng(seed, "targets.latent", i))
-        xi = derive_rng(seed, "targets.noise", i).standard_normal((size, M.ambient_dim))
-        lat_blocks.append(lat)
-        noise_blocks.append(xi)
-    if lat_blocks:
-        latents = np.concatenate(lat_blocks, axis=0)
-        noisy = latents + sigma * np.concatenate(noise_blocks, axis=0)
-    else:
-        latents = np.empty((0, M.ambient_dim))
-        noisy = latents.copy()
-    foot, dist, in_tube = M.project_batch(noisy)
-    return CorruptedBatch(q, sigma, seed, latents, noisy, foot, dist, in_tube)
-
-
-def raw_tangent_target(s: CorruptedSample) -> TangentVector:
-    """T = (1/sigma^2) P_T(pi(X)) (Z - pi(X)) at the foot point."""
-    if not s.in_tube:
-        raise NotInTube("sample was flagged outside the projection tube")
-    z = s.projected
-    M = s.manifold
-    chord = s.Z.coords - z.coords
-    tang = M.tangent_project_batch(z.coords[None], chord[None])[0]
-    return TangentVector(z, tang / s.sigma**2)
-
-
-def logmap_target(s: CorruptedSample) -> TangentVector:
-    """The intrinsic variant Exp_{pi(X)}^{-1}(Z) / sigma^2."""
-    if not s.in_tube:
-        raise NotInTube("sample was flagged outside the projection tube")
-    z = s.projected
-    v, ok = s.manifold.log_batch(z.coords[None], s.Z.coords[None])
-    if not ok[0]:
-        raise CutLocus("latent is beyond the injectivity radius of the foot point")
-    return TangentVector(z, v[0] / s.sigma**2)
+    D = q.manifold.ambient_dim
+    sizes = shard_sizes(n)
+    latents, noisy = np.empty((n, D)), np.empty((n, D))
+    start = 0
+    for i, size in enumerate(sizes):
+        rows = slice(start, start + size)
+        latents[rows] = q.sample_coords(size, derive_rng(seed, "targets.latent", i))
+        noisy[rows] = derive_rng(seed, "targets.noise", i).standard_normal((size, D))
+        start += size
+    noisy *= sigma
+    noisy += latents
+    return CorruptedBatch.from_draws(q, sigma, latents, noisy)
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +141,5 @@ def flat_reduction_residuals(batch: CorruptedBatch,
     g = flat_ambient_field(plane, h, batch.noisy, batch.sigma)
     lhs = np.sum((y - g) ** 2, axis=-1)
     fitted = plane.tangent_project_batch(batch.foot, np.asarray(h(batch.foot), dtype=float))
-    rhs = np.sum((batch.raw_targets() - fitted) ** 2, axis=-1)
-    return lhs, rhs
-
-
-def flat_reduction_residual(s: CorruptedSample,
-                            h: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-    plane = s.manifold
-    if not isinstance(plane, AffinePlane):
-        raise ManifoldMismatch("flat reduction applies to affine planes only")
-    y = (s.Z.coords - s.X) / s.sigma**2
-    g = flat_ambient_field(plane, h, s.X, s.sigma)
-    lhs = float(np.sum((y - g) ** 2))
-    fitted = plane.tangent_project_batch(s.projected.coords[None],
-                                         np.asarray(h(s.projected.coords[None]), dtype=float))[0]
-    rhs = float(np.sum((s.T.vec - fitted) ** 2))
+    rhs = np.sum((batch.targets - fitted) ** 2, axis=-1)
     return lhs, rhs

@@ -28,3 +28,24 @@ def rng():
 def random_tangent(manifold, z, rng, scale=1.0):
     basis = manifold.tangent_basis(z.coords)
     return manifold.tangent(z, (scale * rng.standard_normal(manifold.intrinsic_dim)) @ basis)
+
+
+def fd_gradient(fn, manifold, z, step=1e-4):
+    """Central geodesic differences of the row function ``fn`` at the point
+    row ``z``, along the tangent basis, as an ambient tangent vector."""
+    basis = manifold.tangent_basis(z)
+    steps = np.concatenate([step * basis, -step * basis])
+    vals = fn(manifold.exp_batch(np.broadcast_to(z, steps.shape), steps))
+    d = basis.shape[0]
+    return ((vals[:d] - vals[d:]) / (2.0 * step)) @ basis
+
+
+def fd_laplacian(fn, manifold, z, step=1e-3):
+    """Geodesic second differences of the row function ``fn`` at the point
+    row ``z``, summed over the tangent basis."""
+    basis = manifold.tangent_basis(z)
+    steps = np.concatenate([step * basis, -step * basis])
+    vals = fn(manifold.exp_batch(np.broadcast_to(z, steps.shape), steps))
+    d = basis.shape[0]
+    mid = fn(z[None])[0]
+    return float(np.sum(vals[:d] - 2.0 * mid + vals[d:]) / step**2)

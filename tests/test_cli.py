@@ -288,6 +288,20 @@ class TestMainSuccess:
         cfg = json.loads(header[0][len("# config: "):])
         assert cfg["n"] == 2000 and cfg["seed"] == 7
 
+    def test_variance_reports_feet_used(self, capsys):
+        # rb_subsample is the number of feet the conditioned column used:
+        # the rows discarded 7 and 150 of 2000 draws, so the second row
+        # queried the oracle at 1850 feet
+        code, out, _ = run_cli(capsys, "variance-collapse",
+                               "--sigma", "0.3,0.5", "--n", "2000",
+                               "--seed", "0")
+        assert code == 0
+        lines = [l for l in out.strip().split("\n")
+                 if not l.startswith("#")]
+        discards = [int(l.split(",")[-1]) for l in lines[1:]]
+        assert discards == [7, 150]
+        assert "# rb_subsample: 1850" in out.split("\n")
+
     def test_extrinsic_single_manifold(self, capsys):
         code, out, _ = run_cli(capsys, "extrinsic-coef", "--manifold",
                                "sphere1", "--sigma", "0.05",

@@ -5,15 +5,14 @@ import pytest
 from tubescore.densities import IsotropicGaussian, Uniform, VonMisesFisher
 from tubescore.errors import ConfigError, EmptyWindow, ManifoldMismatch
 from tubescore.estimators import (
-    Dataset,
     KernelSpec,
     bandwidth_mse,
+    calibrate_bandwidth,
     coarsening_check,
     collect,
     equal_mass_bins,
     first_coordinate_bins,
     local_average,
-    mse_sweep,
     optimal_bandwidth,
     probe_points,
     projected_risk,
@@ -25,7 +24,7 @@ from tubescore.estimators import (
 )
 from tubescore.geometry import AffinePlane, Sphere
 from tubescore.oracle import RBOracle
-from tubescore.targets import flat_reduction_residuals, corrupt
+from tubescore.targets import CorruptedBatch, corrupt, flat_reduction_residuals
 
 S2 = Sphere(2)
 MU = np.array([0.0, 0.0, 1.0])
@@ -51,13 +50,30 @@ def r_data(data, oracle):
     return oracle.target_coords(data.foot)
 
 
+def take(data, idx):
+    """The rows idx of a batch, as a batch of their own."""
+    return CorruptedBatch(data.density, data.sigma, data.latents[idx],
+                          data.noisy[idx], data.foot[idx], data.targets[idx],
+                          data.in_tube[idx])
+
+
+def single_foot(q, foot, target):
+    """A one-row batch whose foot and target are given directly."""
+    foot = np.array([foot], float)
+    return CorruptedBatch(q, 0.1, foot, foot, foot, np.array([target], float),
+                          np.ones(1, bool))
+
+
 class TestDataset:
     def test_in_tube_filter_and_counts(self, vmf2):
-        batch = corrupt(vmf2, 0.2, 5000, 3)
-        ds = Dataset.from_batch(batch)
-        assert len(ds) + ds.n_discarded == 5000
-        assert ds.n_discarded == batch.n_outside
+        batch = corrupt(vmf2, 0.4, 5000, 3)
+        ds = batch.kept()
+        assert len(ds) + ds.n_outside == 5000
+        assert ds.n_outside == batch.n_outside > 0
         assert ds.foot.shape == ds.targets.shape
+        # estimators refuse rows that left the tube
+        with pytest.raises(ConfigError, match="kept"):
+            projected_risk(batch, batch.targets)
 
     def test_collect_deterministic(self, vmf2):
         a = collect(vmf2, 0.1, 1000, 5)
@@ -69,7 +85,7 @@ class TestDataset:
         plane = AffinePlane.axis_aligned(2, 4)
         q = IsotropicGaussian(plane, [0.0, 0.0], 1.0)
         ds = collect(q, 0.3, 2000, 7)
-        assert ds.n_discarded == 0 and len(ds) == 2000
+        assert ds.n_outside == 0 and len(ds) == 2000
 
 
 class TestKernel:
@@ -93,17 +109,16 @@ def average(data, z, h):
 
 
 class TestLocalAverage:
-    def test_single_sample_at_probe(self, vmf2, data):
+    def test_single_sample_at_probe(self, data):
         z = S2.point(data.foot[0])
-        one = Dataset(vmf2, 0.1, data.foot[:1], data.targets[:1], 0)
-        est = average(one, z, 0.5)
+        est = average(take(data, slice(0, 1)), z, 0.5)
         assert np.allclose(est, data.targets[0], atol=1e-12)
 
     def test_permutation_invariance(self, data):
         z = S2.point(np.array([1.0, 0.0, 0.0]))
         order = np.random.default_rng(0).permutation(len(data))
         a = average(data, z, 0.4)
-        b = average(data.permuted(order), z, 0.4)
+        b = average(take(data, order), z, 0.4)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_estimate_is_tangent(self, data):
@@ -122,7 +137,7 @@ class TestLocalAverage:
 
     def test_error_decreases_with_n(self, vmf2, oracle):
         z = S2.point(np.array([1.0, 0.0, 0.0]))
-        r = oracle.target(z).vec
+        r = oracle.target_coords(z.coords[None])[0]
         errs = []
         for n in (1000, 10_000, 100_000):
             per_rep = []
@@ -138,12 +153,10 @@ class TestLocalAverage:
         # every foot lies beyond the widening cap (pi/2 on S^2) of z
         assert window_cap(S2) == pytest.approx(np.pi / 2)
         far = S2.distance_to_batch(data.foot, z.coords) > np.pi / 2 + 0.05
-        ds = Dataset(vmf2, 0.1, data.foot[far], data.targets[far], 0)
         with pytest.raises(EmptyWindow):
-            local_average(ds, z.coords, [1e-4])
+            local_average(take(data, far), z.coords, [1e-4])
         # a window that holds only the cut locus of z has no estimate
-        anti = Dataset(vmf2, 0.1, MU[None, :], np.array([[1.0, 0.0, 0.0]]),
-                       0)
+        anti = single_foot(vmf2, MU, [1.0, 0.0, 0.0])
         with pytest.raises(EmptyWindow):
             local_average(anti, z.coords, [3.2])
 
@@ -172,8 +185,8 @@ class TestLocalAverage:
 
 
 class TestProjectedRisk:
-    def test_exact_field_gives_zero(self, vmf2, data):
-        sub = Dataset(vmf2, 0.1, data.foot[:50], data.targets[:50], 0)
+    def test_exact_field_gives_zero(self, data):
+        sub = take(data, slice(0, 50))
         assert projected_risk(sub, sub.targets).mean == 0.0
 
     def test_flat_reduction_consistency(self):
@@ -182,7 +195,7 @@ class TestProjectedRisk:
         q = IsotropicGaussian(plane, [0.0, 0.0], tau)
         sigma = 0.15
         batch = corrupt(q, sigma, 20_000, 19)
-        ds = Dataset.from_batch(batch)
+        ds = batch.kept()
 
         def tweedie(foot):
             return q.score_batch(foot) * (tau**2 / (tau**2 + sigma**2))
@@ -246,41 +259,52 @@ class TestVarianceSweep:
 
 
 class TestMSESweep:
-    def test_rate_mode(self, vmf2):
-        res = mse_sweep(vmf2, 0.1, [1000, 10_000], repetitions=4, seed=42)
-        assert res.slope < 0
-        assert np.isfinite(res.c) and res.c > 0
-        assert np.all(res.h_used > 0)
-        assert np.all(res.mse > 0)
+    """The probe MSE of local averaging across bandwidths and sample sizes:
+    calibrate_bandwidth picks the rate constant and bandwidth_mse scores
+    each cell, as the finite-sample study drives them."""
 
-    def test_fixed_and_callable_rules(self, vmf2):
-        fixed = mse_sweep(vmf2, 0.1, [2000], h_rule=0.7, repetitions=3,
-                          seed=1)
-        assert fixed.h_used[0] == pytest.approx(0.7)
-        called = mse_sweep(vmf2, 0.1, [2000], h_rule=lambda n: 0.7,
-                           repetitions=3, seed=1)
-        assert np.array_equal(fixed.mse, called.mse)
+    def test_rate_mode(self, vmf2, oracle):
+        probes = probe_points(vmf2, 42, 8)
+        r_true = oracle.target_coords(probes)
+        c, widened = calibrate_bandwidth(vmf2, 0.1, 1000, probes, r_true,
+                                         repetitions=4, seed=42)
+        assert np.isfinite(c) and c > 0 and widened >= 0
+        mses = []
+        for i, n in enumerate((1000, 10_000)):
+            h = optimal_bandwidth(c, 0.1, n, 2)
+            assert h > 0
+            (mse,), _, _ = bandwidth_mse(vmf2, 0.1, n, [h], probes, r_true,
+                                         repetitions=4, seed=42,
+                                         label=f"sweep.mse.{i}")
+            mses.append(mse)
+        assert min(mses) > 0
+        assert mses[1] < mses[0]  # the two-point rate slope is negative
 
-    def test_small_h_blows_up(self, vmf2):
+    def test_small_h_blows_up(self, vmf2, oracle):
         probes = probe_points(vmf2, 5, 4)
-        wide = mse_sweep(vmf2, 0.1, [1000], h_rule=0.9, repetitions=4,
-                         seed=5, probes=probes)
-        narrow = mse_sweep(vmf2, 0.1, [1000], h_rule=0.225, repetitions=4,
-                           seed=5, probes=probes)
-        assert narrow.mse[0] > 2.0 * wide.mse[0]
+        r_true = oracle.target_coords(probes)
+        (wide, narrow), _, _ = bandwidth_mse(
+            vmf2, 0.1, 1000, [0.9, 0.225], probes, r_true, repetitions=4,
+            seed=5, label="sweep.mse.0")
+        assert narrow > 2.0 * wide
 
-    def test_deterministic(self, vmf2):
-        a = mse_sweep(vmf2, 0.1, [1000], h_rule=0.5, repetitions=3, seed=8)
-        b = mse_sweep(vmf2, 0.1, [1000], h_rule=0.5, repetitions=3, seed=8)
-        assert np.array_equal(a.mse, b.mse)
+    def test_deterministic(self, vmf2, oracle):
+        probes = probe_points(vmf2, 8, 8)
+        r_true = oracle.target_coords(probes)
+        a, b = (bandwidth_mse(vmf2, 0.1, 1000, [0.5], probes, r_true,
+                              repetitions=3, seed=8, label="sweep.mse.0")[0]
+                for _ in range(2))
+        assert np.array_equal(a, b)
 
-    def test_validation(self, vmf2):
+    def test_validation(self, vmf2, oracle):
+        probes = probe_points(vmf2, 0, 2)
+        r_true = oracle.target_coords(probes)
         with pytest.raises(ConfigError):
-            mse_sweep(vmf2, 0.1, [], repetitions=3)
+            bandwidth_mse(vmf2, 0.1, 100, [0.5], probes, r_true,
+                          repetitions=0, seed=0, label="sweep.mse.0")
         with pytest.raises(ConfigError):
-            mse_sweep(vmf2, 0.1, [100], repetitions=0)
-        with pytest.raises(ConfigError):
-            mse_sweep(vmf2, 0.1, [100], h_rule=-0.5, repetitions=2)
+            bandwidth_mse(vmf2, 0.1, 100, [-0.5], probes, r_true,
+                          repetitions=2, seed=0, label="sweep.mse.0")
 
     def test_probe_points_strong_scores(self, vmf2):
         pts = probe_points(vmf2, 3, 8)
@@ -289,34 +313,34 @@ class TestMSESweep:
         again = probe_points(vmf2, 3, 8)
         assert np.array_equal(pts, again)
 
-    def test_widening_counted_then_raises(self, vmf2, data):
+    def test_widening_counted_then_raises(self, data):
         # foot cluster at geodesic distance 0.25-0.35 from the probe: h=0.2
         # reaches it after one doubling (0.4), h=0.05 after three
         z = np.array([1.0, 0.0, 0.0])
         dists = S2.distance_to_batch(data.foot, z)
         ring = (dists > 0.25) & (dists < 0.35)
-        ds = Dataset(vmf2, 0.1, data.foot[ring], data.targets[ring], 0)
+        ds = take(data, ring)
         est, doublings = local_average(ds, z, [0.2, 0.05, 0.4])
         assert doublings.tolist() == [1, 3, 0] and np.all(np.isfinite(est))
         # the widened windows are the doubled bandwidths
         assert np.array_equal(est, local_average(ds, z, [0.4, 0.4, 0.4])[0])
         # feet all beyond pi/2 of the probe: widening stops at the cap
         far = dists > np.pi / 2 + 0.05
-        ds = Dataset(vmf2, 0.1, data.foot[far], data.targets[far], 0)
         with pytest.raises(EmptyWindow):
-            local_average(ds, z, [0.2])
+            local_average(take(data, far), z, [0.2])
 
-    def test_sweep_widens_past_one_doubling(self, vmf2):
+    def test_sweep_widens_past_one_doubling(self, vmf2, oracle):
         # a quarter of the pilot bandwidth at n = 1000: at this seed some
         # probe window is still empty after one doubling, and repeated
         # doubling keeps every MSE finite
         seed = 2872064946
         probes = probe_points(vmf2, seed, 8)
         h = 0.25 * optimal_bandwidth(1.0, 0.1, 1000, 2)
-        res = mse_sweep(vmf2, 0.1, [1000], h_rule=h, repetitions=20,
-                        seed=seed, probes=probes)
-        assert np.all(np.isfinite(res.mse)) and np.all(np.isfinite(res.se))
-        assert res.widened > 0
+        mse, se, widened = bandwidth_mse(
+            vmf2, 0.1, 1000, [h], probes, oracle.target_coords(probes),
+            repetitions=20, seed=seed, label="sweep.mse.0")
+        assert np.all(np.isfinite(mse)) and np.all(np.isfinite(se))
+        assert widened > 0
 
     def test_bandwidth_mse_shapes(self, vmf2, oracle):
         probes = probe_points(vmf2, 4, 3)
@@ -325,9 +349,10 @@ class TestMSESweep:
             vmf2, 0.1, 2000, [0.3, 0.6], probes, r_true, repetitions=3,
             seed=4, label="sweep.mse.0")
         assert mse.shape == se.shape == (2,) and widened >= 0
-        one = mse_sweep(vmf2, 0.1, [2000], h_rule=0.6, repetitions=3,
-                        seed=4, probes=probes)
-        assert mse[1] == pytest.approx(one.mse[0], rel=1e-13)
+        one, _, _ = bandwidth_mse(
+            vmf2, 0.1, 2000, [0.6], probes, r_true, repetitions=3, seed=4,
+            label="sweep.mse.0")
+        assert mse[1] == pytest.approx(one[0], rel=1e-13)
         with pytest.raises(ConfigError):
             bandwidth_mse(vmf2, 0.1, 2000, [0.3], probes, r_true,
                           repetitions=0, seed=4, label="sweep.mse.0")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tubescore.densities import (
     IsotropicGaussian,
@@ -31,7 +31,6 @@ from tubescore.oracle import (
     extrinsic_term,
     posterior_moment,
     predicted_expansion,
-    rb_target,
     score_second_moment,
     stein_residual,
 )
@@ -54,6 +53,21 @@ def equator_point(d):
     zc = np.zeros(d + 1)
     zc[0] = 1.0
     return Sphere(d).point(zc)
+
+
+def target(q, sigma, z, **kw):
+    """The oracle's target at one point (a ManifoldPoint or a row)."""
+    z = getattr(z, "coords", z)
+    return RBOracle(q, sigma, **kw).target_coords(np.asarray(z)[None])[0]
+
+
+def feet(M, seed, n=50, first=None):
+    """n generated feet of M, after the optional fixed row ``first``."""
+    rows = M.random_coords(np.random.default_rng(seed), n)
+    return rows if first is None else np.vstack([first, rows])
+
+
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestFlatOracle:
@@ -84,24 +98,24 @@ class TestFlatOracle:
     def test_second_order_remainder_matches_closed_form(self):
         # r - s - sigma^2 b = -t sigma^4 / (tau^4 (tau^2 + sigma^2)) exactly
         q = flat_density()
-        z = PLANE.point(PLANE.embed(np.array([[1.0, -0.4]]))[0])
-        t_norm = np.linalg.norm(PLANE.chart(z.coords[None])[0])
+        z = PLANE.embed(np.array([[1.0, -0.4]]))
+        t_norm = np.linalg.norm(PLANE.chart(z)[0])
         for sig in (0.1, 0.3):
-            r = rb_target(z, q, sig).vec
+            r = RBOracle(q, sig).target_coords(z)
             ex = predicted_expansion(z, q, sig)
-            resid = np.linalg.norm(r - ex.score.vec - sig**2 * ex.tweedie.vec)
+            resid = np.linalg.norm((r - ex.score - sig**2 * ex.tweedie)[0])
             closed = t_norm * sig**4 / (TAU**4 * (TAU**2 + sig**2))
             assert resid == pytest.approx(closed, rel=1e-6)
 
     def test_second_order_slope(self):
         q = flat_density()
-        z = PLANE.point(PLANE.embed(np.array([[1.0, -0.4]]))[0])
+        z = PLANE.embed(np.array([[1.0, -0.4]]))
         sigs = np.geomspace(0.05, 0.4, 7)
         vals = []
         for sig in sigs:
-            r = rb_target(z, q, sig).vec
+            r = RBOracle(q, sig).target_coords(z)
             ex = predicted_expansion(z, q, sig)
-            vals.append(np.linalg.norm(r - ex.score.vec - sig**2 * ex.tweedie.vec))
+            vals.append(np.linalg.norm((r - ex.score - sig**2 * ex.tweedie)[0]))
         slope = np.polyfit(np.log(sigs), np.log(vals), 1)[0]
         assert slope >= 3.8
 
@@ -109,119 +123,143 @@ class TestFlatOracle:
 class TestSymmetry:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_uniform_sphere_target_vanishes(self, d):
-        r = rb_target(equator_point(d), Uniform(Sphere(d)), 0.1).vec
+        r = target(Uniform(Sphere(d)), 0.1, equator_point(d))
         assert np.linalg.norm(r) <= 1e-8
 
     def test_uniform_torus_target_vanishes(self):
         T2 = FlatTorus(1.0, 1.0)
         z = T2.point(np.array([1.0, 0.0, 1.0, 0.0]))
-        assert np.linalg.norm(rb_target(z, Uniform(T2), 0.1).vec) <= 1e-8
+        assert np.linalg.norm(target(Uniform(T2), 0.1, z)) <= 1e-8
 
 
 class TestExpansion:
     def test_leading_order_plateau(self):
         q = sphere_vmf(2)
-        z = Sphere(2).point(np.array([math.sqrt(1 - 0.09), 0.0, 0.3]))
+        z = np.array([[math.sqrt(1 - 0.09), 0.0, 0.3]])
         ratios = []
         for sig in (0.1, 0.05, 0.025):
-            r = rb_target(z, q, sig).vec
-            ratios.append(np.linalg.norm(r - q.score(z).vec) / sig**2)
+            r = RBOracle(q, sig).target_coords(z)
+            ratios.append(np.linalg.norm(r - q.score_batch(z)) / sig**2)
         assert max(ratios) / min(ratios) < 1.5
 
     def test_full_prediction_remainder_shrinks(self):
         q = sphere_vmf(2)
-        z = Sphere(2).point(np.array([math.sqrt(1 - 0.09), 0.0, 0.3]))
+        z = np.array([[math.sqrt(1 - 0.09), 0.0, 0.3]])
         rems = []
         for sig in (0.1, 0.05):
-            r = rb_target(z, q, sig).vec
+            r = RBOracle(q, sig).target_coords(z)
             ex = predicted_expansion(z, q, sig)
-            rems.append(np.linalg.norm(r - ex.predicted.vec) / sig**2)
+            rems.append(np.linalg.norm(r - ex.predicted) / sig**2)
         # the scaled remainder should drop markedly (roughly like sigma^2)
         assert rems[1] < 0.5 * rems[0]
 
     def test_terms_assemble_exactly(self):
         q = sphere_vmf(3)
-        z = equator_point(3)
+        z = feet(Sphere(3), 5, first=equator_point(3).coords)
         ex = predicted_expansion(z, q, 0.07)
-        assembled = ex.score.vec + 0.07**2 * (ex.tweedie.vec + ex.extrinsic.vec)
-        assert np.array_equal(ex.predicted.vec, assembled)
+        assembled = ex.score + 0.07**2 * (ex.tweedie + ex.extrinsic)
+        assert ex.predicted.shape == z.shape
+        assert np.array_equal(ex.predicted, assembled)
 
     def test_uniform_expansion_is_zero(self):
-        ex = predicted_expansion(equator_point(2), Uniform(Sphere(2)), 0.1)
-        assert np.linalg.norm(ex.predicted.vec) == 0.0
+        z = feet(Sphere(2), 6, first=equator_point(2).coords)
+        ex = predicted_expansion(z, Uniform(Sphere(2)), 0.1)
+        assert np.linalg.norm(ex.predicted) == 0.0
 
     @pytest.mark.parametrize("d,coef", [(1, 0.5), (2, 0.0), (3, -0.5), (4, -1.0)])
-    def test_sphere_extrinsic_term_is_scalar_multiple(self, d, coef):
-        q = sphere_vmf(d)
-        z = equator_point(d)
-        g = extrinsic_term(z, q).vec
-        assert np.allclose(g, coef * q.score(z).vec, atol=1e-12)
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(seed=SEEDS)
+    @example(seed=0)
+    def test_sphere_extrinsic_term_is_scalar_multiple(self, d, coef, seed):
+        # (1 - d/2) times the score on S^d, at the equator of the vMF mean
+        # and 50 generated feet, for a generated mean; zero on S^2
+        M = Sphere(d)
+        mu = M.random_coords(np.random.default_rng(seed + 1), 1)[0]
+        q = VonMisesFisher(M, mu, 2.0)
+        z = feet(M, seed, first=equator_point(d).coords)
+        g = extrinsic_term(z, q)
+        assert g.shape == z.shape
+        assert np.abs(g - coef * q.score_batch(z)).max() <= 1e-12
 
-    def test_torus_extrinsic_term_operator(self):
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(seed=SEEDS, phases=st.tuples(st.floats(-3.0, 3.0),
+                                        st.floats(-3.0, 3.0)))
+    @example(seed=0, phases=(0.3, -0.5))
+    def test_torus_extrinsic_term_operator(self, seed, phases):
         # (W_H/2 - Ric) = diag(1/(2 R1^2), 1/(2 R2^2)) in the angle frame
         T = FlatTorus(1.0, 2.0)
-        q = ProductVonMises(T, (1.5, 0.7), (0.3, -0.5))
-        z = T.point(T.from_angles(np.array([0.8, 1.9])))
-        g = extrinsic_term(z, q).vec
-        basis = T.tangent_basis(z.coords)
-        s = q.score(z).vec
-        expect = (basis[0] @ s) * 0.5 * basis[0] + (basis[1] @ s) * 0.125 * basis[1]
-        assert np.allclose(g, expect, atol=1e-12)
+        q = ProductVonMises(T, (1.5, 0.7), phases)
+        z = feet(T, seed, first=T.from_angles(np.array([0.8, 1.9])))
+        g = extrinsic_term(z, q)
+        s = q.score_batch(z)
+        frame = T.frames_batch(z)[:, :2]
+        comps = np.einsum("nkD,nD->nk", frame, s) * [0.5, 0.125]
+        expect = np.einsum("nk,nkD->nD", comps, frame)
+        assert np.abs(g - expect).max() <= 1e-12
 
     def test_extrinsic_forms_agree(self):
         rng = np.random.default_rng(17)
-        for M, q in ((Sphere(3), sphere_vmf(3)),
-                     (FlatTorus(1.0, 2.0),
-                      ProductVonMises(FlatTorus(1.0, 2.0), (1.0, 2.0), (0.1, 0.2)))):
-            for coords in M.random_coords(rng, 20):
-                bundle = M.curvature_bundle(M.point(coords))
-                a = bundle.extrinsic_operator()
-                b = bundle.extrinsic_operator_shape_form()
-                assert np.abs(a - b).max() <= 1e-10
+        for M in (Sphere(3), FlatTorus(1.0, 2.0)):
+            bundle = M.curvature_bundle(M.random_coords(rng, 20))
+            a = bundle.extrinsic_operator()
+            b = bundle.extrinsic_operator_shape_form()
+            assert a.shape == (20, M.intrinsic_dim, M.intrinsic_dim)
+            assert np.abs(a - b).max() <= 1e-10
 
-    def test_plane_extrinsic_is_zero(self):
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(seed=SEEDS)
+    @example(seed=0)
+    def test_plane_extrinsic_is_zero(self, seed):
         q = flat_density()
-        z = PLANE.point(PLANE.embed(np.array([[0.4, 0.2]]))[0])
-        assert np.linalg.norm(extrinsic_term(z, q).vec) == 0.0
+        z = feet(PLANE, seed, first=PLANE.embed(np.array([0.4, 0.2])))
+        assert np.linalg.norm(extrinsic_term(z, q)) == 0.0
 
 
 class TestCoefficientExtraction:
     @pytest.mark.parametrize("d,pred", [(1, 0.5), (3, -0.5)])
     def test_sphere_coefficients(self, d, pred):
-        fit = extract_extrinsic_coefficient(equator_point(d), sphere_vmf(d), 0.05)
-        assert abs(fit.alpha - pred) <= 0.01
-        assert fit.orthogonal <= 1e-6
+        fit = extract_extrinsic_coefficient(equator_point(d).coords[None],
+                                            sphere_vmf(d), 0.05)
+        assert abs(fit.alpha[0] - pred) <= 0.01
+        assert fit.alpha_pred[0] == pytest.approx(pred, abs=1e-12)
+        assert fit.orthogonal[0] <= 1e-6
 
     def test_sphere3_coefficient_off_grid_pole(self):
         # a probe on the equator of the vMF mean that lines up with no axis
-        z = Sphere(3).point(np.array([0.6, 0.8, 0.0, 0.0]))
+        z = np.array([[0.6, 0.8, 0.0, 0.0]])
         fit = extract_extrinsic_coefficient(z, sphere_vmf(3), 0.05)
-        assert abs(fit.alpha + 0.5) <= 0.01
-        assert fit.orthogonal <= 1e-6
+        assert abs(fit.alpha[0] + 0.5) <= 0.01
+        assert fit.orthogonal[0] <= 1e-6
 
     def test_sphere2_coefficient_vanishes(self):
-        fit = extract_extrinsic_coefficient(equator_point(2), sphere_vmf(2), 0.05)
-        assert abs(fit.alpha) <= 0.01
+        fit = extract_extrinsic_coefficient(equator_point(2).coords[None],
+                                            sphere_vmf(2), 0.05)
+        assert abs(fit.alpha[0]) <= 0.01
 
     def test_torus_coefficient(self):
         T2 = FlatTorus(1.0, 1.0)
         q = ProductVonMises(T2, (1.5, 1.5), (0.0, 0.0))
-        z = T2.point(T2.from_angles(np.array([0.9, -1.3])))
+        z = T2.from_angles(np.array([[0.9, -1.3]]))
         fit = extract_extrinsic_coefficient(z, q, 0.05)
-        assert abs(fit.alpha - 0.5) <= 0.01
+        assert abs(fit.alpha[0] - 0.5) <= 0.01
 
     def test_convergence_trend_in_sigma(self):
         q = sphere_vmf(1)
-        z = equator_point(1)
-        devs = [abs(extract_extrinsic_coefficient(z, q, s).alpha - 0.5)
+        z = equator_point(1).coords[None]
+        devs = [abs(extract_extrinsic_coefficient(z, q, s).alpha[0] - 0.5)
                 for s in (0.05, 0.08)]
         assert devs[0] <= devs[1] + 0.05
 
-    def test_degenerate_score_raises(self):
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(seed=SEEDS, at=st.integers(0, 20))
+    @example(seed=0, at=0)
+    def test_degenerate_score_raises(self, seed, at):
+        # one row at the vMF mode, where the score vanishes, among
+        # generated feet: the whole call is refused
         q = sphere_vmf(2)
-        pole = Sphere(2).point(np.array([0.0, 0.0, 1.0]))  # score vanishes at mu
+        z = np.insert(feet(Sphere(2), seed, n=20), at, q.mu, axis=0)
         with pytest.raises(DegenerateScore):
-            extract_extrinsic_coefficient(pole, q, 0.05)
+            extract_extrinsic_coefficient(z, q, 0.05)
 
 
 class TestPosteriorSuite:
@@ -301,19 +339,21 @@ class TestOracleMechanics:
         # no tolerance is met before the next rule would pass MAX_RULE_NODES
         oracle = RBOracle(sphere_vmf(3), 0.05, rel_tol=0.0)
         with pytest.raises(QuadratureNotConverged):
-            oracle.target(equator_point(3))
+            oracle.target_coords(equator_point(3).coords[None])
 
     def test_tighter_tolerance_agrees(self):
         q = sphere_vmf(2)
-        z = Sphere(2).point(np.array([0.6, 0.0, 0.8]))
-        a = rb_target(z, q, 0.1).vec
-        b = rb_target(z, q, 0.1, rel_tol=1e-12).vec
+        z = np.array([0.6, 0.0, 0.8])
+        a = target(q, 0.1, z)
+        b = target(q, 0.1, z, rel_tol=1e-12)
         assert np.allclose(a, b, rtol=0, atol=1e-10)
 
     def test_manifold_mismatch(self):
         q = sphere_vmf(2)
         with pytest.raises(ManifoldMismatch):
-            rb_target(equator_point(3), q, 0.1)
+            FiberPosterior(equator_point(3), q, 0.1)
+        with pytest.raises(ValueError, match="ambient_dim"):
+            target(q, 0.1, equator_point(3))
 
     def test_batch_matches_single(self):
         q = sphere_vmf(2)
@@ -322,7 +362,7 @@ class TestOracleMechanics:
         oracle = RBOracle(q, 0.1)
         batch = oracle.target_coords(pts)
         for i, row in enumerate(pts):
-            single = oracle.target(Sphere(2).point(row)).vec
+            single = oracle.target_coords(row[None])[0]
             assert np.allclose(batch[i], single, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["sphere1", "sphere2", "sphere3", "torus"])
@@ -369,10 +409,10 @@ class TestOracleMechanics:
     def test_torus_vmf_target_matches_prediction(self):
         T2 = FlatTorus(1.0, 1.0)
         q = ProductVonMises(T2, (1.5, 1.5), (0.0, 0.0))
-        z = T2.point(T2.from_angles(np.array([0.9, -1.3])))
-        r = rb_target(z, q, 0.05).vec
+        z = T2.from_angles(np.array([[0.9, -1.3]]))
+        r = RBOracle(q, 0.05).target_coords(z)
         ex = predicted_expansion(z, q, 0.05)
-        assert np.linalg.norm(r - ex.predicted.vec) <= 2e-5
+        assert np.linalg.norm(r - ex.predicted) <= 2e-5
 
     def test_score_second_moment_quadrature(self):
         # E_q kappa^2 (1 - t^2) for vMF via the 1-D marginal
@@ -437,21 +477,21 @@ class TestRefinement:
         q = flat_density()
         z = PLANE.point(PLANE.embed(np.array([2.0, -1.0])))
         oracle = RBOracle(q, 0.3)
-        target = oracle.target(z).vec
+        expect = oracle.target_coords(z.coords[None])[0]
         rep = oracle.convergence_report
         post = FiberPosterior(z, q, 0.3)
         assert post.weights.size == oracle_mod.grid_node_count(
             PLANE, rep["resolution"], rep["angular_resolution"])
         frame = PLANE.frames_batch(z.coords[None])[0, :2]
         got = post.expectation(post.chord) / 0.3**2 @ frame
-        assert np.abs(got - target).max() <= 1e-12
+        assert np.abs(got - expect).max() <= 1e-12
 
     def test_reused_rules_are_not_counted_twice(self):
         # a radial refinement at (48, m) evaluates (48, m) and (96, m') only;
         # (48, m') comes from the base state
         q = sphere_vmf(3)
         oracle = RBOracle(q, 0.05, rel_tol=1e-11)
-        oracle.target(equator_point(3))
+        oracle.target_coords(equator_point(3).coords[None])
         M, m = Sphere(3), ANGULAR_RULE[3][0]
         m_fine = oracle_mod._finer_angles(3, m)
         count = oracle_mod.grid_node_count

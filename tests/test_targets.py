@@ -1,5 +1,5 @@
-"""Corruption model and per-sample targets: exact closed forms, the flat
-reduction identity, moment growth, and stream determinism."""
+"""Corruption model and raw targets on coordinate rows: exact closed forms,
+the flat reduction identity, moment growth, and stream determinism."""
 import math
 
 import numpy as np
@@ -7,17 +7,24 @@ import pytest
 
 from tubescore import targets as tg
 from tubescore.densities import IsotropicGaussian, VonMisesFisher
-from tubescore.errors import ConfigError, CutLocus, ManifoldMismatch, NotInTube
+from tubescore.errors import ConfigError, ManifoldMismatch
 from tubescore.geometry import AffinePlane, Sphere
 
 PLANE = AffinePlane.axis_aligned(2, 4)
 TAU = 0.9
 SIGMA = 0.3
+CIRCLE_VMF = VonMisesFisher(Sphere(1), np.array([0.0, 1.0]), 1.0)
 
 
 def flat_batch(n=20_000, seed=101):
     q = IsotropicGaussian(PLANE, [0.0, 0.0], TAU)
     return tg.corrupt(q, SIGMA, n, seed)
+
+
+def one_draw(q, sigma, latent, noisy):
+    """A batch holding the single draw (latent, noisy)."""
+    return tg.CorruptedBatch.from_draws(q, sigma, np.array([latent], float),
+                                        np.array([noisy], float))
 
 
 def field_suite():
@@ -49,59 +56,50 @@ class TestCorrupt:
 
     def test_purely_normal_noise_gives_zero_target(self):
         # X = (1 + sigma) e1 projects back to the latent, so T = 0
-        M = Sphere(2)
-        z = M.point(np.array([1.0, 0.0, 0.0]))
-        s = tg.CorruptedSample(Z=z, X=np.array([1.3, 0.0, 0.0]), sigma=0.3,
-                               projected=z, in_tube=True)
-        assert np.linalg.norm(s.T.vec) == 0.0
+        q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
+        b = one_draw(q, 0.3, [1.0, 0.0, 0.0], [1.3, 0.0, 0.0])
+        assert b.in_tube.tolist() == [True]
+        assert np.array_equal(b.foot[0], [1.0, 0.0, 0.0])
+        assert np.linalg.norm(b.targets[0]) == 0.0
 
     def test_in_tube_rate_is_high_and_flagging_works(self):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         b = tg.corrupt(q, 0.25, 50_000, seed=21)
         # tube radius 0.9, sigma 0.25: flags exist but are rare
-        assert b.n_outside < 0.01 * len(b)
-        if b.n_outside:
-            i = int(np.flatnonzero(~b.in_tube)[0])
-            s = b[i]
-            assert s.projected is tg.OUTSIDE_TUBE
-            with pytest.raises(NotInTube):
-                _ = s.T
-            with pytest.raises(NotInTube):
-                tg.logmap_target(s)
+        assert 0 < b.n_outside < 0.01 * len(b)
+        flagged = ~b.in_tube
+        dist = np.abs(np.linalg.norm(b.noisy, axis=1) - 1.0)
+        assert np.array_equal(flagged, dist >= Sphere(2).tube_radius)
+        # no logmap target at a flagged row
+        _, ok = b.logmap_targets()
+        assert not ok[flagged].any()
+        # the kept view drops the flagged rows and still counts them
+        kept = b.kept()
+        assert len(kept) == len(b) - b.n_outside
+        assert kept.n_outside == b.n_outside and kept.in_tube.all()
+        assert np.array_equal(kept.noisy, b.noisy[~flagged])
+        assert kept.kept() is kept
 
     def test_rejects_bad_sigma(self):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         with pytest.raises(ConfigError, match="sigma must be positive"):
             tg.corrupt(q, 0.0, 10, seed=1)
 
-    def test_sequence_protocol(self):
-        b = flat_batch(n=50, seed=3)
-        assert len(b) == 50
-        views = b[2:5]
-        assert len(views) == 3
-        assert np.array_equal(views[0].X, b.noisy[2])
-        assert np.allclose(b[-1].X, b.noisy[-1])
-        with pytest.raises(IndexError):
-            b[50]
-
 
 class TestRawTarget:
     def test_circle_signed_length_is_sine_over_sigma_sq(self):
-        M = Sphere(1)
         theta, sig = 0.37, 0.25
-        Z = M.point(np.array([1.0, 0.0]))
         foot = np.array([math.cos(theta), math.sin(theta)])
-        s = tg.CorruptedSample(Z=Z, X=foot * 1.1, sigma=sig,
-                               projected=M.point(foot), in_tube=True)
+        b = one_draw(CIRCLE_VMF, sig, [1.0, 0.0], foot * 1.1)
+        assert np.allclose(b.foot[0], foot, atol=1e-15)
         e_th = np.array([-math.sin(theta), math.cos(theta)])
-        assert tg.raw_tangent_target(s).vec @ e_th == pytest.approx(
+        assert b.targets[0] @ e_th == pytest.approx(
             -math.sin(theta) / sig**2, abs=1e-12)
 
     def test_plane_target_is_projected_chord(self):
         b = flat_batch(n=200, seed=5)
-        T = b.raw_targets()
         expect = (b.latents - b.foot) / SIGMA**2
-        assert np.allclose(T, expect, atol=1e-12)
+        assert np.allclose(b.targets, expect, atol=1e-12)
 
     def test_target_equals_projected_noise_form(self):
         # P_T(z)(Z - z) = P_T(z)(Z - X) because X - z is purely normal
@@ -109,40 +107,43 @@ class TestRawTarget:
         b = tg.corrupt(q, 0.1, 2000, seed=13)
         m = b.in_tube
         alt = b.manifold.tangent_project_batch(b.foot, b.latents - b.noisy) / b.sigma**2
-        assert np.max(np.abs(b.raw_targets()[m] - alt[m])) <= 1e-10
+        assert np.max(np.abs(b.targets[m] - alt[m])) <= 1e-10
 
     def test_view_matches_batch_row(self):
+        # the kept view holds the in-tube rows of the batch, unchanged
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
-        b = tg.corrupt(q, 0.1, 16, seed=13)
-        for i in (0, 7, 15):
-            assert np.allclose(b[i].T.vec, b.raw_targets()[i], atol=1e-14)
+        b = tg.corrupt(q, 0.45, 400, seed=13)
+        keep = np.flatnonzero(b.in_tube)
+        assert 0 < keep.size < len(b)
+        kept = b.kept()
+        for i in (0, 7, keep.size - 1):
+            j = keep[i]
+            assert np.array_equal(kept.targets[i], b.targets[j])
+            assert np.array_equal(kept.foot[i], b.foot[j])
+            assert np.array_equal(kept.latents[i], b.latents[j])
 
 
 class TestLogmapTarget:
     def test_circle_signed_length_is_angle_over_sigma_sq(self):
-        M = Sphere(1)
         theta, sig = 0.37, 0.25
-        Z = M.point(np.array([1.0, 0.0]))
         foot = np.array([math.cos(theta), math.sin(theta)])
-        s = tg.CorruptedSample(Z=Z, X=foot * 1.1, sigma=sig,
-                               projected=M.point(foot), in_tube=True)
+        b = one_draw(CIRCLE_VMF, sig, [1.0, 0.0], foot * 1.1)
+        TL, ok = b.logmap_targets()
         e_th = np.array([-math.sin(theta), math.cos(theta)])
-        assert tg.logmap_target(s).vec @ e_th == pytest.approx(-theta / sig**2, abs=1e-12)
+        assert ok.tolist() == [True]
+        assert TL[0] @ e_th == pytest.approx(-theta / sig**2, abs=1e-12)
 
     def test_matches_raw_on_plane(self):
         b = flat_batch(n=500, seed=6)
         TL, ok = b.logmap_targets()
         assert np.all(ok)
-        assert np.allclose(TL, b.raw_targets(), atol=1e-12)
+        assert np.allclose(TL, b.targets, atol=1e-12)
 
-    def test_cut_locus_raises(self):
-        M = Sphere(1)
-        Z = M.point(np.array([1.0, 0.0]))
-        foot = np.array([-1.0, 0.0])
-        s = tg.CorruptedSample(Z=Z, X=foot * 1.2, sigma=0.3,
-                               projected=M.point(foot), in_tube=True)
-        with pytest.raises(CutLocus):
-            tg.logmap_target(s)
+    def test_cut_locus_is_masked(self):
+        # the foot is antipodal to the latent: no logmap target there
+        b = one_draw(CIRCLE_VMF, 0.3, [1.0, 0.0], [-1.2, 0.0])
+        _, ok = b.logmap_targets()
+        assert b.in_tube.tolist() == [True] and ok.tolist() == [False]
 
     def test_discrepancy_ratio_is_bounded_in_sigma(self):
         # E||T - Tlog||^2 / sigma^2 stays within a factor 1.5 across the grid
@@ -151,8 +152,7 @@ class TestLogmapTarget:
         for sig in (0.1, 0.05, 0.025):
             b = tg.corrupt(q, sig, 100_000, seed=7)
             TL, ok = b.logmap_targets()
-            m = b.in_tube & ok
-            diff = np.sum((b.raw_targets()[m] - TL[m]) ** 2, axis=1)
+            diff = np.sum((b.targets[ok] - TL[ok]) ** 2, axis=1)
             ratios.append(np.mean(diff) / sig**2)
         assert max(ratios) / min(ratios) < 1.5
 
@@ -162,7 +162,7 @@ class TestSecondMoment:
     def test_scaled_second_moment_near_intrinsic_dim(self, sig):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         b = tg.corrupt(q, sig, 100_000, seed=7)
-        T = b.raw_targets()[b.in_tube]
+        T = b.kept().targets
         val = sig**2 * np.mean(np.sum(T**2, axis=1))
         assert 0.9 * 2.0 <= val <= 1.1 * 2.0
 
@@ -175,10 +175,12 @@ class TestFlatReduction:
             assert np.max(np.abs(lhs - rhs) / (1.0 + lhs)) <= 1e-12
 
     def test_scalar_variant_matches(self):
+        # a single draw's residuals equal its row of the full batch
         b = flat_batch(n=20, seed=8)
         h = field_suite()[3]
         lhs, rhs = tg.flat_reduction_residuals(b, h)
-        l0, r0 = tg.flat_reduction_residual(b[4], h)
+        one = one_draw(b.density, SIGMA, b.latents[4], b.noisy[4])
+        (l0,), (r0,) = tg.flat_reduction_residuals(one, h)
         assert l0 == pytest.approx(lhs[4], rel=1e-12)
         assert r0 == pytest.approx(rhs[4], rel=1e-12)
 
