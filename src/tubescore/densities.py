@@ -19,6 +19,7 @@ from scipy.special import i0e
 
 from .errors import ManifoldMismatch, UnsupportedManifold
 from .geometry import AffinePlane, FlatTorus, Sphere
+from .geometry.base import row_dots
 from .geometry.quadrature import gauss_legendre
 from .rng import derive_rng, shard_sizes
 
@@ -152,7 +153,10 @@ class VonMisesFisher(DensityModel):
         return self.kappa * (coords @ self.mu) - self._log_norm
 
     def score_batch(self, coords: np.ndarray) -> np.ndarray:
-        t = coords @ self.mu
+        # column sums, not coords @ mu: BLAS gives bits that depend on the
+        # memory order and the row count, and Langevin chains step on
+        # column-major rows
+        t = row_dots(coords, self.mu[None, :])
         return self.kappa * (self.mu[None, :] - t[:, None] * coords)
 
     def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:

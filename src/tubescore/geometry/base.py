@@ -158,7 +158,13 @@ class Manifold(abc.ABC):
         """Orthogonal projection of ambient rows ``w`` onto T_{z_i}M."""
 
     @abc.abstractmethod
-    def exp_batch(self, z: np.ndarray, v: np.ndarray) -> np.ndarray: ...
+    def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
+                  norms: np.ndarray | None = None) -> np.ndarray:
+        """Rowwise exponential map Exp_{z_i}(v_i).
+
+        ``norms``, when given, holds ``row_norms(v)``; a manifold whose map
+        needs the step lengths uses it in place of its own pass.
+        """
 
     @abc.abstractmethod
     def log_batch(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -103,7 +103,8 @@ class AffinePlane(Manifold):
     def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         return (w @ self._frame.T) @ self._frame
 
-    def exp_batch(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
+                  norms: np.ndarray | None = None) -> np.ndarray:
         return z + v
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):

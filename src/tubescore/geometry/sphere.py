@@ -83,11 +83,16 @@ class Sphere(Manifold):
     def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         return w - row_dots(w, z)[:, None] * z
 
-    def exp_batch(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        r = row_norms(v)[:, None]
-        small = r < 1e-12
-        safe = np.where(small, 1.0, r)
-        out = np.cos(r) * z + np.where(small, 1.0 - r**2 / 6.0, np.sin(safe) / safe) * v
+    def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
+                  norms: np.ndarray | None = None) -> np.ndarray:
+        r = (row_norms(v) if norms is None else norms)[:, None]
+        if r.min(initial=np.inf) < 1e-12:
+            small = r < 1e-12
+            safe = np.where(small, 1.0, r)
+            sinc = np.where(small, 1.0 - r**2 / 6.0, np.sin(safe) / safe)
+        else:
+            sinc = np.sin(r) / r
+        out = np.cos(r) * z + sinc * v
         return out / row_norms(out)[:, None]
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):

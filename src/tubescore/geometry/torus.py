@@ -116,7 +116,8 @@ class FlatTorus(Manifold):
         a2 = np.sum(w2 * e[..., 1, :], axis=-1, keepdims=True)
         return np.concatenate([a1 * e[..., 0, :], a2 * e[..., 1, :]], axis=-1)
 
-    def exp_batch(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
+                  norms: np.ndarray | None = None) -> np.ndarray:
         e, _ = self._frame_vectors(z)
         v1, v2 = self._blocks(v)
         a1 = np.sum(v1 * e[..., 0, :], axis=-1)

@@ -20,7 +20,8 @@ from .oracle import RBOracle, check_sigma
 from .rng import derive_rng
 
 DRIFT_KINDS = ("intrinsic", "raw_ambient", "debiased", "oracle_rb")
-NOISE_BLOCK = 1024
+NOISE_BLOCK = 256
+NOISE_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -55,28 +56,39 @@ class DriftSpec:
             raise ConfigError("drift scale must be positive")
 
 
+def _score_factor(spec: DriftSpec, q: DensityModel) -> float | None:
+    """The constant by which ``spec``'s drift multiplies the score of q.
+
+    Returns None for "oracle_rb", whose field is the quadrature target and
+    no multiple of the score.
+    """
+    if spec.kind == "oracle_rb":
+        return None
+    if spec.kind == "intrinsic":
+        return spec.scale
+    M = q.manifold
+    if not isinstance(M, Sphere):
+        raise UnsupportedManifold(
+            "scalar alpha drifts are sphere-only; elsewhere the"
+            " curvature correction is a full operator")
+    expected = 1.0 - M.intrinsic_dim / 2.0
+    if abs(spec.alpha - expected) > 1e-12:
+        raise ConfigError(
+            f"alpha {spec.alpha} does not match 1 - d/2 = {expected}")
+    factor = spec.scale * (1.0 + spec.sigma**2 * spec.alpha)
+    if spec.kind == "debiased":
+        factor *= 1.0 - spec.sigma**2 * spec.alpha
+    return factor
+
+
 def build_drift(spec: DriftSpec, q: DensityModel, *,
                 oracle: RBOracle | None = None):
     """Resolve a DriftSpec against a density into a batched field.
 
     Returns a callable mapping (n, D) manifold rows to (n, D) tangent rows.
     """
-    M = q.manifold
-    if spec.kind == "intrinsic":
-        factor = spec.scale
-    elif spec.kind in ("raw_ambient", "debiased"):
-        if not isinstance(M, Sphere):
-            raise UnsupportedManifold(
-                "scalar alpha drifts are sphere-only; elsewhere the"
-                " curvature correction is a full operator")
-        expected = 1.0 - M.intrinsic_dim / 2.0
-        if abs(spec.alpha - expected) > 1e-12:
-            raise ConfigError(
-                f"alpha {spec.alpha} does not match 1 - d/2 = {expected}")
-        factor = spec.scale * (1.0 + spec.sigma**2 * spec.alpha)
-        if spec.kind == "debiased":
-            factor *= 1.0 - spec.sigma**2 * spec.alpha
-    else:
+    factor = _score_factor(spec, q)
+    if factor is None:
         rb = oracle if oracle is not None else RBOracle(q, spec.sigma)
         scale = spec.scale
 
@@ -153,13 +165,27 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     spec, every copy from the chain's initial point and on the chain's
     noise, and the result is (len(spec), n_chains, kept, D): the single-spec
     runs stacked, bit for bit wherever the manifold's kernels are row-wise
-    (spheres and tori).  Each drift field sees only its own copies; the
-    noise is drawn once and each manifold kernel called once per step.
+    (spheres and tori).  The noise is drawn once per step for all copies.
+    The score-multiple drifts ("intrinsic", "raw_ambient", "debiased")
+    share one ``q.score_batch`` call on all rows, each copy scaled by its
+    own factor; an "oracle_rb" copy calls its field on its own rows.
+
+    The chain state is held column-major (Fortran order), so each per-row
+    scalar such as a row norm or dot product runs over contiguous columns.
+    Kernels that the step calls (the density's score, the manifold's
+    tangent projection and exponential map) must therefore be elementwise
+    in rows: a BLAS reduction such as ``z @ mu`` gives bits that depend on
+    the memory order and on the number of rows.  The spheres, tori and the
+    vMF, product von Mises and uniform scores keep this rule.  Noise is
+    drawn ``NOISE_BLOCK`` steps at a time per chain, in the chain's own
+    stream order, and rearranged once per block into the state's layout,
+    ``NOISE_GROUP`` chains at a time; neither size changes any result.
 
     With ``direction`` (a length-D vector), each kept iterate z is stored
     only as z @ direction and the trailing D axis is dropped: the result
     is (n_chains, kept), or (len(spec), n_chains, kept) for a tuple, and
-    equals the row result @ direction bit for bit.
+    equals the row result @ direction bit for bit (the product is formed
+    on a row-major copy of the state, as on the row result).
     """
     M = q.manifold
     config.validate_for(M)
@@ -168,45 +194,63 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs:
         raise ConfigError("need at least one drift spec")
-    fields = [build_drift(s, q, oracle=oracle) for s in specs]
+    factors = [_score_factor(s, q) for s in specs]
+    # copy s of chain c is row s * n_chains + c
+    copies = [slice(s * n_chains, (s + 1) * n_chains) for s in range(len(specs))]
+    oracle_fields = [(part, build_drift(s, q, oracle=oracle))
+                     for s, f, part in zip(specs, factors, copies) if f is None]
+    # oracle_rb copies overwrite their rows, so their factor is arbitrary
+    factor = np.repeat([1.0 if f is None else f for f in factors],
+                       n_chains)[:, None]
     eps = config.step
     root = np.sqrt(2.0 * eps)
     inj = M.injectivity_radius
 
-    # copy s of chain c is row s * n_chains + c
-    copies = [slice(s * n_chains, (s + 1) * n_chains) for s in range(len(specs))]
-    z = np.tile(_initial_rows(q, config, n_chains), (len(specs), 1))
-    drift = np.empty_like(z)
+    rows = len(specs) * n_chains
+    z = np.asfortranarray(np.tile(_initial_rows(q, config, n_chains),
+                                  (len(specs), 1)))
     D = M.ambient_dim
     kept = config.kept_count()
     item = (D,) if direction is None else ()  # shape of one kept value
     out = np.empty((len(specs), n_chains, kept, *item))
-    by_row = out.reshape(len(specs) * n_chains, kept, *item)  # a view
+    by_row = out.reshape(rows, kept, *item)  # a view
     gens = [derive_rng(config.seed, "langevin.noise", c)
             for c in range(n_chains)]
-    noise = np.empty((n_chains, min(NOISE_BLOCK, config.n_steps), D))
+    steps = min(NOISE_BLOCK, config.n_steps)
+    fill = np.empty((min(NOISE_GROUP, n_chains), steps, D))
+    # noise[b, :, s, c] is chain c's draw for step b, copied once per
+    # spec, so noise[b] reads as the column-major (rows, D) array of a step
+    noise = np.empty((steps, D, len(specs), n_chains))
 
     k = 0
     step_idx = 0
     while step_idx < config.n_steps:
         block = min(NOISE_BLOCK, config.n_steps - step_idx)
-        for g, stream in zip(gens, noise):
-            g.standard_normal(out=stream[:block])
+        for c0 in range(0, n_chains, len(fill)):
+            group = gens[c0:c0 + len(fill)]
+            for g, stream in zip(group, fill):
+                g.standard_normal(out=stream[:block])
+            noise[:block, :, :, c0:c0 + len(group)] = \
+                fill[:len(group), :block].transpose(1, 2, 0)[:, :, None]
         for b in range(block):
             step_idx += 1
-            for field, part in zip(fields, copies):
-                drift[part] = field(z[part])
-            xi = np.tile(noise[:, b], (len(specs), 1))
+            drift = factor * q.score_batch(z)
+            for part, field in oracle_fields:
+                drift[part] = field(np.ascontiguousarray(z[part]))
+            xi = noise[b].reshape(D, rows).T
             v = eps * drift + root * M.tangent_project_batch(z, xi)
+            norms = None
             if np.isfinite(inj):
-                longest = row_norms(v).max()
+                norms = row_norms(v)
+                longest = norms.max()
                 if longest >= inj:
                     raise BeyondInjectivity(
                         f"step length {longest:.4g} at iterate {step_idx}")
-            z = M.exp_batch(z, v)
+            z = M.exp_batch(z, v, norms=norms)
             past = step_idx - config.burn_in
             if past > 0 and past % config.thinning == 0:
-                by_row[:, k] = z if direction is None else z @ direction
+                by_row[:, k] = (z if direction is None
+                                else np.ascontiguousarray(z) @ direction)
                 k += 1
     return out if isinstance(spec, tuple) else out[0]
 

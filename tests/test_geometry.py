@@ -111,6 +111,30 @@ def test_transport_is_isometric(name, rng):
         assert abs(tu.vec @ tv.vec - u.vec @ v.vec) <= 1e-10 * max(1.0, u.norm() * v.norm())
 
 
+def test_sphere_exp_mixed_rows(rng):
+    # zero steps, steps under the 1e-12 series cut-off and ordinary steps,
+    # interleaved in one call: each row is evaluated on its own, whichever
+    # branch the batch as a whole takes
+    M = Sphere(3)
+    z = M.random_coords(rng, 12)
+    v = M.tangent_project_batch(z, rng.standard_normal((12, 4)))
+    zero, tiny = np.arange(0, 12, 3), np.arange(1, 12, 3)
+    ordinary = np.arange(2, 12, 3)
+    v[zero] = 0.0
+    lengths = np.array([1e-14, 3e-14, 1e-13, 5e-13])
+    v[tiny] *= (lengths / row_norms(v[tiny]))[:, None]
+    out = M.exp_batch(z, v)
+    assert np.array_equal(out[ordinary],
+                          M.exp_batch(z[ordinary], v[ordinary]))
+    tol = 4 * np.finfo(float).eps
+    assert np.abs(out[zero] - z[zero]).max() <= tol
+    assert np.abs(out[tiny] - (z[tiny] + v[tiny])).max() <= tol
+    # precomputed norms and a column-major layout leave every bit alone
+    assert np.array_equal(M.exp_batch(z, v, norms=row_norms(v)), out)
+    assert np.array_equal(
+        M.exp_batch(np.asfortranarray(z), np.asfortranarray(v)), out)
+
+
 def test_transport_roundtrip_sphere(rng):
     M = Sphere(2)
     for _ in range(10):

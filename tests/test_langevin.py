@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from tubescore import langevin
 from tubescore.densities import (
     ProductVonMises,
     SphereTMarginal,
@@ -26,9 +27,22 @@ S2 = Sphere(2)
 MU = np.array([0.0, 0.0, 1.0])
 
 
+def generic_unit(dim):
+    """A unit vector on no coordinate axis.  At an axis mean, z @ mu is
+    exact in any memory order, so only a generic mean can show a reduction
+    whose bits depend on the layout or the number of rows."""
+    d = derive_rng(5, "test.generic_unit", dim).standard_normal(dim)
+    return d / np.linalg.norm(d)
+
+
 @pytest.fixture(scope="module")
 def vmf2():
     return VonMisesFisher(S2, MU, 2.0)
+
+
+@pytest.fixture(scope="module")
+def vmf2_generic():
+    return VonMisesFisher(S2, generic_unit(3), 2.0)
 
 
 class TestDriftSpec:
@@ -137,12 +151,17 @@ class TestCoupledChains:
     def vmf3(self):
         return VonMisesFisher(Sphere(3), np.array([0., 0., 0., 1.]), 2.0)
 
-    def test_sphere3_pair_equals_single_runs(self, vmf3):
+    @pytest.fixture(scope="class")
+    def vmf3_generic(self):
+        return VonMisesFisher(Sphere(3), generic_unit(4), 2.0)
+
+    def test_sphere3_pair_equals_single_runs(self, vmf3, vmf3_generic):
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=11)
-        coupled = run_chains(vmf3, self.S3_PAIR, cfg, 5)
-        assert coupled.shape == (2, 5, cfg.kept_count(), 4)
-        for spec, run in zip(self.S3_PAIR, coupled):
-            assert np.array_equal(run, run_chains(vmf3, spec, cfg, 5))
+        for q in (vmf3, vmf3_generic):
+            coupled = run_chains(q, self.S3_PAIR, cfg, 5)
+            assert coupled.shape == (2, 5, cfg.kept_count(), 4)
+            for spec, run in zip(self.S3_PAIR, coupled):
+                assert np.array_equal(run, run_chains(q, spec, cfg, 5))
 
     def test_torus_pair_equals_single_runs(self):
         T2 = FlatTorus(1.0, 1.0)
@@ -153,11 +172,12 @@ class TestCoupledChains:
         for spec, run in zip(specs, coupled):
             assert np.array_equal(run, run_chains(q, spec, cfg, 3))
 
-    def test_chain_count_prefix_stable(self, vmf3):
+    def test_chain_count_prefix_stable(self, vmf3, vmf3_generic):
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=7)
-        wide = run_chains(vmf3, self.S3_PAIR, cfg, 8)
-        narrow = run_chains(vmf3, self.S3_PAIR, cfg, 3)
-        assert np.array_equal(wide[:, :3], narrow)
+        for q in (vmf3, vmf3_generic):
+            wide = run_chains(q, self.S3_PAIR, cfg, 8)
+            narrow = run_chains(q, self.S3_PAIR, cfg, 3)
+            assert np.array_equal(wide[:, :3], narrow)
 
     def test_one_spec_tuple_keeps_the_spec_axis(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=50, seed=3)
@@ -167,25 +187,55 @@ class TestCoupledChains:
 
     @pytest.mark.parametrize("case", ["sphere3_pair", "sphere2_single",
                                       "torus_pair", "all_burn_in"])
-    def test_direction_keeps_only_the_projection(self, vmf2, vmf3, case):
+    def test_direction_keeps_only_the_projection(self, vmf2, vmf2_generic,
+                                                 vmf3, vmf3_generic, case):
         torus = ProductVonMises(FlatTorus(1.0, 1.0), (1.5, 1.5))
         one = DriftSpec("intrinsic")
         torus_pair = (one, DriftSpec("intrinsic", scale=1.5))
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=11)
         burnt = ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1)
         kept = cfg.kept_count()
-        q, spec, c, n, shape = {
-            "sphere3_pair": (vmf3, self.S3_PAIR, cfg, 5, (2, 5, kept)),
-            "sphere2_single": (vmf2, one, cfg, 4, (4, kept)),
-            "torus_pair": (torus, torus_pair, cfg, 3, (2, 3, kept)),
-            "all_burn_in": (vmf2, one, burnt, 3, (3, 0)),
+        laws, spec, c, n, shape = {
+            "sphere3_pair": ((vmf3, vmf3_generic), self.S3_PAIR, cfg, 5,
+                             (2, 5, kept)),
+            "sphere2_single": ((vmf2, vmf2_generic), one, cfg, 4, (4, kept)),
+            "torus_pair": ((torus,), torus_pair, cfg, 3, (2, 3, kept)),
+            "all_burn_in": ((vmf2,), one, burnt, 3, (3, 0)),
         }[case]
-        d = derive_rng(5, "test.direction").standard_normal(
-            q.manifold.ambient_dim)
-        d /= np.linalg.norm(d)
-        t = run_chains(q, spec, c, n, direction=d)
-        assert t.shape == shape
-        assert np.array_equal(t, run_chains(q, spec, c, n) @ d)
+        for q in laws:
+            d = derive_rng(5, "test.direction").standard_normal(
+                q.manifold.ambient_dim)
+            d /= np.linalg.norm(d)
+            t = run_chains(q, spec, c, n, direction=d)
+            assert t.shape == shape
+            assert np.array_equal(t, run_chains(q, spec, c, n) @ d)
+
+    def test_oracle_copy_equals_single_run(self, vmf2_generic):
+        # the score-multiple copies share one score call while the oracle
+        # copy calls its own field, between two score copies
+        specs = (DriftSpec("intrinsic"), DriftSpec("oracle_rb", 0.1),
+                 DriftSpec("intrinsic", scale=1.5))
+        cfg = ChainConfig(step=1e-3, n_steps=12, burn_in=0, thinning=4,
+                          seed=9)
+        coupled = run_chains(vmf2_generic, specs, cfg, 2)
+        for spec, run in zip(specs, coupled):
+            assert np.array_equal(run, run_chains(vmf2_generic, spec, cfg, 2))
+
+    def test_noise_block_size_does_not_matter(self, vmf3_generic,
+                                              monkeypatch):
+        # 300 steps fill no whole block of either size, and 5 chains no
+        # whole fill group of 2
+        torus = ProductVonMises(FlatTorus(1.0, 1.5), (1.5, 1.0))
+        cfg = ChainConfig(step=1e-3, n_steps=300, seed=13)
+        d = generic_unit(4)
+        runs = [lambda: run_chains(vmf3_generic, self.S3_PAIR, cfg, 5,
+                                   direction=d),
+                lambda: run_chains(torus, DriftSpec("intrinsic"), cfg, 5)]
+        default = [run() for run in runs]
+        monkeypatch.setattr(langevin, "NOISE_BLOCK", 7)
+        monkeypatch.setattr(langevin, "NOISE_GROUP", 2)
+        for run, expected in zip(runs, default):
+            assert np.array_equal(run(), expected)
 
     def test_empty_tuple_rejected(self, vmf2):
         with pytest.raises(ConfigError):
@@ -220,11 +270,12 @@ class TestChains:
                            ChainConfig(step=1e-3, n_steps=300, seed=8), 4)
         assert not np.array_equal(a, other)
 
-    def test_chain_count_prefix_stable(self, vmf2):
+    def test_chain_count_prefix_stable(self, vmf2, vmf2_generic):
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=7)
-        wide = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 8)
-        narrow = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 3)
-        assert np.array_equal(wide[:3], narrow)
+        for q in (vmf2, vmf2_generic):
+            wide = run_chains(q, DriftSpec("intrinsic"), cfg, 8)
+            narrow = run_chains(q, DriftSpec("intrinsic"), cfg, 3)
+            assert np.array_equal(wide[:3], narrow)
 
     def test_explicit_initial(self, vmf2):
         z0 = S2.point(np.array([0.0, 1.0, 0.0]))
