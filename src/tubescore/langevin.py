@@ -2,13 +2,19 @@
 
 Chains step by the exponential map, Exp_z(eps * drift + sqrt(2 eps) * xi)
 with xi standard normal in the tangent space, so iterates never leave the
-manifold.  The drift family covers the exact score, the ambient-regression
-surrogate (1 + sigma^2 alpha) * score, its debiased correction, an optional
-scalar rescaling, and the quadrature target field itself.
+manifold.  The drift family covers the exact score, the extrinsic-only
+sigma^2 surrogate (1 + sigma^2 alpha) * score, its debiased correction, an
+optional scalar rescaling, and the quadrature target field itself.  Large
+runs split their chains across the usable CPUs in forked workers.
 """
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +28,10 @@ from .rng import derive_rng
 DRIFT_KINDS = ("intrinsic", "raw_ambient", "debiased", "oracle_rb")
 NOISE_BLOCK = 256
 NOISE_GROUP = 64
+# fewest chains worth a process of their own: on a 2-core machine a step of
+# the S^3 pair costs about the same at 32 to 128 chains and grows beyond, so
+# halving a run of fewer than 256 chains saves less than the fork costs
+MIN_PROCESS_CHAINS = 128
 
 
 @dataclass(frozen=True)
@@ -30,12 +40,15 @@ class DriftSpec:
 
     kind "intrinsic" is the exact score (optionally rescaled by `scale`,
     which is how the scaled-drift equivalence is exercised); "raw_ambient"
-    is (1 + sigma^2 alpha) * score, the leading-order field an ambient
-    regression learns; "debiased" multiplies that by (1 - sigma^2 alpha);
-    "oracle_rb" uses the quadrature target directly.  alpha is the sphere
-    coefficient 1 - d/2 and is validated against the manifold: on other
-    manifolds the correction is a full operator and the scalar shortcut is
-    refused.
+    is (1 + sigma^2 alpha) * score, the extrinsic-only sigma^2 surrogate;
+    "debiased" multiplies that by (1 - sigma^2 alpha); "oracle_rb" uses the
+    quadrature target directly.  The surrogate is not the field that a
+    tube-conditioned regression learns: that field, the Rao-Blackwellized
+    target r_sigma, also carries the intrinsic Tweedie term at order
+    sigma^2, which "raw_ambient" omits and which dominates at sigma = 0.3
+    on S^3.  alpha is the sphere coefficient 1 - d/2 and is validated
+    against the manifold: on other manifolds the correction is a full
+    operator and the scalar shortcut is refused.
     """
 
     kind: str
@@ -140,15 +153,25 @@ class ChainConfig:
         return (self.n_steps - self.burn_in) // self.thinning
 
 
-def _initial_rows(q: DensityModel, config: ChainConfig, n_chains: int):
+def _initial_rows(q: DensityModel, config: ChainConfig, chains: range):
     if config.initial is not None:
         ensure_same_manifold(q.manifold, config.initial.manifold)
-        return np.tile(config.initial.coords, (n_chains, 1))
+        return np.tile(config.initial.coords, (len(chains), 1))
     # one draw per chain from its own stream, so chain c is the same
     # object no matter how many chains run beside it
     rows = [q.sample_coords_seeded(1, config.seed, label=f"langevin.init.{c}")[0]
-            for c in range(n_chains)]
+            for c in chains]
     return np.asarray(rows)
+
+
+def _chain_ranges(n_chains: int) -> list[range]:
+    """Contiguous chain ranges, one per process: at most one per usable
+    CPU, and each of at least MIN_PROCESS_CHAINS chains."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    parts = max(1, min(cpus, n_chains // MIN_PROCESS_CHAINS))
+    cuts = [n_chains * i // parts for i in range(parts + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
@@ -181,6 +204,18 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     stream order, and rearranged once per block into the state's layout,
     ``NOISE_GROUP`` chains at a time; neither size changes any result.
 
+    The chains are split into contiguous ranges, one per usable CPU
+    (``os.sched_getaffinity``), each of at least ``MIN_PROCESS_CHAINS``
+    chains; a smaller run stays in this process.  This process steps the
+    first range and a forked worker steps each other range, every one
+    writing its chains' kept iterates straight into one shared output.
+    Each range builds its chains' noise streams and initial points itself,
+    and every step kernel is row-wise, so the split changes no result: it
+    is the same rule that makes chain c independent of n_chains.  When a
+    step reaches the injectivity radius, ``BeyondInjectivity`` names the
+    first such iterate over all ranges and the longest step at it, as an
+    unsplit run does.  A worker's other exceptions are raised here.
+
     With ``direction`` (a length-D vector), each kept iterate z is stored
     only as z @ direction and the trailing D axis is dropped: the result
     is (n_chains, kept), or (len(spec), n_chains, kept) for a tuple, and
@@ -195,38 +230,63 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     if not specs:
         raise ConfigError("need at least one drift spec")
     factors = [_score_factor(s, q) for s in specs]
-    # copy s of chain c is row s * n_chains + c
-    copies = [slice(s * n_chains, (s + 1) * n_chains) for s in range(len(specs))]
-    oracle_fields = [(part, build_drift(s, q, oracle=oracle))
-                     for s, f, part in zip(specs, factors, copies) if f is None]
+    oracle_fields = [(i, build_drift(s, q, oracle=oracle))
+                     for i, (s, f) in enumerate(zip(specs, factors))
+                     if f is None]
+    item = (M.ambient_dim,) if direction is None else ()  # one kept value
+    shape = (len(specs), n_chains, config.kept_count(), *item)
+    run = partial(_run_range, q, factors, oracle_fields, config, direction)
+    ranges = _chain_ranges(n_chains)
+    if len(ranges) == 1:
+        out = np.empty(shape)
+        hits = [run(ranges[0], out)]
+    else:
+        out, hits = _run_split(run, ranges, shape)
+    hits = [h for h in hits if h is not None]
+    if hits:
+        step_idx, longest = min(hits, key=lambda h: (h[0], -h[1]))
+        raise BeyondInjectivity(
+            f"step length {longest:.4g} at iterate {step_idx}")
+    return out if isinstance(spec, tuple) else out[0]
+
+
+def _run_range(q: DensityModel, factors: list, oracle_fields: list,
+               config: ChainConfig, direction: np.ndarray | None,
+               chains: range, out: np.ndarray) -> tuple[int, float] | None:
+    """Step ``chains`` of every copy, writing kept iterate k of copy s and
+    chain ``chains[j]`` to ``out[s, j, k]``.
+
+    Returns None, or (iterate, longest step) at the first iterate whose
+    longest step reaches the injectivity radius, where the range stops.
+    """
+    M = q.manifold
+    n = len(chains)
+    copies = len(factors)
+    # copy s of chain chains[j] is row s * n + j
+    fields = [(slice(s * n, (s + 1) * n), field) for s, field in oracle_fields]
     # oracle_rb copies overwrite their rows, so their factor is arbitrary
     factor = np.repeat([1.0 if f is None else f for f in factors],
-                       n_chains)[:, None]
+                       n)[:, None]
     eps = config.step
     root = np.sqrt(2.0 * eps)
     inj = M.injectivity_radius
 
-    rows = len(specs) * n_chains
-    z = np.asfortranarray(np.tile(_initial_rows(q, config, n_chains),
-                                  (len(specs), 1)))
+    rows = copies * n
+    z = np.asfortranarray(np.tile(_initial_rows(q, config, chains),
+                                  (copies, 1)))
     D = M.ambient_dim
-    kept = config.kept_count()
-    item = (D,) if direction is None else ()  # shape of one kept value
-    out = np.empty((len(specs), n_chains, kept, *item))
-    by_row = out.reshape(rows, kept, *item)  # a view
-    gens = [derive_rng(config.seed, "langevin.noise", c)
-            for c in range(n_chains)]
+    gens = [derive_rng(config.seed, "langevin.noise", c) for c in chains]
     steps = min(NOISE_BLOCK, config.n_steps)
-    fill = np.empty((min(NOISE_GROUP, n_chains), steps, D))
-    # noise[b, :, s, c] is chain c's draw for step b, copied once per
-    # spec, so noise[b] reads as the column-major (rows, D) array of a step
-    noise = np.empty((steps, D, len(specs), n_chains))
+    fill = np.empty((min(NOISE_GROUP, n), steps, D))
+    # noise[b, :, s, j] is chain j's draw for step b, copied once per
+    # copy, so noise[b] reads as the column-major (rows, D) array of a step
+    noise = np.empty((steps, D, copies, n))
 
     k = 0
     step_idx = 0
     while step_idx < config.n_steps:
         block = min(NOISE_BLOCK, config.n_steps - step_idx)
-        for c0 in range(0, n_chains, len(fill)):
+        for c0 in range(0, n, len(fill)):
             group = gens[c0:c0 + len(fill)]
             for g, stream in zip(group, fill):
                 g.standard_normal(out=stream[:block])
@@ -235,7 +295,7 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
         for b in range(block):
             step_idx += 1
             drift = factor * q.score_batch(z)
-            for part, field in oracle_fields:
+            for part, field in fields:
                 drift[part] = field(np.ascontiguousarray(z[part]))
             xi = noise[b].reshape(D, rows).T
             v = eps * drift + root * M.tangent_project_batch(z, xi)
@@ -244,15 +304,92 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
                 norms = row_norms(v)
                 longest = norms.max()
                 if longest >= inj:
-                    raise BeyondInjectivity(
-                        f"step length {longest:.4g} at iterate {step_idx}")
+                    return step_idx, float(longest)
             z = M.exp_batch(z, v, norms=norms)
             past = step_idx - config.burn_in
             if past > 0 and past % config.thinning == 0:
-                by_row[:, k] = (z if direction is None
-                                else np.ascontiguousarray(z) @ direction)
+                kept = (z if direction is None
+                        else np.ascontiguousarray(z) @ direction)
+                out[:, :, k] = kept.reshape(copies, n, *out.shape[3:])
                 k += 1
-    return out if isinstance(spec, tuple) else out[0]
+    return None
+
+
+def _run_split(run, ranges: list[range], shape: tuple):
+    """``run(chains, out[:, chains])`` for the first range here and for
+    every other range in a forked worker; returns (out, hits).
+
+    ``out`` lives in one shared anonymous mapping, written in place by
+    every process and returned without a copy.  Each worker sends back
+    its range's hit, or the exception it raised, through a pipe; the
+    first exception raised in any process is raised here.  Every worker
+    is reaped before this returns or raises; when this process fails,
+    is interrupted or reads a worker's exception, the workers still
+    running are killed first.
+    """
+    size = int(np.prod(shape))
+    buffer = mmap.mmap(-1, max(size, 1) * np.dtype(float).itemsize)
+    out = np.frombuffer(buffer, count=size).reshape(shape)
+    workers = []  # (pid, read end of its pipe)
+    try:
+        for chains in ranges[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _worker(run, chains, out, w)
+            os.close(w)
+            workers.append((pid, r))
+        first = ranges[0]
+        hits = [run(first, out[:, first.start:first.stop])]
+        for pid, r in workers:
+            hits.append(_receive(pid, r))
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in workers:
+            os.close(r)
+            os.waitpid(pid, 0)
+    return out, hits
+
+
+def _worker(run, chains: range, out: np.ndarray, fd: int):
+    """Body of a forked worker: run one range and send the outcome.
+
+    It leaves through ``os._exit`` whatever happens, so it never returns
+    into the caller's stack, runs no exit handler and flushes none of the
+    stdio buffers it inherited.
+    """
+    try:
+        try:
+            message = ("hit", run(chains, out[:, chains.start:chains.stop]))
+        except BaseException as exc:  # sent to the caller, who re-raises
+            message = ("raise", exc)
+        data = pickle.dumps(message)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _receive(pid: int, fd: int) -> tuple[int, float] | None:
+    """The hit a worker sent, or the exception it raised, raised here."""
+    with open(fd, "rb", closefd=False) as fh:
+        data = fh.read()
+    if not data:
+        raise RuntimeError(
+            f"chain worker {pid} sent no result: it was killed, or raised"
+            " an exception that could not be pickled")
+    kind, value = pickle.loads(data)
+    if kind == "raise":
+        raise value
+    return value
 
 
 def run_chain(q: DensityModel, spec: DriftSpec, config: ChainConfig, *,

@@ -1,4 +1,8 @@
 """Chain mechanics, drift family validation, and equilibrium diagnostics."""
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -236,6 +240,124 @@ class TestCoupledChains:
         monkeypatch.setattr(langevin, "NOISE_GROUP", 2)
         for run, expected in zip(runs, default):
             assert np.array_equal(run(), expected)
+
+    @pytest.mark.parametrize("case", ["sphere3_pair", "sphere3_direction",
+                                      "torus_pair", "oracle_copy",
+                                      "all_burn_in"])
+    def test_split_runs_match_in_process(self, vmf2, vmf2_generic, vmf3,
+                                         vmf3_generic, monkeypatch, case):
+        # odd chain counts cut the chains inside a NOISE_GROUP; the default
+        # MIN_PROCESS_CHAINS keeps these small references in-process.  Every
+        # range of the oracle case holds at least 2 chains: the oracle's
+        # quadrature gives other last bits on a one-row batch
+        torus = ProductVonMises(FlatTorus(1.0, 1.5), (1.5, 1.0))
+        cfg = ChainConfig(step=1e-3, n_steps=300, seed=11)
+        d4 = generic_unit(4)
+        runs = {
+            "sphere3_pair": [
+                lambda q=q: run_chains(q, self.S3_PAIR, cfg, 7)
+                for q in (vmf3, vmf3_generic)],
+            "sphere3_direction": [
+                lambda q=q: run_chains(q, self.S3_PAIR, cfg, 7, direction=d4)
+                for q in (vmf3, vmf3_generic)],
+            "torus_pair": [lambda: run_chains(
+                torus, (DriftSpec("intrinsic"),
+                        DriftSpec("intrinsic", scale=1.5)), cfg, 5)],
+            "oracle_copy": [lambda: run_chains(
+                vmf2_generic, (DriftSpec("intrinsic"),
+                               DriftSpec("oracle_rb", 0.1)),
+                ChainConfig(step=1e-3, n_steps=12, burn_in=0, thinning=4,
+                            seed=9), 7)],
+            "all_burn_in": [lambda: run_chains(
+                vmf2, DriftSpec("intrinsic"),
+                ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1), 5)],
+        }[case]
+        default = [run() for run in runs]
+        monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert len(langevin._chain_ranges(3)) == 3
+        for run, expected in zip(runs, default):
+            assert np.array_equal(run(), expected)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_runs_in_process(self, vmf3_generic, monkeypatch):
+        cfg = ChainConfig(step=1e-3, n_steps=300, seed=11)
+        expected = run_chains(vmf3_generic, self.S3_PAIR, cfg, 7)
+
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+        monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert np.array_equal(
+            run_chains(vmf3_generic, self.S3_PAIR, cfg, 7), expected)
+
+    @pytest.mark.parametrize("scale, seed", [(1.0, 5), (50.0, 0)])
+    def test_split_failure_has_the_unsplit_message(self, vmf2, monkeypatch,
+                                                   scale, seed):
+        # at scale 1 the first failing iterate falls in a worker's range and
+        # the caller's own range fails later; at scale 50 every range fails
+        # at iterate 1 and the longest step lies in a worker's range
+        spec = DriftSpec("intrinsic", scale=scale)
+        cfg = ChainConfig(step=0.9, n_steps=10, seed=seed)
+
+        def message(n):
+            with pytest.raises(BeyondInjectivity) as err:
+                run_chains(vmf2, spec, cfg, n)
+            return str(err.value)
+        unsplit = message(7)
+        assert message(2) != unsplit  # chains 0 and 1 alone fail otherwise
+        monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert message(7) == unsplit
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("exc, n_steps", [(ValueError, 300),
+                                              (KeyboardInterrupt, 3_000_000)])
+    def test_split_exceptions_reach_the_caller(self, monkeypatch, exc,
+                                               n_steps):
+        # ValueError is raised in the workers only and reaches the caller
+        # once its own range is done; KeyboardInterrupt is raised in the
+        # caller only, and the workers' chains are long enough that the
+        # test would take minutes unless they are killed
+        q = VonMisesFisher(S2, MU, 2.0)
+        caller = os.getpid()
+        score = q.score_batch
+
+        def failing_score(z):
+            if (os.getpid() == caller) == (exc is KeyboardInterrupt):
+                raise exc("from the chain step")
+            return score(z)
+        monkeypatch.setattr(q, "score_batch", failing_score)
+        monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg = ChainConfig(step=1e-3, n_steps=n_steps, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(exc, match="from the chain step"):
+            run_chains(q, DriftSpec("intrinsic"), cfg, 3, direction=MU)
+        assert time.perf_counter() - start < 60.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_worker_is_reported(self, monkeypatch):
+        q = VonMisesFisher(S2, MU, 2.0)
+        caller = os.getpid()
+        score = q.score_batch
+
+        def dying_score(z):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return score(z)
+        monkeypatch.setattr(q, "score_batch", dying_score)
+        monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = ChainConfig(step=1e-3, n_steps=300, seed=1)
+        with pytest.raises(RuntimeError, match="sent no result"):
+            run_chains(q, DriftSpec("intrinsic"), cfg, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_empty_tuple_rejected(self, vmf2):
         with pytest.raises(ConfigError):
