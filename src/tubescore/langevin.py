@@ -211,10 +211,13 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     writing its chains' kept iterates straight into one shared output.
     Each range builds its chains' noise streams and initial points itself,
     and every step kernel is row-wise, so the split changes no result: it
-    is the same rule that makes chain c independent of n_chains.  When a
-    step reaches the injectivity radius, ``BeyondInjectivity`` names the
-    first such iterate over all ranges and the longest step at it, as an
-    unsplit run does.  A worker's other exceptions are raised here.
+    is the same rule that makes chain c independent of n_chains.  (The
+    oracle's quadrature gives other last bits on a one-row batch, so an
+    "oracle_rb" copy relies on every range holding at least two chains.)
+    When a step reaches the injectivity radius, ``BeyondInjectivity``
+    names the first such iterate over all ranges and the longest step at
+    it, as an unsplit run does.  A worker's other exceptions are raised
+    here.
 
     With ``direction`` (a length-D vector), each kept iterate z is stored
     only as z @ direction and the trailing D axis is dropped: the result
@@ -321,8 +324,9 @@ def _run_split(run, ranges: list[range], shape: tuple):
 
     ``out`` lives in one shared anonymous mapping, written in place by
     every process and returned without a copy.  Each worker sends back
-    its range's hit, or the exception it raised, through a pipe; the
-    first exception raised in any process is raised here.  Every worker
+    its range's hit, or the exception it raised, through a pipe.  This
+    process's own exception is raised here, or else the exception of the
+    first worker, in range order, that sent one.  Every worker
     is reaped before this returns or raises; when this process fails,
     is interrupted or reads a worker's exception, the workers still
     running are killed first.
