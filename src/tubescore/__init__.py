@@ -8,10 +8,8 @@ from .geometry import (
     CurvatureBundle,
     FlatTorus,
     Manifold,
-    ManifoldPoint,
     QuadratureGrid,
     Sphere,
-    TangentVector,
 )
 from .densities import (
     DensityModel,
@@ -30,13 +28,10 @@ from .targets import (
 from .oracle import (
     FiberPosterior,
     RBOracle,
-    chord_moment_ratio,
     extract_extrinsic_coefficient,
     extrinsic_term,
-    posterior_moment,
     predicted_expansion,
     score_second_moment,
-    stein_residual,
 )
 from .estimators import (
     KernelSpec,
@@ -55,7 +50,6 @@ from .langevin import (
     ChainConfig,
     DriftSpec,
     marginal_diagnostic,
-    run_chain,
     run_chains,
     two_sample_ks,
 )
@@ -72,17 +66,14 @@ __all__ = [
     "IsotropicGaussian",
     "KernelSpec",
     "Manifold",
-    "ManifoldPoint",
     "ProductVonMises",
     "QuadratureGrid",
     "RBOracle",
     "Sphere",
     "SphereTMarginal",
-    "TangentVector",
     "Uniform",
     "VonMisesFisher",
     "__version__",
-    "chord_moment_ratio",
     "coarsening_check",
     "collect",
     "corrupt",
@@ -96,15 +87,12 @@ __all__ = [
     "local_average",
     "marginal_diagnostic",
     "optimal_bandwidth",
-    "posterior_moment",
     "predicted_expansion",
     "probe_points",
     "projected_risk",
     "pythagorean_gap",
-    "run_chain",
     "run_chains",
     "score_second_moment",
-    "stein_residual",
     "two_sample_ks",
     "variance_sweep",
 ]

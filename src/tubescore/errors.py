@@ -10,23 +10,15 @@ class ConfigError(TubescoreError):
 
 
 class ManifoldMismatch(TubescoreError):
-    """Operands live on different manifolds."""
+    """An operand does not live on the manifold it is used with."""
 
 
 class UnsupportedManifold(TubescoreError):
     """Requested operation is not provided for this manifold."""
 
 
-class OutsideTube(TubescoreError):
-    """Ambient point is farther than the working tube radius from the manifold."""
-
-
 class BeyondInjectivity(TubescoreError):
     """Tangent vector is too long for a well-defined exponential-map inverse."""
-
-
-class CutLocus(TubescoreError):
-    """No unique minimizing geodesic between the given points."""
 
 
 class QuadratureNotConverged(TubescoreError):

@@ -14,9 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .densities import DensityModel
-from .errors import ConfigError, EmptyWindow, ManifoldMismatch
+from .errors import ConfigError, EmptyWindow
 from .geometry import Manifold
-from .geometry.base import POINT_ATOL
 from .oracle import RBOracle
 from .rng import seed_sequence
 from .targets import CorruptedBatch, corrupt
@@ -85,10 +84,7 @@ def local_average(data: CorruptedBatch, z: np.ndarray,
     or when every in-window foot sits at the cut locus.
     """
     M = _require_kept(data).manifold
-    z = np.asarray(z, dtype=float)
-    if (z.shape != (M.ambient_dim,)
-            or not M.constraint_residual_batch(z[None, :])[0] <= POINT_ATOL):
-        raise ManifoldMismatch(f"probe {z} is not a point of {M.name}")
+    z = M.point_row(z)
     hs = np.array(bandwidths, dtype=float, ndmin=1)
     if not np.all(hs > 0):
         raise ConfigError("bandwidth must be positive")

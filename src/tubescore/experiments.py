@@ -44,7 +44,6 @@ from .oracle import (
     extract_extrinsic_coefficient,
     predicted_expansion,
     score_second_moment,
-    stein_residual,
 )
 from .rng import derive_rng
 from .targets import corrupt, flat_reduction_residuals
@@ -239,18 +238,14 @@ def run_stein_suite(sigma: float = 0.1, moment_sigma: float = 0.025,
     """Posterior identities, moment windows, and both remainder plateaus."""
     q1 = sphere_vmf(1, kappa)
     q2 = sphere_vmf(2, kappa)
-    z1 = Sphere(1).point(np.array([1.0, 0.0]))
-    z2 = Sphere(2).point(np.array([1.0, 0.0, 0.0]))
+    z1 = np.array([1.0, 0.0])
+    z2 = np.array([1.0, 0.0, 0.0])
 
-    out = {
-        "sigma": sigma,
-        "moment_sigma": moment_sigma,
-        "seed": seed,
-        "stein_residual_sphere1": float(stein_residual(z1, q1, sigma)),
-        "stein_residual_sphere2": float(stein_residual(z2, q2, sigma)),
-        "stein_residual_uniform": float(
-            stein_residual(z1, Uniform(Sphere(1)), sigma)),
-    }
+    out = {"sigma": sigma, "moment_sigma": moment_sigma, "seed": seed}
+    for key, z, q in (("sphere1", z1, q1), ("sphere2", z2, q2),
+                      ("uniform", z1, Uniform(Sphere(1)))):
+        out[f"stein_residual_{key}"] = float(
+            FiberPosterior(z, q, sigma).stein_residual())
 
     moments = {}
     for d, q, z in ((1, q1, z1), (2, q2, z2)):

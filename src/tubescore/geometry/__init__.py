@@ -1,11 +1,5 @@
 """Exact geometric primitives for the supported embedded manifolds."""
-from .base import (
-    Manifold,
-    ManifoldPoint,
-    TangentVector,
-    ensure_same_manifold,
-    wrap_angle,
-)
+from .base import Manifold, wrap_angle
 from .curvature import CurvatureBundle
 from .plane import AffinePlane
 from .quadrature import QuadratureGrid, gauss_legendre
@@ -17,11 +11,8 @@ __all__ = [
     "CurvatureBundle",
     "FlatTorus",
     "Manifold",
-    "ManifoldPoint",
     "QuadratureGrid",
     "Sphere",
-    "TangentVector",
-    "ensure_same_manifold",
     "gauss_legendre",
     "wrap_angle",
 ]

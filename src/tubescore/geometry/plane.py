@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .base import Manifold, gram_schmidt_complement
+from .base import Manifold
 from .quadrature import QuadratureGrid, check_resolution, gauss_legendre
 
 
@@ -29,6 +29,10 @@ class AffinePlane(Manifold):
             raise ValueError("frame rows must be orthonormal")
         self._p0 = basepoint
         self._frame = frame
+        # tangent rows, then their orthonormal complement: the one frame
+        # of every point, broadcast by frames_batch
+        self._full_frame = np.concatenate([
+            frame, _gram_schmidt_complement(frame, self.codim, self.ambient_dim)])
 
     @classmethod
     def axis_aligned(cls, d: int, ambient: int) -> "AffinePlane":
@@ -116,12 +120,6 @@ class AffinePlane(Manifold):
     def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.linalg.norm(p - z[None, :], axis=-1)
 
-    def tangent_basis(self, z: np.ndarray) -> np.ndarray:
-        return self._frame.copy()
-
-    def normal_basis(self, z: np.ndarray) -> np.ndarray:
-        return gram_schmidt_complement(self._frame, self.codim, self.ambient_dim)
-
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
         d = self.intrinsic_dim
         return np.zeros((z.shape[0], self.codim, d, d))
@@ -134,8 +132,8 @@ class AffinePlane(Manifold):
         return np.ones(m.shape[0])
 
     def frames_batch(self, z: np.ndarray) -> np.ndarray:
-        frame = np.concatenate([self._frame, self.normal_basis(None)])
-        return np.broadcast_to(frame, (z.shape[0],) + frame.shape)
+        return np.broadcast_to(self._full_frame,
+                               (z.shape[0],) + self._full_frame.shape)
 
     def polar_chords(self, v: np.ndarray):
         n = v.shape[0]
@@ -162,3 +160,20 @@ class AffinePlane(Manifold):
         for wa in np.meshgrid(*([w] * d), indexing="ij"):
             weights *= wa.ravel()
         return QuadratureGrid(self, self.embed(coords), weights, resolution=n)
+
+
+def _gram_schmidt_complement(rows: np.ndarray, dim: int, ambient: int) -> np.ndarray:
+    """First ``dim`` ambient axes orthonormalized against ``rows`` (in order)."""
+    basis: list[np.ndarray] = []
+    for a in np.eye(ambient):
+        w = a - rows.T @ (rows @ a)
+        for b in basis:
+            w = w - (b @ w) * b
+        nrm = np.linalg.norm(w)
+        if nrm > 1e-8:
+            basis.append(w / nrm)
+        if len(basis) == dim:
+            break
+    if len(basis) != dim:
+        raise RuntimeError("failed to complete an orthonormal frame")
+    return np.array(basis)

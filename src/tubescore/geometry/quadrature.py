@@ -6,9 +6,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import Manifold, _readonly
+from .base import Manifold
 
 MIN_RESOLUTION = 8
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=float, copy=True)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from ..errors import UnsupportedManifold
-from .base import Manifold, gram_schmidt_complement, row_dots, row_norms
+from .base import Manifold, row_dots, row_norms
 from .quadrature import QuadratureGrid, check_resolution, gauss_legendre
 
 _SPHERE_VOLUMES = {1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2,
@@ -117,12 +117,6 @@ class Sphere(Manifold):
 
     def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.arccos(np.clip(p @ z, -1.0, 1.0))
-
-    def tangent_basis(self, z: np.ndarray) -> np.ndarray:
-        return gram_schmidt_complement(z[None, :], self._dim, self.ambient_dim)
-
-    def normal_basis(self, z: np.ndarray) -> np.ndarray:
-        return z[None, :].copy()
 
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
         # II(u, v) = -<u, v> z for the outward normal row z.

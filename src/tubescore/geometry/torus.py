@@ -156,14 +156,6 @@ class FlatTorus(Manifold):
         delta = wrap_angle(self.angles(p) - self.angles(z[None, :]))
         return np.hypot(self._r[0] * delta[..., 0], self._r[1] * delta[..., 1])
 
-    def tangent_basis(self, z: np.ndarray) -> np.ndarray:
-        e, _ = self._frame_vectors(z)
-        return np.stack([self._pad(e[..., 0, :], 0), self._pad(e[..., 1, :], 1)])
-
-    def normal_basis(self, z: np.ndarray) -> np.ndarray:
-        _, nrm = self._frame_vectors(z)
-        return np.stack([self._pad(nrm[..., 0, :], 0), self._pad(nrm[..., 1, :], 1)])
-
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
         h = np.zeros((2, 2, 2))
         h[0, 0, 0] = -1.0 / self._r[0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .densities import DensityModel, SphereTMarginal, Uniform, VonMisesFisher
 from .errors import BeyondInjectivity, ConfigError, UnsupportedManifold
-from .geometry import ManifoldPoint, Sphere, ensure_same_manifold
+from .geometry import Sphere
 from .geometry.base import row_norms
 from .oracle import RBOracle, check_sigma
 from .rng import derive_rng
@@ -121,6 +121,11 @@ class ChainConfig:
     Steps of size eps must resolve the geometry: eps <= 0.1 * injectivity^2
     keeps the Brownian increment scale sqrt(2 eps) well under the scale on
     which the exponential map folds.
+
+    ``initial``, when given, is a length-D coordinate row at which every
+    chain starts; it is stored as a read-only float copy, and
+    ``run_chains`` checks that it is a point of the density's manifold.
+    Without it, each chain draws its own start from the density.
     """
 
     step: float = 1e-3
@@ -128,9 +133,13 @@ class ChainConfig:
     burn_in: int | None = None
     thinning: int = 5
     seed: int = 0
-    initial: ManifoldPoint | None = None
+    initial: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.initial is not None:
+            initial = np.array(self.initial, dtype=float)
+            initial.flags.writeable = False
+            object.__setattr__(self, "initial", initial)
         if not self.step > 0:
             raise ConfigError("step must be positive")
         if self.n_steps < 1:
@@ -155,8 +164,7 @@ class ChainConfig:
 
 def _initial_rows(q: DensityModel, config: ChainConfig, chains: range):
     if config.initial is not None:
-        ensure_same_manifold(q.manifold, config.initial.manifold)
-        return np.tile(config.initial.coords, (len(chains), 1))
+        return np.tile(config.initial, (len(chains), 1))
     # one draw per chain from its own stream, so chain c is the same
     # object no matter how many chains run beside it
     rows = [q.sample_coords_seeded(1, config.seed, label=f"langevin.init.{c}")[0]
@@ -227,6 +235,8 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     """
     M = q.manifold
     config.validate_for(M)
+    if config.initial is not None:
+        M.point_row(config.initial)
     if n_chains < 1:
         raise ConfigError("need at least one chain")
     specs = spec if isinstance(spec, tuple) else (spec,)
@@ -394,14 +404,6 @@ def _receive(pid: int, fd: int) -> tuple[int, float] | None:
     if kind == "raise":
         raise value
     return value
-
-
-def run_chain(q: DensityModel, spec: DriftSpec, config: ChainConfig, *,
-              oracle: RBOracle | None = None) -> list[ManifoldPoint]:
-    """Single chain, returned as manifold points (post burn-in, thinned)."""
-    rows = run_chains(q, spec, config, 1, oracle=oracle)[0]
-    M = q.manifold
-    return [M.point(r) for r in rows]
 
 
 # ---------------------------------------------------------------------------

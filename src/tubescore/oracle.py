@@ -43,13 +43,7 @@ import numpy as np
 
 from .densities import DensityModel
 from .errors import ConfigError, DegenerateScore, QuadratureNotConverged
-from .geometry import (
-    AffinePlane,
-    Manifold,
-    ManifoldPoint,
-    Sphere,
-    ensure_same_manifold,
-)
+from .geometry import AffinePlane, Manifold, Sphere
 from .geometry.quadrature import gauss_legendre
 
 SIGMA_MIN = 0.01
@@ -417,7 +411,9 @@ def score_second_moment(q: DensityModel) -> float:
 class FiberPosterior:
     """The latent posterior at one foot point, on the oracle's polar rule.
 
-    Over tangent coordinates v at z the posterior is proportional to
+    ``z`` is the foot, a length-D coordinate row of a point of
+    ``q.manifold``; any other row raises ManifoldMismatch.  Over tangent
+    coordinates v at z the posterior is proportional to
     a(v) * exp(-||v||^2 / (2 sigma^2)) with
 
         a(v) = q(Exp_z v) * J(v) * exp((||v||^2 - ||G(v)||^2) / (2 sigma^2))
@@ -428,9 +424,9 @@ class FiberPosterior:
     this query, so every expectation here matches the target node for node.
     """
 
-    def __init__(self, z: ManifoldPoint, q: DensityModel, sigma: float, *,
+    def __init__(self, z: np.ndarray, q: DensityModel, sigma: float, *,
                  fd_step: float = 1e-4):
-        ensure_same_manifold(q.manifold, z.manifold)
+        z = q.manifold.point_row(z)
         oracle = RBOracle(q, sigma)
         self.sigma = oracle.sigma
         self.manifold = q.manifold
@@ -438,7 +434,7 @@ class FiberPosterior:
         self.z = z
         self.fd_step = fd_step
         self.d = self.manifold.intrinsic_dim
-        zc = z.coords[None]
+        zc = z[None]
         self._frames = self.manifold.frames_batch(zc)
         _, accepted = oracle._solve(zc, self._frames)
         rule = oracle.rule(*map(int, accepted[0]))
@@ -451,7 +447,7 @@ class FiberPosterior:
     def _log_a(self, coords: np.ndarray) -> np.ndarray:
         chord, log_k = _log_kernel(self.manifold, coords, self.sigma)
         log_k += np.sum(coords * coords, axis=-1) / (2.0 * self.sigma**2)
-        return _log_posterior(self.density, self.z.coords[None], self._frames,
+        return _log_posterior(self.density, self.z[None], self._frames,
                              chord, log_k)[:, 0]
 
     def expectation(self, values: np.ndarray) -> np.ndarray:
@@ -482,14 +478,3 @@ class FiberPosterior:
         """||E[G(v) - v]|| / sigma^4: the chord remainder moment scale."""
         return float(np.linalg.norm(self.expectation(self.chord - self.coords))) / self.sigma**4
 
-
-def stein_residual(z: ManifoldPoint, q: DensityModel, sigma: float, **kw) -> float:
-    return FiberPosterior(z, q, sigma, **kw).stein_residual()
-
-
-def posterior_moment(z: ManifoldPoint, q: DensityModel, sigma: float, k: int, **kw) -> float:
-    return FiberPosterior(z, q, sigma, **kw).moment(k)
-
-
-def chord_moment_ratio(z: ManifoldPoint, q: DensityModel, sigma: float, **kw) -> float:
-    return FiberPosterior(z, q, sigma, **kw).chord_ratio()

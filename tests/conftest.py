@@ -25,15 +25,23 @@ def rng():
     return np.random.default_rng(20260816)
 
 
+def tangent_rows(manifold, z):
+    """The tangent rows of the frame at the point row ``z``, shape (d, D)."""
+    return manifold.frames_batch(z[None])[0, :manifold.intrinsic_dim]
+
+
 def random_tangent(manifold, z, rng, scale=1.0):
-    basis = manifold.tangent_basis(z.coords)
-    return manifold.tangent(z, (scale * rng.standard_normal(manifold.intrinsic_dim)) @ basis)
+    """Tangent rows at the point rows ``z``: Gaussian coordinates of the
+    given scale in each row's frame, shape (n, D)."""
+    frames = manifold.frames_batch(z)[:, :manifold.intrinsic_dim]
+    coeffs = scale * rng.standard_normal((z.shape[0], manifold.intrinsic_dim))
+    return np.einsum("nk,nkD->nD", coeffs, frames)
 
 
 def fd_gradient(fn, manifold, z, step=1e-4):
     """Central geodesic differences of the row function ``fn`` at the point
-    row ``z``, along the tangent basis, as an ambient tangent vector."""
-    basis = manifold.tangent_basis(z)
+    row ``z``, along the frame's tangent rows, as an ambient tangent vector."""
+    basis = tangent_rows(manifold, z)
     steps = np.concatenate([step * basis, -step * basis])
     vals = fn(manifold.exp_batch(np.broadcast_to(z, steps.shape), steps))
     d = basis.shape[0]
@@ -42,8 +50,8 @@ def fd_gradient(fn, manifold, z, step=1e-4):
 
 def fd_laplacian(fn, manifold, z, step=1e-3):
     """Geodesic second differences of the row function ``fn`` at the point
-    row ``z``, summed over the tangent basis."""
-    basis = manifold.tangent_basis(z)
+    row ``z``, summed over the frame's tangent rows."""
+    basis = tangent_rows(manifold, z)
     steps = np.concatenate([step * basis, -step * basis])
     vals = fn(manifold.exp_batch(np.broadcast_to(z, steps.shape), steps))
     d = basis.shape[0]

@@ -513,3 +513,59 @@ class TestByteIdentity:
                      "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() != b.read_bytes()
+
+
+def test_benchmark_bound_names_resolve():
+    # The benchmark's tracer reaches these library names as strings and
+    # reads some of their arguments by position; a rename or a deletion
+    # would read as a per-layer metric of 0 rather than fail.  The list is
+    # the one in README's Testing section.
+    import importlib
+    import inspect
+
+    import numpy as np
+
+    from tubescore import densities, estimators, experiments, langevin
+    from tubescore import oracle, targets
+
+    for layer in ("geometry.base", "geometry.curvature", "geometry.plane",
+                  "geometry.quadrature", "geometry.sphere", "geometry.torus",
+                  "densities", "targets", "oracle", "estimators", "langevin",
+                  "experiments", "reporting", "cli"):
+        importlib.import_module(f"tubescore.{layer}")
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    # corrupt, as re-bound by name in the modules that call it, and the
+    # two things the tracer reads of its result
+    assert estimators.corrupt is targets.corrupt is experiments.corrupt
+    batch = targets.corrupt(densities.Uniform(Sphere(2)), 0.1, 10, 0)
+    assert len(batch) == 10 and batch.n_outside >= 0
+    # constructors traced by class name need their own __init__
+    for cls in (oracle.RBOracle, oracle.FiberPosterior,
+                densities.VonMisesFisher, densities.ProductVonMises,
+                densities.IsotropicGaussian, densities.Uniform,
+                densities.SphereTMarginal):
+        assert "__init__" in vars(cls), cls
+    # the oracle's queries and its accepted resolution
+    assert params(oracle.RBOracle.target_coords)[1] == "queries"
+    assert params(oracle.grid_node_count)[:2] == ["manifold", "resolution"]
+    rb = oracle.RBOracle(densities.Uniform(Sphere(1)), 0.1)
+    rb.target_coords(np.array([[1.0, 0.0]]))
+    assert rb.manifold == Sphere(1)
+    oracle.grid_node_count(rb.manifold, rb.convergence_report["resolution"])
+    # chain steps come from run_chains' config and n_chains
+    assert params(langevin.run_chains)[2:4] == ["config", "n_chains"]
+    assert inspect.isfunction(estimators.local_average)
+    # geometry kernels, counted by rows of their first argument
+    for cls in (Sphere, FlatTorus, AffinePlane):
+        assert params(vars(cls)["exp_batch"])[1] == "z"
+        assert params(vars(cls)["transport_to_batch"])[1] == "p"
+        assert params(vars(cls)["project_batch"])[1] == "x"
+    # the density samplers the tracer times
+    for name in ("sample_coords", "sample_coords_seeded"):
+        assert inspect.isfunction(getattr(densities.DensityModel, name))
+    for name in ("format_json", "format_csv"):
+        assert inspect.isfunction(getattr(reporting, name))
+    assert callable(cli.main) and callable(cli.build_parser)

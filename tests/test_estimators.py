@@ -23,7 +23,8 @@ from tubescore.estimators import (
     zero_field,
 )
 from tubescore.geometry import AffinePlane, Sphere
-from tubescore.oracle import RBOracle
+from tubescore.langevin import ChainConfig, DriftSpec, run_chains
+from tubescore.oracle import FiberPosterior, RBOracle
 from tubescore.targets import CorruptedBatch, corrupt, flat_reduction_residuals
 
 S2 = Sphere(2)
@@ -102,33 +103,34 @@ class TestKernel:
 
 
 def average(data, z, h):
-    """The local average at one bandwidth, as a single tangent row."""
-    est, doublings = local_average(data, z.coords, [h])
-    assert est.shape == (1, z.coords.size) and doublings.tolist() == [0]
+    """The local average at the probe row z and one bandwidth, as a single
+    tangent row."""
+    est, doublings = local_average(data, z, [h])
+    assert est.shape == (1, z.size) and doublings.tolist() == [0]
     return est[0]
 
 
 class TestLocalAverage:
     def test_single_sample_at_probe(self, data):
-        z = S2.point(data.foot[0])
+        z = data.foot[0]
         est = average(take(data, slice(0, 1)), z, 0.5)
         assert np.allclose(est, data.targets[0], atol=1e-12)
 
     def test_permutation_invariance(self, data):
-        z = S2.point(np.array([1.0, 0.0, 0.0]))
+        z = np.array([1.0, 0.0, 0.0])
         order = np.random.default_rng(0).permutation(len(data))
         a = average(data, z, 0.4)
         b = average(take(data, order), z, 0.4)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_estimate_is_tangent(self, data):
-        z = S2.point(np.array([0.0, 1.0, 0.0]))
+        z = np.array([0.0, 1.0, 0.0])
         est = average(data, z, 0.4)
-        assert abs(est @ z.coords) <= 1e-12
+        assert abs(est @ z) <= 1e-12
 
     def test_uniform_symmetry_shrinks(self):
         u = Uniform(S2)
-        z = S2.point(np.array([1.0, 0.0, 0.0]))
+        z = np.array([1.0, 0.0, 0.0])
         small = collect(u, 0.1, 500, 2)
         big = collect(u, 0.1, 50_000, 2)
         e_small = np.linalg.norm(average(small, z, 0.8))
@@ -136,8 +138,8 @@ class TestLocalAverage:
         assert e_big < e_small
 
     def test_error_decreases_with_n(self, vmf2, oracle):
-        z = S2.point(np.array([1.0, 0.0, 0.0]))
-        r = oracle.target_coords(z.coords[None])[0]
+        z = np.array([1.0, 0.0, 0.0])
+        r = oracle.target_coords(z[None])[0]
         errs = []
         for n in (1000, 10_000, 100_000):
             per_rep = []
@@ -149,23 +151,33 @@ class TestLocalAverage:
         assert errs[0] > errs[1] > errs[2]
 
     def test_empty_window(self, vmf2, data):
-        z = S2.point(-MU)  # antipode of the mode: sparse region
+        z = -MU  # antipode of the mode: sparse region
         # every foot lies beyond the widening cap (pi/2 on S^2) of z
         assert window_cap(S2) == pytest.approx(np.pi / 2)
-        far = S2.distance_to_batch(data.foot, z.coords) > np.pi / 2 + 0.05
+        far = S2.distance_to_batch(data.foot, z) > np.pi / 2 + 0.05
         with pytest.raises(EmptyWindow):
-            local_average(take(data, far), z.coords, [1e-4])
+            local_average(take(data, far), z, [1e-4])
         # a window that holds only the cut locus of z has no estimate
         anti = single_foot(vmf2, MU, [1.0, 0.0, 0.0])
         with pytest.raises(EmptyWindow):
-            local_average(anti, z.coords, [3.2])
+            local_average(anti, z, [3.2])
 
-    def test_manifold_mismatch(self, data):
-        z3 = Sphere(3).point(np.array([1.0, 0.0, 0.0, 0.0]))
-        with pytest.raises(ManifoldMismatch):
-            local_average(data, z3.coords, [0.4])
-        with pytest.raises(ManifoldMismatch):
-            local_average(data, np.array([1.0, 1.0, 0.0]), [0.4])
+    @pytest.mark.parametrize("caller", ["local_average", "fiber_posterior",
+                                        "run_chains"])
+    def test_manifold_mismatch(self, data, vmf2, caller):
+        # every caller that takes a point row checks it the same way: a row
+        # of S^3 and a row off S^2 are refused before any work is done
+        def call(z):
+            if caller == "local_average":
+                return local_average(data, z, [0.4])
+            if caller == "fiber_posterior":
+                return FiberPosterior(z, vmf2, 0.1)
+            cfg = ChainConfig(n_steps=10, initial=z)
+            return run_chains(vmf2, DriftSpec("intrinsic"), cfg)
+
+        for z in (np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])):
+            with pytest.raises(ManifoldMismatch):
+                call(z)
 
     def test_bandwidths_validated(self, data):
         with pytest.raises(ConfigError):
@@ -176,12 +188,11 @@ class TestLocalAverage:
         # bandwidth; each row matches its own single-bandwidth call
         hs = [0.05, 0.4, 0.1, 0.8, 0.4, 0.2]
         for row in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])):
-            z = S2.point(row)
             est, doublings = local_average(data, row, hs)
             assert est.shape == (len(hs), 3)
             assert doublings.tolist() == [0] * len(hs)
             for h, got in zip(hs, est):
-                assert np.max(np.abs(got - average(data, z, h))) <= 1e-13
+                assert np.max(np.abs(got - average(data, row, h))) <= 1e-13
 
 
 class TestProjectedRisk:

@@ -21,7 +21,6 @@ from tubescore.langevin import (
     build_drift,
     ks_distance,
     marginal_diagnostic,
-    run_chain,
     run_chains,
     two_sample_ks,
 )
@@ -79,20 +78,20 @@ class TestDriftSpec:
 
     def test_factor_values(self, vmf2):
         q3 = VonMisesFisher(Sphere(3), np.array([0., 0., 0., 1.]), 2.0)
-        z = Sphere(3).point(np.array([1.0, 0.0, 0.0, 0.0]))
-        s = q3.score_batch(z.coords[None])[0]
+        z = np.array([1.0, 0.0, 0.0, 0.0])
+        s = q3.score_batch(z[None])[0]
         raw = build_drift(DriftSpec("raw_ambient", 0.3, -0.5), q3)
         deb = build_drift(DriftSpec("debiased", 0.3, -0.5), q3)
-        assert np.allclose(raw(z.coords[None])[0], 0.955 * s, atol=1e-12)
-        assert np.allclose(deb(z.coords[None])[0], 0.955 * 1.045 * s,
+        assert np.allclose(raw(z[None])[0], 0.955 * s, atol=1e-12)
+        assert np.allclose(deb(z[None])[0], 0.955 * 1.045 * s,
                            atol=1e-12)
 
     def test_oracle_rb_field(self, vmf2):
         field = build_drift(DriftSpec("oracle_rb", 0.1), vmf2)
-        z = S2.point(np.array([1.0, 0.0, 0.0]))
-        out = field(z.coords[None])[0]
+        z = np.array([[1.0, 0.0, 0.0]])
+        out = field(z)[0]
         # the conditioned target tracks the score to O(sigma^2)
-        assert np.linalg.norm(out - vmf2.score_batch(z.coords[None])[0]) < 0.1
+        assert np.linalg.norm(out - vmf2.score_batch(z)[0]) < 0.1
 
 
 class TestChainConfig:
@@ -127,15 +126,15 @@ class TestStepping:
         return run_chains(q, DriftSpec("intrinsic"), cfg, n)[:, 0]
 
     def test_brownian_displacement_scaling(self):
-        z0 = S2.point(np.array([1.0, 0.0, 0.0]))
+        z0 = np.array([1.0, 0.0, 0.0])
         eps = 1e-4
         # the uniform density has zero score, so the step is pure noise
         ends = self.one_step(Uniform(S2), z0, eps, 0)
-        d2 = S2.distance_to_batch(ends, z0.coords) ** 2
+        d2 = S2.distance_to_batch(ends, z0) ** 2
         assert np.mean(d2) / (2 * eps * 2) == pytest.approx(1.0, abs=0.05)
 
     def test_drift_pushes_toward_mode(self, vmf2):
-        z0 = S2.point(np.array([1.0, 0.0, 0.0]))  # t = 0 < mode
+        z0 = np.array([1.0, 0.0, 0.0])  # t = 0 < mode
         gains = self.one_step(vmf2, z0, 4e-3, 1) @ MU
         assert np.mean(gains) > 3.0 * np.std(gains) / np.sqrt(len(gains))
 
@@ -373,14 +372,13 @@ class TestCoupledChains:
 class TestChains:
     def test_run_chain_points_on_manifold(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=200, seed=4)
-        pts = run_chain(vmf2, DriftSpec("intrinsic"), cfg)
-        assert len(pts) == cfg.kept_count()
-        for p in pts[:5]:
-            assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-10
+        rows = run_chains(vmf2, DriftSpec("intrinsic"), cfg)[0]
+        assert rows.shape == (cfg.kept_count(), 3)
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-10
 
     def test_empty_when_all_burn_in(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1)
-        assert run_chain(vmf2, DriftSpec("intrinsic"), cfg) == []
+        assert run_chains(vmf2, DriftSpec("intrinsic"), cfg)[0].shape == (0, 3)
         assert run_chains(vmf2, DriftSpec("intrinsic"), cfg, 3).shape == (3, 0, 3)
 
     def test_deterministic_and_seed_sensitive(self, vmf2):
@@ -400,11 +398,18 @@ class TestChains:
             assert np.array_equal(wide[:3], narrow)
 
     def test_explicit_initial(self, vmf2):
-        z0 = S2.point(np.array([0.0, 1.0, 0.0]))
+        z0 = [0, 1, 0]
         cfg = ChainConfig(step=1e-3, n_steps=20, burn_in=0, thinning=1,
                           seed=2, initial=z0)
+        # stored as a read-only float row
+        assert cfg.initial.dtype == float and not cfg.initial.flags.writeable
+        z0[0] = 1
+        assert cfg.initial.tolist() == [0.0, 1.0, 0.0]
         out = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 2)
         assert out.shape == (2, 20, 3)
+        # every chain starts at the row: the first iterate is one short step
+        # from it
+        assert np.all(S2.distance_to_batch(out[:, 0], cfg.initial) < 0.5)
 
     def test_constraint_held_everywhere(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=2000, seed=3)

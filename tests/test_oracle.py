@@ -26,13 +26,10 @@ from tubescore.oracle import (
     BASE_RESOLUTION,
     FiberPosterior,
     RBOracle,
-    chord_moment_ratio,
     extract_extrinsic_coefficient,
     extrinsic_term,
-    posterior_moment,
     predicted_expansion,
     score_second_moment,
-    stein_residual,
 )
 
 PLANE = AffinePlane.axis_aligned(2, 4)
@@ -50,15 +47,15 @@ def sphere_vmf(d, kappa=2.0):
 
 
 def equator_point(d):
+    """The row e_0 of S^d, a point on the equator of the vMF mean axis."""
     zc = np.zeros(d + 1)
     zc[0] = 1.0
-    return Sphere(d).point(zc)
+    return zc
 
 
 def target(q, sigma, z, **kw):
-    """The oracle's target at one point (a ManifoldPoint or a row)."""
-    z = getattr(z, "coords", z)
-    return RBOracle(q, sigma, **kw).target_coords(np.asarray(z)[None])[0]
+    """The oracle's target at the point row z."""
+    return RBOracle(q, sigma, **kw).target_coords(z[None])[0]
 
 
 def feet(M, seed, n=50, first=None):
@@ -128,7 +125,7 @@ class TestSymmetry:
 
     def test_uniform_torus_target_vanishes(self):
         T2 = FlatTorus(1.0, 1.0)
-        z = T2.point(np.array([1.0, 0.0, 1.0, 0.0]))
+        z = np.array([1.0, 0.0, 1.0, 0.0])
         assert np.linalg.norm(target(Uniform(T2), 0.1, z)) <= 1e-8
 
 
@@ -155,14 +152,14 @@ class TestExpansion:
 
     def test_terms_assemble_exactly(self):
         q = sphere_vmf(3)
-        z = feet(Sphere(3), 5, first=equator_point(3).coords)
+        z = feet(Sphere(3), 5, first=equator_point(3))
         ex = predicted_expansion(z, q, 0.07)
         assembled = ex.score + 0.07**2 * (ex.tweedie + ex.extrinsic)
         assert ex.predicted.shape == z.shape
         assert np.array_equal(ex.predicted, assembled)
 
     def test_uniform_expansion_is_zero(self):
-        z = feet(Sphere(2), 6, first=equator_point(2).coords)
+        z = feet(Sphere(2), 6, first=equator_point(2))
         ex = predicted_expansion(z, Uniform(Sphere(2)), 0.1)
         assert np.linalg.norm(ex.predicted) == 0.0
 
@@ -176,7 +173,7 @@ class TestExpansion:
         M = Sphere(d)
         mu = M.random_coords(np.random.default_rng(seed + 1), 1)[0]
         q = VonMisesFisher(M, mu, 2.0)
-        z = feet(M, seed, first=equator_point(d).coords)
+        z = feet(M, seed, first=equator_point(d))
         g = extrinsic_term(z, q)
         assert g.shape == z.shape
         assert np.abs(g - coef * q.score_batch(z)).max() <= 1e-12
@@ -218,7 +215,7 @@ class TestExpansion:
 class TestCoefficientExtraction:
     @pytest.mark.parametrize("d,pred", [(1, 0.5), (3, -0.5)])
     def test_sphere_coefficients(self, d, pred):
-        fit = extract_extrinsic_coefficient(equator_point(d).coords[None],
+        fit = extract_extrinsic_coefficient(equator_point(d)[None],
                                             sphere_vmf(d), 0.05)
         assert abs(fit.alpha[0] - pred) <= 0.01
         assert fit.alpha_pred[0] == pytest.approx(pred, abs=1e-12)
@@ -232,7 +229,7 @@ class TestCoefficientExtraction:
         assert fit.orthogonal[0] <= 1e-6
 
     def test_sphere2_coefficient_vanishes(self):
-        fit = extract_extrinsic_coefficient(equator_point(2).coords[None],
+        fit = extract_extrinsic_coefficient(equator_point(2)[None],
                                             sphere_vmf(2), 0.05)
         assert abs(fit.alpha[0]) <= 0.01
 
@@ -245,7 +242,7 @@ class TestCoefficientExtraction:
 
     def test_convergence_trend_in_sigma(self):
         q = sphere_vmf(1)
-        z = equator_point(1).coords[None]
+        z = equator_point(1)[None]
         devs = [abs(extract_extrinsic_coefficient(z, q, s).alpha[0] - 0.5)
                 for s in (0.05, 0.08)]
         assert devs[0] <= devs[1] + 0.05
@@ -264,57 +261,61 @@ class TestCoefficientExtraction:
 
 class TestPosteriorSuite:
     def test_stein_residual_circle(self):
-        assert stein_residual(equator_point(1), sphere_vmf(1), 0.1) <= 1e-5
+        post = FiberPosterior(equator_point(1), sphere_vmf(1), 0.1)
+        assert post.stein_residual() <= 1e-5
 
     def test_stein_residual_sphere2(self):
-        assert stein_residual(equator_point(2), sphere_vmf(2), 0.1) <= 1e-4
+        post = FiberPosterior(equator_point(2), sphere_vmf(2), 0.1)
+        assert post.stein_residual() <= 1e-4
 
     def test_stein_uniform_symmetry(self):
-        assert stein_residual(equator_point(1), Uniform(Sphere(1)), 0.1) <= 1e-8
+        post = FiberPosterior(equator_point(1), Uniform(Sphere(1)), 0.1)
+        assert post.stein_residual() <= 1e-8
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_second_moment_near_gaussian(self, d):
-        m2 = posterior_moment(equator_point(d), sphere_vmf(d), 0.025, 2)
+        m2 = FiberPosterior(equator_point(d), sphere_vmf(d), 0.025).moment(2)
         assert 0.8 * d <= m2 / 0.025**2 <= 1.2 * d
 
     def test_fourth_moment_plateau(self):
-        vals = [posterior_moment(equator_point(2), sphere_vmf(2), s, 4) / s**4
+        vals = [FiberPosterior(equator_point(2), sphere_vmf(2), s).moment(4) / s**4
                 for s in (0.1, 0.05, 0.025)]
         assert max(vals) / min(vals) < 1.5
         # limiting Gaussian value d(d+2) = 8
         assert vals[-1] == pytest.approx(8.0, rel=0.05)
 
     def test_first_moment_half_normal_limit(self):
-        m1 = posterior_moment(equator_point(1), Uniform(Sphere(1)), 0.025, 1)
+        m1 = FiberPosterior(equator_point(1), Uniform(Sphere(1)), 0.025).moment(1)
         assert m1 / 0.025 == pytest.approx(math.sqrt(2.0 / math.pi), rel=0.01)
         # signed mean vanishes by symmetry
         post = FiberPosterior(equator_point(1), Uniform(Sphere(1)), 0.025)
         assert np.linalg.norm(post.mean_v()) <= 1e-10
 
     def test_chord_ratio_plateau(self):
-        vals = [chord_moment_ratio(equator_point(2), sphere_vmf(2), s)
+        vals = [FiberPosterior(equator_point(2), sphere_vmf(2), s).chord_ratio()
                 for s in (0.1, 0.05, 0.025)]
         assert max(vals) / min(vals) < 1.5
 
     def test_chord_ratio_uniform_is_zero(self):
-        assert chord_moment_ratio(equator_point(2), Uniform(Sphere(2)), 0.1) <= 1e-6
+        post = FiberPosterior(equator_point(2), Uniform(Sphere(2)), 0.1)
+        assert post.chord_ratio() <= 1e-6
 
     def test_moment_order_validated(self):
         with pytest.raises(ValueError):
-            posterior_moment(equator_point(1), sphere_vmf(1), 0.1, 7)
+            FiberPosterior(equator_point(1), sphere_vmf(1), 0.1).moment(7)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_stein_residual_higher_spheres(self, d):
-        z = Sphere(d).point(np.full(d + 1, 1.0) / math.sqrt(d + 1))
-        assert stein_residual(z, sphere_vmf(d), 0.1) <= 1e-4
+        z = np.full(d + 1, 1.0) / math.sqrt(d + 1)
+        assert FiberPosterior(z, sphere_vmf(d), 0.1).stein_residual() <= 1e-4
 
     def test_stein_residual_torus_and_plane(self):
         T2 = FlatTorus(1.0, 2.0)
         q = ProductVonMises(T2, (1.0, 1.5), (0.3, -0.2))
-        z = T2.point(T2.from_angles(np.array([0.9, -1.3])))
-        assert stein_residual(z, q, 0.1) <= 1e-4
-        zp = PLANE.point(PLANE.embed(np.array([[0.4, -0.7]]))[0])
-        assert stein_residual(zp, flat_density(), 0.1) <= 1e-6
+        z = T2.from_angles(np.array([0.9, -1.3]))
+        assert FiberPosterior(z, q, 0.1).stein_residual() <= 1e-4
+        zp = PLANE.embed(np.array([[0.4, -0.7]]))[0]
+        assert FiberPosterior(zp, flat_density(), 0.1).stein_residual() <= 1e-6
 
     def test_unsupported_manifolds_rejected(self):
         # no direction rule above four tangent dimensions
@@ -323,7 +324,7 @@ class TestPosteriorSuite:
         with pytest.raises(ConfigError):
             RBOracle(q, 0.1)
         with pytest.raises(ConfigError):
-            FiberPosterior(plane.point(np.zeros(6)), q, 0.1)
+            FiberPosterior(np.zeros(6), q, 0.1)
         with pytest.raises(UnsupportedManifold):
             Sphere(5)
 
@@ -339,7 +340,7 @@ class TestOracleMechanics:
         # no tolerance is met before the next rule would pass MAX_RULE_NODES
         oracle = RBOracle(sphere_vmf(3), 0.05, rel_tol=0.0)
         with pytest.raises(QuadratureNotConverged):
-            oracle.target_coords(equator_point(3).coords[None])
+            oracle.target_coords(equator_point(3)[None])
 
     def test_tighter_tolerance_agrees(self):
         q = sphere_vmf(2)
@@ -383,8 +384,10 @@ class TestOracleMechanics:
         sig = 0.1
         grid = M.grid({"sphere3": 48}.get(name, 160))
         chords = grid.node_coords - z
-        tang = chords @ M.tangent_basis(z).T
-        m = chords @ M.normal_basis(z).T
+        frame = M.frames_batch(z[None])[0]
+        d = M.intrinsic_dim
+        tang = chords @ frame[:d].T
+        m = chords @ frame[d:].T
         band = np.linalg.norm(m, axis=1) < M.tube_radius
         tang, m = tang[band], m[band]
         lw = (np.log(grid.weights[band])
@@ -392,7 +395,7 @@ class TestOracleMechanics:
               - np.sum(tang * tang, axis=1) / (2 * sig**2)
               + np.log(M.fiber_from_coeffs(m, sig)))
         w = np.exp(lw - lw.max())
-        expect = (w @ tang / w.sum()) @ M.tangent_basis(z) / sig**2
+        expect = (w @ tang / w.sum()) @ frame[:d] / sig**2
         got = RBOracle(q, sig).target_coords(z[None])[0]
         assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
 
@@ -475,14 +478,14 @@ class TestRefinement:
         # the posterior view rebuilds the refined rule, so its mean chord
         # is the oracle's target node for node
         q = flat_density()
-        z = PLANE.point(PLANE.embed(np.array([2.0, -1.0])))
+        z = PLANE.embed(np.array([2.0, -1.0]))
         oracle = RBOracle(q, 0.3)
-        expect = oracle.target_coords(z.coords[None])[0]
+        expect = oracle.target_coords(z[None])[0]
         rep = oracle.convergence_report
         post = FiberPosterior(z, q, 0.3)
         assert post.weights.size == oracle_mod.grid_node_count(
             PLANE, rep["resolution"], rep["angular_resolution"])
-        frame = PLANE.frames_batch(z.coords[None])[0, :2]
+        frame = PLANE.frames_batch(z[None])[0, :2]
         got = post.expectation(post.chord) / 0.3**2 @ frame
         assert np.abs(got - expect).max() <= 1e-12
 
@@ -491,7 +494,7 @@ class TestRefinement:
         # (48, m') comes from the base state
         q = sphere_vmf(3)
         oracle = RBOracle(q, 0.05, rel_tol=1e-11)
-        oracle.target_coords(equator_point(3).coords[None])
+        oracle.target_coords(equator_point(3)[None])
         M, m = Sphere(3), ANGULAR_RULE[3][0]
         m_fine = oracle_mod._finer_angles(3, m)
         count = oracle_mod.grid_node_count
@@ -568,9 +571,11 @@ class TestEquivariance:
         z, z_shift = T.from_angles(theta), T.from_angles(theta + shift)
         r = RBOracle(q, sig).target_coords(z)
         r_shift = RBOracle(q_shift, sig).target_coords(z_shift)
+        a_frames = T.frames_batch(z)[:, :2]
+        b_frames = T.frames_batch(z_shift)[:, :2]
         for i in range(3):
-            a = T.tangent_basis(z[i]) @ r[i]
-            b = T.tangent_basis(z_shift[i]) @ r_shift[i]
+            a = a_frames[i] @ r[i]
+            b = b_frames[i] @ r_shift[i]
             assert np.abs(a - b).max() <= 1e-8 * max(1.0, float(np.abs(a).max()))
 
     @pytest.mark.parametrize("name", ["sphere1", "sphere2", "sphere3",
