@@ -34,9 +34,9 @@ from .oracle import (
     score_second_moment,
 )
 from .estimators import (
-    KernelSpec,
     coarsening_check,
     collect,
+    epanechnikov,
     equal_mass_bins,
     first_coordinate_bins,
     local_average,
@@ -64,7 +64,6 @@ __all__ = [
     "FiberPosterior",
     "FlatTorus",
     "IsotropicGaussian",
-    "KernelSpec",
     "Manifold",
     "ProductVonMises",
     "QuadratureGrid",
@@ -77,6 +76,7 @@ __all__ = [
     "coarsening_check",
     "collect",
     "corrupt",
+    "epanechnikov",
     "equal_mass_bins",
     "errors",
     "extract_extrinsic_coefficient",

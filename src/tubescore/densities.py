@@ -37,13 +37,6 @@ class DensityModel(abc.ABC):
     def manifold(self):
         return self._manifold
 
-    @property
-    @abc.abstractmethod
-    def name(self) -> str: ...
-
-    @abc.abstractmethod
-    def params(self) -> dict: ...
-
     # ---- row kernels -----------------------------------------------------
 
     @abc.abstractmethod
@@ -87,10 +80,10 @@ class SphereTMarginal:
     exp(kappa cos chi) sin^{d-1}(chi) is smooth for every d >= 1.
     """
 
-    def __init__(self, dim: int, kappa: float, table_size: int = _TABLE_SIZE):
+    def __init__(self, dim: int, kappa: float):
         self.dim = int(dim)
         self.kappa = float(kappa)
-        chi = np.linspace(0.0, math.pi, table_size)
+        chi = np.linspace(0.0, math.pi, _TABLE_SIZE)
         weight = np.exp(self.kappa * (np.cos(chi) - 1.0)) * np.sin(chi) ** (self.dim - 1)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (weight[1:] + weight[:-1]) * np.diff(chi))])
         self._chi = chi
@@ -138,13 +131,6 @@ class VonMisesFisher(DensityModel):
         self.kappa = float(kappa)
         self._marginal = SphereTMarginal(manifold.intrinsic_dim, self.kappa)
         self._log_norm = self._marginal.log_sphere_normalizer()
-
-    @property
-    def name(self) -> str:
-        return "vmf"
-
-    def params(self) -> dict:
-        return {"kappa": self.kappa, "mu": self.mu.tolist()}
 
     def t_marginal(self) -> SphereTMarginal:
         return self._marginal
@@ -211,13 +197,6 @@ class ProductVonMises(DensityModel):
             + math.log(i0e(self.kappas[1])) + self.kappas[1]
         )
 
-    @property
-    def name(self) -> str:
-        return "product_vonmises"
-
-    def params(self) -> dict:
-        return {"kappas": list(self.kappas), "phases": list(self.phases)}
-
     def _deltas(self, coords: np.ndarray) -> np.ndarray:
         theta = self._manifold.angles(coords)
         return theta - np.asarray(self.phases)
@@ -279,13 +258,6 @@ class IsotropicGaussian(DensityModel):
         self.mean = mean
         self.tau = float(tau)
 
-    @property
-    def name(self) -> str:
-        return "gaussian"
-
-    def params(self) -> dict:
-        return {"mean": self.mean.tolist(), "tau": self.tau}
-
     def log_density_batch(self, coords: np.ndarray) -> np.ndarray:
         c = self._manifold.chart(coords) - self.mean
         d = self._manifold.intrinsic_dim
@@ -320,13 +292,6 @@ class Uniform(DensityModel):
             raise UnsupportedManifold("Uniform requires a finite-volume manifold")
         super().__init__(manifold)
         self._log_vol = math.log(manifold.volume)
-
-    @property
-    def name(self) -> str:
-        return "uniform"
-
-    def params(self) -> dict:
-        return {}
 
     def log_density_batch(self, coords: np.ndarray) -> np.ndarray:
         return np.full(coords.shape[0], -self._log_vol)

@@ -39,27 +39,14 @@ def _require_kept(data: CorruptedBatch) -> CorruptedBatch:
 # kernel regression
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Epanechnikov kernel with bandwidth h.
+def epanechnikov(t: np.ndarray) -> np.ndarray:
+    """The Epanechnikov kernel K(t) = max(0, 1 - t^2).
 
-    K(t) = max(0, 1 - t^2): supported on [0, 1] and bounded away from zero
-    on [0, 1/2], which is what the local-averaging analysis needs.
+    Supported on [0, 1] and bounded away from zero on [0, 1/2], which is
+    what the local-averaging analysis needs.
     """
-
-    bandwidth: float
-    shape: str = "epanechnikov"
-
-    def __post_init__(self):
-        if self.shape != "epanechnikov":
-            raise ConfigError(f"unsupported kernel shape {self.shape!r}")
-        if not self.bandwidth > 0:
-            raise ConfigError("bandwidth must be positive")
-
-    @staticmethod
-    def weights(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.maximum(0.0, 1.0 - t * t)
+    t = np.asarray(t, dtype=float)
+    return np.maximum(0.0, 1.0 - t * t)
 
 
 def window_cap(M: Manifold) -> float:
@@ -93,15 +80,15 @@ def local_average(data: CorruptedBatch, z: np.ndarray,
     cap = window_cap(M)
     doublings = np.zeros(hs.size, dtype=int)
     for k in range(hs.size):
-        while KernelSpec.weights(nearest / hs[k]) == 0.0:
+        while epanechnikov(nearest / hs[k]) == 0.0:
             if hs[k] >= cap or nearest == np.inf:
                 raise EmptyWindow(
                     f"no samples within bandwidth {hs[k]:.4g} of probe")
             hs[k] = min(2.0 * hs[k], cap)
             doublings[k] += 1
-    idx = np.flatnonzero(KernelSpec.weights(dist / hs.max()) > 0.0)
+    idx = np.flatnonzero(epanechnikov(dist / hs.max()) > 0.0)
     moved, ok = M.transport_to_batch(data.foot[idx], data.targets[idx], z)
-    w = KernelSpec.weights(dist[idx] / hs[:, None]) * ok
+    w = epanechnikov(dist[idx] / hs[:, None]) * ok
     total = w.sum(axis=1)
     if not np.all(total > 0.0):
         raise EmptyWindow("all in-bandwidth samples sit at the cut locus")

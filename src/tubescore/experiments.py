@@ -419,10 +419,9 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     }
 
     q3 = sphere_vmf(3, kappa)
-    alpha = 1.0 - 3.0 / 2.0
-    t = run_chains(q3, (DriftSpec("raw_ambient", sigma, alpha),
-                        DriftSpec("debiased", sigma, alpha)),
-                   cfg3, debias_chains, direction=q3.mu)
+    raw = DriftSpec("raw_ambient", sigma)
+    debiased = DriftSpec("debiased", sigma)
+    t = run_chains(q3, (raw, debiased), cfg3, debias_chains, direction=q3.mu)
     t_raw, t_deb = t.mean(axis=2)
     del t  # the kept iterates, freed before the bootstrap's gathers
     tm = float(q3.t_marginal().mean())
@@ -435,9 +434,8 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     lo, hi = np.quantile(diffs, [0.025, 0.975])
     debias = {
         "sigma": sigma,
-        "raw_factor": float(1.0 + sigma**2 * alpha),
-        "debiased_factor": float((1.0 + sigma**2 * alpha)
-                                 * (1.0 - sigma**2 * alpha)),
+        "raw_factor": raw.factor(q3),
+        "debiased_factor": debiased.factor(q3),
         "target_mean": tm,
         "raw_bias": float(t_raw.mean() - tm),
         "debiased_bias": float(t_deb.mean() - tm),

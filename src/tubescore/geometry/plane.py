@@ -70,10 +70,6 @@ class AffinePlane(Manifold):
         return math.inf
 
     @property
-    def basepoint(self) -> np.ndarray:
-        return self._p0.copy()
-
-    @property
     def frame(self) -> np.ndarray:
         return self._frame.copy()
 

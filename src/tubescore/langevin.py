@@ -2,10 +2,10 @@
 
 Chains step by the exponential map, Exp_z(eps * drift + sqrt(2 eps) * xi)
 with xi standard normal in the tangent space, so iterates never leave the
-manifold.  The drift family covers the exact score, the extrinsic-only
-sigma^2 surrogate (1 + sigma^2 alpha) * score, its debiased correction, an
-optional scalar rescaling, and the quadrature target field itself.  Large
-runs split their chains across the usable CPUs in forked workers.
+manifold.  Every drift is a constant multiple of the score: the exact score,
+the extrinsic-only sigma^2 surrogate (1 + sigma^2 alpha) * score and its
+debiased correction, each with an optional scalar rescaling.  Large runs
+split their chains across the usable CPUs in forked workers.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import mmap
 import os
 import pickle
 import signal
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import partial
 
 import numpy as np
@@ -22,10 +22,10 @@ from .densities import DensityModel, SphereTMarginal, Uniform, VonMisesFisher
 from .errors import BeyondInjectivity, ConfigError, UnsupportedManifold
 from .geometry import Sphere
 from .geometry.base import row_norms
-from .oracle import RBOracle, check_sigma
+from .oracle import check_sigma
 from .rng import derive_rng
 
-DRIFT_KINDS = ("intrinsic", "raw_ambient", "debiased", "oracle_rb")
+DRIFT_KINDS = ("intrinsic", "raw_ambient", "debiased")
 NOISE_BLOCK = 256
 NOISE_GROUP = 64
 # fewest chains worth a process of their own: on a 2-core machine a step of
@@ -36,82 +36,51 @@ MIN_PROCESS_CHAINS = 128
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Which drift field to run.
+    """Which drift field to run: ``factor(q)`` times the score of q.
 
-    kind "intrinsic" is the exact score (optionally rescaled by `scale`,
-    which is how the scaled-drift equivalence is exercised); "raw_ambient"
-    is (1 + sigma^2 alpha) * score, the extrinsic-only sigma^2 surrogate;
-    "debiased" multiplies that by (1 - sigma^2 alpha); "oracle_rb" uses the
-    quadrature target directly.  The surrogate is not the field that a
+    kind "intrinsic" is the exact score; "raw_ambient" is
+    (1 + sigma^2 alpha) * score, the extrinsic-only sigma^2 surrogate;
+    "debiased" multiplies that by (1 - sigma^2 alpha).  ``scale``
+    (keyword-only) rescales any of them, which is how the scaled-drift
+    equivalence is exercised.  The surrogate is not the field that a
     tube-conditioned regression learns: that field, the Rao-Blackwellized
     target r_sigma, also carries the intrinsic Tweedie term at order
     sigma^2, which "raw_ambient" omits and which dominates at sigma = 0.3
-    on S^3.  alpha is the sphere coefficient 1 - d/2 and is validated
-    against the manifold: on other manifolds the correction is a full
-    operator and the scalar shortcut is refused.
+    on S^3.
     """
 
     kind: str
     sigma: float = 0.0
-    alpha: float | None = None
+    _: KW_ONLY
     scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
             raise ConfigError(f"unknown drift kind {self.kind!r}")
-        if self.kind in ("raw_ambient", "debiased"):
-            check_sigma(self.sigma)
-            if self.alpha is None:
-                raise ConfigError(f"{self.kind} drift needs alpha")
-        if self.kind == "oracle_rb":
+        if self.kind != "intrinsic":
             check_sigma(self.sigma)
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise ConfigError("drift scale must be positive")
 
+    def factor(self, q: DensityModel) -> float:
+        """The constant by which this drift multiplies the score of q.
 
-def _score_factor(spec: DriftSpec, q: DensityModel) -> float | None:
-    """The constant by which ``spec``'s drift multiplies the score of q.
-
-    Returns None for "oracle_rb", whose field is the quadrature target and
-    no multiple of the score.
-    """
-    if spec.kind == "oracle_rb":
-        return None
-    if spec.kind == "intrinsic":
-        return spec.scale
-    M = q.manifold
-    if not isinstance(M, Sphere):
-        raise UnsupportedManifold(
-            "scalar alpha drifts are sphere-only; elsewhere the"
-            " curvature correction is a full operator")
-    expected = 1.0 - M.intrinsic_dim / 2.0
-    if abs(spec.alpha - expected) > 1e-12:
-        raise ConfigError(
-            f"alpha {spec.alpha} does not match 1 - d/2 = {expected}")
-    factor = spec.scale * (1.0 + spec.sigma**2 * spec.alpha)
-    if spec.kind == "debiased":
-        factor *= 1.0 - spec.sigma**2 * spec.alpha
-    return factor
-
-
-def build_drift(spec: DriftSpec, q: DensityModel, *,
-                oracle: RBOracle | None = None):
-    """Resolve a DriftSpec against a density into a batched field.
-
-    Returns a callable mapping (n, D) manifold rows to (n, D) tangent rows.
-    """
-    factor = _score_factor(spec, q)
-    if factor is None:
-        rb = oracle if oracle is not None else RBOracle(q, spec.sigma)
-        scale = spec.scale
-
-        def field(rows):
-            return scale * rb.target_coords(rows)
-        return field
-
-    def field(rows):
-        return factor * q.score_batch(rows)
-    return field
+        alpha is the sphere coefficient 1 - d/2 of q's manifold S^d.  On
+        other manifolds the curvature correction is a full operator, and
+        the scalar shortcut is refused.
+        """
+        if self.kind == "intrinsic":
+            return self.scale
+        M = q.manifold
+        if not isinstance(M, Sphere):
+            raise UnsupportedManifold(
+                "scalar alpha drifts are sphere-only; elsewhere the"
+                " curvature correction is a full operator")
+        alpha = 1.0 - M.intrinsic_dim / 2.0
+        factor = self.scale * (1.0 + self.sigma**2 * alpha)
+        if self.kind == "debiased":
+            factor *= 1.0 - self.sigma**2 * alpha
+        return factor
 
 
 @dataclass(frozen=True)
@@ -123,9 +92,10 @@ class ChainConfig:
     which the exponential map folds.
 
     ``initial``, when given, is a length-D coordinate row at which every
-    chain starts; it is stored as a read-only float copy, and
-    ``run_chains`` checks that it is a point of the density's manifold.
-    Without it, each chain draws its own start from the density.
+    chain starts; it is stored as a tuple of floats, so configs hash and
+    compare by value, and ``run_chains`` checks that it is a point of the
+    density's manifold.  Without it, each chain draws its own start from
+    the density.
     """
 
     step: float = 1e-3
@@ -133,13 +103,12 @@ class ChainConfig:
     burn_in: int | None = None
     thinning: int = 5
     seed: int = 0
-    initial: np.ndarray | None = None
+    initial: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.initial is not None:
-            initial = np.array(self.initial, dtype=float)
-            initial.flags.writeable = False
-            object.__setattr__(self, "initial", initial)
+            row = np.array(self.initial, dtype=float, ndmin=1)
+            object.__setattr__(self, "initial", tuple(row.tolist()))
         if not self.step > 0:
             raise ConfigError("step must be positive")
         if self.n_steps < 1:
@@ -184,7 +153,6 @@ def _chain_ranges(n_chains: int) -> list[range]:
 
 def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
                config: ChainConfig, n_chains: int = 1, *,
-               oracle: RBOracle | None = None,
                direction: np.ndarray | None = None) -> np.ndarray:
     """Run independent chains in lockstep; returns (n_chains, kept, D).
 
@@ -196,10 +164,9 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     spec, every copy from the chain's initial point and on the chain's
     noise, and the result is (len(spec), n_chains, kept, D): the single-spec
     runs stacked, bit for bit wherever the manifold's kernels are row-wise
-    (spheres and tori).  The noise is drawn once per step for all copies.
-    The score-multiple drifts ("intrinsic", "raw_ambient", "debiased")
-    share one ``q.score_batch`` call on all rows, each copy scaled by its
-    own factor; an "oracle_rb" copy calls its field on its own rows.
+    (spheres and tori).  The noise is drawn once per step for all copies,
+    and every copy shares one ``q.score_batch`` call on all rows, scaled
+    row by row by its spec's ``factor(q)``.
 
     The chain state is held column-major (Fortran order), so each per-row
     scalar such as a row norm or dot product runs over contiguous columns.
@@ -219,13 +186,10 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     writing its chains' kept iterates straight into one shared output.
     Each range builds its chains' noise streams and initial points itself,
     and every step kernel is row-wise, so the split changes no result: it
-    is the same rule that makes chain c independent of n_chains.  (The
-    oracle's quadrature gives other last bits on a one-row batch, so an
-    "oracle_rb" copy relies on every range holding at least two chains.)
-    When a step reaches the injectivity radius, ``BeyondInjectivity``
-    names the first such iterate over all ranges and the longest step at
-    it, as an unsplit run does.  A worker's other exceptions are raised
-    here.
+    is the same rule that makes chain c independent of n_chains.  When a
+    step reaches the injectivity radius, ``BeyondInjectivity`` names the
+    first such iterate over all ranges and the longest step at it, as an
+    unsplit run does.  A worker's other exceptions are raised here.
 
     With ``direction`` (a length-D vector), each kept iterate z is stored
     only as z @ direction and the trailing D axis is dropped: the result
@@ -242,13 +206,10 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs:
         raise ConfigError("need at least one drift spec")
-    factors = [_score_factor(s, q) for s in specs]
-    oracle_fields = [(i, build_drift(s, q, oracle=oracle))
-                     for i, (s, f) in enumerate(zip(specs, factors))
-                     if f is None]
+    factors = [s.factor(q) for s in specs]
     item = (M.ambient_dim,) if direction is None else ()  # one kept value
     shape = (len(specs), n_chains, config.kept_count(), *item)
-    run = partial(_run_range, q, factors, oracle_fields, config, direction)
+    run = partial(_run_range, q, factors, config, direction)
     ranges = _chain_ranges(n_chains)
     if len(ranges) == 1:
         out = np.empty(shape)
@@ -263,9 +224,9 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     return out if isinstance(spec, tuple) else out[0]
 
 
-def _run_range(q: DensityModel, factors: list, oracle_fields: list,
-               config: ChainConfig, direction: np.ndarray | None,
-               chains: range, out: np.ndarray) -> tuple[int, float] | None:
+def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
+               direction: np.ndarray | None, chains: range,
+               out: np.ndarray) -> tuple[int, float] | None:
     """Step ``chains`` of every copy, writing kept iterate k of copy s and
     chain ``chains[j]`` to ``out[s, j, k]``.
 
@@ -276,10 +237,7 @@ def _run_range(q: DensityModel, factors: list, oracle_fields: list,
     n = len(chains)
     copies = len(factors)
     # copy s of chain chains[j] is row s * n + j
-    fields = [(slice(s * n, (s + 1) * n), field) for s, field in oracle_fields]
-    # oracle_rb copies overwrite their rows, so their factor is arbitrary
-    factor = np.repeat([1.0 if f is None else f for f in factors],
-                       n)[:, None]
+    factor = np.repeat(factors, n)[:, None]
     eps = config.step
     root = np.sqrt(2.0 * eps)
     inj = M.injectivity_radius
@@ -308,8 +266,6 @@ def _run_range(q: DensityModel, factors: list, oracle_fields: list,
         for b in range(block):
             step_idx += 1
             drift = factor * q.score_batch(z)
-            for part, field in fields:
-                drift[part] = field(np.ascontiguousarray(z[part]))
             xi = noise[b].reshape(D, rows).T
             v = eps * drift + root * M.tangent_project_batch(z, xi)
             norms = None

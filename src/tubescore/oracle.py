@@ -64,6 +64,7 @@ SCORE_MOMENT_RESOLUTION = 24
 PLANE_MOMENT_RESOLUTION = 48
 PLANE_MOMENT_HALF_WIDTH = 8.0  # box half width, in units of the Gaussian's tau
 _TARGET_FLOOR = 1e-6         # targets below this norm count as zero
+STEIN_FD_STEP = 1e-4         # central-difference step of the Stein residual
 
 
 def check_sigma(sigma: float) -> float:
@@ -422,17 +423,17 @@ class FiberPosterior:
     the oracle's posterior written against the Gaussian in v.  The weights
     come from the same ``_log_posterior`` on the rule the oracle accepts for
     this query, so every expectation here matches the target node for node.
+    ``stein_residual`` differentiates log a by central differences of step
+    ``STEIN_FD_STEP``.
     """
 
-    def __init__(self, z: np.ndarray, q: DensityModel, sigma: float, *,
-                 fd_step: float = 1e-4):
+    def __init__(self, z: np.ndarray, q: DensityModel, sigma: float):
         z = q.manifold.point_row(z)
         oracle = RBOracle(q, sigma)
         self.sigma = oracle.sigma
         self.manifold = q.manifold
         self.density = q
         self.z = z
-        self.fd_step = fd_step
         self.d = self.manifold.intrinsic_dim
         zc = z[None]
         self._frames = self.manifold.frames_batch(zc)
@@ -456,7 +457,7 @@ class FiberPosterior:
     def stein_residual(self) -> float:
         """|| E[v]/sigma^2 - E[grad_v log a] || via central differences."""
         lhs = self.expectation(self.coords) / self.sigma**2
-        h = self.fd_step
+        h = STEIN_FD_STEP
         grad = np.empty_like(self.coords)
         for i in range(self.d):
             e = np.zeros(self.d)

@@ -107,7 +107,8 @@ def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
 
 def flat_ambient_field(plane: AffinePlane, h: Callable[[np.ndarray], np.ndarray],
                        x: np.ndarray, sigma: float) -> np.ndarray:
-    """g_h(x) = P h(P x) - Q x / sigma^2 for an affine plane.
+    """g_h(x) = P h(P x) - Q x / sigma^2 at the (n, D) rows x of an affine
+    plane's ambient space.
 
     P is the affine projection onto the plane, Q x its normal residual.
     ``h`` maps rows of plane points (ambient coordinates) to ambient rows;
@@ -116,12 +117,9 @@ def flat_ambient_field(plane: AffinePlane, h: Callable[[np.ndarray], np.ndarray]
     if not isinstance(plane, AffinePlane):
         raise ManifoldMismatch("flat_ambient_field requires an affine plane")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = x[None] if single else x
-    px, _, _ = plane.project_batch(rows)
+    px, _, _ = plane.project_batch(x)
     tang = plane.tangent_project_batch(px, np.asarray(h(px), dtype=float))
-    out = tang - (rows - px) / sigma**2
-    return out[0] if single else out
+    return tang - (x - px) / sigma**2
 
 
 def flat_reduction_residuals(batch: CorruptedBatch,

@@ -13,10 +13,17 @@ def make_manifold(name):
         return FlatTorus(1.0, 2.0)
     if name == "plane":
         return AffinePlane.axis_aligned(2, 4)
+    if name == "oblique_plane":
+        # a seeded rotated frame and a nonzero basepoint: the normal
+        # complement is no pair of coordinate axes
+        rng = np.random.default_rng(7)
+        rotation, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        return AffinePlane(rng.standard_normal(4), rotation[:, :2].T)
     raise ValueError(name)
 
 
-ALL_MANIFOLDS = ["sphere1", "sphere2", "sphere3", "sphere4", "torus", "torus12", "plane"]
+ALL_MANIFOLDS = ["sphere1", "sphere2", "sphere3", "sphere4", "torus", "torus12", "plane",
+                 "oblique_plane"]
 GRIDDED_MANIFOLDS = ["sphere1", "sphere2", "sphere3", "torus", "torus12", "plane"]
 
 

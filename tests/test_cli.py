@@ -569,3 +569,16 @@ def test_benchmark_bound_names_resolve():
     for name in ("format_json", "format_csv"):
         assert inspect.isfunction(getattr(reporting, name))
     assert callable(cli.main) and callable(cli.build_parser)
+
+
+@pytest.mark.parametrize("package", ["tubescore", "tubescore.geometry"])
+def test_export_list_resolves(package):
+    # a name deleted from the library but left in __all__ breaks
+    # ``from tubescore import *``
+    import importlib
+
+    module = importlib.import_module(package)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= namespace.keys()

@@ -36,7 +36,10 @@ def all_models():
     ]
 
 
-MODEL_IDS = [f"{m.name}-{m.manifold.name}" for m in all_models()]
+SHORT_NAMES = {"VonMisesFisher": "vmf", "ProductVonMises": "product_vonmises",
+               "IsotropicGaussian": "gaussian", "Uniform": "uniform"}
+MODEL_IDS = [f"{SHORT_NAMES[type(m).__name__]}-{m.manifold.name}"
+             for m in all_models()]
 
 
 @pytest.fixture(params=range(len(MODEL_IDS)), ids=MODEL_IDS)

@@ -5,11 +5,11 @@ import pytest
 from tubescore.densities import IsotropicGaussian, Uniform, VonMisesFisher
 from tubescore.errors import ConfigError, EmptyWindow, ManifoldMismatch
 from tubescore.estimators import (
-    KernelSpec,
     bandwidth_mse,
     calibrate_bandwidth,
     coarsening_check,
     collect,
+    epanechnikov,
     equal_mass_bins,
     first_coordinate_bins,
     local_average,
@@ -91,15 +91,8 @@ class TestDataset:
 
 class TestKernel:
     def test_epanechnikov_values(self):
-        k = KernelSpec(1.0)
-        assert k.weights(np.array([0.0, 0.5, 1.0, 2.0])) == pytest.approx(
+        assert epanechnikov(np.array([0.0, 0.5, 1.0, 2.0])) == pytest.approx(
             [1.0, 0.75, 0.0, 0.0])
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            KernelSpec(0.0)
-        with pytest.raises(ConfigError):
-            KernelSpec(1.0, shape="gaussian")
 
 
 def average(data, z, h):

@@ -18,7 +18,6 @@ from tubescore.geometry import FlatTorus, Sphere
 from tubescore.langevin import (
     ChainConfig,
     DriftSpec,
-    build_drift,
     ks_distance,
     marginal_diagnostic,
     run_chains,
@@ -54,44 +53,49 @@ class TestDriftSpec:
             DriftSpec("metropolis")
 
     def test_raw_needs_alpha_and_sigma(self):
+        # sigma comes from the spec and alpha from the density's sphere
         with pytest.raises(ConfigError):
-            DriftSpec("raw_ambient", 0.3)
+            DriftSpec("raw_ambient")
         with pytest.raises(ConfigError):
-            DriftSpec("raw_ambient", 5.0, -0.5)  # sigma outside the clamp
+            DriftSpec("raw_ambient", 5.0)  # sigma outside the clamp
+        # the third positional argument was alpha; it must not quietly
+        # become the keyword-only scale
+        with pytest.raises(TypeError):
+            DriftSpec("raw_ambient", 0.3, 0.5)
 
     def test_scale_positive(self):
         with pytest.raises(ConfigError):
             DriftSpec("intrinsic", scale=0.0)
 
-    def test_alpha_checked_against_manifold(self, vmf2):
-        with pytest.raises(ConfigError):
-            build_drift(DriftSpec("raw_ambient", 0.3, 0.5), vmf2)
-        # 1 - d/2 = 0 on Sphere(2)
-        build_drift(DriftSpec("raw_ambient", 0.3, 0.0), vmf2)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_alpha_comes_from_the_sphere(self, dim):
+        q = VonMisesFisher(Sphere(dim), np.eye(dim + 1)[-1], 2.0)
+        alpha = 1.0 - dim / 2.0
+        raw = DriftSpec("raw_ambient", 0.3).factor(q)
+        assert raw == pytest.approx(1.0 + 0.09 * alpha, abs=1e-12)
+        assert DriftSpec("debiased", 0.3).factor(q) == pytest.approx(
+            raw * (1.0 - 0.09 * alpha), abs=1e-12)
+        assert DriftSpec("debiased", 0.3, scale=2.0).factor(q) == \
+            2.0 * DriftSpec("debiased", 0.3).factor(q)
+        assert DriftSpec("intrinsic", 0.3, scale=1.5).factor(q) == 1.5
 
     def test_scalar_alpha_is_sphere_only(self):
         T2 = FlatTorus(1.0, 1.0)
         q = ProductVonMises(T2, (1.0, 1.0))
         with pytest.raises(UnsupportedManifold):
-            build_drift(DriftSpec("raw_ambient", 0.3, 0.5), q)
-        build_drift(DriftSpec("intrinsic"), q)  # intrinsic is fine anywhere
+            DriftSpec("raw_ambient", 0.3).factor(q)
+        with pytest.raises(UnsupportedManifold):
+            run_chains(q, DriftSpec("debiased", 0.3),
+                       ChainConfig(n_steps=10), 2)
+        # intrinsic is fine anywhere
+        assert DriftSpec("intrinsic").factor(q) == 1.0
 
-    def test_factor_values(self, vmf2):
+    def test_factor_values(self):
         q3 = VonMisesFisher(Sphere(3), np.array([0., 0., 0., 1.]), 2.0)
-        z = np.array([1.0, 0.0, 0.0, 0.0])
-        s = q3.score_batch(z[None])[0]
-        raw = build_drift(DriftSpec("raw_ambient", 0.3, -0.5), q3)
-        deb = build_drift(DriftSpec("debiased", 0.3, -0.5), q3)
-        assert np.allclose(raw(z[None])[0], 0.955 * s, atol=1e-12)
-        assert np.allclose(deb(z[None])[0], 0.955 * 1.045 * s,
-                           atol=1e-12)
-
-    def test_oracle_rb_field(self, vmf2):
-        field = build_drift(DriftSpec("oracle_rb", 0.1), vmf2)
-        z = np.array([[1.0, 0.0, 0.0]])
-        out = field(z)[0]
-        # the conditioned target tracks the score to O(sigma^2)
-        assert np.linalg.norm(out - vmf2.score_batch(z)[0]) < 0.1
+        assert DriftSpec("raw_ambient", 0.3).factor(q3) == \
+            pytest.approx(0.955, abs=1e-12)
+        assert DriftSpec("debiased", 0.3).factor(q3) == \
+            pytest.approx(0.955 * 1.045, abs=1e-12)
 
 
 class TestChainConfig:
@@ -147,8 +151,7 @@ class TestStepping:
 class TestCoupledChains:
     """A tuple of drift specs runs every chain once per spec on shared noise."""
 
-    S3_PAIR = (DriftSpec("raw_ambient", 0.3, -0.5),
-               DriftSpec("debiased", 0.3, -0.5))
+    S3_PAIR = (DriftSpec("raw_ambient", 0.3), DriftSpec("debiased", 0.3))
 
     @pytest.fixture(scope="class")
     def vmf3(self):
@@ -213,17 +216,6 @@ class TestCoupledChains:
             assert t.shape == shape
             assert np.array_equal(t, run_chains(q, spec, c, n) @ d)
 
-    def test_oracle_copy_equals_single_run(self, vmf2_generic):
-        # the score-multiple copies share one score call while the oracle
-        # copy calls its own field, between two score copies
-        specs = (DriftSpec("intrinsic"), DriftSpec("oracle_rb", 0.1),
-                 DriftSpec("intrinsic", scale=1.5))
-        cfg = ChainConfig(step=1e-3, n_steps=12, burn_in=0, thinning=4,
-                          seed=9)
-        coupled = run_chains(vmf2_generic, specs, cfg, 2)
-        for spec, run in zip(specs, coupled):
-            assert np.array_equal(run, run_chains(vmf2_generic, spec, cfg, 2))
-
     def test_noise_block_size_does_not_matter(self, vmf3_generic,
                                               monkeypatch):
         # 300 steps fill no whole block of either size, and 5 chains no
@@ -241,14 +233,11 @@ class TestCoupledChains:
             assert np.array_equal(run(), expected)
 
     @pytest.mark.parametrize("case", ["sphere3_pair", "sphere3_direction",
-                                      "torus_pair", "oracle_copy",
-                                      "all_burn_in"])
-    def test_split_runs_match_in_process(self, vmf2, vmf2_generic, vmf3,
-                                         vmf3_generic, monkeypatch, case):
+                                      "torus_pair", "all_burn_in"])
+    def test_split_runs_match_in_process(self, vmf2, vmf3, vmf3_generic,
+                                         monkeypatch, case):
         # odd chain counts cut the chains inside a NOISE_GROUP; the default
-        # MIN_PROCESS_CHAINS keeps these small references in-process.  Every
-        # range of the oracle case holds at least 2 chains: the oracle's
-        # quadrature gives other last bits on a one-row batch
+        # MIN_PROCESS_CHAINS keeps these small references in-process
         torus = ProductVonMises(FlatTorus(1.0, 1.5), (1.5, 1.0))
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=11)
         d4 = generic_unit(4)
@@ -262,11 +251,6 @@ class TestCoupledChains:
             "torus_pair": [lambda: run_chains(
                 torus, (DriftSpec("intrinsic"),
                         DriftSpec("intrinsic", scale=1.5)), cfg, 5)],
-            "oracle_copy": [lambda: run_chains(
-                vmf2_generic, (DriftSpec("intrinsic"),
-                               DriftSpec("oracle_rb", 0.1)),
-                ChainConfig(step=1e-3, n_steps=12, burn_in=0, thinning=4,
-                            seed=9), 7)],
             "all_burn_in": [lambda: run_chains(
                 vmf2, DriftSpec("intrinsic"),
                 ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1), 5)],
@@ -401,15 +385,21 @@ class TestChains:
         z0 = [0, 1, 0]
         cfg = ChainConfig(step=1e-3, n_steps=20, burn_in=0, thinning=1,
                           seed=2, initial=z0)
-        # stored as a read-only float row
-        assert cfg.initial.dtype == float and not cfg.initial.flags.writeable
+        # stored as a tuple of floats: a copy, hashed and compared by value
         z0[0] = 1
-        assert cfg.initial.tolist() == [0.0, 1.0, 0.0]
+        assert cfg.initial == (0.0, 1.0, 0.0)
+        assert all(type(x) is float for x in cfg.initial)
+        same = ChainConfig(step=1e-3, n_steps=20, burn_in=0, thinning=1,
+                           seed=2, initial=np.array([0.0, 1.0, 0.0]))
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != ChainConfig(step=1e-3, n_steps=20, burn_in=0,
+                                  thinning=1, seed=2, initial=[1, 0, 0])
         out = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 2)
         assert out.shape == (2, 20, 3)
         # every chain starts at the row: the first iterate is one short step
         # from it
-        assert np.all(S2.distance_to_batch(out[:, 0], cfg.initial) < 0.5)
+        assert np.all(S2.distance_to_batch(out[:, 0], np.array(cfg.initial))
+                      < 0.5)
 
     def test_constraint_held_everywhere(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=2000, seed=3)
@@ -498,8 +488,8 @@ class TestEquivalences:
         S3 = Sphere(3)
         q = VonMisesFisher(S3, np.array([0., 0., 0., 1.]), 2.0)
         cfg = ChainConfig(step=1e-3, n_steps=10_000, seed=17)
-        raw, deb = run_chains(q, (DriftSpec("raw_ambient", 0.5, -0.5),
-                                  DriftSpec("debiased", 0.5, -0.5)), cfg, 96)
+        raw, deb = run_chains(q, (DriftSpec("raw_ambient", 0.5),
+                                  DriftSpec("debiased", 0.5)), cfg, 96)
         tm = q.t_marginal().mean()
         t_raw = (raw @ q.mu).mean(axis=1)
         t_deb = (deb @ q.mu).mean(axis=1)

@@ -206,7 +206,7 @@ class TestFlatReduction:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.standard_normal(4)
-            g = tg.flat_ambient_field(PLANE, hstar, x, SIGMA)
+            g = tg.flat_ambient_field(PLANE, hstar, x[None], SIGMA)[0]
             fd = np.zeros(4)
             for j in range(4):
                 e = np.zeros(4)
@@ -216,9 +216,9 @@ class TestFlatReduction:
 
     def test_ambient_field_edge_cases(self):
         zero = lambda p: np.zeros_like(p)
-        inplane = PLANE.embed(np.array([[0.7, -0.2]]))[0]
+        inplane = PLANE.embed(np.array([[0.7, -0.2]]))
         assert np.allclose(tg.flat_ambient_field(PLANE, zero, inplane, 0.5), 0.0)
-        normal = np.array([0.0, 0.0, 1.0, 0.0])
+        normal = np.array([[0.0, 0.0, 1.0, 0.0]])
         out = tg.flat_ambient_field(PLANE, zero, normal, 0.5)
         assert np.allclose(out, -normal / 0.25, atol=1e-14)
 
@@ -228,4 +228,4 @@ class TestFlatReduction:
         with pytest.raises(ManifoldMismatch):
             tg.flat_reduction_residuals(b, lambda p: np.zeros_like(p))
         with pytest.raises(ManifoldMismatch):
-            tg.flat_ambient_field(Sphere(2), lambda p: p, np.ones(3), 0.1)
+            tg.flat_ambient_field(Sphere(2), lambda p: p, np.ones((1, 3)), 0.1)
