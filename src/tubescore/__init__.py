@@ -34,16 +34,15 @@ from .oracle import (
     score_second_moment,
 )
 from .estimators import (
+    binned_means,
     coarsening_check,
     collect,
     epanechnikov,
     equal_mass_bins,
-    first_coordinate_bins,
     local_average,
     optimal_bandwidth,
     probe_points,
     projected_risk,
-    pythagorean_gap,
     variance_sweep,
 )
 from .langevin import (
@@ -73,6 +72,7 @@ __all__ = [
     "Uniform",
     "VonMisesFisher",
     "__version__",
+    "binned_means",
     "coarsening_check",
     "collect",
     "corrupt",
@@ -81,7 +81,6 @@ __all__ = [
     "errors",
     "extract_extrinsic_coefficient",
     "extrinsic_term",
-    "first_coordinate_bins",
     "flat_ambient_field",
     "flat_reduction_residuals",
     "local_average",
@@ -90,7 +89,6 @@ __all__ = [
     "predicted_expansion",
     "probe_points",
     "projected_risk",
-    "pythagorean_gap",
     "run_chains",
     "score_second_moment",
     "two_sample_ks",

@@ -217,10 +217,13 @@ class Study:
     """One subcommand: its flags, its driver call and its CSV layout.
 
     ``run`` maps the parsed flags to the results payload.  ``min_n`` is the
-    smallest ``--n`` and the reason for it.  A CSV render with ``columns``
-    writes one row per entry of ``payload[rows]`` and the payload keys in
-    ``extras`` as ``# key:`` lines; without ``columns`` it writes the
-    payload's scalars as key,value rows.
+    smallest ``--n`` and the reason for it.  ``columns`` is the one place a
+    table's column order is spelled: the driver's ``payload[rows]`` holds
+    one object per row, keyed by column name, and a CSV render writes one
+    line per row in this order (a key the row lacks is an empty cell) and
+    the payload keys in ``extras`` as ``# key:`` lines.  Without
+    ``columns`` a CSV render writes the payload's scalars as key,value
+    rows.
     """
 
     help: str
@@ -396,8 +399,8 @@ def render(args, payload) -> str:
     study = STUDIES[args.experiment]
     if not study.columns:
         return format_csv(["key", "value"], flatten_scalars(payload), config)
-    rows = [[row.get(c) for c in study.columns] if isinstance(row, dict)
-            else row for row in payload[study.rows]]
+    rows = [[row.get(c) for c in study.columns]
+            for row in payload[study.rows]]
     extras = {key: payload[key] for key in study.extras}
     return format_csv(study.columns, rows, config, extras)
 

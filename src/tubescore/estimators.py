@@ -1,10 +1,11 @@
 """Sample-based estimators on corrupted draws.
 
 Local averaging with parallel transport, projected-risk Monte Carlo, the
-variance-collapse sweep, the finite-sample bandwidth sweeps, and the
-three-term coarsening decomposition check.  Everything here is deterministic
-given the master seed: sweep cells and repetitions derive independent
-streams, and all reductions run in fixed order.
+variance-collapse sweep, the finite-sample bandwidth sweeps, and the one
+risk split, ``coarsening_check``.  The risk estimators take field values at
+the feet as (n, D) arrays, never callables.  Everything here is
+deterministic given the master seed: sweep cells and repetitions derive
+independent streams, and all reductions run in fixed order.
 """
 from __future__ import annotations
 
@@ -120,17 +121,6 @@ def _field_values(values, data: CorruptedBatch) -> np.ndarray:
     return vals
 
 
-def zero_field(foot: np.ndarray) -> np.ndarray:
-    return np.zeros_like(foot)
-
-
-def score_field(q: DensityModel, scale: float = 1.0):
-    """Ambient score field x -> scale * grad_M log q(x), rows on M."""
-    def h(foot):
-        return scale * q.score_batch(foot)
-    return h
-
-
 def projected_risk(data: CorruptedBatch, values: np.ndarray) -> RiskEstimate:
     """Monte Carlo estimate of E || T - h(foot) ||^2 with standard error.
 
@@ -141,40 +131,6 @@ def projected_risk(data: CorruptedBatch, values: np.ndarray) -> RiskEstimate:
     n = sq.size
     se = sq.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
     return RiskEstimate(float(sq.mean()), float(se), int(n))
-
-
-@dataclass(frozen=True)
-class PairedGap:
-    """Per-sample decomposition residual: mean should sit within a few SE
-    of zero when the middle field is the conditional mean of the targets."""
-
-    gap_mean: float
-    gap_se: float
-    n: int
-
-    @property
-    def within(self) -> float:
-        # |mean| measured in standard errors
-        return abs(self.gap_mean) / self.gap_se if self.gap_se > 0 else np.inf
-
-
-def pythagorean_gap(data: CorruptedBatch, h_values: np.ndarray,
-                    r_values: np.ndarray) -> PairedGap:
-    """Paired check of risk(h) = risk(rb) + E||rb - h||^2.
-
-    h_values and r_values hold the field under test and the quadrature
-    target at the feet of data.  Uses the per-sample statistic
-    ||T-h||^2 - ||T-r||^2 - ||r-h||^2 whose expectation vanishes exactly;
-    pairing keeps the standard error far below the sizes of the individual
-    terms.
-    """
-    h_vals = _field_values(h_values, data)
-    r_vals = _field_values(r_values, data)
-    p = (np.sum((data.targets - h_vals) ** 2, axis=1)
-         - np.sum((data.targets - r_vals) ** 2, axis=1)
-         - np.sum((r_vals - h_vals) ** 2, axis=1))
-    n = p.size
-    return PairedGap(float(p.mean()), float(p.std(ddof=1) / np.sqrt(n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +148,6 @@ class VarianceSweepResult:
     slope: float
     n: int
     rb_subsample: int
-
-    columns = ("sigma", "raw_second_moment", "rb_second_moment",
-               "raw_se", "rb_se", "discards")
-
-    def rows(self):
-        for i in range(self.sigma.size):
-            yield (self.sigma[i], self.raw_second_moment[i],
-                   self.rb_second_moment[i], self.raw_se[i],
-                   self.rb_se[i], int(self.discards[i]))
 
 
 def _cell_seed(master: int, label: str, index: int) -> int:
@@ -292,17 +239,14 @@ def bandwidth_mse(q: DensityModel, sigma: float, n: int, bandwidths,
 
 def calibrate_bandwidth(q: DensityModel, sigma: float, n: int,
                         probes: np.ndarray, r_true: np.ndarray, *,
-                        repetitions: int, seed: int,
-                        factors=CALIBRATION_FACTORS):
+                        repetitions: int, seed: int):
     """The c of the rate rule c*(1/(sigma^2 n))**(1/(d+2)), picked by
     probe MSE among five multiples of the c = 1 pilot at n, capped at
     window_cap; returns c and the number of doublings."""
     d = q.manifold.intrinsic_dim
     pilot = optimal_bandwidth(1.0, sigma, n, d)
     h_cap = window_cap(q.manifold)
-    grid = np.array([min(f * pilot, h_cap) for f in factors])
-    if grid.size != 5:
-        raise ConfigError("bandwidth calibration uses a 5-point grid")
+    grid = np.array([min(f * pilot, h_cap) for f in CALIBRATION_FACTORS])
     mse, _, widened = bandwidth_mse(q, sigma, n, grid, probes, r_true,
                                     repetitions=repetitions, seed=seed,
                                     label="sweep.mse.calib")
@@ -311,7 +255,7 @@ def calibrate_bandwidth(q: DensityModel, sigma: float, n: int,
 
 
 # ---------------------------------------------------------------------------
-# coarsening decomposition
+# the risk split
 
 
 def equal_mass_bins(values: np.ndarray, k: int = 8) -> np.ndarray:
@@ -320,22 +264,34 @@ def equal_mass_bins(values: np.ndarray, k: int = 8) -> np.ndarray:
     return np.quantile(np.asarray(values, dtype=float), qs)
 
 
-def first_coordinate_bins(calibration_foot: np.ndarray, k: int = 8):
-    """Coarse statistic: bin index of the first ambient coordinate.
+def binned_means(labels_cal, values_cal, labels) -> np.ndarray:
+    """The mean of values_cal over the calibration rows that carry each
+    label, read off at labels: one row per entry of labels.
 
-    Edges come from the calibration batch so the statistic is a fixed
-    deterministic function when applied to fresh data.
+    Estimated from an independent calibration batch, the binned mean enters
+    the evaluation batch as a fixed function of the label.  A label the
+    calibration rows never carry raises ConfigError.
     """
-    edges = equal_mass_bins(calibration_foot[:, 0], k)
-
-    def stat(foot):
-        return np.searchsorted(edges, foot[:, 0])
-    return stat
+    labels_cal = np.asarray(labels_cal)
+    values_cal = np.asarray(values_cal, dtype=float)
+    labels = np.asarray(labels)
+    if values_cal.shape[:1] != labels_cal.shape:
+        raise ConfigError(f"{labels_cal.shape[0]} calibration labels for "
+                          f"{values_cal.shape[0]} value rows")
+    seen = np.unique(np.concatenate([labels_cal, labels]))
+    means = np.zeros((seen.size, values_cal.shape[1]))
+    for j, lab in enumerate(seen):
+        hit = labels_cal == lab
+        if not hit.any():
+            raise ConfigError(
+                f"label {lab!r} unseen in the calibration batch")
+        means[j] = values_cal[hit].mean(axis=0)
+    return means[np.searchsorted(seen, labels)]
 
 
 @dataclass(frozen=True)
 class CoarseningResult:
-    """Three-term split of E||T - eta(S)||^2 plus the paired residual."""
+    """Three-term split of E||T - h||^2 plus the paired residual."""
 
     fiber_term: float
     coarsening_term: float
@@ -345,68 +301,29 @@ class CoarseningResult:
     gap_se: float
     n: int
 
-    @property
-    def terms(self):
-        return (self.fiber_term, self.coarsening_term, self.approx_term)
 
+def coarsening_check(data: CorruptedBatch, r: np.ndarray, eta_s: np.ndarray,
+                     h: np.ndarray | None = None) -> CoarseningResult:
+    """The risk split E||T - h||^2 = E||T - r||^2 + E||r - eta_S||^2
+    + E||eta_S - h||^2 for a coarsening S of the foot.
 
-def _calibration_target(calibration: CorruptedBatch | None,
-                        r_calibration: np.ndarray | None,
-                        kind: str) -> np.ndarray:
-    if calibration is None or r_calibration is None:
-        raise ConfigError(f"{kind} coarsening needs a calibration batch "
-                          "and its quadrature target")
-    return _field_values(r_calibration, calibration)
-
-
-def coarsening_check(data: CorruptedBatch, coarse_stat, *, r: np.ndarray,
-                     calibration: CorruptedBatch | None = None,
-                     r_calibration: np.ndarray | None = None,
-                     eta: np.ndarray | None = None) -> CoarseningResult:
-    """Estimate the three-term decomposition for a coarsening S of the foot.
-
-    r holds the quadrature target at the feet of data, and r_calibration
-    the same at the feet of calibration.  coarse_stat is "identity" (S
-    determines the foot, so the conditional mean is the quadrature target
-    itself), "constant" (S carries nothing, conditional mean is the global
-    target mean), or a callable mapping foot rows to a finite set of
-    labels.  The conditional mean given a label is estimated from an
-    independent calibration dataset so it enters the evaluation batch as a
-    fixed function.  eta is the S-measurable field under test, given as
-    values at the evaluation feet; None means zero.
+    r holds the conditioned target E[T | foot] at the feet of data, eta_s
+    its conditional mean E[r | S] at the same feet, and h an S-measurable
+    field under test (None means zero); all are (n, D) arrays.  The terms
+    are the fiber, coarsening and approximation terms.  The per-sample
+    residual ||T-h||^2 minus the three terms has expectation zero, and
+    pairing keeps its standard error far below the sizes of the terms.  The
+    identity coarsening, eta_s = r, makes the coarsening term exactly zero
+    and leaves the Pythagorean identity risk(h) = risk(r) + E||r - h||^2.
     """
-    r_eval = _field_values(r, data)
-    if coarse_stat == "identity":
-        eta_s = r_eval
-    elif coarse_stat == "constant":
-        r_cal = _calibration_target(calibration, r_calibration, "constant")
-        eta_s = np.broadcast_to(r_cal.mean(axis=0), r_eval.shape)
-    elif callable(coarse_stat):
-        r_cal = _calibration_target(calibration, r_calibration, "binned")
-        s_cal = np.asarray(coarse_stat(calibration.foot))
-        s_eval = np.asarray(coarse_stat(data.foot))
-        labels = np.unique(np.concatenate([s_cal, s_eval]))
-        means = np.zeros((labels.size, r_eval.shape[1]))
-        for j, lab in enumerate(labels):
-            hit = s_cal == lab
-            if not hit.any():
-                raise ConfigError(
-                    f"label {lab!r} unseen in the calibration batch")
-            means[j] = r_cal[hit].mean(axis=0)
-        eta_s = means[np.searchsorted(labels, s_eval)]
-    else:
-        raise ConfigError(f"unrecognized coarse statistic {coarse_stat!r}")
-
-    if eta is None:
-        eta_vals = np.zeros_like(r_eval)
-    else:
-        eta_vals = _field_values(eta, data)
-
+    r = _field_values(r, data)
+    eta_s = _field_values(eta_s, data)
+    h = np.zeros_like(r) if h is None else _field_values(h, data)
     t = data.targets
-    a = np.sum((t - r_eval) ** 2, axis=1)
-    b = np.sum((r_eval - eta_s) ** 2, axis=1)
-    cterm = np.sum((eta_s - eta_vals) ** 2, axis=1)
-    tot = np.sum((t - eta_vals) ** 2, axis=1)
+    a = np.sum((t - r) ** 2, axis=1)
+    b = np.sum((r - eta_s) ** 2, axis=1)
+    cterm = np.sum((eta_s - h) ** 2, axis=1)
+    tot = np.sum((t - h) ** 2, axis=1)
     gap = tot - a - b - cterm
     n = gap.size
     return CoarseningResult(

@@ -18,17 +18,15 @@ from .densities import (
 from .errors import ConfigError
 from .estimators import (
     bandwidth_mse,
+    binned_means,
     calibrate_bandwidth,
     coarsening_check,
     collect,
-    first_coordinate_bins,
+    equal_mass_bins,
     optimal_bandwidth,
     probe_points,
     projected_risk,
-    pythagorean_gap,
-    score_field,
     variance_sweep,
-    zero_field,
 )
 from .geometry import AffinePlane, FlatTorus, Sphere
 from .langevin import (
@@ -57,11 +55,6 @@ GEOMETRY_SUITE = (
     ("torus_1_2", lambda: FlatTorus(1.0, 2.0)),
     ("plane_2_4", lambda: AffinePlane.axis_aligned(2, 4)),
 )
-
-
-def _native_rows(rows):
-    return [[v if isinstance(v, int) else float(v) for v in row]
-            for row in rows]
 
 
 def run_geometry_check(seed: int = 0, n_points: int = 100) -> dict:
@@ -167,9 +160,12 @@ def run_variance_collapse(q: DensityModel, sigma_grid, n: int, seed: int,
     d = q.manifold.intrinsic_dim
     i0 = int(np.argmin(res.sigma))
     ssm = float(score_second_moment(q))
+    table = {"sigma": res.sigma, "raw_second_moment": res.raw_second_moment,
+             "rb_second_moment": res.rb_second_moment, "raw_se": res.raw_se,
+             "rb_se": res.rb_se, "discards": res.discards}
     return {
-        "columns": list(res.columns),
-        "rows": _native_rows(res.rows()),
+        "rows": [dict(zip(table, row))
+                 for row in zip(*(col.tolist() for col in table.values()))],
         "slope": float(res.slope),
         "n": int(res.n),
         "rb_subsample": int(res.rb_subsample),
@@ -226,10 +222,7 @@ def run_extrinsic_coef(models, sigmas) -> dict:
                 "alpha_pred": float(fit.alpha_pred[0]),
                 "orth_residual": float(fit.orthogonal[0]),
             })
-    return {"columns": ["manifold", "sigma", "alpha_hat", "alpha_pred",
-                        "orth_residual"],
-            "rows": rows,
-            "sigmas": [float(s) for s in sigmas]}
+    return {"rows": rows, "sigmas": [float(s) for s in sigmas]}
 
 
 def run_stein_suite(sigma: float = 0.1, moment_sigma: float = 0.025,
@@ -293,11 +286,19 @@ def run_pythagorean(kappa: float = 2.0, sigma: float = 0.1, n: int = 100_000,
     r_data = oracle.target_coords(data.foot)
     r_calib = oracle.target_coords(calib.foot)
 
+    # E[r | S] at the data feet for each coarsening S; the constant and
+    # binned means come from the independent calibration batch, so they
+    # enter the data batch as fixed functions of S
+    edges = equal_mass_bins(calib.foot[:, 0], 8)
+    conditional_means = {
+        "identity": r_data,
+        "constant": np.broadcast_to(r_calib.mean(axis=0), r_data.shape),
+        "bin8": binned_means(np.searchsorted(edges, calib.foot[:, 0]),
+                             r_calib, np.searchsorted(edges, data.foot[:, 0])),
+    }
     coarsenings = {}
-    for name, stat in (("identity", "identity"), ("constant", "constant"),
-                       ("bin8", first_coordinate_bins(calib.foot, 8))):
-        res = coarsening_check(data, stat, r=r_data, calibration=calib,
-                               r_calibration=r_calib)
+    for name, eta_s in conditional_means.items():
+        res = coarsening_check(data, r_data, eta_s)
         coarsenings[name] = {
             "fiber_term": float(res.fiber_term),
             "coarsening_term": float(res.coarsening_term),
@@ -308,13 +309,14 @@ def run_pythagorean(kappa: float = 2.0, sigma: float = 0.1, n: int = 100_000,
             "gap_over_se": float(abs(res.gap_mean) / res.gap_se),
         }
 
+    # the identity coarsening at a field h: risk(h) = risk(r) + E||r - h||^2
     gaps = {}
-    for name, field in (("zero", zero_field),
-                        ("twice_score", score_field(q, 2.0))):
-        gap = pythagorean_gap(data, field(data.foot), r_data)
-        gaps[name] = {"gap_mean": float(gap.gap_mean),
-                      "gap_se": float(gap.gap_se),
-                      "gap_over_se": float(gap.within)}
+    for name, h in (("zero", np.zeros_like(data.foot)),
+                    ("twice_score", 2.0 * q.score_batch(data.foot))):
+        res = coarsening_check(data, r_data, r_data, h)
+        gaps[name] = {"gap_mean": float(res.gap_mean),
+                      "gap_se": float(res.gap_se),
+                      "gap_over_se": float(abs(res.gap_mean) / res.gap_se)}
 
     rb_risk = projected_risk(data, r_data)
     return {
@@ -365,7 +367,6 @@ def run_finite_sample(kappa: float = 2.0, sigma: float = 0.1,
     return {
         "sigma": sigma, "repetitions": repetitions, "seed": seed,
         "n_grid": n_grid,
-        "columns": ["mode", "n", "h", "mse", "se"],
         "rows": rows,
         "rate_slope": float(np.polyfit(np.log(n_grid),
                                        np.log(by_mode["rate"]), 1)[0]),

@@ -392,8 +392,6 @@ def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MarginalDiagnostic:
-    edges: np.ndarray
-    density: np.ndarray
     ks: float
     mean_bias: float
     mean_t: float
@@ -412,8 +410,7 @@ def _t_marginal_of(q: DensityModel) -> SphereTMarginal:
     raise UnsupportedManifold(f"no analytic t-marginal for {type(q).__name__}")
 
 
-def marginal_diagnostic(t: np.ndarray, q: DensityModel, *,
-                        bins: int = 64) -> MarginalDiagnostic:
+def marginal_diagnostic(t: np.ndarray, q: DensityModel) -> MarginalDiagnostic:
     """Compare chain output t = mu . z against the analytic marginal of t.
 
     t holds projections of samples onto the mean axis mu (any unit axis
@@ -426,11 +423,9 @@ def marginal_diagnostic(t: np.ndarray, q: DensityModel, *,
     if t.size == 0:
         raise ConfigError("no samples to diagnose")
     marg = _t_marginal_of(q)
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    density, _ = np.histogram(t, bins=edges, density=True)
     ks = ks_distance(t, marg.cdf)
     mean_t = float(t.mean())
     target = marg.mean()
-    return MarginalDiagnostic(edges, density, ks, mean_t - target,
-                              mean_t, float(target), t.size)
+    return MarginalDiagnostic(ks, mean_t - target, mean_t, float(target),
+                              t.size)
 

@@ -288,6 +288,19 @@ class TestMainSuccess:
         cfg = json.loads(header[0][len("# config: "):])
         assert cfg["n"] == 2000 and cfg["seed"] == 7
 
+    def test_variance_json_rows_are_objects(self, capsys):
+        # the study's columns are spelled once, in STUDIES: the JSON rows
+        # are objects keyed by them and carry no separate column list
+        code, out, _ = run_cli(capsys, "variance-collapse", "--sigma",
+                               "0.1,0.2", "--n", "500", "--rb-subsample",
+                               "50", "--format", "json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert "columns" not in res and len(res["rows"]) == 2
+        columns = list(STUDIES["variance-collapse"].columns)
+        for row in res["rows"]:
+            assert isinstance(row, dict) and sorted(row) == sorted(columns)
+
     def test_variance_reports_feet_used(self, capsys):
         # rb_subsample is the number of feet the conditioned column used:
         # the rows discarded 7 and 150 of 2000 draws, so the second row

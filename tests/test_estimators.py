@@ -6,21 +6,18 @@ from tubescore.densities import IsotropicGaussian, Uniform, VonMisesFisher
 from tubescore.errors import ConfigError, EmptyWindow, ManifoldMismatch
 from tubescore.estimators import (
     bandwidth_mse,
+    binned_means,
     calibrate_bandwidth,
     coarsening_check,
     collect,
     epanechnikov,
     equal_mass_bins,
-    first_coordinate_bins,
     local_average,
     optimal_bandwidth,
     probe_points,
     projected_risk,
-    pythagorean_gap,
-    score_field,
     variance_sweep,
     window_cap,
-    zero_field,
 )
 from tubescore.geometry import AffinePlane, Sphere
 from tubescore.langevin import ChainConfig, DriftSpec, run_chains
@@ -49,6 +46,21 @@ def oracle(vmf2):
 @pytest.fixture(scope="module")
 def r_data(data, oracle):
     return oracle.target_coords(data.foot)
+
+
+@pytest.fixture(scope="module")
+def calib(vmf2):
+    return collect(vmf2, 0.1, 20_000, 12)
+
+
+@pytest.fixture(scope="module")
+def r_calib(calib, oracle):
+    return oracle.target_coords(calib.foot)
+
+
+def score_values(data, scale=1.0):
+    """scale times the score of the batch's density at its feet."""
+    return scale * data.density.score_batch(data.foot)
 
 
 def take(data, idx):
@@ -213,13 +225,30 @@ class TestProjectedRisk:
             projected_risk(data, data.foot[:, :2])
 
     def test_pythagorean_within_se(self, data, r_data):
-        for field in (zero_field, score_field(data.density, 2.0)):
-            gap = pythagorean_gap(data, field(data.foot), r_data)
+        for h in (np.zeros_like(data.foot), score_values(data, 2.0)):
+            gap = coarsening_check(data, r_data, r_data, h)
             assert abs(gap.gap_mean) <= 3.0 * gap.gap_se
 
+    @pytest.mark.parametrize("field", ["zero", "twice_score"])
+    def test_identity_split_is_the_paired_gap(self, data, r_data, field):
+        # the paired statistic ||T-h||^2 - ||T-r||^2 - ||r-h||^2, kept here
+        # as the reference: at eta_S = r the coarsening term is exactly zero
+        # and the split's residual has the same mean and standard error
+        h = (np.zeros_like(data.foot) if field == "zero"
+             else score_values(data, 2.0))
+        p = (np.sum((data.targets - h) ** 2, axis=1)
+             - np.sum((data.targets - r_data) ** 2, axis=1)
+             - np.sum((r_data - h) ** 2, axis=1))
+        res = coarsening_check(data, r_data, r_data, h)
+        assert res.coarsening_term == 0.0
+        assert res.gap_mean == float(p.mean())
+        assert res.gap_se == float(p.std(ddof=1) / np.sqrt(p.size))
+        if field == "zero":
+            assert coarsening_check(data, r_data, r_data) == res
+
     def test_gap_matches_risk_bookkeeping(self, data, r_data):
-        h_vals = score_field(data.density, 2.0)(data.foot)
-        gap = pythagorean_gap(data, h_vals, r_data)
+        h_vals = score_values(data, 2.0)
+        gap = coarsening_check(data, r_data, r_data, h_vals)
         risk_h = projected_risk(data, h_vals).mean
         risk_r = projected_risk(data, r_data).mean
         cross = np.mean(np.sum((r_data - h_vals) ** 2, axis=1))
@@ -227,9 +256,9 @@ class TestProjectedRisk:
 
     def test_rb_minimality(self, data, r_data):
         rb = projected_risk(data, r_data)
-        for field in (zero_field, score_field(data.density),
-                      score_field(data.density, 2.0)):
-            other = projected_risk(data, field(data.foot))
+        for h in (np.zeros_like(data.foot), score_values(data),
+                  score_values(data, 2.0)):
+            other = projected_risk(data, h)
             tol = 3.0 * np.hypot(rb.se, other.se)
             assert rb.mean <= other.mean + tol
 
@@ -373,48 +402,55 @@ class TestCoarsening:
         assert counts.min() > 1100 and counts.max() < 1400
 
     def test_identity_coarsening(self, data, r_data):
-        res = coarsening_check(data, "identity", r=r_data)
+        res = coarsening_check(data, r_data, r_data)
         assert res.coarsening_term == 0.0
         assert abs(res.gap_mean) <= 3.0 * res.gap_se
 
-    def test_constant_coarsening(self, vmf2, data, oracle, r_data):
-        calib = collect(vmf2, 0.1, 20_000, 12)
-        res = coarsening_check(data, "constant", r=r_data, calibration=calib,
-                               r_calibration=oracle.target_coords(calib.foot))
+    def test_constant_coarsening(self, data, r_data, r_calib):
+        eta_s = np.broadcast_to(r_calib.mean(axis=0), r_data.shape)
+        res = coarsening_check(data, r_data, eta_s)
         assert res.coarsening_term > 0.0
         assert abs(res.gap_mean) <= 3.0 * res.gap_se
 
-    def test_binned_coarsening(self, vmf2, data, oracle, r_data):
-        calib = collect(vmf2, 0.1, 20_000, 12)
-        r_calib = oracle.target_coords(calib.foot)
-        stat = first_coordinate_bins(calib.foot, 8)
-        res = coarsening_check(data, stat, r=r_data, calibration=calib,
-                               r_calibration=r_calib)
+    def test_binned_coarsening(self, data, r_data, calib, r_calib):
+        edges = equal_mass_bins(calib.foot[:, 0], 8)
+
+        def labels(batch):
+            return np.searchsorted(edges, batch.foot[:, 0])
+
+        eta_s = binned_means(labels(calib), r_calib, labels(data))
+        res = coarsening_check(data, r_data, eta_s)
         assert abs(res.gap_mean) <= 3.0 * res.gap_se
         # three terms plus the paired residual reproduce the total exactly
         assert res.total == pytest.approx(
             res.fiber_term + res.coarsening_term + res.approx_term
             + res.gap_mean, abs=1e-9)
-        # an S-measurable eta: one fixed vector per bin label
+        # an S-measurable h: one fixed vector per bin label
         levels = np.linspace(-2.0, 2.0, 8)[:, None] * MU
-        eta = levels[stat(data.foot)]
-        res = coarsening_check(data, stat, r=r_data, calibration=calib,
-                               r_calibration=r_calib, eta=eta)
+        res = coarsening_check(data, r_data, eta_s, levels[labels(data)])
         assert res.approx_term > 0.0
         assert abs(res.gap_mean) <= 3.0 * res.gap_se
         assert res.total == pytest.approx(
             res.fiber_term + res.coarsening_term + res.approx_term
             + res.gap_mean, abs=1e-9)
 
+    def test_binned_means(self):
+        labels_cal = np.array([0, 1, 0, 1, 3])
+        values_cal = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0],
+                               [4.0, 1.0], [5.0, 5.0]])
+        got = binned_means(labels_cal, values_cal, np.array([1, 0, 1, 3]))
+        assert np.array_equal(got, [[3.0, 1.0], [2.0, 0.0], [3.0, 1.0],
+                                    [5.0, 5.0]])
+        # a label the calibration rows never carry has no mean
+        with pytest.raises(ConfigError, match="unseen"):
+            binned_means(labels_cal, values_cal, np.array([0, 2]))
+        with pytest.raises(ConfigError, match="labels for"):
+            binned_means(labels_cal[:3], values_cal, np.array([0]))
+
     def test_validation(self, data, r_data):
         with pytest.raises(ConfigError):
-            coarsening_check(data, "constant", r=r_data)
+            coarsening_check(data, r_data[:, :2], r_data)
         with pytest.raises(ConfigError):
-            coarsening_check(data, "nonsense", r=r_data)
+            coarsening_check(data, r_data, r_data[:10])
         with pytest.raises(ConfigError):
-            coarsening_check(data, lambda foot: np.zeros(len(foot)),
-                             r=r_data)
-        with pytest.raises(ConfigError):
-            coarsening_check(data, "identity", r=r_data[:, :2])
-        with pytest.raises(ConfigError):
-            coarsening_check(data, "identity", r=r_data, eta=r_data[:10])
+            coarsening_check(data, r_data, r_data, h=r_data[:10])

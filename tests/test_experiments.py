@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tubescore import experiments as ex
+from tubescore.cli import STUDIES
 
 
 class TestGeometryDriver:
@@ -64,7 +65,8 @@ class TestVarianceDriver:
         assert 0.9 <= out["smallest_sigma_ratio"] <= 1.1
         assert out["max_rb_deviation"] <= 0.15
         assert len(out["rows"]) == 3
-        assert out["columns"][0] == "sigma"
+        columns = list(STUDIES["variance-collapse"].columns)
+        assert all(list(row) == columns for row in out["rows"])
 
     def test_smallest_sigma_is_min_not_first(self):
         q = ex.sphere_vmf(2, 2.0)
