@@ -15,7 +15,6 @@ import abc
 import math
 
 import numpy as np
-from scipy.special import i0e
 
 from .errors import ManifoldMismatch, UnsupportedManifold
 from .geometry import AffinePlane, FlatTorus, Sphere
@@ -25,6 +24,47 @@ from .rng import derive_rng, shard_sizes
 
 _LOWER_SPHERE_VOLUMES = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
 _TABLE_SIZE = 8193
+# Chebyshev coefficients of exp(-x) I0(x) in x/2 - 2 on [0, 8], and of
+# sqrt(x) exp(-x) I0(x) in 32/x - 2 on (8, inf): the tables of Cephes' i0e
+_I0E_NEAR = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I0E_FAR = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+
+
+def _i0e(kappa: float) -> float:
+    """exp(-kappa) I0(kappa) for kappa >= 0, so that log I0(kappa) =
+    log(_i0e(kappa)) + kappa stays finite for every finite kappa.  The
+    Clenshaw sums are Cephes' chbevl in its order of operations, so this
+    equals scipy.special.i0e(kappa) bit for bit."""
+    if kappa <= 8.0:
+        x, coeffs, scale = kappa / 2.0 - 2.0, _I0E_NEAR, 1.0
+    else:
+        x, coeffs, scale = 32.0 / kappa - 2.0, _I0E_FAR, math.sqrt(kappa)
+    b0, b1 = coeffs[0], 0.0
+    for c in coeffs[1:]:
+        b2, b1 = b1, b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2) / scale
 
 
 class DensityModel(abc.ABC):
@@ -136,7 +176,10 @@ class VonMisesFisher(DensityModel):
         return self._marginal
 
     def log_density_batch(self, coords: np.ndarray) -> np.ndarray:
-        return self.kappa * (coords @ self.mu) - self._log_norm
+        lq = coords @ self.mu  # in place: the oracle passes every node
+        lq *= self.kappa
+        lq -= self._log_norm
+        return lq
 
     def score_batch(self, coords: np.ndarray) -> np.ndarray:
         # column sums, not coords @ mu: BLAS gives bits that depend on the
@@ -193,8 +236,8 @@ class ProductVonMises(DensityModel):
         # log I0 computed from the scaled Bessel function for large-kappa safety
         self._log_norm = (
             math.log(4.0 * math.pi**2 * r1 * r2)
-            + math.log(i0e(self.kappas[0])) + self.kappas[0]
-            + math.log(i0e(self.kappas[1])) + self.kappas[1]
+            + math.log(_i0e(self.kappas[0])) + self.kappas[0]
+            + math.log(_i0e(self.kappas[1])) + self.kappas[1]
         )
 
     def _deltas(self, coords: np.ndarray) -> np.ndarray:

@@ -259,9 +259,20 @@ def calibrate_bandwidth(q: DensityModel, sigma: float, n: int,
 
 
 def equal_mass_bins(values: np.ndarray, k: int = 8) -> np.ndarray:
-    """Interior bin edges splitting values into k equal-mass bins."""
-    qs = np.linspace(0.0, 1.0, k + 1)[1:-1]
-    return np.quantile(np.asarray(values, dtype=float), qs)
+    """Interior bin edges splitting values into k equal-mass bins.
+
+    These are np.quantile's linear-interpolation quantiles, bit for bit,
+    taken from a sorted copy: np.quantile imports numpy.ma on first use,
+    about 20 ms, to ask whether its index array is masked.
+    """
+    v = np.sort(np.asarray(values, dtype=float))
+    at = (v.size - 1) * np.linspace(0.0, 1.0, k + 1)[1:-1]
+    lo = np.floor(at)
+    t = at - lo
+    i = lo.astype(int)
+    a, b = v[i], v[np.minimum(i + 1, v.size - 1)]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
 
 
 def binned_means(labels_cal, values_cal, labels) -> np.ndarray:
@@ -278,7 +289,9 @@ def binned_means(labels_cal, values_cal, labels) -> np.ndarray:
     if values_cal.shape[:1] != labels_cal.shape:
         raise ConfigError(f"{labels_cal.shape[0]} calibration labels for "
                           f"{values_cal.shape[0]} value rows")
-    seen = np.unique(np.concatenate([labels_cal, labels]))
+    # with an index output np.unique skips its numpy.ma check (and import)
+    seen, at = np.unique(np.concatenate([labels_cal, labels]),
+                         return_inverse=True)
     means = np.zeros((seen.size, values_cal.shape[1]))
     for j, lab in enumerate(seen):
         hit = labels_cal == lab
@@ -286,7 +299,7 @@ def binned_means(labels_cal, values_cal, labels) -> np.ndarray:
             raise ConfigError(
                 f"label {lab!r} unseen in the calibration batch")
         means[j] = values_cal[hit].mean(axis=0)
-    return means[np.searchsorted(seen, labels)]
+    return means[at[labels_cal.size:]]
 
 
 @dataclass(frozen=True)

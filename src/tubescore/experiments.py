@@ -296,27 +296,24 @@ def run_pythagorean(kappa: float = 2.0, sigma: float = 0.1, n: int = 100_000,
         "bin8": binned_means(np.searchsorted(edges, calib.foot[:, 0]),
                              r_calib, np.searchsorted(edges, data.foot[:, 0])),
     }
-    coarsenings = {}
-    for name, eta_s in conditional_means.items():
-        res = coarsening_check(data, r_data, eta_s)
-        coarsenings[name] = {
-            "fiber_term": float(res.fiber_term),
-            "coarsening_term": float(res.coarsening_term),
-            "approx_term": float(res.approx_term),
-            "total": float(res.total),
-            "gap_mean": float(res.gap_mean),
-            "gap_se": float(res.gap_se),
-            "gap_over_se": float(abs(res.gap_mean) / res.gap_se),
-        }
 
-    # the identity coarsening at a field h: risk(h) = risk(r) + E||r - h||^2
-    gaps = {}
-    for name, h in (("zero", np.zeros_like(data.foot)),
-                    ("twice_score", 2.0 * q.score_batch(data.foot))):
-        res = coarsening_check(data, r_data, r_data, h)
-        gaps[name] = {"gap_mean": float(res.gap_mean),
-                      "gap_se": float(res.gap_se),
-                      "gap_over_se": float(abs(res.gap_mean) / res.gap_se)}
+    def gap(res):
+        return {"gap_mean": float(res.gap_mean), "gap_se": float(res.gap_se),
+                "gap_over_se": float(abs(res.gap_mean) / res.gap_se)}
+
+    splits = {name: coarsening_check(data, r_data, eta_s)
+              for name, eta_s in conditional_means.items()}
+    coarsenings = {name: {"fiber_term": float(res.fiber_term),
+                          "coarsening_term": float(res.coarsening_term),
+                          "approx_term": float(res.approx_term),
+                          "total": float(res.total), **gap(res)}
+                   for name, res in splits.items()}
+
+    # the identity coarsening at a field h: risk(h) = risk(r) + E||r - h||^2;
+    # at h = 0 it is the identity split above
+    twice_score = coarsening_check(data, r_data, r_data,
+                                   2.0 * q.score_batch(data.foot))
+    gaps = {"zero": gap(splits["identity"]), "twice_score": gap(twice_score)}
 
     rb_risk = projected_risk(data, r_data)
     return {

@@ -189,7 +189,10 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     is the same rule that makes chain c independent of n_chains.  When a
     step reaches the injectivity radius, ``BeyondInjectivity`` names the
     first such iterate over all ranges and the longest step at it, as an
-    unsplit run does.  A worker's other exceptions are raised here.
+    unsplit run does: a range that fails records its iterate, and every
+    other range stops once it has stepped past the first one recorded.  A
+    worker's other exceptions are raised here, and its range tells the
+    others to stop at once.
 
     With ``direction`` (a length-D vector), each kept iterate z is stored
     only as z @ direction and the trailing D axis is dropped: the result
@@ -225,13 +228,18 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
 
 
 def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
-               direction: np.ndarray | None, chains: range,
-               out: np.ndarray) -> tuple[int, float] | None:
+               direction: np.ndarray | None, chains: range, out: np.ndarray,
+               stops: np.ndarray | None = None,
+               slot: int = 0) -> tuple[int, float] | None:
     """Step ``chains`` of every copy, writing kept iterate k of copy s and
     chain ``chains[j]`` to ``out[s, j, k]``.
 
     Returns None, or (iterate, longest step) at the first iterate whose
     longest step reaches the injectivity radius, where the range stops.
+    In a split run, ``stops`` holds one iterate per range (inf while it
+    runs): this range writes its failing iterate to ``stops[slot]``, and
+    at each noise block it returns None once it has stepped to the
+    smallest iterate in ``stops``, where its result can no longer matter.
     """
     M = q.manifold
     n = len(chains)
@@ -256,6 +264,8 @@ def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
     k = 0
     step_idx = 0
     while step_idx < config.n_steps:
+        if stops is not None and step_idx >= stops.min():
+            return None
         block = min(NOISE_BLOCK, config.n_steps - step_idx)
         for c0 in range(0, n, len(fill)):
             group = gens[c0:c0 + len(fill)]
@@ -273,6 +283,8 @@ def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
                 norms = row_norms(v)
                 longest = norms.max()
                 if longest >= inj:
+                    if stops is not None:
+                        stops[slot] = step_idx
                     return step_idx, float(longest)
             z = M.exp_batch(z, v, norms=norms)
             past = step_idx - config.burn_in
@@ -285,24 +297,28 @@ def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
 
 
 def _run_split(run, ranges: list[range], shape: tuple):
-    """``run(chains, out[:, chains])`` for the first range here and for
-    every other range in a forked worker; returns (out, hits).
+    """``run(chains, out[:, chains], stops, i)`` for the first range here
+    and for every other range i in a forked worker; returns (out, hits).
 
     ``out`` lives in one shared anonymous mapping, written in place by
-    every process and returned without a copy.  Each worker sends back
-    its range's hit, or the exception it raised, through a pipe.  This
-    process's own exception is raised here, or else the exception of the
-    first worker, in range order, that sent one.  Every worker
-    is reaped before this returns or raises; when this process fails,
-    is interrupted or reads a worker's exception, the workers still
-    running are killed first.
+    every process and returned without a copy.  The mapping ends in
+    ``stops``, one slot per range for ``_run_range``; a worker that raises
+    sets its slot to 0, which stops every range at its next noise block.
+    Each worker sends back its range's hit, or the exception it raised,
+    through a pipe.  This process's own exception is raised here, or else
+    the exception of the first worker, in range order, that sent one.
+    Every worker is reaped before this returns or raises; when this
+    process fails, is interrupted or reads a worker's exception, the
+    workers still running are killed first.
     """
     size = int(np.prod(shape))
-    buffer = mmap.mmap(-1, max(size, 1) * np.dtype(float).itemsize)
+    buffer = mmap.mmap(-1, (size + len(ranges)) * np.dtype(float).itemsize)
     out = np.frombuffer(buffer, count=size).reshape(shape)
+    stops = np.frombuffer(buffer, offset=size * np.dtype(float).itemsize)
+    stops[:] = np.inf
     workers = []  # (pid, read end of its pipe)
     try:
-        for chains in ranges[1:]:
+        for slot, chains in enumerate(ranges[1:], start=1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -311,11 +327,11 @@ def _run_split(run, ranges: list[range], shape: tuple):
                 os.close(w)
                 raise
             if pid == 0:
-                _worker(run, chains, out, w)
+                _worker(run, chains, out, stops, slot, w)
             os.close(w)
             workers.append((pid, r))
         first = ranges[0]
-        hits = [run(first, out[:, first.start:first.stop])]
+        hits = [run(first, out[:, first.start:first.stop], stops, 0)]
         for pid, r in workers:
             hits.append(_receive(pid, r))
     except BaseException:
@@ -329,8 +345,9 @@ def _run_split(run, ranges: list[range], shape: tuple):
     return out, hits
 
 
-def _worker(run, chains: range, out: np.ndarray, fd: int):
-    """Body of a forked worker: run one range and send the outcome.
+def _worker(run, chains: range, out: np.ndarray, stops: np.ndarray,
+            slot: int, fd: int):
+    """Body of a forked worker: run range ``slot`` and send the outcome.
 
     It leaves through ``os._exit`` whatever happens, so it never returns
     into the caller's stack, runs no exit handler and flushes none of the
@@ -338,8 +355,10 @@ def _worker(run, chains: range, out: np.ndarray, fd: int):
     """
     try:
         try:
-            message = ("hit", run(chains, out[:, chains.start:chains.stop]))
+            message = ("hit", run(chains, out[:, chains.start:chains.stop],
+                                  stops, slot))
         except BaseException as exc:  # sent to the caller, who re-raises
+            stops[slot] = 0.0
             message = ("raise", exc)
         data = pickle.dumps(message)
         with open(fd, "wb") as fh:

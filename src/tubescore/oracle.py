@@ -140,8 +140,9 @@ def _log_posterior(density: DensityModel, z: np.ndarray, frames: np.ndarray,
     """
     n, dim = z.shape
     y = chord @ frames.transpose(1, 0, 2).reshape(dim, n * dim)
-    y = (y.reshape(-1, n, dim) + z).reshape(-1, dim)
-    lw = density.log_density_batch(y).reshape(-1, n)
+    y3 = y.reshape(-1, n, dim)
+    y3 += z  # in place: y is the chunk's largest array
+    lw = density.log_density_batch(y.reshape(-1, dim)).reshape(-1, n)
     lw += log_k[:, None]
     return lw
 

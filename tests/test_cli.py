@@ -584,6 +584,37 @@ def test_benchmark_bound_names_resolve():
     assert callable(cli.main) and callable(cli.build_parser)
 
 
+def test_studies_run_without_scipy(tmp_path):
+    # scipy is the tests' reference only.  This process has it loaded, so
+    # a fresh interpreter runs the studies that build Gauss-Legendre rules
+    # (the vMF t-marginal's and the oracle's) and a product von Mises
+    # normalizer, then lists the scipy modules it holds.
+    import os
+    import subprocess
+    import sys
+
+    import tubescore
+
+    script = (
+        "import json, sys\n"
+        "from tubescore import cli\n"
+        "out = sys.argv[1]\n"
+        "codes = [cli.main(['pythagorean', '--n', '2000',\n"
+        "                   '--out', out + '/pythagorean.json']),\n"
+        "         cli.main(['extrinsic-coef', '--out', out + '/extrinsic.csv'])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.split('.')[0] == 'scipy')]))\n")
+    src = os.path.dirname(os.path.dirname(tubescore.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert scipy_modules == []
+
+
 @pytest.mark.parametrize("package", ["tubescore", "tubescore.geometry"])
 def test_export_list_resolves(package):
     # a name deleted from the library but left in __all__ breaks

@@ -13,6 +13,7 @@ from tubescore.densities import (
     SphereTMarginal,
     Uniform,
     VonMisesFisher,
+    _i0e,
 )
 from tubescore.errors import ManifoldMismatch, UnsupportedManifold
 from tubescore.geometry import AffinePlane, FlatTorus, Sphere, wrap_angle
@@ -110,6 +111,33 @@ class TestNormalization:
             for i, row in enumerate(coords):
                 assert np.allclose(batch[i], kernel(row[None])[0],
                                    rtol=0, atol=1e-12)
+
+
+class TestScaledBessel:
+    """The scaled Bessel function behind the product von Mises normalizer,
+    against scipy.special.i0e as the reference."""
+
+    KAPPAS = [0.0, 1e-300, 1e-8, 0.5, 8.0, 8.0 + 1e-9, 30.0, 700.0, 1e4, 1e6]
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_log_i0_within_two_ulp(self, kappa):
+        ref = math.log(i0e(kappa)) + kappa
+        got = math.log(_i0e(kappa)) + kappa
+        assert abs(got - ref) <= 2 * math.ulp(ref)
+
+    def test_same_bits_as_scipy(self):
+        # the Clenshaw sums follow Cephes' order of operations, so the
+        # scaled value itself is exact, on both sides of the kappa = 8 switch
+        rng = np.random.default_rng(17)
+        kappas = np.concatenate([self.KAPPAS, rng.uniform(0.0, 16.0, 500),
+                                 np.exp(rng.uniform(-20.0, 20.0, 500))])
+        assert [k for k in kappas if _i0e(k) != i0e(k)] == []
+
+    def test_normalizer(self):
+        q = ProductVonMises(FlatTorus(1.0, 2.0), (2.0, 0.7))
+        assert q._log_norm == (math.log(8.0 * math.pi**2)
+                               + math.log(i0e(2.0)) + 2.0
+                               + math.log(i0e(0.7)) + 0.7)
 
 
 class TestTMarginal:

@@ -147,6 +147,14 @@ class TestPythagoreanDriver:
         assert 0 < cs["bin8"]["coarsening_term"] \
             < cs["constant"]["coarsening_term"]
 
+    def test_zero_field_is_the_identity_split(self):
+        # h = 0 in the identity coarsening is the identity split itself,
+        # reported in both blocks
+        out = ex.run_pythagorean(n=2000, seed=2)
+        identity = out["coarsenings"]["identity"]
+        assert out["pythagorean"]["zero"] == {
+            k: identity[k] for k in ("gap_mean", "gap_se", "gap_over_se")}
+
     def test_one_oracle_pass_per_dataset(self, monkeypatch):
         rows = []
         target_coords = ex.RBOracle.target_coords

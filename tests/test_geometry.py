@@ -538,6 +538,60 @@ def test_gauss_legendre_matches_numpy(n):
     assert np.array_equal(wt, 0.85 * w)
 
 
+def _eval_legendre_rule(n):
+    """The rule built on scipy.special.eval_legendre, as the reference:
+    the same Newton iteration as ``_legendre_rule``."""
+    from scipy.special import eval_legendre
+
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (np.cos(np.pi * (k - 0.25) / (n + 0.5))
+         * (1.0 - (n - 1) / (8.0 * n**3)))
+    for _ in range(10):
+        p, q = eval_legendre(n, x), eval_legendre(n - 1, x)
+        step = p * (1.0 - x * x) / (n * (q - x * p))
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    w = 2.0 * (1.0 - x * x) / (n * eval_legendre(n - 1, x)) ** 2
+    mirror = slice(-1 - n % 2, None, -1)
+    x, w = np.concatenate([-x, x[mirror]]), np.concatenate([w, w[mirror]])
+    return x, 2.0 * w / w.sum()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 513])
+def test_legendre_recurrence_matches_eval_legendre(n):
+    from scipy.special import eval_legendre
+
+    from tubescore.geometry.quadrature import _legendre_pair
+    x = np.linspace(-1.0, 1.0, 4001)
+    x = x[np.abs(x) >= 1e-5]  # below, eval_legendre sums a power series
+    p, q = _legendre_pair(n, x)
+    assert np.array_equal(p, eval_legendre(n, x))
+    assert np.array_equal(q, eval_legendre(n - 1, x))
+
+
+@pytest.mark.parametrize("n", [8, 10, 24, 48, 512, 1024])
+def test_legendre_rule_matches_eval_legendre(n):
+    from tubescore.geometry.quadrature import _legendre_rule
+    x, w = _legendre_rule(n)
+    xr, wr = _eval_legendre_rule(n)
+    assert np.array_equal(x, xr) and np.array_equal(w, wr)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_odd_legendre_rule_near_eval_legendre(n):
+    # the middle root of an odd rule is 0 up to roundoff; there the
+    # reference's power series and the recurrence round differently, and
+    # the weights, normalized to sum 2, move by an ulp with it
+    from tubescore.geometry.quadrature import _legendre_rule
+    x, w = _legendre_rule(n)
+    xr, wr = _eval_legendre_rule(n)
+    mid = n // 2
+    assert abs(x[mid] - xr[mid]) <= 1e-16
+    assert np.array_equal(np.delete(x, mid), np.delete(xr, mid))
+    assert np.all(np.abs(w - wr) <= 2 * np.spacing(wr))
+
+
 def test_gauss_legendre_rule_cached_read_only():
     from tubescore.geometry.quadrature import _legendre_rule
     x, w = _legendre_rule(24)

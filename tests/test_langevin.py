@@ -324,6 +324,27 @@ class TestCoupledChains:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_split_failure_stops_the_other_ranges(self, monkeypatch):
+        # the workers' chains leave the injectivity radius at iterate 1;
+        # the caller's own range would step for minutes unless it stops at
+        # its next noise block
+        q = VonMisesFisher(S2, MU, 2.0)
+        caller = os.getpid()
+        score = q.score_batch
+
+        def steep_score(z):
+            return score(z) if os.getpid() == caller else 1e6 * score(z)
+        monkeypatch.setattr(q, "score_batch", steep_score)
+        monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg = ChainConfig(step=1e-3, n_steps=3_000_000, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(BeyondInjectivity, match=r"at iterate 1$"):
+            run_chains(q, DriftSpec("intrinsic"), cfg, 3, direction=MU)
+        assert time.perf_counter() - start < 10.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_killed_worker_is_reported(self, monkeypatch):
         q = VonMisesFisher(S2, MU, 2.0)
         caller = os.getpid()
