@@ -20,9 +20,9 @@ from .errors import ManifoldMismatch, UnsupportedManifold
 from .geometry import AffinePlane, FlatTorus, Sphere
 from .geometry.base import row_dots
 from .geometry.quadrature import gauss_legendre
+from .geometry.sphere import _SPHERE_VOLUMES
 from .rng import derive_rng, shard_sizes
 
-_LOWER_SPHERE_VOLUMES = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
 _TABLE_SIZE = 8193
 # Chebyshev coefficients of exp(-x) I0(x) in x/2 - 2 on [0, 8], and of
 # sqrt(x) exp(-x) I0(x) in 32/x - 2 on (8, inf): the tables of Cephes' i0e
@@ -150,7 +150,8 @@ class SphereTMarginal:
 
     def log_sphere_normalizer(self) -> float:
         """log integral of exp(kappa <mu, z>) over S^d."""
-        return math.log(_LOWER_SPHERE_VOLUMES[self.dim] * self._norm) + self.kappa
+        # the S^{d-1} of directions orthogonal to mu, times the chi integral
+        return math.log(_SPHERE_VOLUMES[self.dim - 1] * self._norm) + self.kappa
 
 
 class VonMisesFisher(DensityModel):
@@ -251,13 +252,9 @@ class ProductVonMises(DensityModel):
 
     def score_batch(self, coords: np.ndarray) -> np.ndarray:
         delta = self._deltas(coords)
-        r1, r2 = self._manifold.radii
-        k1, k2 = self.kappas
-        e, _ = self._manifold._frame_vectors(coords)
-        a1 = -k1 * np.sin(delta[..., 0]) / r1
-        a2 = -k2 * np.sin(delta[..., 1]) / r2
-        return a1[..., None] * FlatTorus._pad(e[..., 0, :], 0) \
-            + a2[..., None] * FlatTorus._pad(e[..., 1, :], 1)
+        r = np.array(self._manifold.radii)
+        k = np.array(self.kappas)
+        return self._manifold.embed_tangent(coords, -k * np.sin(delta) / r)
 
     def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
         delta = self._deltas(coords)
@@ -270,9 +267,7 @@ class ProductVonMises(DensityModel):
         r = np.array(self._manifold.radii)
         k = np.array(self.kappas)
         coeff = k * np.sin(delta) * (1.0 + 2.0 * k * np.cos(delta)) / (2.0 * r**3)
-        e, _ = self._manifold._frame_vectors(coords)
-        return coeff[:, 0:1] * FlatTorus._pad(e[:, 0], 0) \
-            + coeff[:, 1:2] * FlatTorus._pad(e[:, 1], 1)
+        return self._manifold.embed_tangent(coords, coeff)
 
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         a = rng.vonmises(self.phases[0], self.kappas[0], size=n) if self.kappas[0] > 0 \

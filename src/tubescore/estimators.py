@@ -165,8 +165,8 @@ def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
     rb_subsample is the fewest feet any row used.
     """
     sigmas = np.asarray(list(sigma_grid), dtype=float)
-    if sigmas.size < 2:
-        raise ConfigError("sigma grid needs at least two points")
+    if len(set(sigmas.tolist())) < 2:
+        raise ConfigError("sigma grid needs at least two distinct points")
     raw_m, rb_m, raw_se, rb_se, disc = [], [], [], [], []
     used = rb_subsample
     for i, sig in enumerate(sigmas):
@@ -258,21 +258,23 @@ def calibrate_bandwidth(q: DensityModel, sigma: float, n: int,
 # the risk split
 
 
-def equal_mass_bins(values: np.ndarray, k: int = 8) -> np.ndarray:
-    """Interior bin edges splitting values into k equal-mass bins.
-
-    These are np.quantile's linear-interpolation quantiles, bit for bit,
-    taken from a sorted copy: np.quantile imports numpy.ma on first use,
-    about 20 ms, to ask whether its index array is masked.
-    """
+def _linear_quantiles(values: np.ndarray, probs) -> np.ndarray:
+    """np.quantile's linear-interpolation quantiles of values at probs,
+    bit for bit, taken from a sorted copy: np.quantile imports numpy.ma on
+    first use, about 20 ms, to ask whether its index array is masked."""
     v = np.sort(np.asarray(values, dtype=float))
-    at = (v.size - 1) * np.linspace(0.0, 1.0, k + 1)[1:-1]
+    at = (v.size - 1) * np.asarray(probs, dtype=float)
     lo = np.floor(at)
     t = at - lo
     i = lo.astype(int)
     a, b = v[i], v[np.minimum(i + 1, v.size - 1)]
     d = b - a
     return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+
+
+def equal_mass_bins(values: np.ndarray, k: int = 8) -> np.ndarray:
+    """Interior bin edges splitting values into k equal-mass bins."""
+    return _linear_quantiles(values, np.linspace(0.0, 1.0, k + 1)[1:-1])
 
 
 def binned_means(labels_cal, values_cal, labels) -> np.ndarray:

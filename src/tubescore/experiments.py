@@ -17,6 +17,7 @@ from .densities import (
 )
 from .errors import ConfigError
 from .estimators import (
+    _linear_quantiles,
     bandwidth_mse,
     binned_means,
     calibrate_bandwidth,
@@ -403,6 +404,10 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
                 f"the {name} study keeps no iterate: {chains} chains of"
                 f" {c.n_steps} steps, burn-in {c.burn_in},"
                 f" thinning {c.thinning}")
+    if debias_chains < 2:
+        # the paired bootstrap needs chains to resample
+        raise ConfigError(
+            f"the debias study needs at least 2 chains, got {debias_chains}")
 
     q2 = sphere_vmf(2, kappa)
     samples = run_chains(q2, DriftSpec("intrinsic"), cfg, marginal_chains,
@@ -429,7 +434,7 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     idx = rng.integers(0, t_raw.size, size=(4000, t_raw.size))
     diffs = (np.abs(t_deb[idx].mean(axis=1) - tm)
              - np.abs(t_raw[idx].mean(axis=1) - tm))
-    lo, hi = np.quantile(diffs, [0.025, 0.975])
+    lo, hi = _linear_quantiles(diffs, [0.025, 0.975])
     debias = {
         "sigma": sigma,
         "raw_factor": raw.factor(q3),

@@ -75,14 +75,11 @@ class Manifold(abc.ABC):
     # ---- array kernels (batch, no wrapper types) -----------------------
 
     @abc.abstractmethod
-    def constraint_residual_batch(self, x: np.ndarray) -> np.ndarray:
-        """Distance of ambient rows to the manifold (exact for our geometries)."""
-
-    @abc.abstractmethod
     def project_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest-point projection of ambient rows.
 
-        Returns ``(proj, dist, in_tube)``; rows with ``in_tube`` False carry an
+        Returns ``(proj, dist, in_tube)``; ``dist`` is each row's exact
+        distance to the manifold, and rows with ``in_tube`` False carry an
         arbitrary valid point in ``proj`` and must be discarded by the caller.
         """
 
@@ -175,11 +172,12 @@ class Manifold(abc.ABC):
 
     def point_row(self, z) -> np.ndarray:
         """``z`` as a float row, checked to be a point of this manifold:
-        its shape is (D,) and its constraint residual at most POINT_ATOL.
-        Raises ManifoldMismatch otherwise."""
+        its shape is (D,) and its distance to the manifold, as
+        :meth:`project_batch` measures it, at most POINT_ATOL.  Raises
+        ManifoldMismatch otherwise."""
         z = np.asarray(z, dtype=float)
         if (z.shape != (self.ambient_dim,)
-                or not self.constraint_residual_batch(z[None, :])[0] <= POINT_ATOL):
+                or not self.project_batch(z[None, :])[1][0] <= POINT_ATOL):
             raise ManifoldMismatch(f"row {z} is not a point of {self.name}")
         return z
 

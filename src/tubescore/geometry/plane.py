@@ -88,15 +88,8 @@ class AffinePlane(Manifold):
 
     # ---- kernels -------------------------------------------------------
 
-    def _project_raw(self, x: np.ndarray) -> np.ndarray:
-        rel = x - self._p0
-        return self._p0 + (rel @ self._frame.T) @ self._frame
-
-    def constraint_residual_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(x - self._project_raw(x), axis=-1)
-
     def project_batch(self, x: np.ndarray):
-        proj = self._project_raw(x)
+        proj = self._p0 + ((x - self._p0) @ self._frame.T) @ self._frame
         dist = np.linalg.norm(x - proj, axis=-1)
         return proj, dist, np.ones(x.shape[0], dtype=bool)
 

@@ -9,8 +9,9 @@ from ..errors import UnsupportedManifold
 from .base import Manifold, row_dots, row_norms
 from .quadrature import QuadratureGrid, check_resolution, gauss_legendre
 
-_SPHERE_VOLUMES = {1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2,
-                   4: 8.0 * math.pi**2 / 3.0}
+# volume of the unit S^d; S^0 is two points
+_SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi,
+                   3: 2.0 * math.pi**2, 4: 8.0 * math.pi**2 / 3.0}
 
 # Even standard-normal moments E[W^j] = (j-1)!! for j = 0, 2, 4.
 _EVEN_MOMENTS = {0: 1.0, 2: 1.0, 4: 3.0}
@@ -61,9 +62,6 @@ class Sphere(Manifold):
         return _SPHERE_VOLUMES[self._dim]
 
     # ---- kernels -------------------------------------------------------
-
-    def constraint_residual_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(np.linalg.norm(x, axis=1) - 1.0)
 
     def project_batch(self, x: np.ndarray):
         norms = np.linalg.norm(x, axis=1)

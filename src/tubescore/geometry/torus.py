@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .base import Manifold, wrap_angle
+from .base import Manifold
 from .quadrature import QuadratureGrid, check_resolution
 
 _CUT_TOL = 1e-12
@@ -23,6 +23,7 @@ class FlatTorus(Manifold):
         if not (r1 > 0 and r2 > 0):
             raise ValueError("radii must be positive")
         self._r = (float(r1), float(r2))
+        self._radii = np.array(self._r)
 
     # ---- identity / scalars ------------------------------------------
 
@@ -57,16 +58,10 @@ class FlatTorus(Manifold):
     def volume(self) -> float:
         return (2.0 * math.pi) ** 2 * self._r[0] * self._r[1]
 
-    # ---- block helpers -------------------------------------------------
-
-    @staticmethod
-    def _blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x[..., 0:2], x[..., 2:4]
+    # ---- chart -----------------------------------------------------------
 
     def angles(self, x: np.ndarray) -> np.ndarray:
-        b1, b2 = self._blocks(x)
-        return np.stack([np.arctan2(b1[..., 1], b1[..., 0]),
-                         np.arctan2(b2[..., 1], b2[..., 0])], axis=-1)
+        return np.arctan2(x[..., 1::2], x[..., 0::2])
 
     def from_angles(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -75,86 +70,81 @@ class FlatTorus(Manifold):
                          r2 * np.cos(theta[..., 1]), r2 * np.sin(theta[..., 1])],
                         axis=-1)
 
-    def _frame_vectors(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unit tangent and outward normal directions per block at rows ``z``."""
-        r1, r2 = self._r
-        b1, b2 = self._blocks(z)
-        n1 = b1 / r1
-        n2 = b2 / r2
-        e1 = np.stack([-n1[..., 1], n1[..., 0]], axis=-1)
-        e2 = np.stack([-n2[..., 1], n2[..., 0]], axis=-1)
-        return np.stack([e1, e2], axis=-2), np.stack([n1, n2], axis=-2)
-
     # ---- kernels -------------------------------------------------------
+    #
+    # Each kernel works on the two circle blocks (x, y) = (z[:, 0::2],
+    # z[:, 1::2]) at once.  turn(z) = (-y, x) rotates each block by a right
+    # angle and is R_i times circle i's unit tangent, so every kernel is a
+    # per-circle dot product and one rotation, written into an array of the
+    # caller's memory order.
 
-    def constraint_residual_batch(self, x: np.ndarray) -> np.ndarray:
-        b1, b2 = self._blocks(x)
-        d1 = np.linalg.norm(b1, axis=-1) - self._r[0]
-        d2 = np.linalg.norm(b2, axis=-1) - self._r[1]
-        return np.hypot(d1, d2)
+    def embed_tangent(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Ambient rows of the tangent vectors at rows ``z`` whose
+        coordinates in the unit tangent rows of :meth:`frames_batch` are
+        ``c``, shape (n, 2)."""
+        return self._turned(z, c / self._radii)
+
+    @staticmethod
+    def _turned(z: np.ndarray, s: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Rows s_i * turn(z_i) for per-circle scalars ``s`` (n, 2), in z's
+        memory order, or written into ``out`` (``z`` may then be one row)."""
+        out = np.empty_like(z) if out is None else out
+        np.multiply(s, -z[..., 1::2], out=out[:, 0::2])
+        np.multiply(s, z[..., 0::2], out=out[:, 1::2])
+        return out
+
+    @staticmethod
+    def _turn_dots(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Per-circle dot products <w_i, turn(z_i)>, shape (n, 2)."""
+        return w[..., 1::2] * z[..., 0::2] - w[..., 0::2] * z[..., 1::2]
+
+    def _angles_from(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Signed angle from each circle block of ``z`` to that of ``y``."""
+        return np.arctan2(self._turn_dots(z, y),
+                          y[..., 0::2] * z[..., 0::2] + y[..., 1::2] * z[..., 1::2])
 
     def project_batch(self, x: np.ndarray):
-        r1, r2 = self._r
-        b1, b2 = self._blocks(x)
-        n1 = np.linalg.norm(b1, axis=-1)
-        n2 = np.linalg.norm(b2, axis=-1)
-        dist = np.hypot(n1 - r1, n2 - r2)
-        bad = (n1 <= 1e-15) | (n2 <= 1e-15)
+        r = self._radii
+        norms = np.sqrt(x[:, 0::2] ** 2 + x[:, 1::2] ** 2)
+        dist = np.hypot(norms[:, 0] - r[0], norms[:, 1] - r[1])
+        bad = np.any(norms <= 1e-15, axis=1)
         in_tube = (dist < self.tube_radius) & ~bad
-        s1 = np.where(n1 > 1e-15, n1, 1.0)[:, None]
-        s2 = np.where(n2 > 1e-15, n2, 1.0)[:, None]
-        proj = np.concatenate([r1 * b1 / s1, r2 * b2 / s2], axis=-1)
-        if np.any(bad):
-            proj = proj.copy()
-            proj[bad] = [r1, 0.0, r2, 0.0]
+        safe = np.where(norms > 1e-15, norms, 1.0)
+        proj = np.empty_like(x)
+        proj[:, 0::2] = r * x[:, 0::2] / safe
+        proj[:, 1::2] = r * x[:, 1::2] / safe
+        proj[bad] = [r[0], 0.0, r[1], 0.0]
         return proj, dist, in_tube
 
     def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        e, _ = self._frame_vectors(z)
-        w1, w2 = self._blocks(w)
-        a1 = np.sum(w1 * e[..., 0, :], axis=-1, keepdims=True)
-        a2 = np.sum(w2 * e[..., 1, :], axis=-1, keepdims=True)
-        return np.concatenate([a1 * e[..., 0, :], a2 * e[..., 1, :]], axis=-1)
+        return self._turned(z, self._turn_dots(z, w) / self._radii ** 2)
 
     def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
                   norms: np.ndarray | None = None) -> np.ndarray:
-        e, _ = self._frame_vectors(z)
-        v1, v2 = self._blocks(v)
-        a1 = np.sum(v1 * e[..., 0, :], axis=-1)
-        a2 = np.sum(v2 * e[..., 1, :], axis=-1)
-        theta = self.angles(z)
-        theta = theta + np.stack([a1 / self._r[0], a2 / self._r[1]], axis=-1)
-        return self.from_angles(theta)
+        # rotate each circle block by its step angle <v_i, e_i> / R_i
+        phi = self._turn_dots(z, v) / self._radii ** 2
+        c, s = np.cos(phi), np.sin(phi)
+        x, y = z[:, 0::2], z[:, 1::2]
+        out = np.empty_like(z)
+        out[:, 0::2] = c * x - s * y
+        out[:, 1::2] = s * x + c * y
+        return out
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):
-        delta = wrap_angle(self.angles(y) - self.angles(z))
+        delta = self._angles_from(z, y)
         ok = np.all(np.abs(delta) < math.pi - _CUT_TOL, axis=-1)
-        e, _ = self._frame_vectors(z)
-        r1, r2 = self._r
-        v = (r1 * delta[..., 0:1]) * self._pad(e[..., 0, :], 0) \
-            + (r2 * delta[..., 1:2]) * self._pad(e[..., 1, :], 1)
-        return v, ok
-
-    @staticmethod
-    def _pad(block: np.ndarray, which: int) -> np.ndarray:
-        zeros = np.zeros_like(block)
-        parts = [block, zeros] if which == 0 else [zeros, block]
-        return np.concatenate(parts, axis=-1)
+        return self._turned(z, delta), ok
 
     def transport_to_batch(self, p: np.ndarray, v: np.ndarray, z: np.ndarray):
-        # Flat connection: per-angle components are preserved along any path.
-        e_p, _ = self._frame_vectors(p)
-        v1, v2 = self._blocks(v)
-        a1 = np.sum(v1 * e_p[..., 0, :], axis=-1, keepdims=True)
-        a2 = np.sum(v2 * e_p[..., 1, :], axis=-1, keepdims=True)
-        e_z, _ = self._frame_vectors(z[None, :])
-        out = a1 * self._pad(e_z[..., 0, :], 0) + a2 * self._pad(e_z[..., 1, :], 1)
-        ok = np.ones(p.shape[0], dtype=bool)
-        return out, ok
+        # Flat connection: per-circle components are preserved along any path.
+        out = self._turned(z, self._turn_dots(p, v) / self._radii ** 2,
+                           np.empty_like(v))
+        return out, np.ones(p.shape[0], dtype=bool)
 
     def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
-        delta = wrap_angle(self.angles(p) - self.angles(z[None, :]))
-        return np.hypot(self._r[0] * delta[..., 0], self._r[1] * delta[..., 1])
+        delta = self._angles_from(z, p)
+        return np.hypot(self._r[0] * delta[:, 0], self._r[1] * delta[:, 1])
 
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
         h = np.zeros((2, 2, 2))
@@ -171,14 +161,17 @@ class FlatTorus(Manifold):
         return (1.0 + m[:, 0] / self._r[0]) * (1.0 + m[:, 1] / self._r[1])
 
     def frames_batch(self, z: np.ndarray) -> np.ndarray:
-        e, nrm = self._frame_vectors(z)
+        # rows: the two unit tangents turn(z_i) / R_i, then the two
+        # outward normals z_i / R_i, each on its own circle block
+        u = z / np.repeat(self._radii, 2)
         out = np.zeros((z.shape[0], 4, 4))
-        for row, (vecs, block) in enumerate(((e, 0), (e, 1), (nrm, 0), (nrm, 1))):
-            out[:, row, 2 * block:2 * block + 2] = vecs[:, block]
+        out[:, [0, 1], [0, 2]] = -u[:, 1::2]
+        out[:, [0, 1], [1, 3]] = u[:, 0::2]
+        out[:, [2, 2, 3, 3], [0, 1, 2, 3]] = u
         return out
 
     def polar_chords(self, v: np.ndarray):
-        r = np.array(self._r)
+        r = self._radii
         chord = np.column_stack([r * np.sin(v / r), r * (np.cos(v / r) - 1.0)])
         return chord, np.zeros(v.shape[0])
 

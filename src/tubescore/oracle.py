@@ -44,6 +44,7 @@ import numpy as np
 from .densities import DensityModel
 from .errors import ConfigError, DegenerateScore, QuadratureNotConverged
 from .geometry import AffinePlane, Manifold, Sphere
+from .geometry.base import row_dots, row_norms
 from .geometry.quadrature import gauss_legendre
 
 SIGMA_MIN = 0.01
@@ -350,13 +351,6 @@ class ExtrinsicFit(NamedTuple):
     sigma: float
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row dot products, each with the bits of the 1-D ``a[i] @ b[i]`` (a
-    BLAS dot), so a fit at one row reads the same as the single-point fit
-    did; ``geometry.base.row_dots`` sums in another order."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def extract_extrinsic_coefficient(z: np.ndarray, q: DensityModel,
                                   sigma: float) -> ExtrinsicFit:
     """Project (target - score - sigma^2 tweedie) / sigma^2 onto the score.
@@ -370,19 +364,19 @@ def extract_extrinsic_coefficient(z: np.ndarray, q: DensityModel,
     """
     sigma = check_sigma(sigma)
     s = q.score_batch(z)
-    s_norm_sq = _row_dots(s, s)
+    s_norm_sq = row_dots(s, s)
     if np.any(s_norm_sq < 1e-6):
         raise DegenerateScore(
             f"score norm {math.sqrt(s_norm_sq.min()):.2e} below 1e-3; "
             "the coefficient direction is undefined")
     r = RBOracle(q, sigma).target_coords(z)
     resid = r - s - sigma**2 * q.tweedie_batch(z)
-    along = _row_dots(resid, s)
+    along = row_dots(resid, s)
     orth = resid - (along / s_norm_sq)[:, None] * s
     return ExtrinsicFit(
         alpha=along / (sigma**2 * s_norm_sq),
-        alpha_pred=_row_dots(extrinsic_term(z, q), s) / s_norm_sq,
-        orthogonal=np.sqrt(_row_dots(orth, orth)) / (sigma**2 * np.sqrt(s_norm_sq)),
+        alpha_pred=row_dots(extrinsic_term(z, q), s) / s_norm_sq,
+        orthogonal=row_norms(orth) / (sigma**2 * np.sqrt(s_norm_sq)),
         sigma=sigma)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from tubescore import reporting
 from tubescore import cli
+from tubescore import experiments
 from tubescore.cli import (
     STUDIES,
     build_density,
@@ -103,6 +104,8 @@ class TestRunConfig:
         ["langevin", "--step", "nan"],
         ["extrinsic-coef", "--manifold", "torus", "--radii", "nan,1"],
         ["variance-collapse", "--n", "100", "--rb-subsample", "1"],
+        ["variance-collapse", "--sigma", "0.1,0.1", "--n", "100",
+         "--rb-subsample", "10"],
     ])
     def test_validation(self, capsys, over):
         code, _, err = run_cli(capsys, *over)
@@ -467,6 +470,22 @@ class TestMainFailure:
         assert record["error"] == "ConfigError"
         assert f"the {study} study keeps no iterate" in record["message"]
 
+    def test_one_chain_debias_study_refused(self, capsys, monkeypatch,
+                                            tmp_path):
+        # one chain gives the paired bootstrap nothing to resample
+        def no_chains(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(experiments, "run_chains", no_chains)
+        artifact = tmp_path / "langevin.json"
+        code, out, err = run_cli(capsys, "langevin", "--debias-chains", "1",
+                                 "--out", str(artifact))
+        assert code == 2 and out == ""
+        assert not artifact.exists()
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert "the debias study needs at least 2 chains" in record["message"]
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_exits_3(self, capsys, monkeypatch, fmt):
         payload = {"rows": [], "max_gauss_residual": float("nan"),
@@ -613,6 +632,32 @@ def test_studies_run_without_scipy(tmp_path):
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert scipy_modules == []
+
+
+def test_langevin_study_skips_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma; the bootstrap interval avoids it
+    import os
+    import subprocess
+    import sys
+
+    import tubescore
+
+    script = (
+        "import sys\n"
+        "from tubescore import cli\n"
+        "code = cli.main(['langevin', '--marginal-chains', '2',\n"
+        "                 '--marginal-steps', '10', '--debias-chains', '4',\n"
+        "                 '--debias-steps', '10', '--scaled-chains', '2',\n"
+        "                 '--scaled-steps', '10',\n"
+        "                 '--out', sys.argv[1] + '/langevin.json'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(tubescore.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("package", ["tubescore", "tubescore.geometry"])

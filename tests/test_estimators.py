@@ -5,6 +5,7 @@ import pytest
 from tubescore.densities import IsotropicGaussian, Uniform, VonMisesFisher
 from tubescore.errors import ConfigError, EmptyWindow, ManifoldMismatch
 from tubescore.estimators import (
+    _linear_quantiles,
     bandwidth_mse,
     binned_means,
     calibrate_bandwidth,
@@ -400,6 +401,15 @@ class TestCoarsening:
         assert np.all(np.diff(edges) > 0)
         counts = np.bincount(np.searchsorted(edges, vals), minlength=8)
         assert counts.min() > 1100 and counts.max() < 1400
+
+    def test_linear_quantiles_match_numpy(self):
+        rng = np.random.default_rng(3)
+        probs = [0.025, 0.975]
+        for n in (1, 2, 7, 4000):
+            for _ in range(20):
+                vals = rng.standard_normal(n) * np.exp(rng.uniform(-5, 5, n))
+                assert np.array_equal(_linear_quantiles(vals, probs),
+                                      np.quantile(vals, probs))
 
     def test_identity_coarsening(self, data, r_data):
         res = coarsening_check(data, r_data, r_data)

@@ -59,8 +59,8 @@ def test_point_validation_rejects_off_manifold(name, seed):
     M = make_manifold(name)
     z, _ = generated(M, seed)
     off = z + 1e-3 * np.ones(M.ambient_dim)
-    assert M.constraint_residual_batch(z).max() <= POINT_ATOL
-    assert M.constraint_residual_batch(off).min() > POINT_ATOL
+    assert M.project_batch(z)[1].max() <= POINT_ATOL
+    assert M.project_batch(off)[1].min() > POINT_ATOL
     for good, bad in zip(z[:20], off[:20]):
         assert np.array_equal(M.point_row(good), good)
         with pytest.raises(ManifoldMismatch):
@@ -90,7 +90,7 @@ def test_projection_orthogonality(name, seed):
     x = z + offset * normals[:, 0] + (0.3 * offset) * normals[:, -1]
     proj, _, in_tube = M.project_batch(x)
     assert in_tube.all()
-    assert M.constraint_residual_batch(proj).max() <= POINT_ATOL
+    assert M.project_batch(proj)[1].max() <= POINT_ATOL
     tangent = M.frames_batch(proj)[:, :M.intrinsic_dim]
     resid = np.einsum("nkD,nD->nk", tangent, x - proj)
     assert np.max(np.abs(resid)) <= 1e-10
@@ -123,7 +123,7 @@ def test_exp_log_roundtrip(name, seed):
     z, rng = generated(M, seed)
     v = random_tangent(M, z, rng, scale=0.4)
     y = M.exp_batch(z, v)
-    assert M.constraint_residual_batch(y).max() <= 1e-10
+    assert M.project_batch(y)[1].max() <= 1e-10
     w, ok = M.log_batch(z, y)
     assert ok.all()
     assert tangent_residual(M, z, w).max() <= 1e-10
@@ -289,6 +289,19 @@ def test_torus_distance_matches_flat_metric(seed):
     got = pair_distances(T, T.from_angles(theta + delta), T.from_angles(theta))
     expect = np.hypot(1.0 * delta[:, 0], 2.0 * delta[:, 1])
     assert np.abs(got - expect).max() <= 1e-12
+
+
+@ROWS
+@given(seed=SEEDS)
+def test_torus_embed_tangent_uses_the_frames(seed):
+    # coordinates c in the unit tangent rows of frames_batch, and back
+    T = FlatTorus(1.0, 2.0)
+    z, rng = generated(T, seed)
+    c = rng.standard_normal((N, 2))
+    tangent = T.frames_batch(z)[:, :2]
+    v = T.embed_tangent(z, c)
+    assert np.abs(v - np.einsum("nk,nkD->nD", c, tangent)).max() <= 1e-14
+    assert np.abs(np.einsum("nkD,nD->nk", tangent, v) - c).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +626,7 @@ def test_grid_resolution_floor():
 def test_grid_nodes_valid_points():
     M = FlatTorus(1.0, 2.0)
     g = M.grid(8)
-    assert np.max(M.constraint_residual_batch(g.node_coords)) <= 1e-12
+    assert np.max(M.project_batch(g.node_coords)[1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
