@@ -8,7 +8,6 @@ from .geometry import (
     CurvatureBundle,
     FlatTorus,
     Manifold,
-    QuadratureGrid,
     Sphere,
 )
 from .densities import (
@@ -36,7 +35,6 @@ from .oracle import (
 from .estimators import (
     binned_means,
     coarsening_check,
-    collect,
     epanechnikov,
     equal_mass_bins,
     local_average,
@@ -65,7 +63,6 @@ __all__ = [
     "IsotropicGaussian",
     "Manifold",
     "ProductVonMises",
-    "QuadratureGrid",
     "RBOracle",
     "Sphere",
     "SphereTMarginal",
@@ -74,7 +71,6 @@ __all__ = [
     "__version__",
     "binned_means",
     "coarsening_check",
-    "collect",
     "corrupt",
     "epanechnikov",
     "equal_mass_bins",

@@ -44,7 +44,7 @@ from .experiments import (
     sphere_vmf,
 )
 from .geometry import AffinePlane, FlatTorus, Sphere
-from .oracle import SIGMA_MAX, SIGMA_MIN
+from .oracle import check_sigma
 from .reporting import (
     error_record,
     flatten_scalars,
@@ -129,12 +129,7 @@ def sigma_values(args) -> list[float]:
         sigmas = parse_sigma_list(args.sigma)
     else:
         sigmas = parse_sigma_grid(grid or DEFAULT_SIGMA_GRID)
-    for s in sigmas:
-        if not SIGMA_MIN <= s <= SIGMA_MAX:
-            raise ConfigError(
-                f"sigma={s:g} outside the supported range "
-                f"[{SIGMA_MIN}, {SIGMA_MAX}]")
-    return sigmas
+    return [check_sigma(s) for s in sigmas]
 
 
 def one_sigma(args) -> float:

@@ -25,17 +25,6 @@ RB_SUBSAMPLE = 20_000
 CALIBRATION_FACTORS = (0.5, 1.0, 1.41, 2.0, 2.83)
 
 
-def collect(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
-    """Draw n corrupted samples and keep the in-tube ones."""
-    return corrupt(q, sigma, n, seed).kept()
-
-
-def _require_kept(data: CorruptedBatch) -> CorruptedBatch:
-    if not data.in_tube.all():
-        raise ConfigError("estimators take in-tube rows; pass batch.kept()")
-    return data
-
-
 # ---------------------------------------------------------------------------
 # kernel regression
 
@@ -71,7 +60,7 @@ def local_average(data: CorruptedBatch, z: np.ndarray,
     up to window_cap; EmptyWindow is raised when it is still empty there,
     or when every in-window foot sits at the cut locus.
     """
-    M = _require_kept(data).manifold
+    M = data.manifold
     z = M.point_row(z)
     hs = np.array(bandwidths, dtype=float, ndmin=1)
     if not np.all(hs > 0):
@@ -114,7 +103,7 @@ class RiskEstimate:
 def _field_values(values, data: CorruptedBatch) -> np.ndarray:
     """Field values at the feet of data, one row per sample."""
     vals = np.asarray(values, dtype=float)
-    foot = _require_kept(data).foot
+    foot = data.foot
     if vals.shape != foot.shape:
         raise ConfigError(
             f"field values have shape {vals.shape}, expected {foot.shape}")
@@ -170,7 +159,7 @@ def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
     raw_m, rb_m, raw_se, rb_se, disc = [], [], [], [], []
     used = rb_subsample
     for i, sig in enumerate(sigmas):
-        data = collect(q, float(sig), n, _cell_seed(seed, "sweep.variance", i))
+        data = corrupt(q, float(sig), n, _cell_seed(seed, "sweep.variance", i))
         sq = np.sum(data.targets ** 2, axis=1)
         raw_m.append(sq.mean())
         raw_se.append(sq.std(ddof=1) / np.sqrt(sq.size))
@@ -226,12 +215,12 @@ def bandwidth_mse(q: DensityModel, sigma: float, n: int, bandwidths,
     est = np.empty((hs.size,) + probes.shape)
     widened = 0
     for rep in range(repetitions):
-        data = collect(q, sigma, n, _cell_seed(seed, label, rep))
+        data = corrupt(q, sigma, n, _cell_seed(seed, label, rep))
         for j, z in enumerate(probes):
             est[:, j], doublings = local_average(data, z, hs)
             widened += int(doublings.sum())
         per_rep[:, rep] = np.mean(np.sum((est - r_true) ** 2, axis=2), axis=1)
-        del data  # free this draw before collect makes the next one
+        del data  # free this draw before corrupt makes the next one
     se = (per_rep.std(axis=1, ddof=1) / np.sqrt(repetitions)
           if repetitions > 1 else np.zeros(hs.size))
     return per_rep.mean(axis=1), se, widened
@@ -251,7 +240,7 @@ def calibrate_bandwidth(q: DensityModel, sigma: float, n: int,
                                     repetitions=repetitions, seed=seed,
                                     label="sweep.mse.calib")
     best = float(grid[int(np.argmin(mse))])
-    return best / (1.0 / (sigma**2 * n)) ** (1.0 / (d + 2)), widened
+    return best / pilot, widened
 
 
 # ---------------------------------------------------------------------------

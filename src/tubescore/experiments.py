@@ -22,7 +22,6 @@ from .estimators import (
     binned_means,
     calibrate_bandwidth,
     coarsening_check,
-    collect,
     equal_mass_bins,
     optimal_bandwidth,
     probe_points,
@@ -156,11 +155,17 @@ def sphere_vmf(d: int, kappa: float) -> VonMisesFisher:
 
 def run_variance_collapse(q: DensityModel, sigma_grid, n: int, seed: int,
                           rb_subsample: int = 20_000) -> dict:
-    """Raw vs conditioned second moments across sigma, with the -2 slope."""
+    """Raw vs conditioned second moments across sigma, with the -2 slope.
+
+    The conditioned column is compared with E||grad log q||^2, so a density
+    whose score vanishes is refused before anything is drawn."""
+    ssm = float(score_second_moment(q))
+    if ssm == 0.0:
+        raise ConfigError("the score of this density vanishes, so "
+                          "max_rb_deviation is undefined; use kappa > 0")
     res = variance_sweep(q, sigma_grid, n, seed, rb_subsample=rb_subsample)
     d = q.manifold.intrinsic_dim
     i0 = int(np.argmin(res.sigma))
-    ssm = float(score_second_moment(q))
     table = {"sigma": res.sigma, "raw_second_moment": res.raw_second_moment,
              "rb_second_moment": res.rb_second_moment, "raw_se": res.raw_se,
              "rb_se": res.rb_se, "discards": res.discards}
@@ -281,8 +286,8 @@ def run_pythagorean(kappa: float = 2.0, sigma: float = 0.1, n: int = 100_000,
     """Three-term decomposition and the risk-gap identity on the 2-sphere."""
     q = sphere_vmf(2, kappa)
     oracle = RBOracle(q, sigma)
-    data = collect(q, sigma, n, seed)
-    calib = collect(q, sigma, n, _calibration_seed(seed))
+    data = corrupt(q, sigma, n, seed)
+    calib = corrupt(q, sigma, n, _calibration_seed(seed))
     # one oracle pass per dataset
     r_data = oracle.target_coords(data.foot)
     r_calib = oracle.target_coords(calib.foot)

@@ -2,7 +2,7 @@
 from .base import Manifold, wrap_angle
 from .curvature import CurvatureBundle
 from .plane import AffinePlane
-from .quadrature import QuadratureGrid, gauss_legendre
+from .quadrature import gauss_legendre
 from .sphere import Sphere
 from .torus import FlatTorus
 
@@ -11,7 +11,6 @@ __all__ = [
     "CurvatureBundle",
     "FlatTorus",
     "Manifold",
-    "QuadratureGrid",
     "Sphere",
     "gauss_legendre",
     "wrap_angle",

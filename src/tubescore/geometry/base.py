@@ -161,8 +161,10 @@ class Manifold(abc.ABC):
         """Generic sample points for tests (uniform where the volume is finite)."""
 
     @abc.abstractmethod
-    def grid(self, resolution: int, **kwargs):
-        """Deterministic quadrature grid; see :mod:`tubescore.geometry.quadrature`."""
+    def grid(self, resolution: int, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+        """Deterministic quadrature rule: (nodes, weights) for integrals
+        sum_j w_j f(y_j), nodes as coordinate rows.  On a compact manifold
+        the weights sum to the volume."""
 
     def curvature_bundle(self, z: np.ndarray):
         """Curvature data at the coordinate rows ``z``."""

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .base import Manifold
-from .quadrature import QuadratureGrid, check_resolution, gauss_legendre
+from .quadrature import check_resolution, gauss_legendre
 
 
 class AffinePlane(Manifold):
@@ -135,8 +135,10 @@ class AffinePlane(Manifold):
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.embed(rng.standard_normal((n, self.intrinsic_dim)))
 
-    def grid(self, resolution: int, half_width: float = 8.0, center=None) -> QuadratureGrid:
-        """Gauss-Legendre product rule on a chart box of the given half width."""
+    def grid(self, resolution: int, half_width: float = 8.0,
+             center=None) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre product rule (nodes, weights) on a chart box of the
+        given half width; the weights sum to the box volume."""
         n = check_resolution(resolution)
         d = self.intrinsic_dim
         if center is None:
@@ -148,7 +150,7 @@ class AffinePlane(Manifold):
         weights = np.ones(n**d)
         for wa in np.meshgrid(*([w] * d), indexing="ij"):
             weights *= wa.ravel()
-        return QuadratureGrid(self, self.embed(coords), weights, resolution=n)
+        return self.embed(coords), weights
 
 
 def _gram_schmidt_complement(rows: np.ndarray, dim: int, ambient: int) -> np.ndarray:

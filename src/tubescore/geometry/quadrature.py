@@ -1,56 +1,12 @@
-"""Deterministic quadrature grids over the supported manifolds."""
+"""Quadrature building blocks: the resolution floor of the manifold grids
+and the Gauss-Legendre rule."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .base import Manifold
-
 MIN_RESOLUTION = 8
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Nodes and weights for integrals of the form sum_j w_j f(y_j).
-
-    For compact manifolds the weights sum to the volume; for affine planes the
-    grid covers a finite box and the weights sum to the box volume instead.
-    """
-
-    manifold: Manifold
-    node_coords: np.ndarray
-    weights: np.ndarray
-    resolution: int
-
-    def __post_init__(self):
-        nodes = _readonly(self.node_coords)
-        weights = _readonly(self.weights)
-        if nodes.ndim != 2 or nodes.shape[1] != self.manifold.ambient_dim:
-            raise ValueError("node array has the wrong shape")
-        if weights.shape != (nodes.shape[0],):
-            raise ValueError("weights do not match nodes")
-        object.__setattr__(self, "node_coords", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.node_coords.shape[0]
-
-    @property
-    def weight_sum(self) -> float:
-        return float(self.weights.sum())
-
-    def integrate(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
-        return float(self.weights @ values)
 
 
 def check_resolution(resolution: int) -> int:
@@ -101,4 +57,6 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     w = 2.0 * (1.0 - x * x) / (n * _legendre_pair(n, x)[1]) ** 2
     mirror = slice(-1 - n % 2, None, -1)  # an odd n's root 0 appears once
     x, w = np.concatenate([-x, x[mirror]]), np.concatenate([w, w[mirror]])
-    return _readonly(x), _readonly(2.0 * w / w.sum())
+    w = 2.0 * w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w

@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import UnsupportedManifold
 from .base import Manifold, row_dots, row_norms
-from .quadrature import QuadratureGrid, check_resolution, gauss_legendre
+from .quadrature import check_resolution, gauss_legendre
 
 # volume of the unit S^d; S^0 is two points
 _SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi,
@@ -160,34 +160,41 @@ class Sphere(Manifold):
 
     # ---- quadrature ------------------------------------------------------
 
-    def grid(self, resolution: int, **kwargs) -> QuadratureGrid:
-        """Product rule: uniform angle on S^1, Gauss-Legendre in t times a
-        uniform angle on S^2, and for d >= 3 Gauss-Legendre in the polar
-        angle times the S^{d-1} rule."""
-        if kwargs:
-            raise TypeError(f"unexpected grid options: {sorted(kwargs)}")
-        n = check_resolution(resolution)
-        nodes, weights = _sphere_grid(self._dim, n)
-        nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
-        return QuadratureGrid(self, nodes, weights, resolution=n)
+    def grid(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+        """Product rule (nodes, weights): uniform angle on S^1, Gauss-Legendre
+        in t times a uniform angle on S^2, and for d >= 3 a rule in the
+        polar angle chi times the S^{d-1} rule.  On S^3 chi takes the
+        Gauss-Jacobi (1/2, 1/2) rule in cos chi, whose nodes
+        chi_k = k pi / (n + 1) and weights pi sin^2 chi_k / (n + 1) are
+        closed-form; it is exact for degree 2n - 1 in cos chi against the
+        sin^2 chi weight, where Gauss-Legendre in chi needs about half again
+        as many nodes for the same error.  On S^4 chi takes Gauss-Legendre.
+        """
+        return _sphere_grid(self._dim, check_resolution(resolution))
 
 
 def _sphere_grid(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if d == 1:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        return (np.column_stack([np.cos(theta), np.sin(theta)]),
-                np.full(n, 2.0 * math.pi / n))
-    if d == 2:
-        return _sphere2_grid(n)
-    chi, wchi = gauss_legendre(n, 0.0, math.pi)
+    if d <= 2:
+        if d == 1:
+            theta = 2.0 * math.pi * np.arange(n) / n
+            nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+            weights = np.full(n, 2.0 * math.pi / n)
+        else:
+            nodes, weights = _sphere2_grid(n)
+        return nodes / np.linalg.norm(nodes, axis=1, keepdims=True), weights
+    if d == 3:
+        chi = math.pi * np.arange(1, n + 1) / (n + 1)
+        w_chi = math.pi * np.sin(chi) ** 2 / (n + 1)
+    else:
+        chi, w_chi = gauss_legendre(n, 0.0, math.pi)
+        w_chi = w_chi * np.sin(chi) ** (d - 1)
+    # a product of unit rows is unit to rounding, so it is not renormalized
     sub_nodes, sub_w = _sphere_grid(d - 1, n)
-    s, c = np.sin(chi), np.cos(chi)
     nodes = np.concatenate(
-        [np.repeat(c, sub_nodes.shape[0])[:, None],
-         np.einsum("i,jk->ijk", s, sub_nodes).reshape(-1, d)],
-        axis=1,
-    )
-    return nodes, np.outer(wchi * s ** (d - 1), sub_w).ravel()
+        [np.repeat(np.cos(chi), sub_nodes.shape[0])[:, None],
+         np.einsum("i,jk->ijk", np.sin(chi), sub_nodes).reshape(-1, d)],
+        axis=1)
+    return nodes, np.outer(w_chi, sub_w).ravel()
 
 
 def _sphere2_grid(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .base import Manifold
-from .quadrature import QuadratureGrid, check_resolution
+from .quadrature import check_resolution
 
 _CUT_TOL = 1e-12
 
@@ -184,12 +184,11 @@ class FlatTorus(Manifold):
         theta = rng.uniform(-math.pi, math.pi, size=(n, 2))
         return self.from_angles(theta)
 
-    def grid(self, resolution: int, **kwargs) -> QuadratureGrid:
-        if kwargs:
-            raise TypeError(f"unexpected grid options: {sorted(kwargs)}")
+    def grid(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform angles on both circles: (nodes, weights), n^2 nodes."""
         n = check_resolution(resolution)
         theta = 2.0 * math.pi * np.arange(n) / n - math.pi
         t1, t2 = np.meshgrid(theta, theta, indexing="ij")
         nodes = self.from_angles(np.stack([t1.ravel(), t2.ravel()], axis=-1))
         w = np.full(n * n, self._r[0] * self._r[1] * (2.0 * math.pi / n) ** 2)
-        return QuadratureGrid(self, nodes, w, resolution=n)
+        return nodes, w

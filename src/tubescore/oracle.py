@@ -78,28 +78,15 @@ def check_sigma(sigma: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _directions(d: int, angular: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions of a d-dimensional tangent space and their weights.
-
-    For d = 1 the exact pair +-1; for d = 2, 3 ``Sphere(d-1).grid(angular)``.
-    For d = 4 the polar angle chi of S^3 takes the Gauss-Jacobi (1/2, 1/2)
-    rule in cos chi, whose nodes chi_k = k pi / (m + 1) and weights
-    pi sin^2 chi_k / (m + 1) are closed-form, times ``Sphere(2).grid``.  It
-    is exact for degree 2m - 1 in cos chi against the sin^2 chi weight;
-    Gauss-Legendre in chi, as ``Sphere(3).grid`` has it, needs about half
-    again as many polar nodes for the same error.
-    """
+    """Unit directions of a d-dimensional tangent space and their weights:
+    the exact pair +-1 for d = 1, else ``Sphere(d-1).grid(angular)``.
+    Cached and shared, so the arrays are read-only."""
     if d == 1:
-        return np.array([[1.0], [-1.0]]), np.ones(2)
-    sub = Sphere(min(d - 1, 2)).grid(angular)
-    if d < 4:
-        return sub.node_coords, sub.weights
-    chi = math.pi * np.arange(1, angular + 1) / (angular + 1)
-    nodes = np.concatenate(
-        [np.repeat(np.cos(chi), sub.n_nodes)[:, None],
-         np.einsum("i,jk->ijk", np.sin(chi), sub.node_coords).reshape(-1, 3)],
-        axis=1)
-    w_chi = math.pi * np.sin(chi) ** 2 / (angular + 1)
-    return nodes, np.outer(w_chi, sub.weights).ravel()
+        dirs, w = np.array([[1.0], [-1.0]]), np.ones(2)
+    else:
+        dirs, w = Sphere(d - 1).grid(angular)
+    dirs.flags.writeable = w.flags.writeable = False
+    return dirs, w
 
 
 def _finer_angles(d: int, angular: int) -> int:
@@ -391,13 +378,14 @@ def score_second_moment(q: DensityModel) -> float:
     """
     M = q.manifold
     if isinstance(M, AffinePlane):
-        grid = M.grid(PLANE_MOMENT_RESOLUTION,
-                      half_width=PLANE_MOMENT_HALF_WIDTH * q.tau, center=q.mean)
+        nodes, weights = M.grid(PLANE_MOMENT_RESOLUTION,
+                                half_width=PLANE_MOMENT_HALF_WIDTH * q.tau,
+                                center=q.mean)
     else:
-        grid = M.grid(SCORE_MOMENT_RESOLUTION)
-    s = q.score_batch(grid.node_coords)
-    vals = np.exp(q.log_density_batch(grid.node_coords)) * np.sum(s * s, axis=-1)
-    return float(grid.integrate(vals))
+        nodes, weights = M.grid(SCORE_MOMENT_RESOLUTION)
+    s = q.score_batch(nodes)
+    vals = np.exp(q.log_density_batch(nodes)) * np.sum(s * s, axis=-1)
+    return float(weights @ vals)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ The raw tangent target at the foot point z = pi(X) is
     T = (1/sigma^2) P_T(z) (Z - z),
 
 and the logmap variant replaces the projected chord with Exp_z^{-1}(Z).
-Draws whose noise leaves the projection tube are flagged in a mask;
-statistics run on the kept rows and report the count.
+The projection exists only inside the tube, so a batch holds the draws
+whose noise stayed in it and counts the others.
 """
 from __future__ import annotations
 
@@ -24,14 +24,12 @@ from .rng import derive_rng, shard_sizes
 
 @dataclass(frozen=True, eq=False)
 class CorruptedBatch:
-    """Corrupted draws, one row each.
+    """Corrupted draws that stayed in the tube, one row each.
 
     Row i holds the latent Z_i (``latents``), the noisy draw X_i
     (``noisy``), its tube projection (``foot``) and the raw tangent target
-    there (``targets``).  ``in_tube`` is False where X_i left the tube: that
-    row's foot is an arbitrary valid point and its target meaningless, so
-    statistics run on ``kept()``.  ``n_outside`` counts the draws that left
-    the tube, the rows ``kept()`` dropped included.
+    there (``targets``).  ``n_outside`` counts the draws that left the tube,
+    whose rows the batch does not hold.
     """
 
     density: DensityModel
@@ -40,18 +38,21 @@ class CorruptedBatch:
     noisy: np.ndarray
     foot: np.ndarray
     targets: np.ndarray
-    in_tube: np.ndarray
-    n_dropped: int = 0
+    n_outside: int = 0
 
     @classmethod
     def from_draws(cls, density: DensityModel, sigma: float,
                    latents: np.ndarray, noisy: np.ndarray) -> "CorruptedBatch":
-        """Project noisy rows to their feet and form the raw targets."""
+        """Project noisy rows to their feet, form the raw targets and drop
+        the rows that left the tube."""
         M = density.manifold
         foot, _, in_tube = M.project_batch(noisy)
         targets = M.tangent_project_batch(foot, latents - foot) / sigma**2
-        return cls(density, float(sigma), latents, noisy, foot, targets,
-                   in_tube)
+        rows = (latents, noisy, foot, targets)
+        n_outside = int(np.count_nonzero(~in_tube))
+        if n_outside:
+            rows = tuple(a[in_tube] for a in rows)
+        return cls(density, float(sigma), *rows, n_outside)
 
     @property
     def manifold(self) -> Manifold:
@@ -60,30 +61,21 @@ class CorruptedBatch:
     def __len__(self) -> int:
         return self.foot.shape[0]
 
-    @property
-    def n_outside(self) -> int:
-        return self.n_dropped + int(np.count_nonzero(~self.in_tube))
-
-    def kept(self) -> "CorruptedBatch":
-        """The in-tube rows, with the dropped ones counted in n_outside."""
-        m = self.in_tube
-        if m.all():
-            return self
-        return CorruptedBatch(self.density, self.sigma, self.latents[m],
-                              self.noisy[m], self.foot[m], self.targets[m],
-                              m[m], self.n_outside)
-
     def logmap_targets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Logmap targets and a validity mask (in tube and inside injectivity)."""
+        """Logmap targets and a mask, False where the latent sits at the cut
+        locus of the foot."""
         v, ok = self.manifold.log_batch(self.foot, self.latents)
-        return v / self.sigma**2, ok & self.in_tube
+        return v / self.sigma**2, ok
 
 
 def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
-    """Draw n corrupted samples with sharded, seed-derived streams.
+    """Draw n corrupted samples with sharded, seed-derived streams and keep
+    the ones inside the tube.
 
-    Shard i consumes exactly one latent stream and one noise stream, so any
-    prefix of the batch is reproducible independently of the total size.
+    Shard i consumes exactly one latent stream and one noise stream, so
+    every whole shard of draws is the same whatever the total size.  A
+    partial last shard need not be a prefix of a longer one: a sampler may
+    spend its stream differently for a different count.
     """
     if sigma <= 0:
         raise ConfigError("sigma must be positive")

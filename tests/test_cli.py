@@ -106,6 +106,11 @@ class TestRunConfig:
         ["variance-collapse", "--n", "100", "--rb-subsample", "1"],
         ["variance-collapse", "--sigma", "0.1,0.1", "--n", "100",
          "--rb-subsample", "10"],
+        # a vanishing score leaves max_rb_deviation undefined
+        ["variance-collapse", "--kappa", "0", "--sigma", "0.1,0.2", "--n",
+         "200", "--rb-subsample", "20"],
+        ["variance-collapse", "--manifold", "torus", "--kappa", "0",
+         "--sigma", "0.1,0.2", "--n", "200", "--rb-subsample", "20"],
     ])
     def test_validation(self, capsys, over):
         code, _, err = run_cli(capsys, *over)

@@ -10,7 +10,6 @@ from tubescore.estimators import (
     binned_means,
     calibrate_bandwidth,
     coarsening_check,
-    collect,
     epanechnikov,
     equal_mass_bins,
     local_average,
@@ -36,7 +35,7 @@ def vmf2():
 
 @pytest.fixture(scope="module")
 def data(vmf2):
-    return collect(vmf2, 0.1, 20_000, 11)
+    return corrupt(vmf2, 0.1, 20_000, 11)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +50,7 @@ def r_data(data, oracle):
 
 @pytest.fixture(scope="module")
 def calib(vmf2):
-    return collect(vmf2, 0.1, 20_000, 12)
+    return corrupt(vmf2, 0.1, 20_000, 12)
 
 
 @pytest.fixture(scope="module")
@@ -67,38 +66,27 @@ def score_values(data, scale=1.0):
 def take(data, idx):
     """The rows idx of a batch, as a batch of their own."""
     return CorruptedBatch(data.density, data.sigma, data.latents[idx],
-                          data.noisy[idx], data.foot[idx], data.targets[idx],
-                          data.in_tube[idx])
+                          data.noisy[idx], data.foot[idx], data.targets[idx])
 
 
 def single_foot(q, foot, target):
     """A one-row batch whose foot and target are given directly."""
     foot = np.array([foot], float)
-    return CorruptedBatch(q, 0.1, foot, foot, foot, np.array([target], float),
-                          np.ones(1, bool))
+    return CorruptedBatch(q, 0.1, foot, foot, foot, np.array([target], float))
 
 
 class TestDataset:
     def test_in_tube_filter_and_counts(self, vmf2):
-        batch = corrupt(vmf2, 0.4, 5000, 3)
-        ds = batch.kept()
+        ds = corrupt(vmf2, 0.4, 5000, 3)
         assert len(ds) + ds.n_outside == 5000
-        assert ds.n_outside == batch.n_outside > 0
-        assert ds.foot.shape == ds.targets.shape
-        # estimators refuse rows that left the tube
-        with pytest.raises(ConfigError, match="kept"):
-            projected_risk(batch, batch.targets)
-
-    def test_collect_deterministic(self, vmf2):
-        a = collect(vmf2, 0.1, 1000, 5)
-        b = collect(vmf2, 0.1, 1000, 5)
-        assert np.array_equal(a.foot, b.foot)
-        assert np.array_equal(a.targets, b.targets)
+        assert ds.n_outside > 0
+        assert ds.foot.shape == ds.targets.shape == (len(ds), 3)
+        assert projected_risk(ds, ds.targets).n == len(ds)
 
     def test_plane_never_discards(self):
         plane = AffinePlane.axis_aligned(2, 4)
         q = IsotropicGaussian(plane, [0.0, 0.0], 1.0)
-        ds = collect(q, 0.3, 2000, 7)
+        ds = corrupt(q, 0.3, 2000, 7)
         assert ds.n_outside == 0 and len(ds) == 2000
 
 
@@ -137,8 +125,8 @@ class TestLocalAverage:
     def test_uniform_symmetry_shrinks(self):
         u = Uniform(S2)
         z = np.array([1.0, 0.0, 0.0])
-        small = collect(u, 0.1, 500, 2)
-        big = collect(u, 0.1, 50_000, 2)
+        small = corrupt(u, 0.1, 500, 2)
+        big = corrupt(u, 0.1, 50_000, 2)
         e_small = np.linalg.norm(average(small, z, 0.8))
         e_big = np.linalg.norm(average(big, z, 0.8))
         assert e_big < e_small
@@ -150,7 +138,7 @@ class TestLocalAverage:
         for n in (1000, 10_000, 100_000):
             per_rep = []
             for rep in range(5):
-                ds = collect(vmf2, 0.1, n, 100 + rep)
+                ds = corrupt(vmf2, 0.1, n, 100 + rep)
                 h = optimal_bandwidth(2.8, 0.1, n, 2)
                 per_rep.append(np.sum((average(ds, z, h) - r) ** 2))
             errs.append(np.mean(per_rep))
@@ -212,12 +200,11 @@ class TestProjectedRisk:
         q = IsotropicGaussian(plane, [0.0, 0.0], tau)
         sigma = 0.15
         batch = corrupt(q, sigma, 20_000, 19)
-        ds = batch.kept()
 
         def tweedie(foot):
             return q.score_batch(foot) * (tau**2 / (tau**2 + sigma**2))
         lhs, rhs = flat_reduction_residuals(batch, lambda x: tweedie(x))
-        risk = projected_risk(ds, tweedie(ds.foot))
+        risk = projected_risk(batch, tweedie(batch.foot))
         assert risk.mean == pytest.approx(lhs.mean(), rel=1e-12)
         assert risk.mean == pytest.approx(rhs.mean(), rel=1e-12)
 
@@ -265,7 +252,7 @@ class TestProjectedRisk:
 
     def test_bayes_floor(self, vmf2):
         sigma = 0.05
-        ds = collect(vmf2, sigma, 20_000, 23)
+        ds = corrupt(vmf2, sigma, 20_000, 23)
         rb = projected_risk(ds, RBOracle(vmf2, sigma).target_coords(ds.foot))
         assert 0.9 <= rb.mean * sigma**2 / 2.0 <= 1.1
 

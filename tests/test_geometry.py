@@ -496,17 +496,31 @@ def test_fiber_factor_torus_matches_quadrature(rng):
                                   "torus12"])
 def test_grid_weight_sums(name):
     M = make_manifold(name)
-    g = M.grid(16)
-    assert abs(g.weight_sum - M.volume) <= 1e-3 * M.volume
-    assert g.n_nodes >= 8
+    nodes, w = M.grid(16)
+    assert abs(w.sum() - M.volume) <= 1e-3 * M.volume
+    assert nodes.shape == (w.size, M.ambient_dim) and w.size >= 8
 
 
 def test_grid_polynomial_integral():
-    M = Sphere(2)
-    g = M.grid(16)
+    nodes, w = Sphere(2).grid(16)
     mu = np.array([0.0, 0.0, 1.0])
-    val = g.integrate((g.node_coords @ mu) ** 2)
+    val = w @ (nodes @ mu) ** 2
     assert abs(val - 4 * math.pi / 3) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [8, 12, 24])
+def test_sphere3_grid_moments(m):
+    # the Gauss-Jacobi rule in cos(chi) times the S^2 grid integrates low
+    # moments of S^3 to roundoff: |S^3| = 2 pi^2, E x_i^2 = 1/4,
+    # E x_0^4 = 1/8 and E x_0^2 x_3^2 = 1/24
+    x, w = Sphere(3).grid(m)
+    vol = 2.0 * math.pi**2
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-14)
+    assert w.sum() == pytest.approx(vol, rel=1e-13)
+    assert np.allclose(w @ x**2, vol / 4, rtol=1e-13)
+    assert w @ x[:, 0]**4 == pytest.approx(vol / 8, rel=1e-13)
+    assert w @ (x[:, 0]**2 * x[:, 3]**2) == pytest.approx(vol / 24, rel=1e-13)
+    assert np.abs(w @ x).max() <= 1e-13
 
 
 @pytest.mark.parametrize("name", GRIDDED_MANIFOLDS)
@@ -522,12 +536,12 @@ def test_grid_refinement_monotone(name):
             return np.exp(-0.5 * x[:, 0] ** 2 + x[:, 1])
         return np.exp(24.0 * (x[:, 0] - 1.0))
 
-    fine = M.grid(96 if M.intrinsic_dim < 3 else 48)
-    ref = fine.integrate(f(fine.node_coords))
+    nodes, w = M.grid(96 if M.intrinsic_dim < 3 else 48)
+    ref = w @ f(nodes)
 
     def err(res):
-        g = M.grid(res)
-        return abs(g.integrate(f(g.node_coords)) - ref)
+        nodes, w = M.grid(res)
+        return abs(w @ f(nodes) - ref)
 
     errors = [err(r) for r in (8, 12, 16, 24)]
     for lo, hi in zip(errors[1:], errors[:-1]):
@@ -625,8 +639,8 @@ def test_grid_resolution_floor():
 
 def test_grid_nodes_valid_points():
     M = FlatTorus(1.0, 2.0)
-    g = M.grid(8)
-    assert np.max(M.project_batch(g.node_coords)[1]) <= 1e-12
+    nodes, _ = M.grid(8)
+    assert np.max(M.project_batch(nodes)[1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -46,39 +46,48 @@ class TestCorrupt:
         assert abs(ratio - 3.0) <= 5.0 / math.sqrt(n)
 
     def test_streams_are_bit_reproducible(self):
+        # at sigma = 0.4 draws leave the tube, so a batch's rows are a
+        # subset of its draws; a whole shard of draws still gives the
+        # leading rows of every longer batch
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
-        a = tg.corrupt(q, 0.1, 70_000, seed=9)
-        b = tg.corrupt(q, 0.1, 70_000, seed=9)
+        a = tg.corrupt(q, 0.4, 70_000, seed=9)
+        b = tg.corrupt(q, 0.4, 70_000, seed=9)
         assert np.array_equal(a.noisy, b.noisy)
         assert np.array_equal(a.latents, b.latents)
-        longer = tg.corrupt(q, 0.1, 80_000, seed=9)
-        assert np.array_equal(a.noisy[:65_536], longer.noisy[:65_536])
+        assert np.array_equal(a.targets, b.targets)
+        assert a.n_outside == b.n_outside
+        shard = tg.corrupt(q, 0.4, 65_536, seed=9)
+        longer = tg.corrupt(q, 0.4, 80_000, seed=9)
+        assert 0 < shard.n_outside < a.n_outside < longer.n_outside
+        for big in (a, longer):
+            k = len(shard)
+            assert np.array_equal(big.noisy[:k], shard.noisy)
+            assert np.array_equal(big.foot[:k], shard.foot)
+            assert np.array_equal(big.targets[:k], shard.targets)
 
     def test_purely_normal_noise_gives_zero_target(self):
         # X = (1 + sigma) e1 projects back to the latent, so T = 0
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         b = one_draw(q, 0.3, [1.0, 0.0, 0.0], [1.3, 0.0, 0.0])
-        assert b.in_tube.tolist() == [True]
+        assert len(b) == 1 and b.n_outside == 0
         assert np.array_equal(b.foot[0], [1.0, 0.0, 0.0])
         assert np.linalg.norm(b.targets[0]) == 0.0
 
     def test_in_tube_rate_is_high_and_flagging_works(self):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         b = tg.corrupt(q, 0.25, 50_000, seed=21)
-        # tube radius 0.9, sigma 0.25: flags exist but are rare
-        assert 0 < b.n_outside < 0.01 * len(b)
-        flagged = ~b.in_tube
+        # tube radius 0.9, sigma 0.25: draws leave the tube but rarely; the
+        # batch holds the others and counts the ones that left
+        assert 0 < b.n_outside < 0.01 * 50_000
+        assert len(b) + b.n_outside == 50_000
+        for a in (b.latents, b.noisy, b.foot, b.targets):
+            assert a.shape == (len(b), 3)
         dist = np.abs(np.linalg.norm(b.noisy, axis=1) - 1.0)
-        assert np.array_equal(flagged, dist >= Sphere(2).tube_radius)
-        # no logmap target at a flagged row
+        assert dist.max() < Sphere(2).tube_radius
+        assert np.array_equal(Sphere(2).project_batch(b.noisy)[1], dist)
+        # every row has a foot, so only the cut locus masks a logmap target
         _, ok = b.logmap_targets()
-        assert not ok[flagged].any()
-        # the kept view drops the flagged rows and still counts them
-        kept = b.kept()
-        assert len(kept) == len(b) - b.n_outside
-        assert kept.n_outside == b.n_outside and kept.in_tube.all()
-        assert np.array_equal(kept.noisy, b.noisy[~flagged])
-        assert kept.kept() is kept
+        assert ok.all()
 
     def test_rejects_bad_sigma(self):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
@@ -105,22 +114,30 @@ class TestRawTarget:
         # P_T(z)(Z - z) = P_T(z)(Z - X) because X - z is purely normal
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         b = tg.corrupt(q, 0.1, 2000, seed=13)
-        m = b.in_tube
         alt = b.manifold.tangent_project_batch(b.foot, b.latents - b.noisy) / b.sigma**2
-        assert np.max(np.abs(b.targets[m] - alt[m])) <= 1e-10
+        assert np.max(np.abs(b.targets - alt)) <= 1e-10
 
     def test_view_matches_batch_row(self):
-        # the kept view holds the in-tube rows of the batch, unchanged
+        # the batch holds the in-tube draws in their order, each row as a
+        # one-draw batch of that draw has it
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
-        b = tg.corrupt(q, 0.45, 400, seed=13)
-        keep = np.flatnonzero(b.in_tube)
-        assert 0 < keep.size < len(b)
-        kept = b.kept()
+        rng = np.random.default_rng(13)
+        latents = q.sample_coords(400, rng)
+        noisy = latents + 0.45 * rng.standard_normal(latents.shape)
+        keep = np.flatnonzero(Sphere(2).project_batch(noisy)[2])
+        assert 0 < keep.size < 400
+        b = tg.CorruptedBatch.from_draws(q, 0.45, latents, noisy)
+        assert len(b) == keep.size and b.n_outside == 400 - keep.size
+        assert np.array_equal(b.latents, latents[keep])
+        assert np.array_equal(b.noisy, noisy[keep])
         for i in (0, 7, keep.size - 1):
-            j = keep[i]
-            assert np.array_equal(kept.targets[i], b.targets[j])
-            assert np.array_equal(kept.foot[i], b.foot[j])
-            assert np.array_equal(kept.latents[i], b.latents[j])
+            row = one_draw(q, 0.45, latents[keep[i]], noisy[keep[i]])
+            assert np.array_equal(b.targets[i], row.targets[0])
+            assert np.array_equal(b.foot[i], row.foot[0])
+        outside = np.setdiff1d(np.arange(400), keep)[0]
+        empty = one_draw(q, 0.45, latents[outside], noisy[outside])
+        assert len(empty) == 0 and empty.n_outside == 1
+        assert empty.targets.shape == (0, 3)
 
 
 class TestLogmapTarget:
@@ -143,7 +160,7 @@ class TestLogmapTarget:
         # the foot is antipodal to the latent: no logmap target there
         b = one_draw(CIRCLE_VMF, 0.3, [1.0, 0.0], [-1.2, 0.0])
         _, ok = b.logmap_targets()
-        assert b.in_tube.tolist() == [True] and ok.tolist() == [False]
+        assert len(b) == 1 and ok.tolist() == [False]
 
     def test_discrepancy_ratio_is_bounded_in_sigma(self):
         # E||T - Tlog||^2 / sigma^2 stays within a factor 1.5 across the grid
@@ -162,7 +179,7 @@ class TestSecondMoment:
     def test_scaled_second_moment_near_intrinsic_dim(self, sig):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         b = tg.corrupt(q, sig, 100_000, seed=7)
-        T = b.kept().targets
+        T = b.targets
         val = sig**2 * np.mean(np.sum(T**2, axis=1))
         assert 0.9 * 2.0 <= val <= 1.1 * 2.0
 
