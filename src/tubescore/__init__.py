@@ -27,6 +27,8 @@ from .targets import (
 from .oracle import (
     FiberPosterior,
     RBOracle,
+    ZonalTarget,
+    conditional_target,
     extract_extrinsic_coefficient,
     extrinsic_term,
     predicted_expansion,
@@ -68,9 +70,11 @@ __all__ = [
     "SphereTMarginal",
     "Uniform",
     "VonMisesFisher",
+    "ZonalTarget",
     "__version__",
     "binned_means",
     "coarsening_check",
+    "conditional_target",
     "corrupt",
     "epanechnikov",
     "equal_mass_bins",

@@ -17,7 +17,7 @@ import numpy as np
 from .densities import DensityModel
 from .errors import ConfigError, EmptyWindow
 from .geometry import Manifold
-from .oracle import RBOracle
+from .oracle import conditional_target
 from .rng import seed_sequence
 from .targets import CorruptedBatch, corrupt
 
@@ -148,10 +148,11 @@ def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
     """Second moments of the raw and conditioned targets across sigma.
 
     The raw column uses all in-tube draws; the conditioned column evaluates
-    the quadrature target at the first rb_subsample in-tube feet (the oracle
-    call dominates the cost and its Monte Carlo error is tiny next to the
-    15 percent tolerance the flatness check uses).  The result's
-    rb_subsample is the fewest feet any row used.
+    ``conditional_target`` at the first rb_subsample in-tube feet (off the
+    von Mises-Fisher table, each foot is a quadrature of its own, and the
+    subsample's Monte Carlo error is tiny next to the 15 percent tolerance
+    the flatness check uses).  The result's rb_subsample is the fewest feet
+    any row used.
     """
     sigmas = np.asarray(list(sigma_grid), dtype=float)
     if len(set(sigmas.tolist())) < 2:
@@ -165,7 +166,7 @@ def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
         raw_se.append(sq.std(ddof=1) / np.sqrt(sq.size))
         feet = data.foot[:rb_subsample]
         used = min(used, len(feet))
-        r = RBOracle(q, float(sig)).target_coords(feet)
+        r = conditional_target(q, float(sig)).target_coords(feet)
         rsq = np.sum(r ** 2, axis=1)
         rb_m.append(rsq.mean())
         rb_se.append(rsq.std(ddof=1) / np.sqrt(rsq.size))

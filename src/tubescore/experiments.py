@@ -38,7 +38,7 @@ from .langevin import (
 )
 from .oracle import (
     FiberPosterior,
-    RBOracle,
+    conditional_target,
     extract_extrinsic_coefficient,
     predicted_expansion,
     score_second_moment,
@@ -120,7 +120,7 @@ def run_flat_check(d: int = 2, ambient: int = 4, tau: float = 1.0,
     pts = plane.embed(tau * rng.standard_normal((50, d)))
     oracle_err = 0.0
     for sig in (0.05, sigma, 0.4):
-        got = RBOracle(q, sig).target_coords(pts)
+        got = conditional_target(q, sig).target_coords(pts)
         expect = plane.embed_tangent(-plane.chart(pts) / (tau**2 + sig**2))
         oracle_err = max(oracle_err, float(np.abs(got - expect).max()))
 
@@ -129,7 +129,7 @@ def run_flat_check(d: int = 2, ambient: int = 4, tau: float = 1.0,
     sigs = np.geomspace(0.05, 0.4, 7)
     rems = []
     for sig in sigs:
-        r = RBOracle(q, float(sig)).target_coords(z)
+        r = conditional_target(q, float(sig)).target_coords(z)
         ex = predicted_expansion(z, q, float(sig))
         rems.append(float(np.linalg.norm(r[0] - ex.predicted[0])))
     slope = float(np.polyfit(np.log(sigs), np.log(rems), 1)[0])
@@ -285,12 +285,12 @@ def run_pythagorean(kappa: float = 2.0, sigma: float = 0.1, n: int = 100_000,
                     seed: int = 0) -> dict:
     """Three-term decomposition and the risk-gap identity on the 2-sphere."""
     q = sphere_vmf(2, kappa)
-    oracle = RBOracle(q, sigma)
+    target = conditional_target(q, sigma)
     data = corrupt(q, sigma, n, seed)
     calib = corrupt(q, sigma, n, _calibration_seed(seed))
-    # one oracle pass per dataset
-    r_data = oracle.target_coords(data.foot)
-    r_calib = oracle.target_coords(calib.foot)
+    # one target pass per dataset
+    r_data = target.target_coords(data.foot)
+    r_calib = target.target_coords(calib.foot)
 
     # E[r | S] at the data feet for each coarsening S; the constant and
     # binned means come from the independent calibration batch, so they
@@ -343,7 +343,7 @@ def run_finite_sample(kappa: float = 2.0, sigma: float = 0.1,
     n_grid = sorted(int(v) for v in n_grid)
     d = q.manifold.intrinsic_dim
     probes = probe_points(q, seed, 8)
-    r_true = RBOracle(q, sigma).target_coords(probes)
+    r_true = conditional_target(q, sigma).target_coords(probes)
 
     c, widened = calibrate_bandwidth(q, sigma, n_grid[0], probes, r_true,
                                      repetitions=repetitions, seed=seed)

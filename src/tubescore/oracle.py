@@ -27,6 +27,13 @@ The two axes converge at their own rates, so each query carries a radial
 and an angular error estimate, and only the axis whose estimate fails is
 refined (``RBOracle``).
 
+A von Mises-Fisher latent needs the quadrature along one meridian only.
+The rotations that fix its mean mu leave the posterior unchanged, so the
+target is zonal, r_sigma(z) = g(t) P_z mu with t = <mu, z>, and
+``ZonalTarget`` answers every foot from one Chebyshev series of g built
+from ``RBOracle`` queries on a meridian.  ``conditional_target`` returns it
+for a von Mises-Fisher latent and an ``RBOracle`` for every other density.
+
 The module also hosts the sigma^2 expansion terms (score, Tweedie drift,
 extrinsic curvature term), extraction of the dimensionless extrinsic
 coefficient, and the single-query posterior view behind the Stein identity,
@@ -41,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import DensityModel
+from .densities import DensityModel, VonMisesFisher
 from .errors import ConfigError, DegenerateScore, QuadratureNotConverged
 from .geometry import AffinePlane, Manifold, Sphere
 from .geometry.base import row_dots, row_norms
@@ -65,6 +72,9 @@ SCORE_MOMENT_RESOLUTION = 24
 PLANE_MOMENT_RESOLUTION = 48
 PLANE_MOMENT_HALF_WIDTH = 8.0  # box half width, in units of the Gaussian's tau
 _TARGET_FLOOR = 1e-6         # targets below this norm count as zero
+TABLE_MIN_DEGREE = 16        # first degree of a zonal table's series
+TABLE_MAX_DEGREE = 128       # a series not settled by this degree falls back
+TABLE_TAIL = 1e-2            # settled tail, as a fraction of the oracle's rel_tol
 STEIN_FD_STEP = 1e-4         # central-difference step of the Stein residual
 
 
@@ -93,6 +103,13 @@ def _finer_angles(d: int, angular: int) -> int:
     """The angular resolution after ``angular`` in dimension d."""
     base, step = ANGULAR_RULE[d]
     return angular + max(step, angular - base)
+
+
+def _query_rows(manifold: Manifold, queries) -> np.ndarray:
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != manifold.ambient_dim:
+        raise ValueError("queries must be (n, ambient_dim)")
+    return queries
 
 
 def grid_node_count(manifold: Manifold, resolution: int,
@@ -181,7 +198,11 @@ class RBOracle:
     finest rule on both axes.  Otherwise only the failing axis is refined:
     n goes to 2n, m to m', or both, and the rules already evaluated at the
     new state are reused.  When the finest rule of the next state would
-    exceed MAX_RULE_NODES the oracle raises QuadratureNotConverged.
+    exceed MAX_RULE_NODES the oracle raises QuadratureNotConverged.  A
+    query whose angular estimate fails whatever (2n, m') gives does not
+    build that rule when the budget already settles its next step: it is
+    refused when even (n, m') is over the budget, and goes on to (n, m')
+    when only (2n, m') is.
     ``convergence_report`` accumulates over calls: ``queries``, ``nodes``
     (tangent nodes evaluated, check rules included), ``nodes_per_query``,
     ``max_estimate`` (largest accepted estimate on either axis),
@@ -210,9 +231,7 @@ class RBOracle:
 
     def target_coords(self, queries: np.ndarray) -> np.ndarray:
         """Conditional targets for query rows, as ambient tangent rows."""
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.manifold.ambient_dim:
-            raise ValueError("queries must be (n, ambient_dim)")
+        queries = _query_rows(self.manifold, queries)
         if queries.shape[0] == 0:
             return np.empty_like(queries)
         frames = self.manifold.frames_batch(queries)
@@ -227,16 +246,48 @@ class RBOracle:
         out = np.empty((n_q, d))
         accepted = np.empty((n_q, 2), dtype=int)
         nodes, worst = 0, 0.0
+
+        def over_budget(n_next, m_next):
+            # the finest rule of state (n_next, m_next)
+            return grid_node_count(M, 2 * n_next,
+                                   _finer_angles(d, m_next)) > MAX_RULE_NODES
+
         # pending groups: state (n, m), query indices, targets by rule
         groups = [(BASE_RESOLUTION, ANGULAR_RULE[d][0], np.arange(n_q), {})]
         while groups:
             n, m, idx, known = groups.pop()
             m_fine = _finer_angles(d, m)
-            for rule in ((n, m), (n, m_fine), (2 * n, m_fine)):
+            for rule in ((n, m), (n, m_fine)):
                 if rule not in known:
                     known[rule] = self._frame_targets(
                         queries[idx], frames[idx], *rule)
                     nodes += idx.size * grid_node_count(M, *rule)
+            if self.rel_tol < 0.5 and over_budget(2 * n, m_fine):
+                # An accepted query has |mid - coarse| <= rel_tol |fine| and
+                # |fine - mid| <= rel_tol |fine| (norms floored), so |fine|
+                # is below 2 |mid|.  A query past that bound fails here
+                # whatever the (2n, m') rule gives, which would only pick
+                # its next state, and the budget has already refused
+                # (2n, m'): it is refused outright if (n, m') is over the
+                # budget too, and otherwise goes on to (n, m').
+                mid = known[n, m_fine]
+                gap = np.linalg.norm(mid - known[n, m], axis=1)
+                floor = np.maximum(np.linalg.norm(mid, axis=1), _TARGET_FLOOR)
+                lost = gap > 2.0 * self.rel_tol * floor
+                if lost.any() and over_budget(n, m_fine):
+                    raise self._refusal(int(lost.sum()), n_q,
+                                        float((gap / floor).max()),
+                                        grid_node_count(M, n, m_fine))
+                if lost.any():
+                    groups.append((n, m_fine, idx[lost],
+                                   {k: v[lost] for k, v in known.items()}))
+                    idx = idx[~lost]
+                    known = {k: v[~lost] for k, v in known.items()}
+                    if idx.size == 0:
+                        continue
+            known[2 * n, m_fine] = self._frame_targets(
+                queries[idx], frames[idx], 2 * n, m_fine)
+            nodes += idx.size * grid_node_count(M, 2 * n, m_fine)
             fine, mid = known[2 * n, m_fine], known[n, m_fine]
             scale = np.maximum(np.linalg.norm(fine, axis=1), _TARGET_FLOOR)
             radial = np.linalg.norm(fine - mid, axis=1) / scale
@@ -253,18 +304,22 @@ class RBOracle:
                                         (2 * n, m_fine, ~r_ok & ~a_ok)):
                 if not sel.any():
                     continue
-                if grid_node_count(M, 2 * n_next,
-                                   _finer_angles(d, m_next)) > MAX_RULE_NODES:
-                    est = float(np.maximum(radial, angular).max())
-                    raise QuadratureNotConverged(
-                        f"{int((~ok).sum())} of {n_q} queries have error "
-                        f"estimates up to {est:.3g} above rel_tol "
-                        f"{self.rel_tol:g} at the largest polar rule "
-                        f"({grid_node_count(M, 2 * n, m_fine)} nodes)")
+                if over_budget(n_next, m_next):
+                    raise self._refusal(
+                        int((~ok).sum()), n_q,
+                        float(np.maximum(radial, angular).max()),
+                        grid_node_count(M, 2 * n, m_fine))
                 groups.append((n_next, m_next, idx[sel],
                                {k: v[sel] for k, v in known.items()}))
         self._record(n_q, nodes, worst, accepted.max(axis=0))
         return out, accepted
+
+    def _refusal(self, failing: int, n_q: int, estimate: float,
+                 nodes: int) -> QuadratureNotConverged:
+        return QuadratureNotConverged(
+            f"{failing} of {n_q} queries have error estimates up to "
+            f"{estimate:.3g} above rel_tol {self.rel_tol:g} at the largest "
+            f"polar rule ({nodes} nodes)")
 
     def _frame_targets(self, queries, frames, resolution, angular) -> np.ndarray:
         rule = self.rule(resolution, angular)
@@ -296,6 +351,125 @@ class RBOracle:
         rep["angular_resolution"] = max(rep["angular_resolution"],
                                         int(accepted[1]))
         self.convergence_report = rep
+
+
+# ---------------------------------------------------------------------------
+# one meridian table for von Mises-Fisher latents
+
+
+def _clenshaw(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] T_j(t) at every entry of t, by Clenshaw's recurrence."""
+    b1, b2, b0 = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    t2 = 2.0 * t
+    for c in coeffs[:0:-1]:
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    b1 *= t
+    b1 -= b2
+    b1 += coeffs[0]
+    return b1
+
+
+def _zonal_axis(z: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = <z, mu> / |z|^2 and P_z mu = mu - t z at rows z: P_z mu is exactly
+    zero at z = +-mu, where t is exactly +-1."""
+    t = row_dots(z, mu[None])
+    t /= row_dots(z, z)
+    return t, mu - t[:, None] * z
+
+
+class ZonalTarget:
+    """The conditional target of a von Mises-Fisher latent, from one
+    Chebyshev series along a meridian.
+
+    The rotations that fix the mean mu leave q, the noise and the tube
+    unchanged, so r_sigma(z) = g(t) P_z mu with t = <mu, z> and
+    P_z mu = mu - t z, and one smooth g on [-1, 1] answers every foot.  The
+    series of g interpolates ``RBOracle`` targets at the N Chebyshev points
+    of the first kind, t_k = cos(pi (k + 1/2) / N), on the meridian
+    z = t mu + sqrt(1 - t^2) e through a fixed generic unit tangent e at
+    mu; first-kind points avoid the poles, where P_z mu = 0.  Each
+    g_k = <r_k, P mu> / |P mu|^2, and the coefficients are the discrete
+    cosine sums of the g_k (Trefethen, Approximation Theory and
+    Approximation Practice, 2013).  The degree N - 1 doubles from
+    TABLE_MIN_DEGREE until the tail, the largest coefficient of the upper
+    half of the series relative to max(max |g_k|, the target floor), is
+    within TABLE_TAIL times the oracle's rel_tol; so the stopping rule
+    follows the accuracy of the values it interpolates (after Aurentz and
+    Trefethen, Chopping a Chebyshev series, 2017).  A series not settled
+    at TABLE_MAX_DEGREE, or a meridian query the oracle refuses, leaves
+    every query to the oracle, which then answers or refuses as it would
+    alone.
+
+    ``target_coords`` evaluates g by Clenshaw's rule on all rows at once,
+    times P_z mu; at z = +-mu the target is exactly zero.
+    ``convergence_report`` is the meridian oracle's report plus ``degree``
+    (of the last series formed), ``tail`` (its tail; None when a meridian
+    query was refused) and ``fallback`` (true when the oracle answers the
+    queries).
+    """
+
+    def __init__(self, q: VonMisesFisher, sigma: float):
+        if not isinstance(q, VonMisesFisher):
+            raise ConfigError("ZonalTarget needs a von Mises-Fisher latent")
+        self._oracle = RBOracle(q, sigma)
+        self.density = q
+        self.manifold = q.manifold
+        self._coeffs = None
+        self._table = self._build()
+
+    @property
+    def convergence_report(self) -> dict:
+        return {**(self._oracle.convergence_report or {}), **self._table}
+
+    def _build(self) -> dict:
+        mu, d = self.density.mu, self.manifold.intrinsic_dim
+        # a fixed mix of the frame's tangent rows, so the meridian lines up
+        # with no coordinate axis
+        tangents = self.manifold.frames_batch(mu[None])[0, :d]
+        e = np.cos(np.arange(1.0, d + 1.0)) @ tangents
+        e /= np.linalg.norm(e)
+        tol = TABLE_TAIL * self._oracle.rel_tol
+        degree = TABLE_MIN_DEGREE
+        while True:
+            n = degree + 1
+            theta = np.pi * (np.arange(n) + 0.5) / n
+            z = np.cos(theta)[:, None] * mu + np.sin(theta)[:, None] * e
+            try:
+                r = self._oracle.target_coords(z)
+            except QuadratureNotConverged:
+                return {"degree": degree, "tail": None, "fallback": True}
+            _, p = _zonal_axis(z, mu)
+            g = row_dots(r, p) / row_dots(p, p)
+            coeffs = np.cos(np.outer(np.arange(n), theta)) @ g * (2.0 / n)
+            coeffs[0] *= 0.5
+            tail = float(np.abs(coeffs[n // 2:]).max()
+                         / max(float(np.abs(g).max()), _TARGET_FLOOR))
+            if tail <= tol:
+                self._coeffs = coeffs
+                return {"degree": degree, "tail": tail, "fallback": False}
+            if degree >= TABLE_MAX_DEGREE:
+                return {"degree": degree, "tail": tail, "fallback": True}
+            degree *= 2
+
+    def target_coords(self, queries: np.ndarray) -> np.ndarray:
+        """Conditional targets for query rows, as ambient tangent rows."""
+        queries = _query_rows(self.manifold, queries)
+        if self._coeffs is None:
+            return self._oracle.target_coords(queries)
+        t, p = _zonal_axis(queries, self.density.mu)
+        p *= _clenshaw(self._coeffs, t)[:, None]
+        return p
+
+
+def conditional_target(q: DensityModel, sigma: float) -> ZonalTarget | RBOracle:
+    """The conditional target of q at noise level sigma: a ``ZonalTarget``
+    for a von Mises-Fisher latent, an ``RBOracle`` for any other."""
+    if isinstance(q, VonMisesFisher):
+        return ZonalTarget(q, sigma)
+    return RBOracle(q, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -665,6 +665,30 @@ def test_langevin_study_skips_numpy_ma(tmp_path):
     assert proc.stdout.split() == ["0", "False"]
 
 
+def test_pythagorean_study_skips_numpy_polynomial(tmp_path):
+    # the vMF table sums its series by Clenshaw's rule in plain numpy;
+    # importing numpy.polynomial would add about 4 ms to every run
+    import os
+    import subprocess
+    import sys
+
+    import tubescore
+
+    script = (
+        "import sys\n"
+        "from tubescore import cli\n"
+        "code = cli.main(['pythagorean', '--n', '200',\n"
+        "                 '--out', sys.argv[1] + '/pythagorean.json'])\n"
+        "print(code, 'numpy.polynomial' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(tubescore.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 @pytest.mark.parametrize("package", ["tubescore", "tubescore.geometry"])
 def test_export_list_resolves(package):
     # a name deleted from the library but left in __all__ breaks

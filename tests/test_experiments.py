@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tubescore import experiments as ex
+from tubescore import oracle as oracle_mod
 from tubescore.cli import STUDIES
 
 
@@ -156,16 +157,38 @@ class TestPythagoreanDriver:
             k: identity[k] for k in ("gap_mean", "gap_se", "gap_over_se")}
 
     def test_one_oracle_pass_per_dataset(self, monkeypatch):
-        rows = []
-        target_coords = ex.RBOracle.target_coords
+        # the study's target answers one call per dataset, and the oracle
+        # behind it sees only the meridian feet of its table
+        rows, oracle_rows = [], []
+        make_target = ex.conditional_target
+        oracle_coords = oracle_mod.RBOracle.target_coords
 
-        def counted(self, queries):
-            rows.append(len(queries))
-            return target_coords(self, queries)
-        monkeypatch.setattr(ex.RBOracle, "target_coords", counted)
+        def counted_target(q, sigma):
+            target = make_target(q, sigma)
+            answer = target.target_coords
+
+            def counted(queries):
+                rows.append(len(queries))
+                return answer(queries)
+            target.target_coords = counted
+            return target
+
+        def seen(self, queries):
+            oracle_rows.append(np.array(queries))
+            return oracle_coords(self, queries)
+        monkeypatch.setattr(ex, "conditional_target", counted_target)
+        monkeypatch.setattr(oracle_mod.RBOracle, "target_coords", seen)
         ex.run_pythagorean(n=2000, seed=1)
-        # the evaluation feet, then the calibration feet
-        assert len(rows) == 2
+        # the evaluation feet, then the calibration feet; sigma = 0.1 keeps
+        # every draw in the tube
+        assert rows == [2000, 2000]
+        assert oracle_rows
+        mu = ex.sphere_vmf(2, 2.0).mu
+        for feet in oracle_rows:
+            k = len(feet)
+            chebyshev = np.cos(np.pi * (np.arange(k) + 0.5) / k)
+            assert np.abs(feet @ mu - chebyshev).max() <= 1e-14
+            assert np.linalg.matrix_rank(np.vstack([mu, feet]), tol=1e-12) == 2
 
 
 class TestFiniteSampleDriver:

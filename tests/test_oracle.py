@@ -24,8 +24,14 @@ from tubescore import oracle as oracle_mod
 from tubescore.oracle import (
     ANGULAR_RULE,
     BASE_RESOLUTION,
+    DEFAULT_REL_TOL,
+    TABLE_MAX_DEGREE,
+    TABLE_TAIL,
     FiberPosterior,
     RBOracle,
+    ZonalTarget,
+    _TARGET_FLOOR,
+    conditional_target,
     extract_extrinsic_coefficient,
     extrinsic_term,
     predicted_expansion,
@@ -489,6 +495,28 @@ class TestRefinement:
         got = post.expectation(post.chord) / 0.3**2 @ frame
         assert np.abs(got - expect).max() <= 1e-12
 
+    def test_no_check_rule_the_budget_settles(self, monkeypatch):
+        # a posterior far narrower than sigma fails both estimates up to
+        # (384, 58), where the angular one fails whatever (768, 106) gives:
+        # a radial failure would be refused, so that rule is not built and
+        # the query goes on to (384, 106), the one next state in budget
+        built = []
+        frame_targets = RBOracle._frame_targets
+
+        def record(self, queries, frames, resolution, angular):
+            built.append((resolution, angular))
+            return frame_targets(self, queries, frames, resolution, angular)
+
+        monkeypatch.setattr(RBOracle, "_frame_targets", record)
+        monkeypatch.setattr(oracle_mod, "MAX_RULE_NODES", 1 << 18)
+        T = FlatTorus(1.0, 1.0)
+        q = ProductVonMises(T, (1e6, 1e6), (0.0, 0.0))
+        with pytest.raises(QuadratureNotConverged):
+            RBOracle(q, 0.01).target_coords(T.from_angles(np.array([[0.9, -1.3]])))
+        assert built == [(24, 10), (24, 16), (48, 16), (48, 22), (96, 22),
+                         (96, 34), (192, 34), (192, 58), (384, 58), (384, 106),
+                         (384, 202)]
+
     def test_reused_rules_are_not_counted_twice(self):
         # a radial refinement at (48, m) evaluates (48, m) and (96, m') only;
         # (48, m') comes from the base state
@@ -527,6 +555,76 @@ class TestRefinement:
         ref_x, ref_w = Sphere(3).grid(m)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         assert not x.flags.writeable and not w.flags.writeable
+
+
+class TestZonalTarget:
+    """The vMF meridian table against the oracle it is built from."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kappa", [0.0, 2.0, 10.0])
+    @pytest.mark.parametrize("sig", [0.01, 0.1, 0.5])
+    def test_agrees_with_oracle(self, d, kappa, sig):
+        # within the oracle's own contract, at generic feet and mean
+        rng = np.random.default_rng(100 * d + int(kappa))
+        M = Sphere(d)
+        q = VonMisesFisher(M, M.random_coords(rng, 1)[0], kappa)
+        z = M.random_coords(rng, 30)
+        got = ZonalTarget(q, sig).target_coords(z)
+        expect = RBOracle(q, sig).target_coords(z)
+        bound = DEFAULT_REL_TOL * np.maximum(
+            np.linalg.norm(expect, axis=1), _TARGET_FLOOR)
+        assert np.all(np.linalg.norm(got - expect, axis=1) <= bound)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_at_the_poles(self, d):
+        M = Sphere(d)
+        mu = M.random_coords(np.random.default_rng(d), 1)[0]
+        target = ZonalTarget(VonMisesFisher(M, mu, 2.0), 0.1)
+        assert not target.target_coords(np.array([mu, -mu])).any()
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=SEEDS, d=st.sampled_from([1, 2, 3]),
+           sig=st.sampled_from([0.03, 0.1, 0.3]))
+    def test_rotation(self, seed, d, sig):
+        # r(Rz; R.q) = R r(z; q): the two tables lie on different meridians
+        rng = np.random.default_rng(seed)
+        M = Sphere(d)
+        mu = M.random_coords(rng, 1)[0]
+        z = M.random_coords(rng, 5)
+        R = random_rotation(rng, d + 1)
+        r = ZonalTarget(VonMisesFisher(M, mu, 2.0), sig).target_coords(z)
+        r_rot = ZonalTarget(VonMisesFisher(M, R @ mu, 2.0), sig).target_coords(z @ R.T)
+        bound = DEFAULT_REL_TOL * np.maximum(np.linalg.norm(r, axis=1),
+                                             _TARGET_FLOOR)
+        assert np.all(np.linalg.norm(r_rot - r @ R.T, axis=1) <= bound)
+
+    def test_unsettled_series_falls_back_to_the_oracle(self):
+        q = sphere_vmf(2, 30.0)
+        target = ZonalTarget(q, 0.3)
+        rep = target.convergence_report
+        assert rep["fallback"] is True
+        assert rep["degree"] == TABLE_MAX_DEGREE
+        assert rep["tail"] > TABLE_TAIL * rep["rel_tol"]
+        z = feet(Sphere(2), 4, n=20)
+        assert np.array_equal(target.target_coords(z),
+                              RBOracle(q, 0.3).target_coords(z))
+
+    def test_report_extends_the_meridian_oracle(self):
+        target = ZonalTarget(sphere_vmf(2), 0.1)
+        rep = target.convergence_report
+        assert rep["fallback"] is False
+        assert rep["queries"] == rep["degree"] + 1
+        assert rep["tail"] <= TABLE_TAIL * rep["rel_tol"]
+        target.target_coords(feet(Sphere(2), 5))
+        assert target.convergence_report == rep  # the oracle saw no foot
+
+    def test_dispatch(self):
+        assert type(conditional_target(sphere_vmf(2), 0.1)) is ZonalTarget
+        for q in (ProductVonMises(FlatTorus(1.0, 1.0), (1.5, 1.5), (0.0, 0.0)),
+                  flat_density(), Uniform(Sphere(2))):
+            assert type(conditional_target(q, 0.1)) is RBOracle
+            with pytest.raises(ConfigError):
+                ZonalTarget(q, 0.1)
 
 
 def random_rotation(rng, n):
