@@ -32,7 +32,6 @@ from .oracle import (
     extract_extrinsic_coefficient,
     extrinsic_term,
     predicted_expansion,
-    score_second_moment,
 )
 from .estimators import (
     binned_means,
@@ -90,7 +89,6 @@ __all__ = [
     "probe_points",
     "projected_risk",
     "run_chains",
-    "score_second_moment",
     "two_sample_ks",
     "variance_sweep",
 ]

@@ -6,8 +6,9 @@ drift correction
 
     b_q = (1/2) grad_M [ Delta_M log q + ||grad_M log q||^2 ],
 
-all as closed-form row kernels on (n, D) ambient coordinate rows, plus a
-deterministic sampler driven by an explicit numpy Generator.
+all as closed-form row kernels on (n, D) ambient coordinate rows; the score's
+second moment E_q ||grad_M log q||^2, from the density's own one-dimensional
+law; and a deterministic sampler driven by an explicit numpy Generator.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ManifoldMismatch, UnsupportedManifold
+from .errors import ConfigError, ManifoldMismatch, UnsupportedManifold
 from .geometry import AffinePlane, FlatTorus, Sphere
 from .geometry.base import row_dots
 from .geometry.quadrature import gauss_legendre
@@ -24,6 +25,9 @@ from .geometry.sphere import _SPHERE_VOLUMES
 from .rng import derive_rng, shard_sizes
 
 _TABLE_SIZE = 8193
+# the t-law's tables resolve kappa up to here: at 1e4 the sampling table's
+# E[1 - t] is a few parts in 1e4 off, and the error grows tenfold per decade
+MAX_MARGINAL_KAPPA = 1e4
 # Chebyshev coefficients of exp(-x) I0(x) in x/2 - 2 on [0, 8], and of
 # sqrt(x) exp(-x) I0(x) in 32/x - 2 on (8, inf): the tables of Cephes' i0e
 _I0E_NEAR = (
@@ -93,6 +97,10 @@ class DensityModel(abc.ABC):
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         """The drift correction b_q at each row, as ambient tangent rows."""
 
+    @abc.abstractmethod
+    def score_second_moment(self) -> float:
+        """E_q ||grad_M log q||^2, from the density's one-dimensional law."""
+
     # ---- sampling ----------------------------------------------------------
 
     @abc.abstractmethod
@@ -121,6 +129,9 @@ class SphereTMarginal:
     """
 
     def __init__(self, dim: int, kappa: float):
+        if not kappa <= MAX_MARGINAL_KAPPA:
+            raise ConfigError(f"kappa {kappa:g} is above {MAX_MARGINAL_KAPPA:g}, "
+                              "beyond what the t-marginal's tables resolve")
         self.dim = int(dim)
         self.kappa = float(kappa)
         chi = np.linspace(0.0, math.pi, _TABLE_SIZE)
@@ -200,6 +211,10 @@ class VonMisesFisher(DensityModel):
         coeff = 0.5 * (-self.kappa * d - 2.0 * self.kappa**2 * t)
         return coeff[:, None] * (self.mu - t[:, None] * coords)
 
+    def score_second_moment(self) -> float:
+        # ||kappa (mu - t z)||^2 = kappa^2 (1 - t^2)
+        return self.kappa**2 * self._marginal.moment(lambda t: 1.0 - t * t)
+
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         chi = self._marginal.sample_chi(rng.random(n))
         t = np.cos(chi)
@@ -269,6 +284,11 @@ class ProductVonMises(DensityModel):
         coeff = k * np.sin(delta) * (1.0 + 2.0 * k * np.cos(delta)) / (2.0 * r**3)
         return self._manifold.embed_tangent(coords, coeff)
 
+    def score_second_moment(self) -> float:
+        # cos(delta_i) has the t-law of a vMF(kappa_i) on S^1
+        return sum((k / r) ** 2 * SphereTMarginal(1, k).moment(lambda t: 1.0 - t * t)
+                   for k, r in zip(self.kappas, self._manifold.radii))
+
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         a = rng.vonmises(self.phases[0], self.kappas[0], size=n) if self.kappas[0] > 0 \
             else rng.uniform(-math.pi, math.pi, size=n)
@@ -313,6 +333,9 @@ class IsotropicGaussian(DensityModel):
         c = self._manifold.chart(coords) - self.mean
         return self._manifold.embed_tangent(c / self.tau**4)
 
+    def score_second_moment(self) -> float:
+        return self._manifold.intrinsic_dim / self.tau**2
+
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         c = self.mean + self.tau * rng.standard_normal((n, self._manifold.intrinsic_dim))
         return self._manifold.embed(c)
@@ -342,6 +365,9 @@ class Uniform(DensityModel):
 
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         return np.zeros_like(coords)
+
+    def score_second_moment(self) -> float:
+        return 0.0
 
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # random_coords is volume-uniform for spheres and flat tori

@@ -17,6 +17,7 @@ from .densities import (
 )
 from .errors import ConfigError
 from .estimators import (
+    RB_SUBSAMPLE,
     _linear_quantiles,
     bandwidth_mse,
     binned_means,
@@ -41,7 +42,6 @@ from .oracle import (
     conditional_target,
     extract_extrinsic_coefficient,
     predicted_expansion,
-    score_second_moment,
 )
 from .rng import derive_rng
 from .targets import corrupt, flat_reduction_residuals
@@ -154,12 +154,12 @@ def sphere_vmf(d: int, kappa: float) -> VonMisesFisher:
 
 
 def run_variance_collapse(q: DensityModel, sigma_grid, n: int, seed: int,
-                          rb_subsample: int = 20_000) -> dict:
+                          rb_subsample: int = RB_SUBSAMPLE) -> dict:
     """Raw vs conditioned second moments across sigma, with the -2 slope.
 
     The conditioned column is compared with E||grad log q||^2, so a density
     whose score vanishes is refused before anything is drawn."""
-    ssm = float(score_second_moment(q))
+    ssm = float(q.score_second_moment())
     if ssm == 0.0:
         raise ConfigError("the score of this density vanishes, so "
                           "max_rb_deviation is undefined; use kappa > 0")

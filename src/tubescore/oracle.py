@@ -50,7 +50,7 @@ import numpy as np
 
 from .densities import DensityModel, VonMisesFisher
 from .errors import ConfigError, DegenerateScore, QuadratureNotConverged
-from .geometry import AffinePlane, Manifold, Sphere
+from .geometry import Manifold, Sphere
 from .geometry.base import row_dots, row_norms
 from .geometry.quadrature import gauss_legendre
 
@@ -68,9 +68,6 @@ BASE_RESOLUTION = 24         # radial nodes of the coarsest rule
 ANGULAR_RULE = {1: (0, 0), 2: (10, 6), 3: (8, 2), 4: (8, 2)}
 MAX_RULE_NODES = 1 << 21     # no rule is refined beyond this many nodes
 CHUNK_FLOATS = 1 << 16       # latent coordinates held per query chunk
-SCORE_MOMENT_RESOLUTION = 24
-PLANE_MOMENT_RESOLUTION = 48
-PLANE_MOMENT_HALF_WIDTH = 8.0  # box half width, in units of the Gaussian's tau
 _TARGET_FLOOR = 1e-6         # targets below this norm count as zero
 TABLE_MIN_DEGREE = 16        # first degree of a zonal table's series
 TABLE_MAX_DEGREE = 128       # a series not settled by this degree falls back
@@ -539,27 +536,6 @@ def extract_extrinsic_coefficient(z: np.ndarray, q: DensityModel,
         alpha_pred=row_dots(extrinsic_term(z, q), s) / s_norm_sq,
         orthogonal=row_norms(orth) / (sigma**2 * np.sqrt(s_norm_sq)),
         sigma=sigma)
-
-
-def score_second_moment(q: DensityModel) -> float:
-    """E_q ||grad_M log q||^2 by volume quadrature.
-
-    Resolution 24 reaches roundoff on S^1-S^4 and the tori at the
-    concentrations of the studies.  On a plane q is an isotropic Gaussian
-    and the box is its mean +- 8 tau, so the rule is the same in units of
-    tau for every Gaussian: from 40 nodes per axis its relative error is
-    the 1e-13 of the mass beyond 8 tau.
-    """
-    M = q.manifold
-    if isinstance(M, AffinePlane):
-        nodes, weights = M.grid(PLANE_MOMENT_RESOLUTION,
-                                half_width=PLANE_MOMENT_HALF_WIDTH * q.tau,
-                                center=q.mean)
-    else:
-        nodes, weights = M.grid(SCORE_MOMENT_RESOLUTION)
-    s = q.score_batch(nodes)
-    vals = np.exp(q.log_density_batch(nodes)) * np.sum(s * s, axis=-1)
-    return float(weights @ vals)
 
 
 # ---------------------------------------------------------------------------

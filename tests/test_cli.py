@@ -111,6 +111,10 @@ class TestRunConfig:
          "200", "--rb-subsample", "20"],
         ["variance-collapse", "--manifold", "torus", "--kappa", "0",
          "--sigma", "0.1,0.2", "--n", "200", "--rb-subsample", "20"],
+        # beyond the t-marginal's tables: refused, not answered from them
+        ["pythagorean", "--kappa", "1e10", "--n", "100"],
+        ["variance-collapse", "--kappa", "1e5", "--sigma", "0.1,0.2", "--n",
+         "200", "--rb-subsample", "20"],
     ])
     def test_validation(self, capsys, over):
         code, _, err = run_cli(capsys, *over)

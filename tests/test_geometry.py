@@ -523,6 +523,23 @@ def test_sphere3_grid_moments(m):
     assert np.abs(w @ x).max() <= 1e-13
 
 
+@pytest.mark.parametrize("m", [16, 24])
+def test_sphere4_grid_moments(m):
+    # Gauss-Legendre in chi times the S^3 grid: |S^4| = 8 pi^2 / 3,
+    # E x_i^2 = 1/5, E x_0^4 = 3/35 and E x_0^2 x_4^2 = 1/35.  The chi rule
+    # is not exact for these trigonometric integrands, so the bound is the
+    # 5e-13 that m = 16 reaches; at m = 8 the error is 4e-3
+    x, w = Sphere(4).grid(m)
+    vol = 8.0 * math.pi**2 / 3.0
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-14)
+    assert w.sum() == pytest.approx(vol, rel=1e-12)
+    assert np.allclose(w @ x**2, vol / 5, rtol=1e-12, atol=0)
+    assert w @ x[:, 0]**4 == pytest.approx(3 * vol / 35, rel=1e-12, abs=0)
+    assert w @ (x[:, 0]**2 * x[:, 4]**2) == pytest.approx(vol / 35, rel=1e-12,
+                                                          abs=0)
+    assert np.abs(w @ x).max() <= 1e-13
+
+
 @pytest.mark.parametrize("name", GRIDDED_MANIFOLDS)
 def test_grid_refinement_monotone(name):
     # integrands sharp enough that every grid is still converging between

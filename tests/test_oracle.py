@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import i0e, i1e, ive
 
 from tubescore.densities import (
     IsotropicGaussian,
@@ -35,7 +36,6 @@ from tubescore.oracle import (
     extract_extrinsic_coefficient,
     extrinsic_term,
     predicted_expansion,
-    score_second_moment,
 )
 
 PLANE = AffinePlane.axis_aligned(2, 4)
@@ -424,20 +424,40 @@ class TestOracleMechanics:
         assert np.linalg.norm(r - ex.predicted) <= 2e-5
 
     def test_score_second_moment_quadrature(self):
-        # E_q kappa^2 (1 - t^2) for vMF via the 1-D marginal
+        # the t-marginal's Legendre moment kappa^2 E[1 - t^2] against the
+        # Bessel ratio d kappa I_{(d+1)/2}(kappa) / I_{(d-1)/2}(kappa)
         for d in (1, 2, 3, 4):
-            q = sphere_vmf(d)
-            marg = q.t_marginal()
-            expect = 4.0 * marg.moment(lambda t: 1.0 - t * t)
-            assert score_second_moment(q) == pytest.approx(expect, rel=1e-10)
+            for kappa in (2.0, 30.0, 100.0, 1000.0):
+                expect = d * kappa * ive((d + 1) / 2, kappa) / ive((d - 1) / 2, kappa)
+                got = sphere_vmf(d, kappa).score_second_moment()
+                assert got == pytest.approx(expect, rel=1e-10), (d, kappa)
+
+    def test_score_second_moment_torus(self):
+        # E sin^2(delta) = I_1(kappa) / (kappa I_0(kappa)) for each angle
+        T = FlatTorus(0.7, 1.9)
+        kappas, phases = (3.0, 250.0), (0.4, -2.2)
+        expect = sum((k / r) ** 2 * i1e(k) / (k * i0e(k))
+                     for k, r in zip(kappas, T.radii))
+        got = ProductVonMises(T, kappas, phases).score_second_moment()
+        assert got == pytest.approx(expect, rel=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     def test_score_second_moment_plane_closed_form(self, d, tau):
-        # E ||c - mean||^2 / tau^4 = d / tau^2, also off the chart origin
-        q = IsotropicGaussian(AffinePlane.axis_aligned(d, d + 1),
-                              np.linspace(5.0, -3.0, d), tau)
-        assert score_second_moment(q) == pytest.approx(d / tau**2, rel=1e-10)
+        # d / tau^2 against a 48^d Gauss-Legendre box of half width 8 tau
+        # about the mean, off the chart origin
+        M = AffinePlane.axis_aligned(d, d + 1)
+        mean = np.linspace(5.0, -3.0, d)
+        q = IsotropicGaussian(M, mean, tau)
+        x, w = np.polynomial.legendre.leggauss(48)
+        axes = np.meshgrid(*([8.0 * tau * x] * d), indexing="ij")
+        nodes = M.embed(np.stack([a.ravel() for a in axes], axis=-1) + mean)
+        weights = np.prod(np.meshgrid(*([8.0 * tau * w] * d), indexing="ij"),
+                          axis=0).ravel()
+        s = q.score_batch(nodes)
+        box = weights @ (np.exp(q.log_density_batch(nodes)) * np.sum(s * s, axis=1))
+        assert q.score_second_moment() == pytest.approx(d / tau**2, rel=1e-10)
+        assert q.score_second_moment() == pytest.approx(box, rel=1e-10)
 
 
 class TestRefinement:
