@@ -21,7 +21,6 @@ from .densities import (
 from .targets import (
     CorruptedBatch,
     corrupt,
-    flat_ambient_field,
     flat_reduction_residuals,
 )
 from .oracle import (
@@ -42,7 +41,6 @@ from .estimators import (
     optimal_bandwidth,
     probe_points,
     projected_risk,
-    variance_sweep,
 )
 from .langevin import (
     ChainConfig,
@@ -80,7 +78,6 @@ __all__ = [
     "errors",
     "extract_extrinsic_coefficient",
     "extrinsic_term",
-    "flat_ambient_field",
     "flat_reduction_residuals",
     "local_average",
     "marginal_diagnostic",
@@ -90,5 +87,4 @@ __all__ = [
     "projected_risk",
     "run_chains",
     "two_sample_ks",
-    "variance_sweep",
 ]

@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedManifold,
 )
 from .experiments import (
+    RB_SUBSAMPLE,
     default_extrinsic_models,
     run_extrinsic_coef,
     run_finite_sample,
@@ -43,7 +44,6 @@ from .experiments import (
     run_variance_collapse,
     sphere_vmf,
 )
-from .estimators import RB_SUBSAMPLE
 from .geometry import AffinePlane, FlatTorus, Sphere
 from .oracle import check_sigma
 from .reporting import (
@@ -375,15 +375,19 @@ STUDIES = {
 
 
 def _require_finite(value, path: str) -> None:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteResult(f"{path} is {value}")
-    elif isinstance(value, dict):
+    """Refuse a NaN or infinity, and any leaf that is not exactly a bool,
+    int, float, str or None (a numpy scalar renders differently)."""
+    if isinstance(value, dict):
         for key, item in value.items():
             _require_finite(item, f"{path}.{key}")
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _require_finite(item, f"{path}.{i}")
+    elif type(value) not in (bool, int, float, str, type(None)):
+        raise TypeError(f"{path} is a {type(value).__name__}, not a builtin "
+                        "scalar")
+    elif type(value) is float and not math.isfinite(value):
+        raise NonFiniteResult(f"{path} is {value}")
 
 
 def render(args, payload) -> str:
@@ -423,9 +427,10 @@ def _keep_temporaries_in_heap() -> None:
     """Fix glibc's mmap and trim thresholds at 4 and 8 MiB, so numpy's
     mid-size temporaries reuse heap pages instead of faulting in fresh
     ones.  glibc raises both only after it frees a large mapping, which
-    made a study's speed depend on its allocation history.  finite-sample
-    gains most (median 2.24 s with the raise, 2.30 s without, in-process on
-    2 cores); the oracle studies show no resolved difference."""
+    made a study's speed depend on its allocation history.  Without them,
+    over 10 alternating benchmark pairs on 2 cores, finite-sample was
+    slower in every pair (median 2.18 s against 1.96 s) and oracle-sweep
+    peaked higher in every pair (87.5 MB against 76.2 MB)."""
     import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -1,27 +1,22 @@
 """Sample-based estimators on corrupted draws.
 
 Local averaging with parallel transport, projected-risk Monte Carlo, the
-variance-collapse sweep, the finite-sample bandwidth sweeps, and the one
-risk split, ``coarsening_check``.  The risk estimators take field values at
-the feet as (n, D) arrays, never callables.  Everything here is
-deterministic given the master seed: sweep cells and repetitions derive
+finite-sample bandwidth sweeps, and the one risk split,
+``coarsening_check``.  The risk estimators take field values at the feet as
+(n, D) arrays, never callables, and return builtin floats.  Everything here
+is deterministic given the master seed: sweep cells and repetitions derive
 independent streams, and all reductions run in fixed order.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .densities import DensityModel
 from .errors import ConfigError, EmptyWindow
 from .geometry import Manifold
-from .oracle import conditional_target
 from .rng import seed_sequence
-from .targets import CorruptedBatch, corrupt
+from .targets import CorruptedBatch, _field_values, corrupt
 
-RB_SUBSAMPLE = 20_000
 CALIBRATION_FACTORS = (0.5, 1.0, 1.41, 2.0, 2.83)
 
 
@@ -91,94 +86,24 @@ def local_average(data: CorruptedBatch, z: np.ndarray,
 # risk estimates
 
 
-@dataclass(frozen=True)
-class RiskEstimate:
-    """Monte Carlo risk with its standard error."""
-
-    mean: float
-    se: float
-    n: int
-
-
-def _field_values(values, data: CorruptedBatch) -> np.ndarray:
-    """Field values at the feet of data, one row per sample."""
-    vals = np.asarray(values, dtype=float)
-    foot = data.foot
-    if vals.shape != foot.shape:
-        raise ConfigError(
-            f"field values have shape {vals.shape}, expected {foot.shape}")
-    return vals
-
-
-def projected_risk(data: CorruptedBatch, values: np.ndarray) -> RiskEstimate:
-    """Monte Carlo estimate of E || T - h(foot) ||^2 with standard error.
+def projected_risk(data: CorruptedBatch,
+                   values: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo estimate of E || T - h(foot) ||^2 and its standard error.
 
     values holds h at the feet, one row per sample of data.
     """
     vals = _field_values(values, data)
     sq = np.sum((data.targets - vals) ** 2, axis=1)
-    n = sq.size
-    se = sq.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    return RiskEstimate(float(sq.mean()), float(se), int(n))
-
-
-# ---------------------------------------------------------------------------
-# variance-collapse sweep
-
-
-@dataclass(frozen=True)
-class VarianceSweepResult:
-    sigma: np.ndarray
-    raw_second_moment: np.ndarray
-    rb_second_moment: np.ndarray
-    raw_se: np.ndarray
-    rb_se: np.ndarray
-    discards: np.ndarray
-    slope: float
-    n: int
-    rb_subsample: int
-
-
-def _cell_seed(master: int, label: str, index: int) -> int:
-    return int(seed_sequence(master, label, index).generate_state(1)[0])
-
-
-def variance_sweep(q: DensityModel, sigma_grid: Sequence[float], n: int,
-                   seed: int, *, rb_subsample: int = RB_SUBSAMPLE) -> VarianceSweepResult:
-    """Second moments of the raw and conditioned targets across sigma.
-
-    The raw column uses all in-tube draws; the conditioned column evaluates
-    ``conditional_target`` at the first rb_subsample in-tube feet (off the
-    von Mises-Fisher table, each foot is a quadrature of its own, and the
-    subsample's Monte Carlo error is tiny next to the 15 percent tolerance
-    the flatness check uses).  The result's rb_subsample is the fewest feet
-    any row used.
-    """
-    sigmas = np.asarray(list(sigma_grid), dtype=float)
-    if len(set(sigmas.tolist())) < 2:
-        raise ConfigError("sigma grid needs at least two distinct points")
-    raw_m, rb_m, raw_se, rb_se, disc = [], [], [], [], []
-    used = rb_subsample
-    for i, sig in enumerate(sigmas):
-        data = corrupt(q, float(sig), n, _cell_seed(seed, "sweep.variance", i))
-        sq = np.sum(data.targets ** 2, axis=1)
-        raw_m.append(sq.mean())
-        raw_se.append(sq.std(ddof=1) / np.sqrt(sq.size))
-        feet = data.foot[:rb_subsample]
-        used = min(used, len(feet))
-        r = conditional_target(q, float(sig)).target_coords(feet)
-        rsq = np.sum(r ** 2, axis=1)
-        rb_m.append(rsq.mean())
-        rb_se.append(rsq.std(ddof=1) / np.sqrt(rsq.size))
-        disc.append(data.n_outside)
-    slope = float(np.polyfit(np.log(sigmas), np.log(raw_m), 1)[0])
-    return VarianceSweepResult(
-        sigmas, np.array(raw_m), np.array(rb_m), np.array(raw_se),
-        np.array(rb_se), np.array(disc, dtype=int), slope, n, used)
+    se = sq.std(ddof=1) / np.sqrt(sq.size) if sq.size > 1 else 0.0
+    return float(sq.mean()), float(se)
 
 
 # ---------------------------------------------------------------------------
 # finite-sample bandwidth sweeps
+
+
+def _cell_seed(master: int, label: str, index: int) -> int:
+    return int(seed_sequence(master, label, index).generate_state(1)[0])
 
 
 def probe_points(q: DensityModel, seed: int, n_probes: int = 8,
@@ -294,21 +219,8 @@ def binned_means(labels_cal, values_cal, labels) -> np.ndarray:
     return means[at[labels_cal.size:]]
 
 
-@dataclass(frozen=True)
-class CoarseningResult:
-    """Three-term split of E||T - h||^2 plus the paired residual."""
-
-    fiber_term: float
-    coarsening_term: float
-    approx_term: float
-    total: float
-    gap_mean: float
-    gap_se: float
-    n: int
-
-
 def coarsening_check(data: CorruptedBatch, r: np.ndarray, eta_s: np.ndarray,
-                     h: np.ndarray | None = None) -> CoarseningResult:
+                     h: np.ndarray | None = None) -> dict:
     """The risk split E||T - h||^2 = E||T - r||^2 + E||r - eta_S||^2
     + E||eta_S - h||^2 for a coarsening S of the foot.
 
@@ -320,6 +232,10 @@ def coarsening_check(data: CorruptedBatch, r: np.ndarray, eta_s: np.ndarray,
     pairing keeps its standard error far below the sizes of the terms.  The
     identity coarsening, eta_s = r, makes the coarsening term exactly zero
     and leaves the Pythagorean identity risk(h) = risk(r) + E||r - h||^2.
+    Returns the mean of each term and of their total (``fiber_term``,
+    ``coarsening_term``, ``approx_term``, ``total``), and the residual's
+    mean, standard error and their ratio (``gap_mean``, ``gap_se``,
+    ``gap_over_se``).
     """
     r = _field_values(r, data)
     eta_s = _field_values(eta_s, data)
@@ -330,8 +246,10 @@ def coarsening_check(data: CorruptedBatch, r: np.ndarray, eta_s: np.ndarray,
     cterm = np.sum((eta_s - h) ** 2, axis=1)
     tot = np.sum((t - h) ** 2, axis=1)
     gap = tot - a - b - cterm
-    n = gap.size
-    return CoarseningResult(
-        float(a.mean()), float(b.mean()), float(cterm.mean()),
-        float(tot.mean()), float(gap.mean()),
-        float(gap.std(ddof=1) / np.sqrt(n)), n)
+    gap_mean = float(gap.mean())
+    gap_se = float(gap.std(ddof=1) / np.sqrt(gap.size))
+    return {"fiber_term": float(a.mean()), "coarsening_term": float(b.mean()),
+            "approx_term": float(cterm.mean()), "total": float(tot.mean()),
+            "gap_mean": gap_mean, "gap_se": gap_se,
+            # h = r = eta_s makes every residual exactly zero, and so gap_se
+            "gap_over_se": abs(gap_mean) / gap_se if gap_mean else 0.0}

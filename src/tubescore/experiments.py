@@ -17,7 +17,7 @@ from .densities import (
 )
 from .errors import ConfigError
 from .estimators import (
-    RB_SUBSAMPLE,
+    _cell_seed,
     _linear_quantiles,
     bandwidth_mse,
     binned_means,
@@ -27,7 +27,6 @@ from .estimators import (
     optimal_bandwidth,
     probe_points,
     projected_risk,
-    variance_sweep,
 )
 from .geometry import AffinePlane, FlatTorus, Sphere
 from .langevin import (
@@ -44,8 +43,9 @@ from .oracle import (
     predicted_expansion,
 )
 from .rng import derive_rng
-from .targets import corrupt, flat_reduction_residuals
+from .targets import CorruptedBatch, corrupt, flat_reduction_residuals
 
+RB_SUBSAMPLE = 20_000
 GEOMETRY_SUITE = (
     ("sphere1", lambda: Sphere(1)),
     ("sphere2", lambda: Sphere(2)),
@@ -84,19 +84,20 @@ def run_geometry_check(seed: int = 0, n_points: int = 100) -> dict:
     }
 
 
-def flat_test_fields(plane: AffinePlane, tau: float, sigma: float):
-    """Five ambient test fields covering the shapes the reduction must hit:
-    zero, the Bayes-optimal field, and three generic nonlinearities."""
-    return [
-        ("zero", lambda p: np.zeros_like(p)),
-        ("bayes", lambda p: plane.embed_tangent(
-            -plane.chart(p) / (tau**2 + sigma**2))),
-        ("sinusoid", lambda p: np.sin(p)),
-        ("affine", lambda p: 2.0 * p + 1.0),
-        ("mixed", lambda p: np.stack(
-            [p[:, 1], -p[:, 0]]
-            + [p[:, j] ** 2 for j in range(2, p.shape[1])], axis=-1)),
-    ]
+def flat_test_fields(batch: CorruptedBatch, tau: float):
+    """Five ambient test fields at the feet of a plane batch, covering the
+    shapes the reduction must hit: zero, the Bayes-optimal field, and three
+    generic nonlinearities.  Yields (name, values) one field at a time, so
+    only one field's (n, D) values are held at once."""
+    plane, p = batch.manifold, batch.foot
+    yield "zero", np.zeros_like(p)
+    yield "bayes", plane.embed_tangent(
+        -plane.chart(p) / (tau**2 + batch.sigma**2))
+    yield "sinusoid", np.sin(p)
+    yield "affine", 2.0 * p + 1.0
+    yield "mixed", np.stack([p[:, 1], -p[:, 0]]
+                            + [p[:, j] ** 2 for j in range(2, p.shape[1])],
+                            axis=-1)
 
 
 def run_flat_check(d: int = 2, ambient: int = 4, tau: float = 1.0,
@@ -109,8 +110,8 @@ def run_flat_check(d: int = 2, ambient: int = 4, tau: float = 1.0,
 
     worst = 0.0
     per_field = []
-    for name, h in flat_test_fields(plane, tau, sigma):
-        lhs, rhs = flat_reduction_residuals(batch, h)
+    for name, values in flat_test_fields(batch, tau):
+        lhs, rhs = flat_reduction_residuals(batch, values)
         rel = float(np.max(np.abs(lhs - rhs) / (1.0 + lhs)))
         per_field.append({"field": name, "max_rel_residual": rel})
         worst = max(worst, rel)
@@ -130,8 +131,8 @@ def run_flat_check(d: int = 2, ambient: int = 4, tau: float = 1.0,
     rems = []
     for sig in sigs:
         r = conditional_target(q, float(sig)).target_coords(z)
-        ex = predicted_expansion(z, q, float(sig))
-        rems.append(float(np.linalg.norm(r[0] - ex.predicted[0])))
+        predicted = predicted_expansion(z, q, float(sig))
+        rems.append(float(np.linalg.norm(r[0] - predicted[0])))
     slope = float(np.polyfit(np.log(sigs), np.log(rems), 1)[0])
 
     return {
@@ -157,31 +158,49 @@ def run_variance_collapse(q: DensityModel, sigma_grid, n: int, seed: int,
                           rb_subsample: int = RB_SUBSAMPLE) -> dict:
     """Raw vs conditioned second moments across sigma, with the -2 slope.
 
-    The conditioned column is compared with E||grad log q||^2, so a density
-    whose score vanishes is refused before anything is drawn."""
+    The raw column uses all in-tube draws; the conditioned column evaluates
+    ``conditional_target`` at the first rb_subsample in-tube feet (off the
+    von Mises-Fisher table, each foot is a quadrature of its own, and the
+    subsample's Monte Carlo error is tiny next to the 15 percent tolerance
+    the flatness check uses).  The payload's rb_subsample is the fewest feet
+    any row used.  The conditioned column is compared with E||grad log q||^2,
+    so a density whose score vanishes is refused before anything is drawn.
+    """
     ssm = float(q.score_second_moment())
     if ssm == 0.0:
         raise ConfigError("the score of this density vanishes, so "
                           "max_rb_deviation is undefined; use kappa > 0")
-    res = variance_sweep(q, sigma_grid, n, seed, rb_subsample=rb_subsample)
-    d = q.manifold.intrinsic_dim
-    i0 = int(np.argmin(res.sigma))
-    table = {"sigma": res.sigma, "raw_second_moment": res.raw_second_moment,
-             "rb_second_moment": res.rb_second_moment, "raw_se": res.raw_se,
-             "rb_se": res.rb_se, "discards": res.discards}
+    sigmas = [float(s) for s in sigma_grid]
+    if len(set(sigmas)) < 2:
+        raise ConfigError("sigma grid needs at least two distinct points")
+    rows = []
+    used = rb_subsample
+    for i, sig in enumerate(sigmas):
+        data = corrupt(q, sig, n, _cell_seed(seed, "sweep.variance", i))
+        sq = np.sum(data.targets ** 2, axis=1)
+        feet = data.foot[:rb_subsample]
+        used = min(used, len(feet))
+        rsq = np.sum(conditional_target(q, sig).target_coords(feet) ** 2,
+                     axis=1)
+        rows.append({"sigma": sig, "raw_second_moment": float(sq.mean()),
+                     "rb_second_moment": float(rsq.mean()),
+                     "raw_se": float(sq.std(ddof=1) / np.sqrt(sq.size)),
+                     "rb_se": float(rsq.std(ddof=1) / np.sqrt(rsq.size)),
+                     "discards": data.n_outside})
+    sigma, raw, rb = (np.array([row[key] for row in rows]) for key in
+                      ("sigma", "raw_second_moment", "rb_second_moment"))
+    i0 = int(np.argmin(sigma))
     return {
-        "rows": [dict(zip(table, row))
-                 for row in zip(*(col.tolist() for col in table.values()))],
-        "slope": float(res.slope),
-        "n": int(res.n),
-        "rb_subsample": int(res.rb_subsample),
+        "rows": rows,
+        "slope": float(np.polyfit(np.log(sigma), np.log(raw), 1)[0]),
+        "n": n,
+        "rb_subsample": used,
         "seed": seed,
-        "smallest_sigma": float(res.sigma[i0]),
+        "smallest_sigma": sigmas[i0],
         "smallest_sigma_ratio": float(
-            res.raw_second_moment[i0] * res.sigma[i0] ** 2 / d),
+            raw[i0] * sigma[i0] ** 2 / q.manifold.intrinsic_dim),
         "score_second_moment": ssm,
-        "max_rb_deviation": float(
-            np.abs(res.rb_second_moment - ssm).max() / ssm),
+        "max_rb_deviation": float(np.abs(rb - ssm).max() / ssm),
     }
 
 
@@ -222,12 +241,8 @@ def run_extrinsic_coef(models, sigmas) -> dict:
         z = default_extrinsic_probe(q)
         for sig in sigmas:
             fit = extract_extrinsic_coefficient(z, q, float(sig))
-            rows.append({
-                "manifold": name, "sigma": float(sig),
-                "alpha_hat": float(fit.alpha[0]),
-                "alpha_pred": float(fit.alpha_pred[0]),
-                "orth_residual": float(fit.orthogonal[0]),
-            })
+            rows.append({"manifold": name, "sigma": float(sig),
+                         **{key: float(col[0]) for key, col in fit.items()}})
     return {"rows": rows, "sigmas": [float(s) for s in sigmas]}
 
 
@@ -303,33 +318,26 @@ def run_pythagorean(kappa: float = 2.0, sigma: float = 0.1, n: int = 100_000,
                              r_calib, np.searchsorted(edges, data.foot[:, 0])),
     }
 
-    def gap(res):
-        return {"gap_mean": float(res.gap_mean), "gap_se": float(res.gap_se),
-                "gap_over_se": float(abs(res.gap_mean) / res.gap_se)}
-
-    splits = {name: coarsening_check(data, r_data, eta_s)
-              for name, eta_s in conditional_means.items()}
-    coarsenings = {name: {"fiber_term": float(res.fiber_term),
-                          "coarsening_term": float(res.coarsening_term),
-                          "approx_term": float(res.approx_term),
-                          "total": float(res.total), **gap(res)}
-                   for name, res in splits.items()}
+    coarsenings = {name: coarsening_check(data, r_data, eta_s)
+                   for name, eta_s in conditional_means.items()}
 
     # the identity coarsening at a field h: risk(h) = risk(r) + E||r - h||^2;
     # at h = 0 it is the identity split above
     twice_score = coarsening_check(data, r_data, r_data,
                                    2.0 * q.score_batch(data.foot))
-    gaps = {"zero": gap(splits["identity"]), "twice_score": gap(twice_score)}
+    gaps = {name: {key: split[key]
+                   for key in ("gap_mean", "gap_se", "gap_over_se")}
+            for name, split in (("zero", coarsenings["identity"]),
+                                ("twice_score", twice_score))}
 
-    rb_risk = projected_risk(data, r_data)
+    rb_risk, rb_risk_se = projected_risk(data, r_data)
     return {
         "sigma": sigma, "n": n, "seed": seed,
         "coarsenings": coarsenings,
         "pythagorean": gaps,
-        "rb_risk": float(rb_risk.mean),
-        "rb_risk_se": float(rb_risk.se),
-        "rb_risk_sigma2_over_d": float(
-            rb_risk.mean * sigma**2 / q.manifold.intrinsic_dim),
+        "rb_risk": rb_risk,
+        "rb_risk_se": rb_risk_se,
+        "rb_risk_sigma2_over_d": rb_risk * sigma**2 / q.manifold.intrinsic_dim,
     }
 
 
@@ -417,14 +425,8 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     q2 = sphere_vmf(2, kappa)
     samples = run_chains(q2, DriftSpec("intrinsic"), cfg, marginal_chains,
                          direction=q2.mu)
-    diag = marginal_diagnostic(samples, q2)
-    marginal = {
-        "n_kept": int(diag.n), "ks": float(diag.ks),
-        "mean_bias": float(diag.mean_bias),
-        "mean_t": float(diag.mean_t),
-        "target_mean": float(diag.target_mean),
-        "n_chains": marginal_chains, "n_steps": marginal_steps,
-    }
+    marginal = {**marginal_diagnostic(samples, q2),
+                "n_chains": marginal_chains, "n_steps": marginal_steps}
 
     q3 = sphere_vmf(3, kappa)
     raw = DriftSpec("raw_ambient", sigma)
@@ -462,7 +464,7 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     scaled = {
         "scale": scale,
         "two_sample_ks": float(two_sample_ks(a, b)),
-        "vs_analytic_ks": float(marginal_diagnostic(a, q_scaled).ks),
+        "vs_analytic_ks": marginal_diagnostic(a, q_scaled)["ks"],
         "n_each": int(a.size),
         "n_chains": scaled_chains, "n_steps": scaled_steps,
     }

@@ -409,15 +409,6 @@ def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(fa - fb).max())
 
 
-@dataclass(frozen=True)
-class MarginalDiagnostic:
-    ks: float
-    mean_bias: float
-    mean_t: float
-    target_mean: float
-    n: int
-
-
 def _t_marginal_of(q: DensityModel) -> SphereTMarginal:
     M = q.manifold
     if not isinstance(M, Sphere):
@@ -429,14 +420,17 @@ def _t_marginal_of(q: DensityModel) -> SphereTMarginal:
     raise UnsupportedManifold(f"no analytic t-marginal for {type(q).__name__}")
 
 
-def marginal_diagnostic(t: np.ndarray, q: DensityModel) -> MarginalDiagnostic:
+def marginal_diagnostic(t: np.ndarray, q: DensityModel) -> dict:
     """Compare chain output t = mu . z against the analytic marginal of t.
 
     t holds projections of samples onto the mean axis mu (any unit axis
     for the uniform law), in any shape, such as the (chains, kept) result
     of ``run_chains(direction=mu)``; chains are pooled.  The reference law
     is the colatitude marginal of the density itself, so this measures
-    equilibrium error of the sampler, discretization included.
+    equilibrium error of the sampler, discretization included.  Returns the
+    pooled sample count ``n_kept``, the KS distance ``ks``, the sample mean
+    ``mean_t``, the marginal's mean ``target_mean`` and their difference
+    ``mean_bias``.
     """
     t = np.asarray(t, dtype=float).ravel()
     if t.size == 0:
@@ -444,7 +438,7 @@ def marginal_diagnostic(t: np.ndarray, q: DensityModel) -> MarginalDiagnostic:
     marg = _t_marginal_of(q)
     ks = ks_distance(t, marg.cdf)
     mean_t = float(t.mean())
-    target = marg.mean()
-    return MarginalDiagnostic(ks, mean_t - target, mean_t, float(target),
-                              t.size)
+    target = float(marg.mean())
+    return {"n_kept": t.size, "ks": ks, "mean_bias": mean_t - target,
+            "mean_t": mean_t, "target_mean": target}
 

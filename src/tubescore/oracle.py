@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -473,52 +472,31 @@ def conditional_target(q: DensityModel, sigma: float) -> ZonalTarget | RBOracle:
 # sigma^2 expansion, on coordinate rows
 
 
-@dataclass(frozen=True)
-class ExpansionTerms:
-    """Closed-form pieces of the small-sigma expansion of the target, as
-    ambient tangent rows, one per query row."""
-
-    score: np.ndarray
-    tweedie: np.ndarray
-    extrinsic: np.ndarray
-    predicted: np.ndarray
-    sigma: float
-
-
 def extrinsic_term(z: np.ndarray, q: DensityModel) -> np.ndarray:
     """Curvature correction (W_H/2 - Ric) applied to the score at rows z."""
     return q.manifold.curvature_bundle(z).apply_extrinsic(q.score_batch(z))
 
 
-def predicted_expansion(z: np.ndarray, q: DensityModel, sigma: float) -> ExpansionTerms:
-    score = q.score_batch(z)
-    tweedie = q.tweedie_batch(z)
-    extrinsic = extrinsic_term(z, q)
-    return ExpansionTerms(score=score, tweedie=tweedie, extrinsic=extrinsic,
-                          predicted=score + sigma**2 * (tweedie + extrinsic),
-                          sigma=float(sigma))
-
-
-class ExtrinsicFit(NamedTuple):
-    """Fitted and predicted curvature coefficients plus the off-axis
-    remainders, one per query row."""
-
-    alpha: np.ndarray
-    alpha_pred: np.ndarray
-    orthogonal: np.ndarray
-    sigma: float
+def predicted_expansion(z: np.ndarray, q: DensityModel,
+                        sigma: float) -> np.ndarray:
+    """The small-sigma prediction score + sigma^2 (tweedie + extrinsic) of
+    the target, as ambient tangent rows, one per row of z."""
+    return q.score_batch(z) + sigma**2 * (q.tweedie_batch(z)
+                                          + extrinsic_term(z, q))
 
 
 def extract_extrinsic_coefficient(z: np.ndarray, q: DensityModel,
-                                  sigma: float) -> ExtrinsicFit:
+                                  sigma: float) -> dict:
     """Project (target - score - sigma^2 tweedie) / sigma^2 onto the score.
 
     The scalar part recovers the dimensionless curvature coefficient on
     geometries where the extrinsic operator is a multiple of the identity;
     elsewhere the orthogonal remainder (same normalization) is diagnostic.
-    ``alpha_pred`` is the score-aligned part of the extrinsic term, the
-    coefficient the operator predicts.  Raises DegenerateScore when any
-    row's score vanishes.
+    Returns per-row arrays: the fitted coefficient ``alpha_hat``,
+    ``alpha_pred``, the score-aligned part of the extrinsic term (the
+    coefficient the operator predicts), and the remainder's norm
+    ``orth_residual``.  Raises DegenerateScore when any row's score
+    vanishes.
     """
     sigma = check_sigma(sigma)
     s = q.score_batch(z)
@@ -531,11 +509,9 @@ def extract_extrinsic_coefficient(z: np.ndarray, q: DensityModel,
     resid = r - s - sigma**2 * q.tweedie_batch(z)
     along = row_dots(resid, s)
     orth = resid - (along / s_norm_sq)[:, None] * s
-    return ExtrinsicFit(
-        alpha=along / (sigma**2 * s_norm_sq),
-        alpha_pred=row_dots(extrinsic_term(z, q), s) / s_norm_sq,
-        orthogonal=row_norms(orth) / (sigma**2 * np.sqrt(s_norm_sq)),
-        sigma=sigma)
+    return {"alpha_hat": along / (sigma**2 * s_norm_sq),
+            "alpha_pred": row_dots(extrinsic_term(z, q), s) / s_norm_sq,
+            "orth_residual": row_norms(orth) / (sigma**2 * np.sqrt(s_norm_sq))}
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ whose noise stayed in it and counts the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .densities import DensityModel
@@ -94,29 +92,27 @@ def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
 
 
 # ---------------------------------------------------------------------------
-# flat-case ambient field and its exact reduction
+# the exact flat reduction
 
 
-def flat_ambient_field(plane: AffinePlane, h: Callable[[np.ndarray], np.ndarray],
-                       x: np.ndarray, sigma: float) -> np.ndarray:
-    """g_h(x) = P h(P x) - Q x / sigma^2 at the (n, D) rows x of an affine
-    plane's ambient space.
-
-    P is the affine projection onto the plane, Q x its normal residual.
-    ``h`` maps rows of plane points (ambient coordinates) to ambient rows;
-    the tangential projector is applied to its output.
-    """
-    if not isinstance(plane, AffinePlane):
-        raise ManifoldMismatch("flat_ambient_field requires an affine plane")
-    x = np.asarray(x, dtype=float)
-    px, _, _ = plane.project_batch(x)
-    tang = plane.tangent_project_batch(px, np.asarray(h(px), dtype=float))
-    return tang - (x - px) / sigma**2
+def _field_values(values, data: CorruptedBatch) -> np.ndarray:
+    """Field values at the feet of data, one row per sample."""
+    vals = np.asarray(values, dtype=float)
+    foot = data.foot
+    if vals.shape != foot.shape:
+        raise ConfigError(
+            f"field values have shape {vals.shape}, expected {foot.shape}")
+    return vals
 
 
 def flat_reduction_residuals(batch: CorruptedBatch,
-                             h: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample squared norms of the ambient and reduced regression residuals.
+
+    values holds an ambient field h at the feet of a plane batch, one row per
+    sample.  With P the tangential projector and X_i - pi(X_i) the normal
+    part of the draw, the ambient field is g_h(X) = P h(pi(X)) - (X -
+    pi(X)) / sigma^2, and
 
     lhs_i = ||(Z_i - X_i)/sigma^2 - g_h(X_i)||^2,
     rhs_i = ||T_i - P h(pi(X_i))||^2.
@@ -127,9 +123,10 @@ def flat_reduction_residuals(batch: CorruptedBatch,
     plane = batch.manifold
     if not isinstance(plane, AffinePlane):
         raise ManifoldMismatch("flat reduction applies to affine planes only")
+    fitted = plane.tangent_project_batch(batch.foot,
+                                         _field_values(values, batch))
     y = (batch.latents - batch.noisy) / batch.sigma**2
-    g = flat_ambient_field(plane, h, batch.noisy, batch.sigma)
+    g = fitted - (batch.noisy - batch.foot) / batch.sigma**2
     lhs = np.sum((y - g) ** 2, axis=-1)
-    fitted = plane.tangent_project_batch(batch.foot, np.asarray(h(batch.foot), dtype=float))
     rhs = np.sum((batch.targets - fitted) ** 2, axis=-1)
     return lhs, rhs

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from tubescore import reporting
@@ -508,6 +509,32 @@ class TestMainFailure:
         assert record["error"] == "NonFiniteResult"
         assert record["message"] == "results.max_gauss_residual is nan"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("key,path", [
+        ("max_gauss_residual", "results.max_gauss_residual"),
+        ("rows", "results.rows.0.gauss_residual")])
+    @pytest.mark.parametrize("leaf", [np.float64(0.1), np.int64(3),
+                                      np.bool_(True)])
+    def test_numpy_scalar_result_exits_1(self, capsys, monkeypatch, fmt,
+                                         key, path, leaf):
+        # a numpy scalar would render as np.float64(0.1) in a CSV cell, or
+        # fail in json without naming its field
+        payload = {"rows": [{"manifold": "m", "gauss_residual": 0.0}],
+                   "max_gauss_residual": 0.0, "max_frame_residual": 0.0,
+                   "max_closed_form_residual": 0.0}
+        if key == "rows":
+            payload["rows"][0]["gauss_residual"] = leaf
+        else:
+            payload[key] = leaf
+        monkeypatch.setattr(cli, "run_geometry_check", lambda *a: payload)
+        code, out, err = run_cli(capsys, "geometry-check", "--n", "1",
+                                 "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "TypeError"
+        assert record["message"].startswith(f"{path} is a ")
+
     @pytest.mark.parametrize("exc", [RuntimeError("boom"),
                                      ValueError("numpy said no")])
     def test_other_exceptions_exit_1(self, capsys, monkeypatch, exc):
@@ -563,8 +590,6 @@ def test_benchmark_bound_names_resolve():
     # the one in README's Testing section.
     import importlib
     import inspect
-
-    import numpy as np
 
     from tubescore import densities, estimators, experiments, langevin
     from tubescore import oracle, targets

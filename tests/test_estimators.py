@@ -16,7 +16,6 @@ from tubescore.estimators import (
     optimal_bandwidth,
     probe_points,
     projected_risk,
-    variance_sweep,
     window_cap,
 )
 from tubescore.geometry import AffinePlane, Sphere
@@ -81,7 +80,9 @@ class TestDataset:
         assert len(ds) + ds.n_outside == 5000
         assert ds.n_outside > 0
         assert ds.foot.shape == ds.targets.shape == (len(ds), 3)
-        assert projected_risk(ds, ds.targets).n == len(ds)
+        # the risk averages over every in-tube row
+        mean, _ = projected_risk(ds, np.zeros_like(ds.foot))
+        assert mean == np.mean(np.sum(ds.targets ** 2, axis=1))
 
     def test_plane_never_discards(self):
         plane = AffinePlane.axis_aligned(2, 4)
@@ -192,7 +193,7 @@ class TestLocalAverage:
 class TestProjectedRisk:
     def test_exact_field_gives_zero(self, data):
         sub = take(data, slice(0, 50))
-        assert projected_risk(sub, sub.targets).mean == 0.0
+        assert projected_risk(sub, sub.targets)[0] == 0.0
 
     def test_flat_reduction_consistency(self):
         plane = AffinePlane.axis_aligned(2, 4)
@@ -203,10 +204,10 @@ class TestProjectedRisk:
 
         def tweedie(foot):
             return q.score_batch(foot) * (tau**2 / (tau**2 + sigma**2))
-        lhs, rhs = flat_reduction_residuals(batch, lambda x: tweedie(x))
-        risk = projected_risk(batch, tweedie(batch.foot))
-        assert risk.mean == pytest.approx(lhs.mean(), rel=1e-12)
-        assert risk.mean == pytest.approx(rhs.mean(), rel=1e-12)
+        lhs, rhs = flat_reduction_residuals(batch, tweedie(batch.foot))
+        risk, _ = projected_risk(batch, tweedie(batch.foot))
+        assert risk == pytest.approx(lhs.mean(), rel=1e-12)
+        assert risk == pytest.approx(rhs.mean(), rel=1e-12)
 
     def test_field_shape_validated(self, data):
         with pytest.raises(ConfigError):
@@ -215,7 +216,7 @@ class TestProjectedRisk:
     def test_pythagorean_within_se(self, data, r_data):
         for h in (np.zeros_like(data.foot), score_values(data, 2.0)):
             gap = coarsening_check(data, r_data, r_data, h)
-            assert abs(gap.gap_mean) <= 3.0 * gap.gap_se
+            assert abs(gap["gap_mean"]) <= 3.0 * gap["gap_se"]
 
     @pytest.mark.parametrize("field", ["zero", "twice_score"])
     def test_identity_split_is_the_paired_gap(self, data, r_data, field):
@@ -228,55 +229,34 @@ class TestProjectedRisk:
              - np.sum((data.targets - r_data) ** 2, axis=1)
              - np.sum((r_data - h) ** 2, axis=1))
         res = coarsening_check(data, r_data, r_data, h)
-        assert res.coarsening_term == 0.0
-        assert res.gap_mean == float(p.mean())
-        assert res.gap_se == float(p.std(ddof=1) / np.sqrt(p.size))
+        assert res["coarsening_term"] == 0.0
+        assert res["gap_mean"] == float(p.mean())
+        assert res["gap_se"] == float(p.std(ddof=1) / np.sqrt(p.size))
         if field == "zero":
             assert coarsening_check(data, r_data, r_data) == res
 
     def test_gap_matches_risk_bookkeeping(self, data, r_data):
         h_vals = score_values(data, 2.0)
         gap = coarsening_check(data, r_data, r_data, h_vals)
-        risk_h = projected_risk(data, h_vals).mean
-        risk_r = projected_risk(data, r_data).mean
+        risk_h, _ = projected_risk(data, h_vals)
+        risk_r, _ = projected_risk(data, r_data)
         cross = np.mean(np.sum((r_data - h_vals) ** 2, axis=1))
-        assert gap.gap_mean == pytest.approx(risk_h - risk_r - cross, abs=1e-9)
+        assert gap["gap_mean"] == pytest.approx(risk_h - risk_r - cross, abs=1e-9)
 
     def test_rb_minimality(self, data, r_data):
-        rb = projected_risk(data, r_data)
+        rb, rb_se = projected_risk(data, r_data)
         for h in (np.zeros_like(data.foot), score_values(data),
                   score_values(data, 2.0)):
-            other = projected_risk(data, h)
-            tol = 3.0 * np.hypot(rb.se, other.se)
-            assert rb.mean <= other.mean + tol
+            other, other_se = projected_risk(data, h)
+            tol = 3.0 * np.hypot(rb_se, other_se)
+            assert rb <= other + tol
 
     def test_bayes_floor(self, vmf2):
         sigma = 0.05
         ds = corrupt(vmf2, sigma, 20_000, 23)
-        rb = projected_risk(ds, RBOracle(vmf2, sigma).target_coords(ds.foot))
-        assert 0.9 <= rb.mean * sigma**2 / 2.0 <= 1.1
-
-
-class TestVarianceSweep:
-    def test_slope_and_columns(self, vmf2):
-        res = variance_sweep(vmf2, [0.05, 0.1, 0.2], 5000, 3,
-                             rb_subsample=500)
-        assert -2.2 <= res.slope <= -1.8
-        assert res.raw_second_moment.shape == (3,)
-        # conditioned column stays order-1 while the raw one blows up
-        assert res.rb_second_moment.max() < 3.0
-        assert res.raw_second_moment[0] > 100.0
-        assert np.all(res.discards >= 0)
-
-    def test_deterministic(self, vmf2):
-        a = variance_sweep(vmf2, [0.1, 0.2], 2000, 9, rb_subsample=200)
-        b = variance_sweep(vmf2, [0.1, 0.2], 2000, 9, rb_subsample=200)
-        assert np.array_equal(a.raw_second_moment, b.raw_second_moment)
-        assert np.array_equal(a.rb_second_moment, b.rb_second_moment)
-
-    def test_needs_two_sigmas(self, vmf2):
-        with pytest.raises(ConfigError):
-            variance_sweep(vmf2, [0.1], 100, 0)
+        r = RBOracle(vmf2, sigma).target_coords(ds.foot)
+        rb, _ = projected_risk(ds, r)
+        assert 0.9 <= rb * sigma**2 / 2.0 <= 1.1
 
 
 class TestMSESweep:
@@ -400,14 +380,23 @@ class TestCoarsening:
 
     def test_identity_coarsening(self, data, r_data):
         res = coarsening_check(data, r_data, r_data)
-        assert res.coarsening_term == 0.0
-        assert abs(res.gap_mean) <= 3.0 * res.gap_se
+        assert res["coarsening_term"] == 0.0
+        assert abs(res["gap_mean"]) <= 3.0 * res["gap_se"]
+
+    def test_conditioned_target_as_the_field(self, data, r_data):
+        # h = r: every term but the fiber term and every residual is exactly
+        # zero, so the gap is zero standard errors
+        res = coarsening_check(data, r_data, r_data, r_data)
+        assert res["total"] == res["fiber_term"]
+        assert res["coarsening_term"] == res["approx_term"] == 0.0
+        assert res["gap_mean"] == res["gap_se"] == res["gap_over_se"] == 0.0
+        assert all(type(v) is float for v in res.values())
 
     def test_constant_coarsening(self, data, r_data, r_calib):
         eta_s = np.broadcast_to(r_calib.mean(axis=0), r_data.shape)
         res = coarsening_check(data, r_data, eta_s)
-        assert res.coarsening_term > 0.0
-        assert abs(res.gap_mean) <= 3.0 * res.gap_se
+        assert res["coarsening_term"] > 0.0
+        assert abs(res["gap_mean"]) <= 3.0 * res["gap_se"]
 
     def test_binned_coarsening(self, data, r_data, calib, r_calib):
         edges = equal_mass_bins(calib.foot[:, 0], 8)
@@ -417,19 +406,19 @@ class TestCoarsening:
 
         eta_s = binned_means(labels(calib), r_calib, labels(data))
         res = coarsening_check(data, r_data, eta_s)
-        assert abs(res.gap_mean) <= 3.0 * res.gap_se
+        assert abs(res["gap_mean"]) <= 3.0 * res["gap_se"]
         # three terms plus the paired residual reproduce the total exactly
-        assert res.total == pytest.approx(
-            res.fiber_term + res.coarsening_term + res.approx_term
-            + res.gap_mean, abs=1e-9)
+        assert res["total"] == pytest.approx(
+            res["fiber_term"] + res["coarsening_term"] + res["approx_term"]
+            + res["gap_mean"], abs=1e-9)
         # an S-measurable h: one fixed vector per bin label
         levels = np.linspace(-2.0, 2.0, 8)[:, None] * MU
         res = coarsening_check(data, r_data, eta_s, levels[labels(data)])
-        assert res.approx_term > 0.0
-        assert abs(res.gap_mean) <= 3.0 * res.gap_se
-        assert res.total == pytest.approx(
-            res.fiber_term + res.coarsening_term + res.approx_term
-            + res.gap_mean, abs=1e-9)
+        assert res["approx_term"] > 0.0
+        assert abs(res["gap_mean"]) <= 3.0 * res["gap_se"]
+        assert res["total"] == pytest.approx(
+            res["fiber_term"] + res["coarsening_term"] + res["approx_term"]
+            + res["gap_mean"], abs=1e-9)
 
     def test_binned_means(self):
         labels_cal = np.array([0, 1, 0, 1, 3])

@@ -8,6 +8,7 @@ import pytest
 from tubescore import experiments as ex
 from tubescore import oracle as oracle_mod
 from tubescore.cli import STUDIES
+from tubescore.errors import ConfigError
 
 
 class TestGeometryDriver:
@@ -79,6 +80,38 @@ class TestVarianceDriver:
         a = ex.run_variance_collapse(q, [0.1, 0.2], 2000, 5)
         b = ex.run_variance_collapse(q, [0.1, 0.2], 2000, 5)
         assert a == b
+
+    def test_slope_and_columns(self):
+        q = ex.sphere_vmf(2, 2.0)
+        out = ex.run_variance_collapse(q, [0.05, 0.1, 0.2], 5000, 3,
+                                       rb_subsample=500)
+        assert -2.2 <= out["slope"] <= -1.8
+        assert len(out["rows"]) == 3
+        raw = [row["raw_second_moment"] for row in out["rows"]]
+        rb = [row["rb_second_moment"] for row in out["rows"]]
+        # conditioned column stays order-1 while the raw one blows up
+        assert max(rb) < 3.0
+        assert raw[0] > 100.0
+        assert all(row["discards"] >= 0 for row in out["rows"])
+
+    def test_deterministic_at_subsample(self):
+        q = ex.sphere_vmf(2, 2.0)
+        a = ex.run_variance_collapse(q, [0.1, 0.2], 2000, 9, rb_subsample=200)
+        b = ex.run_variance_collapse(q, [0.1, 0.2], 2000, 9, rb_subsample=200)
+        assert a["rows"] == b["rows"]
+        assert a["rb_subsample"] == 200
+
+    def test_needs_two_sigmas(self):
+        with pytest.raises(ConfigError, match="two distinct"):
+            ex.run_variance_collapse(ex.sphere_vmf(2, 2.0), [0.1], 100, 0)
+        with pytest.raises(ConfigError, match="two distinct"):
+            ex.run_variance_collapse(ex.sphere_vmf(2, 2.0), [0.1, 0.1], 100, 0)
+
+    def test_vanishing_score_refused_before_sigma_check(self):
+        # the zero score moment is checked first, then the sigma count
+        q = ex.sphere_vmf(2, 0.0)
+        with pytest.raises(ConfigError, match="score of this density"):
+            ex.run_variance_collapse(q, [0.1], 100, 0)
 
 
 class TestExtrinsicDriver:

@@ -188,22 +188,22 @@ class TestFlatReduction:
     def test_per_sample_identity_all_fields(self):
         b = flat_batch()
         for h in field_suite():
-            lhs, rhs = tg.flat_reduction_residuals(b, h)
+            lhs, rhs = tg.flat_reduction_residuals(b, h(b.foot))
             assert np.max(np.abs(lhs - rhs) / (1.0 + lhs)) <= 1e-12
 
     def test_scalar_variant_matches(self):
         # a single draw's residuals equal its row of the full batch
         b = flat_batch(n=20, seed=8)
         h = field_suite()[3]
-        lhs, rhs = tg.flat_reduction_residuals(b, h)
+        lhs, rhs = tg.flat_reduction_residuals(b, h(b.foot))
         one = one_draw(b.density, SIGMA, b.latents[4], b.noisy[4])
-        (l0,), (r0,) = tg.flat_reduction_residuals(one, h)
+        (l0,), (r0,) = tg.flat_reduction_residuals(one, h(one.foot))
         assert l0 == pytest.approx(lhs[4], rel=1e-12)
         assert r0 == pytest.approx(rhs[4], rel=1e-12)
 
     def test_zero_field_gives_projected_chord_norm(self):
         b = flat_batch(n=100, seed=9)
-        lhs, rhs = tg.flat_reduction_residuals(b, lambda p: np.zeros_like(p))
+        lhs, rhs = tg.flat_reduction_residuals(b, np.zeros_like(b.foot))
         expect = np.sum((b.latents - b.foot) ** 2, axis=1) / SIGMA**4
         assert np.allclose(lhs, expect, rtol=1e-12)
         assert np.allclose(rhs, expect, rtol=1e-12)
@@ -211,6 +211,8 @@ class TestFlatReduction:
     def test_optimal_field_is_ambient_score(self):
         # h*(t) = -t/(tau^2+sigma^2) makes g_h the exact ambient score of the
         # corrupted marginal; check against a finite-difference gradient.
+        # A draw at x whose latent is x + sigma^2 fd has the ambient
+        # residual fd - g_h(x), so lhs is ||fd - g_h(x)||^2.
         def log_p(x):
             c = PLANE.chart(x[None])[0]
             nrm = x - PLANE.embed(c[None])[0]
@@ -220,29 +222,38 @@ class TestFlatReduction:
                     - math.log(2 * math.pi * SIGMA**2))
 
         hstar = lambda p: -PLANE.chart(p) @ PLANE.frame / (TAU**2 + SIGMA**2)
+        q = IsotropicGaussian(PLANE, [0.0, 0.0], TAU)
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.standard_normal(4)
-            g = tg.flat_ambient_field(PLANE, hstar, x[None], SIGMA)[0]
             fd = np.zeros(4)
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = 1e-6
                 fd[j] = (log_p(x + e) - log_p(x - e)) / 2e-6
-            assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
+            one = one_draw(q, SIGMA, x + SIGMA**2 * fd, x)
+            (lhs,), _ = tg.flat_reduction_residuals(one, hstar(one.foot))
+            assert math.sqrt(lhs) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
     def test_ambient_field_edge_cases(self):
-        zero = lambda p: np.zeros_like(p)
-        inplane = PLANE.embed(np.array([[0.7, -0.2]]))
-        assert np.allclose(tg.flat_ambient_field(PLANE, zero, inplane, 0.5), 0.0)
-        normal = np.array([[0.0, 0.0, 1.0, 0.0]])
-        out = tg.flat_ambient_field(PLANE, zero, normal, 0.5)
-        assert np.allclose(out, -normal / 0.25, atol=1e-14)
+        # the zero field's g_0 vanishes in the plane and is -x/sigma^2 at a
+        # normal x; a draw at x with latent x + sigma^2 g makes lhs zero
+        q = IsotropicGaussian(PLANE, [0.0, 0.0], TAU)
+        inplane = PLANE.embed(np.array([[0.7, -0.2]]))[0]
+        normal = np.array([0.0, 0.0, 1.0, 0.0])
+        for x, g in ((inplane, np.zeros(4)), (normal, -normal / 0.25)):
+            one = one_draw(q, 0.5, x + 0.25 * g, x)
+            (lhs,), _ = tg.flat_reduction_residuals(one, np.zeros((1, 4)))
+            assert math.sqrt(lhs) <= 1e-14
+
+    def test_field_shape_validated(self):
+        # one row of values would broadcast over every draw
+        b = flat_batch(n=10, seed=2)
+        with pytest.raises(ConfigError, match="field values have shape"):
+            tg.flat_reduction_residuals(b, np.zeros(4))
 
     def test_rejects_non_plane(self):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         b = tg.corrupt(q, 0.1, 10, seed=2)
         with pytest.raises(ManifoldMismatch):
-            tg.flat_reduction_residuals(b, lambda p: np.zeros_like(p))
-        with pytest.raises(ManifoldMismatch):
-            tg.flat_ambient_field(Sphere(2), lambda p: p, np.ones((1, 3)), 0.1)
+            tg.flat_reduction_residuals(b, np.zeros_like(b.foot))
