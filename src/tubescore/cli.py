@@ -27,7 +27,6 @@ from .densities import IsotropicGaussian, ProductVonMises
 from .errors import (
     ConfigError,
     ManifoldMismatch,
-    NonFiniteResult,
     TubescoreError,
     UnsupportedManifold,
 )
@@ -51,6 +50,7 @@ from .reporting import (
     flatten_scalars,
     format_csv,
     format_json,
+    require_finite,
     write_text,
 )
 
@@ -374,25 +374,9 @@ STUDIES = {
 # rendering and the entry point
 
 
-def _require_finite(value, path: str) -> None:
-    """Refuse a NaN or infinity, and any leaf that is not exactly a bool,
-    int, float, str or None (a numpy scalar renders differently)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{path}.{key}")
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _require_finite(item, f"{path}.{i}")
-    elif type(value) not in (bool, int, float, str, type(None)):
-        raise TypeError(f"{path} is a {type(value).__name__}, not a builtin "
-                        "scalar")
-    elif type(value) is float and not math.isfinite(value):
-        raise NonFiniteResult(f"{path} is {value}")
-
-
 def render(args, payload) -> str:
     """The artifact for one run; a NaN or infinity in the payload raises."""
-    _require_finite(payload, "results")
+    require_finite(payload, "results")
     config = {k: v for k, v in vars(args).items() if k != "out"}
     if args.format == "json":
         return format_json(payload, config)

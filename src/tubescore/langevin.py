@@ -213,12 +213,7 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     item = (M.ambient_dim,) if direction is None else ()  # one kept value
     shape = (len(specs), n_chains, config.kept_count(), *item)
     run = partial(_run_range, q, factors, config, direction)
-    ranges = _chain_ranges(n_chains)
-    if len(ranges) == 1:
-        out = np.empty(shape)
-        hits = [run(ranges[0], out)]
-    else:
-        out, hits = _run_split(run, ranges, shape)
+    out, hits = _run_split(run, _chain_ranges(n_chains), shape)
     hits = [h for h in hits if h is not None]
     if hits:
         step_idx, longest = min(hits, key=lambda h: (h[0], -h[1]))
@@ -229,17 +224,16 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
 
 def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
                direction: np.ndarray | None, chains: range, out: np.ndarray,
-               stops: np.ndarray | None = None,
-               slot: int = 0) -> tuple[int, float] | None:
+               stops: np.ndarray, slot: int) -> tuple[int, float] | None:
     """Step ``chains`` of every copy, writing kept iterate k of copy s and
     chain ``chains[j]`` to ``out[s, j, k]``.
 
     Returns None, or (iterate, longest step) at the first iterate whose
     longest step reaches the injectivity radius, where the range stops.
-    In a split run, ``stops`` holds one iterate per range (inf while it
-    runs): this range writes its failing iterate to ``stops[slot]``, and
-    at each noise block it returns None once it has stepped to the
-    smallest iterate in ``stops``, where its result can no longer matter.
+    ``stops`` holds one iterate per range of the run (inf while it runs):
+    this range writes its failing iterate to ``stops[slot]``, and at each
+    noise block it returns None once it has stepped to the smallest
+    iterate in ``stops``, where its result can no longer matter.
     """
     M = q.manifold
     n = len(chains)
@@ -264,7 +258,7 @@ def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
     k = 0
     step_idx = 0
     while step_idx < config.n_steps:
-        if stops is not None and step_idx >= stops.min():
+        if step_idx >= stops.min():
             return None
         block = min(NOISE_BLOCK, config.n_steps - step_idx)
         for c0 in range(0, n, len(fill)):
@@ -283,8 +277,7 @@ def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
                 norms = row_norms(v)
                 longest = norms.max()
                 if longest >= inj:
-                    if stops is not None:
-                        stops[slot] = step_idx
+                    stops[slot] = step_idx
                     return step_idx, float(longest)
             z = M.exp_batch(z, v, norms=norms)
             past = step_idx - config.burn_in

@@ -2,20 +2,40 @@
 
 Every rendered document embeds the resolved run configuration and the
 library version.  No timestamps or environment data are included, so the
-same configuration and seed produce byte-identical files.
+same configuration and seed produce byte-identical files.  Both renderers
+refuse a NaN or infinity, and any leaf that is not a builtin scalar, and
+name its path.
 """
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteResult
 
 LIBRARY = "tubescore"
 
 
-def _cell(value) -> str:
+def require_finite(value, path: str) -> None:
+    """Refuse a NaN or infinity, and any leaf that is not exactly a bool,
+    int, float, str or None (a numpy scalar renders differently)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            require_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            require_finite(item, f"{path}.{i}")
+    elif type(value) not in (bool, int, float, str, type(None)):
+        raise TypeError(f"{path} is a {type(value).__name__}, not a builtin "
+                        "scalar")
+    elif type(value) is float and not math.isfinite(value):
+        raise NonFiniteResult(f"{path} is {value}")
+
+
+def _cell(value, path: str) -> str:
+    require_finite(value, path)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -44,17 +64,22 @@ def header_lines(config: dict, extras: dict | None = None) -> list[str]:
 
 def format_csv(columns, rows, config: dict,
                extras: dict | None = None) -> str:
+    require_finite(config, "config")
+    require_finite(extras, "extras")
     out = header_lines(config, extras)
     out.append(",".join(str(c) for c in columns))
-    for row in rows:
+    for i, row in enumerate(rows):
         if len(row) != len(columns):
             raise ConfigError(
                 f"row has {len(row)} cells, expected {len(columns)}")
-        out.append(",".join(_cell(v) for v in row))
+        out.append(",".join(_cell(v, f"rows.{i}.{c}")
+                            for c, v in zip(columns, row)))
     return "\n".join(out) + "\n"
 
 
 def format_json(payload, config: dict) -> str:
+    require_finite(payload, "results")
+    require_finite(config, "config")
     doc = {
         "library": {"name": LIBRARY, "version": __version__},
         "config": config,

@@ -24,7 +24,7 @@ from tubescore.densities import (
     ProductVonMises,
     VonMisesFisher,
 )
-from tubescore.errors import ConfigError
+from tubescore.errors import ConfigError, NonFiniteResult
 from tubescore.geometry import AffinePlane, FlatTorus, Sphere
 
 
@@ -242,6 +242,27 @@ class TestReporting:
         assert parsed["library"]["name"] == "tubescore"
         assert parsed["config"] == {"seed": 0}
 
+    @pytest.mark.parametrize("render,error,message", [
+        (lambda: reporting.format_csv(["a"], [[np.float64(0.1)]], {}),
+         TypeError, "rows.0.a is a float64"),
+        (lambda: reporting.format_csv(["a"], [[1.0]], {}, {"s": math.inf}),
+         NonFiniteResult, "extras.s is inf"),
+        (lambda: reporting.format_csv(["a"], [[1.0]], {"k": np.int64(2)}),
+         TypeError, "config.k is a int64"),
+        (lambda: reporting.format_json({"x": np.int64(3)}, {}),
+         TypeError, "results.x is a int64"),
+        (lambda: reporting.format_json({"x": float("nan")}, {}),
+         NonFiniteResult, "results.x is nan"),
+        (lambda: reporting.format_json({}, {"k": np.bool_(True)}),
+         TypeError, "config.k is a bool"),
+    ])
+    def test_leaves_refused_with_their_path(self, render, error, message):
+        # the renderers themselves refuse what cli.render's walk refuses,
+        # so a library caller cannot write np.float64(0.1) or NaN
+        with pytest.raises(error) as info:
+            render()
+        assert str(info.value).startswith(message)
+
     def test_write_creates_parents(self, tmp_path):
         target = tmp_path / "deep" / "dir" / "out.json"
         reporting.write_text("hello", str(target))
@@ -327,6 +348,15 @@ class TestMainSuccess:
         discards = [int(l.split(",")[-1]) for l in lines[1:]]
         assert discards == [7, 150]
         assert "# rb_subsample: 1850" in out.split("\n")
+
+    def test_torus_variance_above_sphere_kappa_cap(self, capsys):
+        # the torus's circle law has no t-marginal table, so no 1e4 cap
+        code, out, err = run_cli(capsys, "variance-collapse", "--manifold",
+                                 "torus", "--kappa", "2e4", "--sigma",
+                                 "0.05,0.1", "--n", "2000", "--rb-subsample",
+                                 "20")
+        assert code == 0 and err == ""
+        assert "# score_second_moment: " in out
 
     def test_extrinsic_single_manifold(self, capsys):
         code, out, _ = run_cli(capsys, "extrinsic-coef", "--manifold",

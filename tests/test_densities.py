@@ -13,7 +13,7 @@ from tubescore.densities import (
     SphereTMarginal,
     Uniform,
     VonMisesFisher,
-    _i0e,
+    _circle_law,
 )
 from tubescore.errors import ManifoldMismatch, UnsupportedManifold
 from tubescore.geometry import AffinePlane, FlatTorus, Sphere, wrap_angle
@@ -114,24 +114,61 @@ class TestNormalization:
 
 
 class TestScaledBessel:
-    """The scaled Bessel function behind the product von Mises normalizer,
-    against scipy.special.i0e as the reference."""
+    """The circle rule behind the product von Mises normalizer and score
+    moment, against scipy.special.i0e and i1e as the references."""
 
     KAPPAS = [0.0, 1e-300, 1e-8, 0.5, 8.0, 8.0 + 1e-9, 30.0, 700.0, 1e4, 1e6]
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_log_i0_within_two_ulp(self, kappa):
+        # an absolute bound below 1: log I0 only enters the normalizer
+        # beside log(4 pi^2 R1 R2), where an error of ulp(1) is invisible
         ref = math.log(i0e(kappa)) + kappa
-        got = math.log(_i0e(kappa)) + kappa
-        assert abs(got - ref) <= 2 * math.ulp(ref)
+        got = _circle_law(kappa)[0]
+        assert abs(got - ref) <= 2 * math.ulp(max(1.0, ref))
 
-    def test_same_bits_as_scipy(self):
-        # the Clenshaw sums follow Cephes' order of operations, so the
-        # scaled value itself is exact, on both sides of the kappa = 8 switch
+    def test_matches_scipy(self):
+        # scipy's own log(i0e(kappa)) + kappa is up to 3.02 ulp(1) from the
+        # 40-digit value over these kappas (at kappa = 2.75e-7), so the
+        # bound leaves one ulp for the rule's rounding on top of that
         rng = np.random.default_rng(17)
         kappas = np.concatenate([self.KAPPAS, rng.uniform(0.0, 16.0, 500),
                                  np.exp(rng.uniform(-20.0, 20.0, 500))])
-        assert [k for k in kappas if _i0e(k) != i0e(k)] == []
+        for kappa in kappas[kappas > 0].tolist():
+            log_i0, sin2 = _circle_law(kappa)
+            ref = math.log(i0e(kappa)) + kappa
+            assert abs(log_i0 - ref) <= 4 * math.ulp(max(1.0, ref)), kappa
+            assert sin2 == pytest.approx(i1e(kappa) / (kappa * i0e(kappa)),
+                                         rel=1e-14, abs=0), kappa
+        assert _circle_law(0.0) == (0.0, 0.5)
+
+    def test_node_count_bounded(self, monkeypatch):
+        # the rule sums every node with math.fsum; past kappa ~ 373 it stops
+        # where the integrand underflows, so no finite kappa costs more
+        sizes = []
+        fsum = math.fsum
+
+        def counting_fsum(values):
+            sizes.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        kappas = np.concatenate([np.linspace(0.0, 2000.0, 2001),
+                                 np.geomspace(1e-10, 1.7e308, 2000)])
+        for kappa in kappas.tolist():
+            log_i0, sin2 = _circle_law(kappa)
+            assert math.isfinite(log_i0) and 0.0 < sin2 <= 0.5 + 1e-15, kappa
+        assert max(sizes) <= 106
+
+    def test_torus_builds_no_t_marginal(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SphereTMarginal built")
+
+        monkeypatch.setattr(SphereTMarginal, "__init__", refuse)
+        q = ProductVonMises(FlatTorus(1.0, 2.0), (2e4, 1e300))
+        assert math.isfinite(q._log_norm)
+        assert q.score_second_moment() == pytest.approx(
+            2e4 * i1e(2e4) / i0e(2e4) + 1e300 / 4.0, rel=1e-13)
 
     def test_normalizer(self):
         q = ProductVonMises(FlatTorus(1.0, 2.0), (2.0, 0.7))

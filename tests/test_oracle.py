@@ -434,13 +434,14 @@ class TestOracleMechanics:
                 assert got == pytest.approx(expect, rel=1e-10), (d, kappa)
 
     def test_score_second_moment_torus(self):
-        # E sin^2(delta) = I_1(kappa) / (kappa I_0(kappa)) for each angle
+        # E sin^2(delta) = I_1(kappa) / (kappa I_0(kappa)) for each angle,
+        # also above the sphere t-marginal's 1e4 cap
         T = FlatTorus(0.7, 1.9)
-        kappas, phases = (3.0, 250.0), (0.4, -2.2)
-        expect = sum((k / r) ** 2 * i1e(k) / (k * i0e(k))
-                     for k, r in zip(kappas, T.radii))
-        got = ProductVonMises(T, kappas, phases).score_second_moment()
-        assert got == pytest.approx(expect, rel=1e-10)
+        for kappas in [(3.0, 250.0), (2e4, 1e6)]:
+            expect = sum((k / r) ** 2 * i1e(k) / (k * i0e(k))
+                         for k, r in zip(kappas, T.radii))
+            got = ProductVonMises(T, kappas, (0.4, -2.2)).score_second_moment()
+            assert got == pytest.approx(expect, rel=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
