@@ -46,6 +46,8 @@ from .rng import derive_rng
 from .targets import CorruptedBatch, corrupt, flat_reduction_residuals
 
 RB_SUBSAMPLE = 20_000
+BOOTSTRAP_DRAWS = 4000
+BOOTSTRAP_BLOCK = 250  # resamples drawn and gathered at a time
 GEOMETRY_SUITE = (
     ("sphere1", lambda: Sphere(1)),
     ("sphere2", lambda: Sphere(2)),
@@ -394,6 +396,27 @@ def run_finite_sample(kappa: float = 2.0, sigma: float = 0.1,
     }
 
 
+def _paired_bootstrap(t_raw: np.ndarray, t_deb: np.ndarray, target: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """BOOTSTRAP_DRAWS resamples of |mean(t_deb) - target| minus
+    |mean(t_raw) - target|, both means taken over the same chain indices.
+
+    Both drifts share each chain's noise, so resampling the same indices
+    cancels the common fluctuation.  The indices are drawn and gathered
+    BOOTSTRAP_BLOCK rows at a time; numpy's bounded integers continue one
+    stream across calls, so the draws and the result are those of a single
+    (BOOTSTRAP_DRAWS, n) draw, without its memory.
+    """
+    n = t_raw.size
+    diffs = np.empty(BOOTSTRAP_DRAWS)
+    for r0 in range(0, BOOTSTRAP_DRAWS, BOOTSTRAP_BLOCK):
+        idx = rng.integers(0, n, size=(
+            min(BOOTSTRAP_BLOCK, BOOTSTRAP_DRAWS - r0), n))
+        diffs[r0:r0 + len(idx)] = (np.abs(t_deb[idx].mean(axis=1) - target)
+                                   - np.abs(t_raw[idx].mean(axis=1) - target))
+    return diffs
+
+
 def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
                        step: float = 1e-3, seed: int = 0,
                        marginal_chains: int = 64,
@@ -405,7 +428,8 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
                        scale: float = 1.5) -> dict:
     """The three equilibrium studies: marginal fit on the 2-sphere,
     drift debiasing on the 3-sphere, and scaled-drift equivalence.
-    Chains keep only t = mu . z, the one coordinate the studies read."""
+    Chains keep only t = mu . z, the one coordinate the studies read, and
+    the debias chains only their time average of it."""
     cfg, cfg3, cfg_scaled = (ChainConfig(step=step, n_steps=n, seed=seed)
                              for n in (marginal_steps, debias_steps,
                                        scaled_steps))
@@ -431,16 +455,11 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     q3 = sphere_vmf(3, kappa)
     raw = DriftSpec("raw_ambient", sigma)
     debiased = DriftSpec("debiased", sigma)
-    t = run_chains(q3, (raw, debiased), cfg3, debias_chains, direction=q3.mu)
-    t_raw, t_deb = t.mean(axis=2)
-    del t  # the kept iterates, freed before the bootstrap's gathers
+    t_raw, t_deb = run_chains(q3, (raw, debiased), cfg3, debias_chains,
+                              direction=q3.mu, average=True)
     tm = float(q3.t_marginal().mean())
-    # paired bootstrap over chains; both drifts share the chain noise, so
-    # resampling the same chain indices cancels the common fluctuation
     rng = derive_rng(seed, "experiments.langevin.bootstrap")
-    idx = rng.integers(0, t_raw.size, size=(4000, t_raw.size))
-    diffs = (np.abs(t_deb[idx].mean(axis=1) - tm)
-             - np.abs(t_raw[idx].mean(axis=1) - tm))
+    diffs = _paired_bootstrap(t_raw, t_deb, tm, rng)
     lo, hi = _linear_quantiles(diffs, [0.025, 0.975])
     debias = {
         "sigma": sigma,

@@ -5,7 +5,10 @@ with xi standard normal in the tangent space, so iterates never leave the
 manifold.  Every drift is a constant multiple of the score: the exact score,
 the extrinsic-only sigma^2 surrogate (1 + sigma^2 alpha) * score and its
 debiased correction, each with an optional scalar rescaling.  Large runs
-split their chains across the usable CPUs in forked workers.
+split their chains across the usable CPUs in forked workers.  A run keeps
+every kept iterate, or only its projection onto one direction, or with
+``average=True`` only each chain's mean of those values, summed in place so
+that no buffer of kept iterates is ever allocated.
 """
 from __future__ import annotations
 
@@ -153,7 +156,8 @@ def _chain_ranges(n_chains: int) -> list[range]:
 
 def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
                config: ChainConfig, n_chains: int = 1, *,
-               direction: np.ndarray | None = None) -> np.ndarray:
+               direction: np.ndarray | None = None,
+               average: bool = False) -> np.ndarray:
     """Run independent chains in lockstep; returns (n_chains, kept, D).
 
     Chain c draws its noise from a dedicated stream, so results for chain c
@@ -194,11 +198,25 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     worker's other exceptions are raised here, and its range tells the
     others to stop at once.
 
-    With ``direction`` (a length-D vector), each kept iterate z is stored
-    only as z @ direction and the trailing D axis is dropped: the result
-    is (n_chains, kept), or (len(spec), n_chains, kept) for a tuple, and
-    equals the row result @ direction bit for bit (the product is formed
-    on a row-major copy of the state, as on the row result).
+    With ``direction`` (a finite vector of shape (D,), checked before any
+    step), each kept iterate z is stored only as z @ direction and the
+    trailing D axis is dropped: the result is (n_chains, kept), or
+    (len(spec), n_chains, kept) for a tuple, and equals the row result @
+    direction bit for bit (the product is formed on a row-major copy of
+    the state, as on the row result).
+
+    With ``average=True``, each chain keeps only the mean of its kept
+    values, z or z @ direction, and the kept axis is dropped: the result
+    is (n_chains[, D]), or (len(spec), n_chains[, D]) for a tuple.  Each
+    range adds every kept value into its chains' block of the shared
+    output and the sum is divided by the kept count at the end, so no
+    buffer of kept iterates exists in this process or in any worker, and
+    the memory is that of the state, not of the run's length.  A running
+    sum is not numpy's pairwise mean, so the means agree with the mean
+    of the kept result over its kept axis to rounding, not bit for bit;
+    like the kept result, they are the same bits in any split, at any
+    noise block size and for any chain count.  A config that keeps no
+    iterate has no mean and is refused.
     """
     M = q.manifold
     config.validate_for(M)
@@ -209,24 +227,40 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs:
         raise ConfigError("need at least one drift spec")
+    if direction is not None:
+        direction = np.asarray(direction, dtype=float)
+        if (direction.shape != (M.ambient_dim,)
+                or not np.isfinite(direction).all()):
+            raise ConfigError(
+                f"direction must be a finite vector of shape"
+                f" ({M.ambient_dim},), got shape {direction.shape}")
+    kept = config.kept_count()
+    if average and kept < 1:
+        raise ConfigError(
+            f"no kept iterate to average: {config.n_steps} steps, burn-in"
+            f" {config.burn_in}, thinning {config.thinning}")
     factors = [s.factor(q) for s in specs]
     item = (M.ambient_dim,) if direction is None else ()  # one kept value
-    shape = (len(specs), n_chains, config.kept_count(), *item)
-    run = partial(_run_range, q, factors, config, direction)
+    shape = (len(specs), n_chains, *(() if average else (kept,)), *item)
+    run = partial(_run_range, q, factors, config, direction, average)
     out, hits = _run_split(run, _chain_ranges(n_chains), shape)
     hits = [h for h in hits if h is not None]
     if hits:
         step_idx, longest = min(hits, key=lambda h: (h[0], -h[1]))
         raise BeyondInjectivity(
             f"step length {longest:.4g} at iterate {step_idx}")
+    if average:
+        out /= kept
     return out if isinstance(spec, tuple) else out[0]
 
 
 def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
-               direction: np.ndarray | None, chains: range, out: np.ndarray,
-               stops: np.ndarray, slot: int) -> tuple[int, float] | None:
+               direction: np.ndarray | None, average: bool, chains: range,
+               out: np.ndarray, stops: np.ndarray,
+               slot: int) -> tuple[int, float] | None:
     """Step ``chains`` of every copy, writing kept iterate k of copy s and
-    chain ``chains[j]`` to ``out[s, j, k]``.
+    chain ``chains[j]`` to ``out[s, j, k]``, or with ``average`` adding it
+    to ``out[s, j]``, which starts at zero.
 
     Returns None, or (iterate, longest step) at the first iterate whose
     longest step reaches the injectivity radius, where the range stops.
@@ -248,6 +282,7 @@ def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
     z = np.asfortranarray(np.tile(_initial_rows(q, config, chains),
                                   (copies, 1)))
     D = M.ambient_dim
+    item = (D,) if direction is None else ()  # one kept value
     gens = [derive_rng(config.seed, "langevin.noise", c) for c in chains]
     steps = min(NOISE_BLOCK, config.n_steps)
     fill = np.empty((min(NOISE_GROUP, n), steps, D))
@@ -284,8 +319,12 @@ def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
             if past > 0 and past % config.thinning == 0:
                 kept = (z if direction is None
                         else np.ascontiguousarray(z) @ direction)
-                out[:, :, k] = kept.reshape(copies, n, *out.shape[3:])
-                k += 1
+                kept = kept.reshape(copies, n, *item)
+                if average:
+                    out += kept
+                else:
+                    out[:, :, k] = kept
+                    k += 1
     return None
 
 
@@ -293,16 +332,16 @@ def _run_split(run, ranges: list[range], shape: tuple):
     """``run(chains, out[:, chains], stops, i)`` for the first range here
     and for every other range i in a forked worker; returns (out, hits).
 
-    ``out`` lives in one shared anonymous mapping, written in place by
-    every process and returned without a copy.  The mapping ends in
-    ``stops``, one slot per range for ``_run_range``; a worker that raises
-    sets its slot to 0, which stops every range at its next noise block.
-    Each worker sends back its range's hit, or the exception it raised,
-    through a pipe.  This process's own exception is raised here, or else
-    the exception of the first worker, in range order, that sent one.
-    Every worker is reaped before this returns or raises; when this
-    process fails, is interrupted or reads a worker's exception, the
-    workers still running are killed first.
+    ``out`` lives in one shared anonymous mapping, zero-filled at the
+    start, written in place by every process and returned without a copy.
+    The mapping ends in ``stops``, one slot per range for ``_run_range``;
+    a worker that raises sets its slot to 0, which stops every range at
+    its next noise block.  Each worker sends back its range's hit, or the
+    exception it raised, through a pipe.  This process's own exception is
+    raised here, or else the exception of the first worker, in range
+    order, that sent one.  Every worker is reaped before this returns or
+    raises; when this process fails, is interrupted or reads a worker's
+    exception, the workers still running are killed first.
     """
     size = int(np.prod(shape))
     buffer = mmap.mmap(-1, (size + len(ranges)) * np.dtype(float).itemsize)
@@ -391,15 +430,20 @@ def ks_distance(values: np.ndarray, cdf) -> float:
 
 
 def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
-    """KS distance between the empirical CDFs of two samples."""
+    """KS distance between the empirical CDFs of two samples.
+
+    The CDFs differ most at a point of one of the samples, so both are
+    evaluated at a's points and then at b's, never on the joined grid of
+    both: the larger maximum is the same float at half the memory.
+    """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size == 0 or b.size == 0:
         raise ConfigError("empty sample")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(fa - fb).max())
+    return float(max(
+        np.abs(np.searchsorted(a, grid, side="right") / a.size
+               - np.searchsorted(b, grid, side="right") / b.size).max()
+        for grid in (a, b)))
 
 
 def _t_marginal_of(q: DensityModel) -> SphereTMarginal:

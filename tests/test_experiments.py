@@ -9,6 +9,7 @@ from tubescore import experiments as ex
 from tubescore import oracle as oracle_mod
 from tubescore.cli import STUDIES
 from tubescore.errors import ConfigError
+from tubescore.rng import derive_rng
 
 
 class TestGeometryDriver:
@@ -261,6 +262,23 @@ class TestFiniteSampleDriver:
 
 
 class TestLangevinDriver:
+    @pytest.mark.parametrize("n, block, draws", [
+        (2, 250, 4000), (513, 250, 4000), (2048, 250, 600), (513, 1, 600)])
+    def test_bootstrap_blocks_equal_one_draw(self, monkeypatch, n, block,
+                                             draws):
+        # 600 draws leave a partial last block of 250 rows and keep the
+        # one-shot reference small at 2048 chains
+        monkeypatch.setattr(ex, "BOOTSTRAP_BLOCK", block)
+        monkeypatch.setattr(ex, "BOOTSTRAP_DRAWS", draws)
+        values = derive_rng(8, f"test.bootstrap.{n}").standard_normal((2, n))
+        t_raw, t_deb = 0.1 * values
+        got = ex._paired_bootstrap(t_raw, t_deb, 0.01,
+                                   derive_rng(3, "test.bootstrap"))
+        idx = derive_rng(3, "test.bootstrap").integers(0, n, size=(draws, n))
+        one_draw = (np.abs(t_deb[idx].mean(axis=1) - 0.01)
+                    - np.abs(t_raw[idx].mean(axis=1) - 0.01))
+        assert np.array_equal(got, one_draw)
+
     def test_structure_and_determinism(self):
         kw = dict(seed=11, marginal_chains=4, marginal_steps=600,
                   debias_chains=6, debias_steps=600,

@@ -180,10 +180,13 @@ class TestCoupledChains:
 
     def test_chain_count_prefix_stable(self, vmf3, vmf3_generic):
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=7)
+        d = generic_unit(4)
         for q in (vmf3, vmf3_generic):
-            wide = run_chains(q, self.S3_PAIR, cfg, 8)
-            narrow = run_chains(q, self.S3_PAIR, cfg, 3)
-            assert np.array_equal(wide[:, :3], narrow)
+            for kw in ({}, {"average": True},
+                       {"direction": d, "average": True}):
+                wide = run_chains(q, self.S3_PAIR, cfg, 8, **kw)
+                narrow = run_chains(q, self.S3_PAIR, cfg, 3, **kw)
+                assert np.array_equal(wide[:, :3], narrow)
 
     def test_one_spec_tuple_keeps_the_spec_axis(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=50, seed=3)
@@ -225,7 +228,11 @@ class TestCoupledChains:
         d = generic_unit(4)
         runs = [lambda: run_chains(vmf3_generic, self.S3_PAIR, cfg, 5,
                                    direction=d),
-                lambda: run_chains(torus, DriftSpec("intrinsic"), cfg, 5)]
+                lambda: run_chains(vmf3_generic, self.S3_PAIR, cfg, 5,
+                                   direction=d, average=True),
+                lambda: run_chains(torus, DriftSpec("intrinsic"), cfg, 5),
+                lambda: run_chains(torus, DriftSpec("intrinsic"), cfg, 5,
+                                   average=True)]
         default = [run() for run in runs]
         monkeypatch.setattr(langevin, "NOISE_BLOCK", 7)
         monkeypatch.setattr(langevin, "NOISE_GROUP", 2)
@@ -233,7 +240,8 @@ class TestCoupledChains:
             assert np.array_equal(run(), expected)
 
     @pytest.mark.parametrize("case", ["sphere3_pair", "sphere3_direction",
-                                      "torus_pair", "all_burn_in"])
+                                      "sphere3_average", "torus_pair",
+                                      "torus_average", "all_burn_in"])
     def test_split_runs_match_in_process(self, vmf2, vmf3, vmf3_generic,
                                          monkeypatch, case):
         # odd chain counts cut the chains inside a NOISE_GROUP; the default
@@ -248,9 +256,15 @@ class TestCoupledChains:
             "sphere3_direction": [
                 lambda q=q: run_chains(q, self.S3_PAIR, cfg, 7, direction=d4)
                 for q in (vmf3, vmf3_generic)],
+            "sphere3_average": [
+                lambda q=q: run_chains(q, self.S3_PAIR, cfg, 7, direction=d4,
+                                       average=True)
+                for q in (vmf3, vmf3_generic)],
             "torus_pair": [lambda: run_chains(
                 torus, (DriftSpec("intrinsic"),
                         DriftSpec("intrinsic", scale=1.5)), cfg, 5)],
+            "torus_average": [lambda: run_chains(
+                torus, DriftSpec("intrinsic"), cfg, 5, average=True)],
             "all_burn_in": [lambda: run_chains(
                 vmf2, DriftSpec("intrinsic"),
                 ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1), 5)],
@@ -285,15 +299,17 @@ class TestCoupledChains:
         spec = DriftSpec("intrinsic", scale=scale)
         cfg = ChainConfig(step=0.9, n_steps=10, seed=seed)
 
-        def message(n):
+        def message(n, average=False):
             with pytest.raises(BeyondInjectivity) as err:
-                run_chains(vmf2, spec, cfg, n)
+                run_chains(vmf2, spec, cfg, n, average=average)
             return str(err.value)
         unsplit = message(7)
+        assert message(7, average=True) == unsplit
         assert message(2) != unsplit  # chains 0 and 1 alone fail otherwise
         monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert message(7) == unsplit
+        assert message(7, average=True) == unsplit
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -366,6 +382,50 @@ class TestCoupledChains:
     def test_empty_tuple_rejected(self, vmf2):
         with pytest.raises(ConfigError):
             run_chains(vmf2, (), ChainConfig(n_steps=10), 2)
+
+    @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.parametrize("direction", [
+        np.ones(5), np.ones((4, 2)), [np.nan, 0.0, 0.0, 1.0]],
+        ids=["length_5", "shape_4x2", "nan"])
+    def test_bad_direction_refused_before_any_step(self, vmf3, monkeypatch,
+                                                   direction, average):
+        # unchecked, a length-5 vector failed in the matmul after the whole
+        # burn-in, a (4, 2) array in a reshape, and a NaN gave NaN output
+        def no_run(*args):
+            raise AssertionError("stepped or forked on a bad direction")
+        monkeypatch.setattr(langevin, "_run_split", no_run)
+        with pytest.raises(ConfigError, match="direction"):
+            run_chains(vmf3, self.S3_PAIR, ChainConfig(n_steps=3000), 300,
+                       direction=direction, average=average)
+
+    @pytest.mark.parametrize("case", ["sphere3_direction", "sphere3_rows",
+                                      "torus_rows"])
+    def test_average_is_the_mean_of_the_kept_iterates(self, vmf3_generic,
+                                                      case):
+        torus = ProductVonMises(FlatTorus(1.0, 1.5), (1.5, 1.0))
+        cfg = ChainConfig(step=1e-3, n_steps=600, seed=21)
+        q, spec, d, axis = {
+            "sphere3_direction": (vmf3_generic, self.S3_PAIR,
+                                  generic_unit(4), -1),
+            "sphere3_rows": (vmf3_generic, self.S3_PAIR, None, -2),
+            "torus_rows": (torus, DriftSpec("intrinsic"), None, -2),
+        }[case]
+        kept = run_chains(q, spec, cfg, 5, direction=d)
+        mean = run_chains(q, spec, cfg, 5, direction=d, average=True)
+        assert mean.shape == kept.mean(axis=axis).shape
+        np.testing.assert_allclose(mean, kept.mean(axis=axis), rtol=1e-12,
+                                   atol=0)
+
+    def test_average_needs_a_kept_iterate(self, vmf2, monkeypatch):
+        # all burn-in keeps nothing: the mean would be 0 / 0
+        def no_run(*args):
+            raise AssertionError("stepped with nothing to average")
+        monkeypatch.setattr(langevin, "_run_split", no_run)
+        cfg = ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1)
+        for d in (None, MU):
+            with pytest.raises(ConfigError, match="no kept iterate"):
+                run_chains(vmf2, DriftSpec("intrinsic"), cfg, 3,
+                           direction=d, average=True)
 
     def test_beyond_injectivity(self, vmf2):
         cfg = ChainConfig(step=0.9, n_steps=10, seed=0)
@@ -476,6 +536,25 @@ class TestDiagnostics:
         a = np.linspace(0, 1, 500)
         assert two_sample_ks(a, a) <= 1 / 500 + 1e-12
         assert two_sample_ks(a, a + 10.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("na, nb, tied", [
+        (409_600, 409_600, False), (409_600, 409_600, True),
+        (1000, 1337, False), (1000, 1337, True), (50, 50, False),
+        (50, 50, True)])
+    def test_two_sample_ks_equals_the_joined_grid(self, na, nb, tied):
+        # the reference evaluates both CDFs on the joined grid of both
+        # samples; the maximum over each sample's points is the same float
+        rng = derive_rng(6, f"test.two_sample_ks.{na}.{nb}")
+        a, b = rng.standard_normal(na), 1.1 * rng.standard_normal(nb) + 0.05
+        if tied:  # few distinct values, shared by both samples
+            a, b = np.round(a, 1), np.round(b, 1)
+        sa, sb = np.sort(a), np.sort(b)
+        grid = np.concatenate([sa, sb])
+        joined = float(np.abs(np.searchsorted(sa, grid, side="right") / na
+                              - np.searchsorted(sb, grid, side="right") / nb
+                              ).max())
+        assert two_sample_ks(a, b) == joined
+        assert two_sample_ks(b, a) == joined
 
     def test_exact_sampler_matches_marginal(self, vmf2):
         pts = vmf2.sample_coords_seeded(100_000, 13)
