@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 
 import numpy as np
 
@@ -116,6 +117,10 @@ class SphereTMarginal:
     """
 
     def __init__(self, dim: int, kappa: float):
+        if not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ConfigError(f"the t-marginal needs an integer dim >= 1, got {dim!r}")
+        if kappa < 0:
+            raise ConfigError(f"kappa {kappa:g} is negative")
         if not kappa <= MAX_MARGINAL_KAPPA:
             raise ConfigError(f"kappa {kappa:g} is above {MAX_MARGINAL_KAPPA:g}, "
                               "beyond what the t-marginal's tables resolve")

@@ -449,7 +449,7 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     q2 = sphere_vmf(2, kappa)
     samples = run_chains(q2, DriftSpec("intrinsic"), cfg, marginal_chains,
                          direction=q2.mu)
-    marginal = {**marginal_diagnostic(samples, q2),
+    marginal = {**marginal_diagnostic(samples, q2.t_marginal()),
                 "n_chains": marginal_chains, "n_steps": marginal_steps}
 
     q3 = sphere_vmf(3, kappa)
@@ -483,7 +483,7 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     scaled = {
         "scale": scale,
         "two_sample_ks": float(two_sample_ks(a, b)),
-        "vs_analytic_ks": marginal_diagnostic(a, q_scaled)["ks"],
+        "vs_analytic_ks": marginal_diagnostic(a, q_scaled.t_marginal())["ks"],
         "n_each": int(a.size),
         "n_chains": scaled_chains, "n_steps": scaled_steps,
     }

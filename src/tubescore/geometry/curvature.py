@@ -22,7 +22,6 @@ class CurvatureBundle:
     satisfy the Gauss identity Ric = W_H - sum_a h_a^2.
     """
 
-    coords: np.ndarray
     frames: np.ndarray
     second_fundamental: np.ndarray
     weingarten_mean: np.ndarray
@@ -69,7 +68,6 @@ def build_bundle(manifold: Manifold, coords: np.ndarray) -> CurvatureBundle:
     h = manifold.second_fundamental(coords)
     traces = np.einsum("naii->na", h)
     return CurvatureBundle(
-        coords=coords,
         frames=manifold.frames_batch(coords),
         second_fundamental=h,
         weingarten_mean=np.einsum("na,naij->nij", traces, h),

@@ -30,9 +30,12 @@ class AffinePlane(Manifold):
         self._p0 = basepoint
         self._frame = frame
         # tangent rows, then their orthonormal complement: the one frame
-        # of every point, broadcast by frames_batch
-        self._full_frame = np.concatenate([
-            frame, _gram_schmidt_complement(frame, self.codim, self.ambient_dim)])
+        # of every point, broadcast by frames_batch.  The rows are
+        # orthonormal, so [frame; I] has rank D and the last D - d columns
+        # of its Q complete the frame.
+        d, D = frame.shape
+        q, _ = np.linalg.qr(np.concatenate([frame, np.eye(D)]).T)
+        self._full_frame = np.concatenate([frame, q[:, d:].T])
 
     @classmethod
     def axis_aligned(cls, d: int, ambient: int) -> "AffinePlane":
@@ -149,19 +152,3 @@ class AffinePlane(Manifold):
             weights *= wa.ravel()
         return self.embed(coords), weights
 
-
-def _gram_schmidt_complement(rows: np.ndarray, dim: int, ambient: int) -> np.ndarray:
-    """First ``dim`` ambient axes orthonormalized against ``rows`` (in order)."""
-    basis: list[np.ndarray] = []
-    for a in np.eye(ambient):
-        w = a - rows.T @ (rows @ a)
-        for b in basis:
-            w = w - (b @ w) * b
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            basis.append(w / nrm)
-        if len(basis) == dim:
-            break
-    if len(basis) != dim:
-        raise RuntimeError("failed to complete an orthonormal frame")
-    return np.array(basis)

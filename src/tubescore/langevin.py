@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .densities import DensityModel, SphereTMarginal, Uniform, VonMisesFisher
+from .densities import DensityModel, SphereTMarginal
 from .errors import BeyondInjectivity, ConfigError, UnsupportedManifold
 from .geometry import Sphere
 from .geometry.base import row_norms
@@ -446,36 +446,25 @@ def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
         for grid in (a, b)))
 
 
-def _t_marginal_of(q: DensityModel) -> SphereTMarginal:
-    M = q.manifold
-    if not isinstance(M, Sphere):
-        raise UnsupportedManifold("t-marginal diagnostics are sphere-only")
-    if isinstance(q, VonMisesFisher):
-        return q.t_marginal()
-    if isinstance(q, Uniform):
-        return SphereTMarginal(M.intrinsic_dim, 0.0)
-    raise UnsupportedManifold(f"no analytic t-marginal for {type(q).__name__}")
-
-
-def marginal_diagnostic(t: np.ndarray, q: DensityModel) -> dict:
-    """Compare chain output t = mu . z against the analytic marginal of t.
+def marginal_diagnostic(t: np.ndarray, law: SphereTMarginal) -> dict:
+    """Compare chain output t = mu . z against a law of t.
 
     t holds projections of samples onto the mean axis mu (any unit axis
     for the uniform law), in any shape, such as the (chains, kept) result
-    of ``run_chains(direction=mu)``; chains are pooled.  The reference law
-    is the colatitude marginal of the density itself, so this measures
-    equilibrium error of the sampler, discretization included.  Returns the
-    pooled sample count ``n_kept``, the KS distance ``ks``, the sample mean
-    ``mean_t``, the marginal's mean ``target_mean`` and their difference
-    ``mean_bias``.
+    of ``run_chains(direction=mu)``; chains are pooled.  ``law`` is the
+    reference, of which only ``cdf`` and ``mean()`` are read: the density's
+    own ``q.t_marginal()`` (``SphereTMarginal(d, 0.0)`` for the uniform
+    law) measures equilibrium error of the sampler, discretization
+    included.  Returns the pooled sample count ``n_kept``, the KS distance
+    ``ks``, the sample mean ``mean_t``, the law's mean ``target_mean`` and
+    their difference ``mean_bias``.
     """
     t = np.asarray(t, dtype=float).ravel()
     if t.size == 0:
         raise ConfigError("no samples to diagnose")
-    marg = _t_marginal_of(q)
-    ks = ks_distance(t, marg.cdf)
+    ks = ks_distance(t, law.cdf)
     mean_t = float(t.mean())
-    target = float(marg.mean())
+    target = float(law.mean())
     return {"n_kept": t.size, "ks": ks, "mean_bias": mean_t - target,
             "mean_t": mean_t, "target_mean": target}
 

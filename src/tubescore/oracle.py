@@ -581,9 +581,6 @@ class FiberPosterior:
         rho = np.linalg.norm(self.coords, axis=-1)
         return float(self.expectation(rho ** k))
 
-    def mean_v(self) -> np.ndarray:
-        return self.expectation(self.coords)
-
     def chord_ratio(self) -> float:
         """||E[G(v) - v]|| / sigma^4: the chord remainder moment scale."""
         return float(np.linalg.norm(self.expectation(self.chord - self.coords))) / self.sigma**4

@@ -15,7 +15,7 @@ from tubescore.densities import (
     VonMisesFisher,
     _circle_law,
 )
-from tubescore.errors import ManifoldMismatch, UnsupportedManifold
+from tubescore.errors import ConfigError, ManifoldMismatch, UnsupportedManifold
 from tubescore.geometry import AffinePlane, FlatTorus, Sphere, wrap_angle
 
 from conftest import fd_gradient, fd_laplacian
@@ -190,6 +190,12 @@ class TestTMarginal:
         marg = SphereTMarginal(2, 2.0)
         exact = 1.0 + 2.0 / 4.0 - 2.0 / (2.0 * math.tanh(2.0))
         assert marg.moment(lambda t: t * t) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, kappa", [
+        (0, 2.0), (-1, 2.0), (2.5, 2.0), (2.0, 2.0), (2, -3.0)])
+    def test_bad_dim_or_kappa_refused(self, dim, kappa):
+        with pytest.raises(ConfigError):
+            SphereTMarginal(dim, kappa)
 
     def test_cdf_endpoints(self):
         marg = SphereTMarginal(2, 1.3)

@@ -679,6 +679,15 @@ def test_row_reductions_match_numpy(width, rng):
     assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1))
 
 
+@pytest.mark.parametrize("d, D", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)])
+def test_axis_aligned_plane_frame_is_the_identity(d, D):
+    # the tangent axes, then the remaining axes in order, exactly
+    M = AffinePlane.axis_aligned(d, D)
+    frames = M.frames_batch(np.zeros((3, D)))
+    assert frames.shape == (3, D, D)
+    assert np.array_equal(frames, np.broadcast_to(np.eye(D), (3, D, D)))
+
+
 def test_plane_chart_roundtrip(rng):
     M = AffinePlane(np.array([1.0, 0.0, 2.0, 0.0]), np.eye(4)[1:3])
     c = rng.standard_normal((5, 2))

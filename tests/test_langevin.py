@@ -558,7 +558,7 @@ class TestDiagnostics:
 
     def test_exact_sampler_matches_marginal(self, vmf2):
         pts = vmf2.sample_coords_seeded(100_000, 13)
-        diag = marginal_diagnostic(pts @ MU, vmf2)
+        diag = marginal_diagnostic(pts @ MU, vmf2.t_marginal())
         assert diag["ks"] <= 0.012
         assert abs(diag["mean_bias"]) <= 0.01
         assert diag["n_kept"] == 100_000
@@ -566,19 +566,21 @@ class TestDiagnostics:
     def test_uniform_marginal(self):
         u = Uniform(S2)
         pts = u.sample_coords_seeded(50_000, 14)
-        diag = marginal_diagnostic(pts @ MU, u)
+        diag = marginal_diagnostic(pts @ MU, SphereTMarginal(2, 0.0))
         assert diag["ks"] <= 0.012
         assert abs(diag["target_mean"]) <= 1e-12
 
-    def test_sphere_only(self):
-        T2 = FlatTorus(1.0, 1.0)
-        q = ProductVonMises(T2, (1.0, 1.0))
-        with pytest.raises(UnsupportedManifold):
-            marginal_diagnostic(np.zeros(10), q)
+    def test_judges_against_the_law_it_is_given(self):
+        # exact kappa = 5 draws on S^3 fit their own law, and the same
+        # draws are far from the kappa = 2 law
+        mu = np.array([0.0, 0.0, 0.0, 1.0])
+        t = VonMisesFisher(Sphere(3), mu, 5.0).sample_coords_seeded(100_000, 13) @ mu
+        assert marginal_diagnostic(t, SphereTMarginal(3, 5.0))["ks"] <= 0.012
+        assert marginal_diagnostic(t, SphereTMarginal(3, 2.0))["ks"] >= 0.2
 
     def test_empty_samples_rejected(self, vmf2):
         with pytest.raises(ConfigError):
-            marginal_diagnostic(np.zeros((2, 0)), vmf2)
+            marginal_diagnostic(np.zeros((2, 0)), vmf2.t_marginal())
 
 
 class TestEquivalences:
@@ -591,7 +593,7 @@ class TestEquivalences:
                        ChainConfig(step=1e-3, n_steps=10_000, seed=42), 64,
                        direction=MU)
         assert two_sample_ks(a, b) <= 0.03
-        assert marginal_diagnostic(a, q3)["ks"] <= 0.03
+        assert marginal_diagnostic(a, q3.t_marginal())["ks"] <= 0.03
 
     def test_step_halving_stable(self, vmf2):
         means, ses = [], []

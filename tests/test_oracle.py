@@ -296,7 +296,7 @@ class TestPosteriorSuite:
         assert m1 / 0.025 == pytest.approx(math.sqrt(2.0 / math.pi), rel=0.01)
         # signed mean vanishes by symmetry
         post = FiberPosterior(equator_point(1), Uniform(Sphere(1)), 0.025)
-        assert np.linalg.norm(post.mean_v()) <= 1e-10
+        assert np.linalg.norm(post.expectation(post.coords)) <= 1e-10
 
     def test_chord_ratio_plateau(self):
         vals = [FiberPosterior(equator_point(2), sphere_vmf(2), s).chord_ratio()
