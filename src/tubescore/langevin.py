@@ -12,15 +12,12 @@ that no buffer of kept iterates is ever allocated.
 """
 from __future__ import annotations
 
-import mmap
-import os
-import pickle
-import signal
 from dataclasses import KW_ONLY, dataclass
 from functools import partial
 
 import numpy as np
 
+from . import split
 from .densities import DensityModel, SphereTMarginal
 from .errors import BeyondInjectivity, ConfigError, UnsupportedManifold
 from .geometry import Sphere
@@ -144,16 +141,6 @@ def _initial_rows(q: DensityModel, config: ChainConfig, chains: range):
     return np.asarray(rows)
 
 
-def _chain_ranges(n_chains: int) -> list[range]:
-    """Contiguous chain ranges, one per process: at most one per usable
-    CPU, and each of at least MIN_PROCESS_CHAINS chains."""
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    parts = max(1, min(cpus, n_chains // MIN_PROCESS_CHAINS))
-    cuts = [n_chains * i // parts for i in range(parts + 1)]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
 def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
                config: ChainConfig, n_chains: int = 1, *,
                direction: np.ndarray | None = None,
@@ -184,10 +171,11 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     ``NOISE_GROUP`` chains at a time; neither size changes any result.
 
     The chains are split into contiguous ranges, one per usable CPU
-    (``os.sched_getaffinity``), each of at least ``MIN_PROCESS_CHAINS``
-    chains; a smaller run stays in this process.  This process steps the
-    first range and a forked worker steps each other range, every one
-    writing its chains' kept iterates straight into one shared output.
+    (``split.ranges``), each of at least ``MIN_PROCESS_CHAINS`` chains; a
+    smaller run stays in this process.  This process steps the first
+    range and a forked worker steps each other range (``split.run``),
+    every one writing its chains' kept iterates straight into one shared
+    output.
     Each range builds its chains' noise streams and initial points itself,
     and every step kernel is row-wise, so the split changes no result: it
     is the same rule that makes chain c independent of n_chains.  When a
@@ -243,7 +231,8 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     item = (M.ambient_dim,) if direction is None else ()  # one kept value
     shape = (len(specs), n_chains, *(() if average else (kept,)), *item)
     run = partial(_run_range, q, factors, config, direction, average)
-    out, hits = _run_split(run, _chain_ranges(n_chains), shape)
+    out, hits = split.run(run, split.ranges(n_chains, MIN_PROCESS_CHAINS),
+                          shape)
     hits = [h for h in hits if h is not None]
     if hits:
         step_idx, longest = min(hits, key=lambda h: (h[0], -h[1]))
@@ -326,91 +315,6 @@ def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
                     out[:, :, k] = kept
                     k += 1
     return None
-
-
-def _run_split(run, ranges: list[range], shape: tuple):
-    """``run(chains, out[:, chains], stops, i)`` for the first range here
-    and for every other range i in a forked worker; returns (out, hits).
-
-    ``out`` lives in one shared anonymous mapping, zero-filled at the
-    start, written in place by every process and returned without a copy.
-    The mapping ends in ``stops``, one slot per range for ``_run_range``;
-    a worker that raises sets its slot to 0, which stops every range at
-    its next noise block.  Each worker sends back its range's hit, or the
-    exception it raised, through a pipe.  This process's own exception is
-    raised here, or else the exception of the first worker, in range
-    order, that sent one.  Every worker is reaped before this returns or
-    raises; when this process fails, is interrupted or reads a worker's
-    exception, the workers still running are killed first.
-    """
-    size = int(np.prod(shape))
-    buffer = mmap.mmap(-1, (size + len(ranges)) * np.dtype(float).itemsize)
-    out = np.frombuffer(buffer, count=size).reshape(shape)
-    stops = np.frombuffer(buffer, offset=size * np.dtype(float).itemsize)
-    stops[:] = np.inf
-    workers = []  # (pid, read end of its pipe)
-    try:
-        for slot, chains in enumerate(ranges[1:], start=1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _worker(run, chains, out, stops, slot, w)
-            os.close(w)
-            workers.append((pid, r))
-        first = ranges[0]
-        hits = [run(first, out[:, first.start:first.stop], stops, 0)]
-        for pid, r in workers:
-            hits.append(_receive(pid, r))
-    except BaseException:
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, r in workers:
-            os.close(r)
-            os.waitpid(pid, 0)
-    return out, hits
-
-
-def _worker(run, chains: range, out: np.ndarray, stops: np.ndarray,
-            slot: int, fd: int):
-    """Body of a forked worker: run range ``slot`` and send the outcome.
-
-    It leaves through ``os._exit`` whatever happens, so it never returns
-    into the caller's stack, runs no exit handler and flushes none of the
-    stdio buffers it inherited.
-    """
-    try:
-        try:
-            message = ("hit", run(chains, out[:, chains.start:chains.stop],
-                                  stops, slot))
-        except BaseException as exc:  # sent to the caller, who re-raises
-            stops[slot] = 0.0
-            message = ("raise", exc)
-        data = pickle.dumps(message)
-        with open(fd, "wb") as fh:
-            fh.write(data)
-    finally:
-        os._exit(0)
-
-
-def _receive(pid: int, fd: int) -> tuple[int, float] | None:
-    """The hit a worker sent, or the exception it raised, raised here."""
-    with open(fd, "rb", closefd=False) as fh:
-        data = fh.read()
-    if not data:
-        raise RuntimeError(
-            f"chain worker {pid} sent no result: it was killed, or raised"
-            " an exception that could not be pickled")
-    kind, value = pickle.loads(data)
-    if kind == "raise":
-        raise value
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,16 @@ class TestMainSuccess:
         assert res["n_grid"] == [100, 1000, 10000]
         assert res["rate_slope"] < 0
 
+    def test_finite_sample_at_minimum_n(self, capsys):
+        # at --n 1000 a window widened to its hemisphere cap came back empty
+        # at seeds 0, 3 and 12 of 0-12 (exit 3)
+        n = STUDIES["finite-sample"].min_n[0]
+        for seed in range(10):
+            code, out, err = run_cli(capsys, "finite-sample", "--n", str(n),
+                                     "--seed", str(seed))
+            assert code == 0, err
+            assert json.loads(out)["results"]["n_grid"][0] == n // 100
+
     def test_langevin_small(self, capsys):
         code, out, _ = run_cli(
             capsys, "langevin", "--seed", "1",

@@ -1,10 +1,14 @@
 """Local averaging, risk Monte Carlo, sweeps, and the coarsening split."""
+import os
+
 import numpy as np
 import pytest
 
+from tubescore import estimators
 from tubescore.densities import IsotropicGaussian, Uniform, VonMisesFisher
 from tubescore.errors import ConfigError, EmptyWindow, ManifoldMismatch
 from tubescore.estimators import (
+    _cell_seed,
     _linear_quantiles,
     bandwidth_mse,
     binned_means,
@@ -342,6 +346,80 @@ class TestMSESweep:
             repetitions=20, seed=seed, label="sweep.mse.0")
         assert np.all(np.isfinite(mse)) and np.all(np.isfinite(se))
         assert widened > 0
+
+    @pytest.mark.parametrize("case", ["uneven", "widening"])
+    def test_split_matches_in_process(self, vmf2, oracle, monkeypatch, case):
+        # 7 repetitions on 3 CPUs cut as 2, 2 and 3; the widening case is
+        # test_sweep_widens_past_one_doubling's, so doublings cross the pipe
+        if case == "uneven":
+            seed, n, hs, reps = 4, 1000, [0.3, 0.6], 7
+        else:
+            seed, n, reps = 2872064946, 1000, 20
+            hs = [0.25 * optimal_bandwidth(1.0, 0.1, n, 2)]
+        probes = probe_points(vmf2, seed, 8)
+        r_true = oracle.target_coords(probes)
+
+        def sweep():
+            return bandwidth_mse(vmf2, 0.1, n, hs, probes, r_true,
+                                 repetitions=reps, seed=seed,
+                                 label="sweep.mse.0")
+
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+        monkeypatch.setattr(estimators, "MIN_PROCESS_DRAWS", 1)
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            one_cpu.setattr(os, "fork", no_fork)
+            mse, se, widened = sweep()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        split_mse, split_se, split_widened = sweep()
+        assert np.array_equal(split_mse, mse) and np.array_equal(split_se, se)
+        assert split_widened == widened
+        assert widened > 0 if case == "widening" else widened == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n, seed, failing", [
+        (6, 14, None), (1000, 6, {5}), (1000, 6, {3, 4}),
+        (1000, 6, {1, 2})], ids=["drawn", "last_worker", "first_worker",
+                                 "caller"])
+    def test_split_failure_has_the_unsplit_message(self, vmf2, oracle,
+                                                   monkeypatch, n, seed,
+                                                   failing):
+        # 7 repetitions on 3 CPUs are cut [0, 2), [2, 4), [4, 7).  "drawn":
+        # 6 draws leave a window empty at repetitions 2 and 5 alone.  The
+        # others fail the repetitions in ``failing``, each with its own
+        # message: at 3 and 4 the last worker fails first in time, at 1
+        # and 2 the first worker fails before the caller reaches 1
+        probes = probe_points(vmf2, seed, 8)
+        r_true = oracle.target_coords(probes)
+        if failing is not None:
+            reps = {_cell_seed(seed, "sweep.mse.0", rep): rep
+                    for rep in range(7)}
+            draw = estimators.corrupt
+
+            def failing_corrupt(q, sigma, n, cell_seed):
+                if reps[cell_seed] in failing:
+                    raise EmptyWindow(
+                        f"no samples at repetition {reps[cell_seed]}")
+                return draw(q, sigma, n, cell_seed)
+            monkeypatch.setattr(estimators, "corrupt", failing_corrupt)
+
+        def message():
+            with pytest.raises(EmptyWindow) as err:
+                bandwidth_mse(vmf2, 0.1, n, [0.5], probes, r_true,
+                              repetitions=7, seed=seed, label="sweep.mse.0")
+            return str(err.value)
+        monkeypatch.setattr(estimators, "MIN_PROCESS_DRAWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        unsplit = message()
+        assert unsplit == (
+            "no samples within bandwidth 1.571 of probe" if failing is None
+            else f"no samples at repetition {min(failing)}")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert message() == unsplit
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_bandwidth_mse_shapes(self, vmf2, oracle):
         probes = probe_points(vmf2, 4, 3)

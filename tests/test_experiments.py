@@ -244,17 +244,21 @@ class TestFiniteSampleDriver:
         b = ex.run_finite_sample(n_grid=(200, 2000), repetitions=2, seed=9)
         assert a == b
 
-    def test_one_draw_per_dataset(self, monkeypatch):
+    def test_one_draw_per_dataset(self, monkeypatch, tmp_path):
         from tubescore import estimators
-        calls = []
         corrupt = estimators.corrupt
+        # forked sweep workers draw too, so every draw appends its size to
+        # one file in a single write
+        log = tmp_path / "draws"
 
         def counted(q, sigma, n, seed):
-            calls.append(n)
+            with open(log, "a") as fh:
+                fh.write(f"{n}\n")
             return corrupt(q, sigma, n, seed)
         monkeypatch.setattr(estimators, "corrupt", counted)
         ex.run_finite_sample(n_grid=(1000, 2000, 4000), repetitions=20,
                              seed=3)
+        calls = [int(v) for v in log.read_text().split()]
         # 20 calibration datasets, then 20 per cell; every bandwidth of a
         # cell (rate, frozen and, at the smallest n, the three undersized
         # ones) is scored on the same draw

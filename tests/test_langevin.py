@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from tubescore import langevin
+from tubescore import langevin, split
 from tubescore.densities import (
     ProductVonMises,
     SphereTMarginal,
@@ -272,7 +272,7 @@ class TestCoupledChains:
         default = [run() for run in runs]
         monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert len(langevin._chain_ranges(3)) == 3
+        assert len(split.ranges(3, langevin.MIN_PROCESS_CHAINS)) == 3
         for run, expected in zip(runs, default):
             assert np.array_equal(run(), expected)
         with pytest.raises(ChildProcessError):
@@ -393,7 +393,7 @@ class TestCoupledChains:
         # burn-in, a (4, 2) array in a reshape, and a NaN gave NaN output
         def no_run(*args):
             raise AssertionError("stepped or forked on a bad direction")
-        monkeypatch.setattr(langevin, "_run_split", no_run)
+        monkeypatch.setattr(split, "run", no_run)
         with pytest.raises(ConfigError, match="direction"):
             run_chains(vmf3, self.S3_PAIR, ChainConfig(n_steps=3000), 300,
                        direction=direction, average=average)
@@ -420,7 +420,7 @@ class TestCoupledChains:
         # all burn-in keeps nothing: the mean would be 0 / 0
         def no_run(*args):
             raise AssertionError("stepped with nothing to average")
-        monkeypatch.setattr(langevin, "_run_split", no_run)
+        monkeypatch.setattr(split, "run", no_run)
         cfg = ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1)
         for d in (None, MU):
             with pytest.raises(ConfigError, match="no kept iterate"):
