@@ -31,6 +31,7 @@ from .oracle import (
     extract_extrinsic_coefficient,
     extrinsic_term,
     predicted_expansion,
+    surrogate_factors,
 )
 from .estimators import (
     binned_means,
@@ -44,7 +45,6 @@ from .estimators import (
 )
 from .langevin import (
     ChainConfig,
-    DriftSpec,
     marginal_diagnostic,
     run_chains,
     two_sample_ks,
@@ -56,7 +56,6 @@ __all__ = [
     "CorruptedBatch",
     "CurvatureBundle",
     "DensityModel",
-    "DriftSpec",
     "FiberPosterior",
     "FlatTorus",
     "IsotropicGaussian",
@@ -86,5 +85,6 @@ __all__ = [
     "probe_points",
     "projected_risk",
     "run_chains",
+    "surrogate_factors",
     "two_sample_ks",
 ]

@@ -422,9 +422,11 @@ def _keep_temporaries_in_heap() -> None:
     mid-size temporaries reuse heap pages instead of faulting in fresh
     ones.  glibc raises both only after it frees a large mapping, which
     made a study's speed depend on its allocation history.  Without them,
-    over 10 alternating benchmark pairs on 2 cores, finite-sample was
-    slower in every pair (median 2.18 s against 1.96 s) and oracle-sweep
-    peaked higher in every pair (87.5 MB against 76.2 MB)."""
+    over 10 rotated benchmark runs per side on 2 cores, finite-sample was
+    slower in every pair (median 1.60 s against 1.49 s) and oracle-sweep
+    peaked higher in every pair (77.7 MB against 74.6 MB); langevin and
+    pythagorean peaked 1.3 and 0.2 MB lower in every pair, and no other
+    wall time moved by more than its spread (BENCH_25.json)."""
     import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -30,7 +30,8 @@ class DegenerateScore(TubescoreError):
 
 
 class EmptyWindow(TubescoreError):
-    """No samples received positive kernel weight at the probe point."""
+    """Too few samples to estimate from: none with positive kernel weight
+    at a probe point, or fewer than two in the tube at a noise scale."""
 
 
 class NonFiniteResult(TubescoreError):

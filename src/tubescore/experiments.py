@@ -15,7 +15,7 @@ from .densities import (
     Uniform,
     VonMisesFisher,
 )
-from .errors import ConfigError
+from .errors import ConfigError, EmptyWindow
 from .estimators import (
     _cell_seed,
     _linear_quantiles,
@@ -31,7 +31,6 @@ from .estimators import (
 from .geometry import AffinePlane, FlatTorus, Sphere
 from .langevin import (
     ChainConfig,
-    DriftSpec,
     marginal_diagnostic,
     run_chains,
     two_sample_ks,
@@ -41,6 +40,7 @@ from .oracle import (
     conditional_target,
     extract_extrinsic_coefficient,
     predicted_expansion,
+    surrogate_factors,
 )
 from .rng import derive_rng
 from .targets import CorruptedBatch, corrupt, flat_reduction_residuals
@@ -179,6 +179,10 @@ def run_variance_collapse(q: DensityModel, sigma_grid, n: int, seed: int,
     used = rb_subsample
     for i, sig in enumerate(sigmas):
         data = corrupt(q, sig, n, _cell_seed(seed, "sweep.variance", i))
+        if len(data.foot) < 2:
+            raise EmptyWindow(
+                f"sigma={sig:g} kept {len(data.foot)} in-tube draws of {n}"
+                f" ({data.n_outside} discarded); a standard error needs two")
         sq = np.sum(data.targets ** 2, axis=1)
         feet = data.foot[:rb_subsample]
         used = min(used, len(feet))
@@ -252,6 +256,12 @@ def run_stein_suite(sigma: float = 0.1, moment_sigma: float = 0.025,
                     kappa: float = 2.0, logmap_n: int = 100_000,
                     seed: int = 0) -> dict:
     """Posterior identities, moment windows, and both remainder plateaus."""
+    if kappa == 0.0:
+        # both spheres carry the uniform law, whose chord ratios are 0 up
+        # to roundoff, so their max / min divides by zero
+        raise ConfigError("at kappa = 0 the chord remainder vanishes by "
+                          "symmetry, so chord_plateau_factor is undefined; "
+                          "use kappa > 0")
     q1 = sphere_vmf(1, kappa)
     q2 = sphere_vmf(2, kappa)
     z1 = np.array([1.0, 0.0])
@@ -446,15 +456,13 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
         raise ConfigError(
             f"the debias study needs at least 2 chains, got {debias_chains}")
 
+    q3 = sphere_vmf(3, kappa)
+    raw, debiased = surrogate_factors(q3, sigma)  # checks sigma before any run
     q2 = sphere_vmf(2, kappa)
-    samples = run_chains(q2, DriftSpec("intrinsic"), cfg, marginal_chains,
-                         direction=q2.mu)
+    samples = run_chains(q2, 1.0, cfg, marginal_chains, direction=q2.mu)
     marginal = {**marginal_diagnostic(samples, q2.t_marginal()),
                 "n_chains": marginal_chains, "n_steps": marginal_steps}
 
-    q3 = sphere_vmf(3, kappa)
-    raw = DriftSpec("raw_ambient", sigma)
-    debiased = DriftSpec("debiased", sigma)
     t_raw, t_deb = run_chains(q3, (raw, debiased), cfg3, debias_chains,
                               direction=q3.mu, average=True)
     tm = float(q3.t_marginal().mean())
@@ -463,8 +471,8 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     lo, hi = _linear_quantiles(diffs, [0.025, 0.975])
     debias = {
         "sigma": sigma,
-        "raw_factor": raw.factor(q3),
-        "debiased_factor": debiased.factor(q3),
+        "raw_factor": raw,
+        "debiased_factor": debiased,
         "target_mean": tm,
         "raw_bias": float(t_raw.mean() - tm),
         "debiased_bias": float(t_deb.mean() - tm),
@@ -475,9 +483,8 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     }
 
     q_scaled = sphere_vmf(2, scale * kappa)
-    a = run_chains(q2, DriftSpec("intrinsic", scale=scale), cfg_scaled,
-                   scaled_chains, direction=q2.mu)
-    b = run_chains(q_scaled, DriftSpec("intrinsic"),
+    a = run_chains(q2, scale, cfg_scaled, scaled_chains, direction=q2.mu)
+    b = run_chains(q_scaled, 1.0,
                    ChainConfig(step=step, n_steps=scaled_steps, seed=seed + 1),
                    scaled_chains, direction=q2.mu)
     scaled = {

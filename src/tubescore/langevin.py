@@ -1,10 +1,10 @@
-"""Intrinsic Langevin sampling with the closed-form drift family.
+"""Intrinsic Langevin sampling driven by a constant factor of the score.
 
 Chains step by the exponential map, Exp_z(eps * drift + sqrt(2 eps) * xi)
 with xi standard normal in the tangent space, so iterates never leave the
-manifold.  Every drift is a constant multiple of the score: the exact score,
-the extrinsic-only sigma^2 surrogate (1 + sigma^2 alpha) * score and its
-debiased correction, each with an optional scalar rescaling.  Large runs
+manifold.  Every drift is a positive factor times the score: 1.0 for the
+exact score, a rescaling for the scaled-drift equivalence, and the sigma^2
+surrogate's factors, which ``oracle.surrogate_factors`` computes.  Large runs
 split their chains across the usable CPUs in forked workers.  A run keeps
 every kept iterate, or only its projection onto one direction, or with
 ``average=True`` only each chain's mean of those values, summed in place so
@@ -12,75 +12,23 @@ that no buffer of kept iterates is ever allocated.
 """
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import split
 from .densities import DensityModel, SphereTMarginal
-from .errors import BeyondInjectivity, ConfigError, UnsupportedManifold
-from .geometry import Sphere
+from .errors import BeyondInjectivity, ConfigError
 from .geometry.base import row_norms
-from .oracle import check_sigma
 from .rng import derive_rng
 
-DRIFT_KINDS = ("intrinsic", "raw_ambient", "debiased")
 NOISE_BLOCK = 256
 NOISE_GROUP = 64
 # fewest chains worth a process of their own: on a 2-core machine a step of
 # the S^3 pair costs about the same at 32 to 128 chains and grows beyond, so
 # halving a run of fewer than 256 chains saves less than the fork costs
 MIN_PROCESS_CHAINS = 128
-
-
-@dataclass(frozen=True)
-class DriftSpec:
-    """Which drift field to run: ``factor(q)`` times the score of q.
-
-    kind "intrinsic" is the exact score; "raw_ambient" is
-    (1 + sigma^2 alpha) * score, the extrinsic-only sigma^2 surrogate;
-    "debiased" multiplies that by (1 - sigma^2 alpha).  ``scale``
-    (keyword-only) rescales any of them, which is how the scaled-drift
-    equivalence is exercised.  The surrogate is not the field that a
-    tube-conditioned regression learns: that field, the Rao-Blackwellized
-    target r_sigma, also carries the intrinsic Tweedie term at order
-    sigma^2, which "raw_ambient" omits and which dominates at sigma = 0.3
-    on S^3.
-    """
-
-    kind: str
-    sigma: float = 0.0
-    _: KW_ONLY
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in DRIFT_KINDS:
-            raise ConfigError(f"unknown drift kind {self.kind!r}")
-        if self.kind != "intrinsic":
-            check_sigma(self.sigma)
-        if not np.isfinite(self.scale) or self.scale <= 0:
-            raise ConfigError("drift scale must be positive")
-
-    def factor(self, q: DensityModel) -> float:
-        """The constant by which this drift multiplies the score of q.
-
-        alpha is the sphere coefficient 1 - d/2 of q's manifold S^d.  On
-        other manifolds the curvature correction is a full operator, and
-        the scalar shortcut is refused.
-        """
-        if self.kind == "intrinsic":
-            return self.scale
-        M = q.manifold
-        if not isinstance(M, Sphere):
-            raise UnsupportedManifold(
-                "scalar alpha drifts are sphere-only; elsewhere the"
-                " curvature correction is a full operator")
-        alpha = 1.0 - M.intrinsic_dim / 2.0
-        factor = self.scale * (1.0 + self.sigma**2 * alpha)
-        if self.kind == "debiased":
-            factor *= 1.0 - self.sigma**2 * alpha
-        return factor
 
 
 @dataclass(frozen=True)
@@ -141,7 +89,7 @@ def _initial_rows(q: DensityModel, config: ChainConfig, chains: range):
     return np.asarray(rows)
 
 
-def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
+def run_chains(q: DensityModel, factor: float | tuple[float, ...],
                config: ChainConfig, n_chains: int = 1, *,
                direction: np.ndarray | None = None,
                average: bool = False) -> np.ndarray:
@@ -151,13 +99,14 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     do not depend on n_chains.  Kept samples are the post-burn-in iterates
     at the thinning stride.
 
-    ``spec`` may be a tuple of drift specs.  Each chain then runs once per
-    spec, every copy from the chain's initial point and on the chain's
-    noise, and the result is (len(spec), n_chains, kept, D): the single-spec
-    runs stacked, bit for bit wherever the manifold's kernels are row-wise
-    (spheres and tori).  The noise is drawn once per step for all copies,
-    and every copy shares one ``q.score_batch`` call on all rows, scaled
-    row by row by its spec's ``factor(q)``.
+    The drift is ``factor`` times the score of q; every factor must be
+    positive and finite.  ``factor`` may be a tuple of factors.  Each chain
+    then runs once per factor, every copy from the chain's initial point
+    and on the chain's noise, and the result is (len(factor), n_chains,
+    kept, D): the single-factor runs stacked, bit for bit wherever the
+    manifold's kernels are row-wise (spheres and tori).  The noise is drawn
+    once per step for all copies, and every copy shares one
+    ``q.score_batch`` call on all rows, scaled row by row by its factor.
 
     The chain state is held column-major (Fortran order), so each per-row
     scalar such as a row norm or dot product runs over contiguous columns.
@@ -189,13 +138,13 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
     With ``direction`` (a finite vector of shape (D,), checked before any
     step), each kept iterate z is stored only as z @ direction and the
     trailing D axis is dropped: the result is (n_chains, kept), or
-    (len(spec), n_chains, kept) for a tuple, and equals the row result @
+    (len(factor), n_chains, kept) for a tuple, and equals the row result @
     direction bit for bit (the product is formed on a row-major copy of
     the state, as on the row result).
 
     With ``average=True``, each chain keeps only the mean of its kept
     values, z or z @ direction, and the kept axis is dropped: the result
-    is (n_chains[, D]), or (len(spec), n_chains[, D]) for a tuple.  Each
+    is (n_chains[, D]), or (len(factor), n_chains[, D]) for a tuple.  Each
     range adds every kept value into its chains' block of the shared
     output and the sum is divided by the kept count at the end, so no
     buffer of kept iterates exists in this process or in any worker, and
@@ -212,9 +161,10 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
         M.point_row(config.initial)
     if n_chains < 1:
         raise ConfigError("need at least one chain")
-    specs = spec if isinstance(spec, tuple) else (spec,)
-    if not specs:
-        raise ConfigError("need at least one drift spec")
+    factors = factor if isinstance(factor, tuple) else (factor,)
+    if not factors or not all(np.isfinite(f) and f > 0 for f in factors):
+        raise ConfigError("drift factors must be one or more positive"
+                          f" finite numbers, got {factor!r}")
     if direction is not None:
         direction = np.asarray(direction, dtype=float)
         if (direction.shape != (M.ambient_dim,)
@@ -227,9 +177,8 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
         raise ConfigError(
             f"no kept iterate to average: {config.n_steps} steps, burn-in"
             f" {config.burn_in}, thinning {config.thinning}")
-    factors = [s.factor(q) for s in specs]
     item = (M.ambient_dim,) if direction is None else ()  # one kept value
-    shape = (len(specs), n_chains, *(() if average else (kept,)), *item)
+    shape = (len(factors), n_chains, *(() if average else (kept,)), *item)
     run = partial(_run_range, q, factors, config, direction, average)
     out, hits = split.run(run, split.ranges(n_chains, MIN_PROCESS_CHAINS),
                           shape)
@@ -240,10 +189,10 @@ def run_chains(q: DensityModel, spec: DriftSpec | tuple[DriftSpec, ...],
             f"step length {longest:.4g} at iterate {step_idx}")
     if average:
         out /= kept
-    return out if isinstance(spec, tuple) else out[0]
+    return out if isinstance(factor, tuple) else out[0]
 
 
-def _run_range(q: DensityModel, factors: list[float], config: ChainConfig,
+def _run_range(q: DensityModel, factors: tuple, config: ChainConfig,
                direction: np.ndarray | None, average: bool, chains: range,
                out: np.ndarray, stops: np.ndarray,
                slot: int) -> tuple[int, float] | None:

@@ -35,7 +35,8 @@ from ``RBOracle`` queries on a meridian.  ``conditional_target`` returns it
 for a von Mises-Fisher latent and an ``RBOracle`` for every other density.
 
 The module also hosts the sigma^2 expansion terms (score, Tweedie drift,
-extrinsic curvature term), extraction of the dimensionless extrinsic
+extrinsic curvature term, and the sphere surrogate's factors of the score
+that the Langevin study runs), extraction of the dimensionless extrinsic
 coefficient, and the single-query posterior view behind the Stein identity,
 moment and chord checks.
 """
@@ -48,7 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import DensityModel, VonMisesFisher
-from .errors import ConfigError, DegenerateScore, QuadratureNotConverged
+from .errors import (
+    ConfigError,
+    DegenerateScore,
+    QuadratureNotConverged,
+    UnsupportedManifold,
+)
 from .geometry import Manifold, Sphere
 from .geometry.base import row_dots, row_norms
 from .geometry.quadrature import gauss_legendre
@@ -475,6 +481,28 @@ def conditional_target(q: DensityModel, sigma: float) -> ZonalTarget | RBOracle:
 def extrinsic_term(z: np.ndarray, q: DensityModel) -> np.ndarray:
     """Curvature correction (W_H/2 - Ric) applied to the score at rows z."""
     return q.manifold.curvature_bundle(z).apply_extrinsic(q.score_batch(z))
+
+
+def surrogate_factors(q: DensityModel, sigma: float) -> tuple[float, float]:
+    """The sphere surrogate's factors of the score, (raw, debiased).
+
+    On S^d the extrinsic term is alpha times the score, alpha = 1 - d/2,
+    so the extrinsic-only surrogate score + sigma^2 * extrinsic is raw =
+    1 + sigma^2 alpha times the score, and its debiased correction is raw *
+    (1 - sigma^2 alpha) times it.  The surrogate is not r_sigma, which also
+    carries the intrinsic Tweedie term at order sigma^2 (the term that
+    dominates at sigma = 0.3 on S^3).  Off the spheres the extrinsic term is
+    a full operator, and the scalar factors are refused.
+    """
+    sigma = check_sigma(sigma)
+    M = q.manifold
+    if not isinstance(M, Sphere):
+        raise UnsupportedManifold(
+            "the surrogate's scalar factors are sphere-only; elsewhere the"
+            " curvature correction is a full operator")
+    alpha = 1.0 - M.intrinsic_dim / 2.0
+    raw = 1.0 + sigma**2 * alpha
+    return raw, raw * (1.0 - sigma**2 * alpha)
 
 
 def predicted_expansion(z: np.ndarray, q: DensityModel,

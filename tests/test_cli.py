@@ -506,6 +506,38 @@ class TestMainFailure:
         assert record["error"] == "ConfigError"
         assert f"at least {below + 1}" in record["message"]
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["pythagorean", "--n", "2000"], 0),
+        (["finite-sample", "--n", "4000", "--repetitions", "2"], 0),
+        (["variance-collapse", "--sigma", "0.05,0.1", "--n", "100",
+          "--rb-subsample", "10"], 2),
+        (["extrinsic-coef"], 3),
+        (["stein-check", "--n", "100"], 2),
+        (["langevin", "--marginal-chains", "2", "--marginal-steps", "300",
+          "--debias-chains", "2", "--debias-steps", "300",
+          "--scaled-chains", "2", "--scaled-steps", "300"], 0),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_kappa_zero(self, capsys, argv, expected):
+        # the uniform law: studies that need a score or a chord remainder
+        # refuse it, the others run
+        code, out, err = run_cli(capsys, *argv, "--kappa", "0")
+        assert code == expected
+        if code:
+            assert out == "" and err.count("\n") == 1
+            assert json.loads(err)["exit_code"] == code
+
+    def test_variance_row_without_two_in_tube_draws(self, capsys):
+        # tubes of radius 0.011 keep no draw at sigma 0.4
+        code, out, err = run_cli(
+            capsys, "variance-collapse", "--manifold", "torus", "--radii",
+            "0.011,0.011", "--sigma", "0.4,0.5", "--n", "10",
+            "--rb-subsample", "2")
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "EmptyWindow", "exit_code": 3,
+            "message": "sigma=0.4 kept 0 in-tube draws of 10 (10 discarded);"
+                       " a standard error needs two"}
+
     @pytest.mark.parametrize("study", ["marginal", "debias", "scaled"])
     def test_empty_langevin_study_refused(self, capsys, tmp_path, study):
         # 4 steps at thinning 5 keep no iterate; refused before any chain runs

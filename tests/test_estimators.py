@@ -23,7 +23,7 @@ from tubescore.estimators import (
     window_cap,
 )
 from tubescore.geometry import AffinePlane, Sphere
-from tubescore.langevin import ChainConfig, DriftSpec, run_chains
+from tubescore.langevin import ChainConfig, run_chains
 from tubescore.oracle import FiberPosterior, RBOracle
 from tubescore.targets import CorruptedBatch, corrupt, flat_reduction_residuals
 
@@ -172,7 +172,7 @@ class TestLocalAverage:
             if caller == "fiber_posterior":
                 return FiberPosterior(z, vmf2, 0.1)
             cfg = ChainConfig(n_steps=10, initial=z)
-            return run_chains(vmf2, DriftSpec("intrinsic"), cfg)
+            return run_chains(vmf2, 1.0, cfg)
 
         for z in (np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])):
             with pytest.raises(ManifoldMismatch):

@@ -303,3 +303,10 @@ class TestLangevinDriver:
         assert out["debias"]["raw_factor"] == pytest.approx(0.955)
         assert out["debias"]["debiased_factor"] == pytest.approx(
             0.955 * 1.045)
+
+    def test_sigma_refused_before_any_chain(self, monkeypatch):
+        def no_chains(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(ex, "run_chains", no_chains)
+        with pytest.raises(ConfigError, match="sigma=0.9"):
+            ex.run_langevin_suite(sigma=0.9)

@@ -9,7 +9,7 @@ from tubescore import AffinePlane, FlatTorus, Sphere, VonMisesFisher
 from tubescore.errors import BeyondInjectivity, ManifoldMismatch
 from tubescore.geometry import gauss_legendre, wrap_angle
 from tubescore.geometry.base import POINT_ATOL, row_dots, row_norms
-from tubescore.langevin import ChainConfig, DriftSpec, run_chains
+from tubescore.langevin import ChainConfig, run_chains
 
 from conftest import (
     ALL_MANIFOLDS,
@@ -264,7 +264,7 @@ def test_cut_locus_and_injectivity_errors(seed):
     cfg = ChainConfig(step=0.9, n_steps=1, burn_in=0, thinning=1, seed=seed,
                       initial=[1.0, 0.0, 0.0])
     with pytest.raises(BeyondInjectivity):
-        run_chains(q, DriftSpec("intrinsic", scale=50.0), cfg)
+        run_chains(q, 50.0, cfg)
 
 
 @pytest.mark.parametrize("name", ALL_MANIFOLDS)

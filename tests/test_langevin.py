@@ -1,4 +1,4 @@
-"""Chain mechanics, drift family validation, and equilibrium diagnostics."""
+"""Chain mechanics, drift factors, and equilibrium diagnostics."""
 import os
 import signal
 import time
@@ -17,12 +17,12 @@ from tubescore.errors import BeyondInjectivity, ConfigError, UnsupportedManifold
 from tubescore.geometry import FlatTorus, Sphere
 from tubescore.langevin import (
     ChainConfig,
-    DriftSpec,
     ks_distance,
     marginal_diagnostic,
     run_chains,
     two_sample_ks,
 )
+from tubescore.oracle import extrinsic_term, surrogate_factors
 from tubescore.rng import derive_rng
 
 S2 = Sphere(2)
@@ -47,55 +47,51 @@ def vmf2_generic():
     return VonMisesFisher(S2, generic_unit(3), 2.0)
 
 
-class TestDriftSpec:
-    def test_kind_validated(self):
-        with pytest.raises(ConfigError):
-            DriftSpec("metropolis")
-
-    def test_raw_needs_alpha_and_sigma(self):
-        # sigma comes from the spec and alpha from the density's sphere
-        with pytest.raises(ConfigError):
-            DriftSpec("raw_ambient")
-        with pytest.raises(ConfigError):
-            DriftSpec("raw_ambient", 5.0)  # sigma outside the clamp
-        # the third positional argument was alpha; it must not quietly
-        # become the keyword-only scale
-        with pytest.raises(TypeError):
-            DriftSpec("raw_ambient", 0.3, 0.5)
-
-    def test_scale_positive(self):
-        with pytest.raises(ConfigError):
-            DriftSpec("intrinsic", scale=0.0)
-
+class TestDriftFactors:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_alpha_comes_from_the_sphere(self, dim):
-        q = VonMisesFisher(Sphere(dim), np.eye(dim + 1)[-1], 2.0)
-        alpha = 1.0 - dim / 2.0
-        raw = DriftSpec("raw_ambient", 0.3).factor(q)
-        assert raw == pytest.approx(1.0 + 0.09 * alpha, abs=1e-12)
-        assert DriftSpec("debiased", 0.3).factor(q) == pytest.approx(
-            raw * (1.0 - 0.09 * alpha), abs=1e-12)
-        assert DriftSpec("debiased", 0.3, scale=2.0).factor(q) == \
-            2.0 * DriftSpec("debiased", 0.3).factor(q)
-        assert DriftSpec("intrinsic", 0.3, scale=1.5).factor(q) == 1.5
-
-    def test_scalar_alpha_is_sphere_only(self):
-        T2 = FlatTorus(1.0, 1.0)
-        q = ProductVonMises(T2, (1.0, 1.0))
-        with pytest.raises(UnsupportedManifold):
-            DriftSpec("raw_ambient", 0.3).factor(q)
-        with pytest.raises(UnsupportedManifold):
-            run_chains(q, DriftSpec("debiased", 0.3),
-                       ChainConfig(n_steps=10), 2)
-        # intrinsic is fine anywhere
-        assert DriftSpec("intrinsic").factor(q) == 1.0
+        # the surrogate's alpha = 1 - d/2 restates the extrinsic operator
+        # W_H/2 - Ric, which on S^d is alpha times the identity
+        q = VonMisesFisher(Sphere(dim), generic_unit(dim + 1), 2.0)
+        z = derive_rng(6, "test.feet", dim).standard_normal((50, dim + 1))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        raw, debiased = surrogate_factors(q, 0.5)
+        alpha = (raw - 1.0) / 0.25  # exact: raw is a multiple of 1/8
+        assert alpha == 1.0 - dim / 2.0
+        assert debiased == raw * (1.0 - 0.25 * alpha)
+        s = q.score_batch(z)
+        gap = np.linalg.norm(extrinsic_term(z, q) - alpha * s, axis=1)
+        assert np.all(gap <= 1e-14 * np.linalg.norm(s, axis=1))
 
     def test_factor_values(self):
         q3 = VonMisesFisher(Sphere(3), np.array([0., 0., 0., 1.]), 2.0)
-        assert DriftSpec("raw_ambient", 0.3).factor(q3) == \
-            pytest.approx(0.955, abs=1e-12)
-        assert DriftSpec("debiased", 0.3).factor(q3) == \
-            pytest.approx(0.955 * 1.045, abs=1e-12)
+        raw, debiased = surrogate_factors(q3, 0.3)
+        assert raw == pytest.approx(0.955, abs=1e-12)
+        assert debiased == pytest.approx(0.955 * 1.045, abs=1e-12)
+
+    def test_scalar_alpha_is_sphere_only(self):
+        q = ProductVonMises(FlatTorus(1.0, 1.0), (1.0, 1.0))
+        with pytest.raises(UnsupportedManifold):
+            surrogate_factors(q, 0.3)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.005, 0.6, 5.0])
+    def test_sigma_outside_the_clamp_refused(self, vmf2, sigma):
+        with pytest.raises(ConfigError):
+            surrogate_factors(vmf2, sigma)
+
+    @pytest.mark.parametrize("factor", [(), 0.0, -1.0, np.nan, np.inf,
+                                        (1.0, 0.0)],
+                             ids=["empty", "0.0", "-1.0", "nan", "inf",
+                                  "pair_with_0.0"])
+    def test_bad_factors_refused(self, vmf2, monkeypatch, factor):
+        # refused before any step or fork, in a run that would split
+        def no_fork():
+            raise AssertionError("forked with a bad drift factor")
+        monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(ConfigError, match="drift factor"):
+            run_chains(vmf2, factor, ChainConfig(n_steps=10), 7)
 
 
 class TestChainConfig:
@@ -127,7 +123,7 @@ class TestStepping:
     def one_step(q, z0, eps, seed, n=8000):
         cfg = ChainConfig(step=eps, n_steps=1, burn_in=0, thinning=1,
                           seed=seed, initial=z0)
-        return run_chains(q, DriftSpec("intrinsic"), cfg, n)[:, 0]
+        return run_chains(q, 1.0, cfg, n)[:, 0]
 
     def test_brownian_displacement_scaling(self):
         z0 = np.array([1.0, 0.0, 0.0])
@@ -145,13 +141,14 @@ class TestStepping:
     def test_beyond_injectivity(self, vmf2):
         cfg = ChainConfig(step=0.9, n_steps=10, seed=0)
         with pytest.raises(BeyondInjectivity):
-            run_chains(vmf2, DriftSpec("intrinsic", scale=50.0), cfg, 2)
+            run_chains(vmf2, 50.0, cfg, 2)
 
 
 class TestCoupledChains:
-    """A tuple of drift specs runs every chain once per spec on shared noise."""
+    """A tuple of drift factors runs every chain once per factor on shared
+    noise."""
 
-    S3_PAIR = (DriftSpec("raw_ambient", 0.3), DriftSpec("debiased", 0.3))
+    S3_PAIR = (0.955, 0.997975)  # surrogate_factors on S^3 at sigma 0.3
 
     @pytest.fixture(scope="class")
     def vmf3(self):
@@ -166,17 +163,17 @@ class TestCoupledChains:
         for q in (vmf3, vmf3_generic):
             coupled = run_chains(q, self.S3_PAIR, cfg, 5)
             assert coupled.shape == (2, 5, cfg.kept_count(), 4)
-            for spec, run in zip(self.S3_PAIR, coupled):
-                assert np.array_equal(run, run_chains(q, spec, cfg, 5))
+            for factor, run in zip(self.S3_PAIR, coupled):
+                assert np.array_equal(run, run_chains(q, factor, cfg, 5))
 
     def test_torus_pair_equals_single_runs(self):
         T2 = FlatTorus(1.0, 1.0)
         q = ProductVonMises(T2, (1.5, 1.5))
-        specs = (DriftSpec("intrinsic"), DriftSpec("intrinsic", scale=1.5))
+        factors = (1.0, 1.5)
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=12)
-        coupled = run_chains(q, specs, cfg, 3)
-        for spec, run in zip(specs, coupled):
-            assert np.array_equal(run, run_chains(q, spec, cfg, 3))
+        coupled = run_chains(q, factors, cfg, 3)
+        for factor, run in zip(factors, coupled):
+            assert np.array_equal(run, run_chains(q, factor, cfg, 3))
 
     def test_chain_count_prefix_stable(self, vmf3, vmf3_generic):
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=7)
@@ -190,8 +187,8 @@ class TestCoupledChains:
 
     def test_one_spec_tuple_keeps_the_spec_axis(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=50, seed=3)
-        single = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 2)
-        coupled = run_chains(vmf2, (DriftSpec("intrinsic"),), cfg, 2)
+        single = run_chains(vmf2, 1.0, cfg, 2)
+        coupled = run_chains(vmf2, (1.0,), cfg, 2)
         assert np.array_equal(coupled, single[None])
 
     @pytest.mark.parametrize("case", ["sphere3_pair", "sphere2_single",
@@ -199,25 +196,23 @@ class TestCoupledChains:
     def test_direction_keeps_only_the_projection(self, vmf2, vmf2_generic,
                                                  vmf3, vmf3_generic, case):
         torus = ProductVonMises(FlatTorus(1.0, 1.0), (1.5, 1.5))
-        one = DriftSpec("intrinsic")
-        torus_pair = (one, DriftSpec("intrinsic", scale=1.5))
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=11)
         burnt = ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1)
         kept = cfg.kept_count()
-        laws, spec, c, n, shape = {
+        laws, factor, c, n, shape = {
             "sphere3_pair": ((vmf3, vmf3_generic), self.S3_PAIR, cfg, 5,
                              (2, 5, kept)),
-            "sphere2_single": ((vmf2, vmf2_generic), one, cfg, 4, (4, kept)),
-            "torus_pair": ((torus,), torus_pair, cfg, 3, (2, 3, kept)),
-            "all_burn_in": ((vmf2,), one, burnt, 3, (3, 0)),
+            "sphere2_single": ((vmf2, vmf2_generic), 1.0, cfg, 4, (4, kept)),
+            "torus_pair": ((torus,), (1.0, 1.5), cfg, 3, (2, 3, kept)),
+            "all_burn_in": ((vmf2,), 1.0, burnt, 3, (3, 0)),
         }[case]
         for q in laws:
             d = derive_rng(5, "test.direction").standard_normal(
                 q.manifold.ambient_dim)
             d /= np.linalg.norm(d)
-            t = run_chains(q, spec, c, n, direction=d)
+            t = run_chains(q, factor, c, n, direction=d)
             assert t.shape == shape
-            assert np.array_equal(t, run_chains(q, spec, c, n) @ d)
+            assert np.array_equal(t, run_chains(q, factor, c, n) @ d)
 
     def test_noise_block_size_does_not_matter(self, vmf3_generic,
                                               monkeypatch):
@@ -230,8 +225,8 @@ class TestCoupledChains:
                                    direction=d),
                 lambda: run_chains(vmf3_generic, self.S3_PAIR, cfg, 5,
                                    direction=d, average=True),
-                lambda: run_chains(torus, DriftSpec("intrinsic"), cfg, 5),
-                lambda: run_chains(torus, DriftSpec("intrinsic"), cfg, 5,
+                lambda: run_chains(torus, 1.0, cfg, 5),
+                lambda: run_chains(torus, 1.0, cfg, 5,
                                    average=True)]
         default = [run() for run in runs]
         monkeypatch.setattr(langevin, "NOISE_BLOCK", 7)
@@ -260,13 +255,11 @@ class TestCoupledChains:
                 lambda q=q: run_chains(q, self.S3_PAIR, cfg, 7, direction=d4,
                                        average=True)
                 for q in (vmf3, vmf3_generic)],
-            "torus_pair": [lambda: run_chains(
-                torus, (DriftSpec("intrinsic"),
-                        DriftSpec("intrinsic", scale=1.5)), cfg, 5)],
+            "torus_pair": [lambda: run_chains(torus, (1.0, 1.5), cfg, 5)],
             "torus_average": [lambda: run_chains(
-                torus, DriftSpec("intrinsic"), cfg, 5, average=True)],
+                torus, 1.0, cfg, 5, average=True)],
             "all_burn_in": [lambda: run_chains(
-                vmf2, DriftSpec("intrinsic"),
+                vmf2, 1.0,
                 ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1), 5)],
         }[case]
         default = [run() for run in runs]
@@ -296,12 +289,11 @@ class TestCoupledChains:
         # at scale 1 the first failing iterate falls in a worker's range and
         # the caller's own range fails later; at scale 50 every range fails
         # at iterate 1 and the longest step lies in a worker's range
-        spec = DriftSpec("intrinsic", scale=scale)
         cfg = ChainConfig(step=0.9, n_steps=10, seed=seed)
 
         def message(n, average=False):
             with pytest.raises(BeyondInjectivity) as err:
-                run_chains(vmf2, spec, cfg, n, average=average)
+                run_chains(vmf2, scale, cfg, n, average=average)
             return str(err.value)
         unsplit = message(7)
         assert message(7, average=True) == unsplit
@@ -335,7 +327,7 @@ class TestCoupledChains:
         cfg = ChainConfig(step=1e-3, n_steps=n_steps, seed=1)
         start = time.perf_counter()
         with pytest.raises(exc, match="from the chain step"):
-            run_chains(q, DriftSpec("intrinsic"), cfg, 3, direction=MU)
+            run_chains(q, 1.0, cfg, 3, direction=MU)
         assert time.perf_counter() - start < 60.0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -356,7 +348,7 @@ class TestCoupledChains:
         cfg = ChainConfig(step=1e-3, n_steps=3_000_000, seed=1)
         start = time.perf_counter()
         with pytest.raises(BeyondInjectivity, match=r"at iterate 1$"):
-            run_chains(q, DriftSpec("intrinsic"), cfg, 3, direction=MU)
+            run_chains(q, 1.0, cfg, 3, direction=MU)
         assert time.perf_counter() - start < 10.0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -375,7 +367,7 @@ class TestCoupledChains:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=1)
         with pytest.raises(RuntimeError, match="sent no result"):
-            run_chains(q, DriftSpec("intrinsic"), cfg, 3)
+            run_chains(q, 1.0, cfg, 3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -404,14 +396,14 @@ class TestCoupledChains:
                                                       case):
         torus = ProductVonMises(FlatTorus(1.0, 1.5), (1.5, 1.0))
         cfg = ChainConfig(step=1e-3, n_steps=600, seed=21)
-        q, spec, d, axis = {
+        q, factor, d, axis = {
             "sphere3_direction": (vmf3_generic, self.S3_PAIR,
                                   generic_unit(4), -1),
             "sphere3_rows": (vmf3_generic, self.S3_PAIR, None, -2),
-            "torus_rows": (torus, DriftSpec("intrinsic"), None, -2),
+            "torus_rows": (torus, 1.0, None, -2),
         }[case]
-        kept = run_chains(q, spec, cfg, 5, direction=d)
-        mean = run_chains(q, spec, cfg, 5, direction=d, average=True)
+        kept = run_chains(q, factor, cfg, 5, direction=d)
+        mean = run_chains(q, factor, cfg, 5, direction=d, average=True)
         assert mean.shape == kept.mean(axis=axis).shape
         np.testing.assert_allclose(mean, kept.mean(axis=axis), rtol=1e-12,
                                    atol=0)
@@ -424,14 +416,13 @@ class TestCoupledChains:
         cfg = ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1)
         for d in (None, MU):
             with pytest.raises(ConfigError, match="no kept iterate"):
-                run_chains(vmf2, DriftSpec("intrinsic"), cfg, 3,
+                run_chains(vmf2, 1.0, cfg, 3,
                            direction=d, average=True)
 
     def test_beyond_injectivity(self, vmf2):
         cfg = ChainConfig(step=0.9, n_steps=10, seed=0)
-        specs = (DriftSpec("intrinsic"), DriftSpec("intrinsic", scale=50.0))
         with pytest.raises(BeyondInjectivity):
-            run_chains(vmf2, specs, cfg, 2)
+            run_chains(vmf2, (1.0, 50.0), cfg, 2)
 
 
 @pytest.mark.parametrize("q", [
@@ -458,29 +449,29 @@ def test_step_kernels_keep_bits_and_layout(q):
 class TestChains:
     def test_run_chain_points_on_manifold(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=200, seed=4)
-        rows = run_chains(vmf2, DriftSpec("intrinsic"), cfg)[0]
+        rows = run_chains(vmf2, 1.0, cfg)[0]
         assert rows.shape == (cfg.kept_count(), 3)
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-10
 
     def test_empty_when_all_burn_in(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=100, burn_in=100, seed=1)
-        assert run_chains(vmf2, DriftSpec("intrinsic"), cfg)[0].shape == (0, 3)
-        assert run_chains(vmf2, DriftSpec("intrinsic"), cfg, 3).shape == (3, 0, 3)
+        assert run_chains(vmf2, 1.0, cfg)[0].shape == (0, 3)
+        assert run_chains(vmf2, 1.0, cfg, 3).shape == (3, 0, 3)
 
     def test_deterministic_and_seed_sensitive(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=7)
-        a = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 4)
-        b = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 4)
+        a = run_chains(vmf2, 1.0, cfg, 4)
+        b = run_chains(vmf2, 1.0, cfg, 4)
         assert np.array_equal(a, b)
-        other = run_chains(vmf2, DriftSpec("intrinsic"),
+        other = run_chains(vmf2, 1.0,
                            ChainConfig(step=1e-3, n_steps=300, seed=8), 4)
         assert not np.array_equal(a, other)
 
     def test_chain_count_prefix_stable(self, vmf2, vmf2_generic):
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=7)
         for q in (vmf2, vmf2_generic):
-            wide = run_chains(q, DriftSpec("intrinsic"), cfg, 8)
-            narrow = run_chains(q, DriftSpec("intrinsic"), cfg, 3)
+            wide = run_chains(q, 1.0, cfg, 8)
+            narrow = run_chains(q, 1.0, cfg, 3)
             assert np.array_equal(wide[:3], narrow)
 
     def test_explicit_initial(self, vmf2):
@@ -496,7 +487,7 @@ class TestChains:
         assert cfg == same and hash(cfg) == hash(same)
         assert cfg != ChainConfig(step=1e-3, n_steps=20, burn_in=0,
                                   thinning=1, seed=2, initial=[1, 0, 0])
-        out = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 2)
+        out = run_chains(vmf2, 1.0, cfg, 2)
         assert out.shape == (2, 20, 3)
         # every chain starts at the row: the first iterate is one short step
         # from it
@@ -505,13 +496,13 @@ class TestChains:
 
     def test_constraint_held_everywhere(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=2000, seed=3)
-        out = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 8)
+        out = run_chains(vmf2, 1.0, cfg, 8)
         radii = np.linalg.norm(out.reshape(-1, 3), axis=1)
         assert np.abs(radii - 1.0).max() <= 1e-10
 
     def test_equilibrium_mean(self, vmf2):
         cfg = ChainConfig(step=1e-3, n_steps=10_000, seed=6)
-        out = run_chains(vmf2, DriftSpec("intrinsic"), cfg, 32)
+        out = run_chains(vmf2, 1.0, cfg, 32)
         t = out @ MU
         per_chain = t.mean(axis=1)
         se = per_chain.std(ddof=1) / np.sqrt(per_chain.size)
@@ -522,7 +513,7 @@ class TestChains:
         T2 = FlatTorus(1.0, 1.0)
         q = ProductVonMises(T2, (1.5, 1.5))
         cfg = ChainConfig(step=1e-3, n_steps=500, seed=5)
-        out = run_chains(q, DriftSpec("intrinsic"), cfg, 4)
+        out = run_chains(q, 1.0, cfg, 4)
         res = T2.project_batch(out.reshape(-1, 4))[1]
         assert res.max() <= 1e-10
 
@@ -586,10 +577,10 @@ class TestDiagnostics:
 class TestEquivalences:
     def test_scaled_drift_matches_scaled_kappa(self, vmf2):
         q3 = VonMisesFisher(S2, MU, 3.0)
-        a = run_chains(vmf2, DriftSpec("intrinsic", scale=1.5),
+        a = run_chains(vmf2, 1.5,
                        ChainConfig(step=1e-3, n_steps=10_000, seed=41), 64,
                        direction=MU)
-        b = run_chains(q3, DriftSpec("intrinsic"),
+        b = run_chains(q3, 1.0,
                        ChainConfig(step=1e-3, n_steps=10_000, seed=42), 64,
                        direction=MU)
         assert two_sample_ks(a, b) <= 0.03
@@ -598,7 +589,7 @@ class TestEquivalences:
     def test_step_halving_stable(self, vmf2):
         means, ses = [], []
         for eps, steps in ((1e-3, 10_000), (5e-4, 20_000)):
-            out = run_chains(vmf2, DriftSpec("intrinsic"),
+            out = run_chains(vmf2, 1.0,
                              ChainConfig(step=eps, n_steps=steps, seed=31), 48)
             per_chain = (out @ MU).mean(axis=1)
             means.append(per_chain.mean())
@@ -611,8 +602,7 @@ class TestEquivalences:
         S3 = Sphere(3)
         q = VonMisesFisher(S3, np.array([0., 0., 0., 1.]), 2.0)
         cfg = ChainConfig(step=1e-3, n_steps=10_000, seed=17)
-        raw, deb = run_chains(q, (DriftSpec("raw_ambient", 0.5),
-                                  DriftSpec("debiased", 0.5)), cfg, 96)
+        raw, deb = run_chains(q, (0.875, 0.984375), cfg, 96)
         tm = q.t_marginal().mean()
         t_raw = (raw @ q.mu).mean(axis=1)
         t_deb = (deb @ q.mu).mean(axis=1)
