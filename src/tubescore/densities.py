@@ -1,12 +1,12 @@
 """Latent density models on the supported manifolds.
 
 Every model exposes the normalized log density, the Riemannian score
-grad_M log q, the Laplace-Beltrami term Delta_M log q, and the second-order
-drift correction
+grad_M log q, and the second-order drift correction
 
     b_q = (1/2) grad_M [ Delta_M log q + ||grad_M log q||^2 ],
 
-all as closed-form row kernels on (n, D) ambient coordinate rows; the score's
+all as closed-form row kernels on (n, D) ambient coordinate rows (b_q is
+formed directly, with no Laplace-Beltrami kernel of its own); the score's
 second moment E_q ||grad_M log q||^2, from the density's own one-dimensional
 law; and a deterministic sampler driven by an explicit numpy Generator.
 """
@@ -76,10 +76,6 @@ class DensityModel(abc.ABC):
 
     @abc.abstractmethod
     def score_batch(self, coords: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Delta_M log q at each row, shape (n,)."""
 
     @abc.abstractmethod
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
@@ -192,11 +188,6 @@ class VonMisesFisher(DensityModel):
         t = row_dots(coords, self.mu[None, :])
         return self.kappa * (self.mu[None, :] - t[:, None] * coords)
 
-    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
-        # <mu, z> restricted to S^d is a first spherical harmonic:
-        # Delta_M <mu, z> = -d <mu, z>.
-        return -self.kappa * self._manifold.intrinsic_dim * (coords @ self.mu)
-
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         d = self._manifold.intrinsic_dim
         t = coords @ self.mu
@@ -259,12 +250,6 @@ class ProductVonMises(DensityModel):
         k = np.array(self.kappas)
         return self._manifold.embed_tangent(coords, -k * np.sin(delta) / r)
 
-    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
-        delta = self._deltas(coords)
-        r1, r2 = self._manifold.radii
-        k1, k2 = self.kappas
-        return -k1 * np.cos(delta[:, 0]) / r1**2 - k2 * np.cos(delta[:, 1]) / r2**2
-
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         delta = self._deltas(coords)
         r = np.array(self._manifold.radii)
@@ -316,9 +301,6 @@ class IsotropicGaussian(DensityModel):
         c = self._manifold.chart(coords) - self.mean
         return self._manifold.embed_tangent(-c / self.tau**2)
 
-    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
-        return np.full(coords.shape[0], -self._manifold.intrinsic_dim / self.tau**2)
-
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         c = self._manifold.chart(coords) - self.mean
         return self._manifold.embed_tangent(c / self.tau**4)
@@ -349,9 +331,6 @@ class Uniform(DensityModel):
 
     def score_batch(self, coords: np.ndarray) -> np.ndarray:
         return np.zeros_like(coords)
-
-    def laplacian_batch(self, coords: np.ndarray) -> np.ndarray:
-        return np.zeros(coords.shape[0])
 
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         return np.zeros_like(coords)

@@ -37,6 +37,7 @@ from .langevin import (
 )
 from .oracle import (
     FiberPosterior,
+    check_sigma,
     conditional_target,
     extract_extrinsic_coefficient,
     predicted_expansion,
@@ -240,8 +241,14 @@ def run_extrinsic_coef(models, sigmas) -> dict:
     """Fitted curvature coefficients against the operator prediction.
 
     The prediction is the score-aligned component of the curvature
-    correction, exact for any geometry in the comparison set.
+    correction, exact for any geometry in the comparison set.  The fit
+    divides by the score, so a density whose score vanishes everywhere is
+    refused before any quadrature.
     """
+    for name, q in models:
+        if q.score_second_moment() == 0.0:
+            raise ConfigError(f"the score of the {name} density vanishes, so "
+                              "alpha_hat is undefined; use kappa > 0")
     rows = []
     for name, q in models:
         z = default_extrinsic_probe(q)
@@ -256,6 +263,7 @@ def run_stein_suite(sigma: float = 0.1, moment_sigma: float = 0.025,
                     kappa: float = 2.0, logmap_n: int = 100_000,
                     seed: int = 0) -> dict:
     """Posterior identities, moment windows, and both remainder plateaus."""
+    sigma, moment_sigma = check_sigma(sigma), check_sigma(moment_sigma)
     if kappa == 0.0:
         # both spheres carry the uniform law, whose chord ratios are 0 up
         # to roundoff, so their max / min divides by zero

@@ -30,7 +30,8 @@ class Manifold(abc.ABC):
 
     @abc.abstractmethod
     def key(self) -> tuple:
-        """Hashable identity used for equality and grid caching."""
+        """Hashable identity used for equality and as the key of the
+        oracle's cached polar rules."""
 
     def __eq__(self, other):
         return isinstance(other, Manifold) and self.key() == other.key()
@@ -159,12 +160,6 @@ class Manifold(abc.ABC):
     @abc.abstractmethod
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Generic sample points for tests (uniform where the volume is finite)."""
-
-    @abc.abstractmethod
-    def grid(self, resolution: int, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic quadrature rule: (nodes, weights) for integrals
-        sum_j w_j f(y_j), nodes as coordinate rows.  On a compact manifold
-        the weights sum to the volume."""
 
     def curvature_bundle(self, z: np.ndarray):
         """Curvature data at the coordinate rows ``z``."""

@@ -32,11 +32,6 @@ class CurvatureBundle:
     def tangent_frames(self) -> np.ndarray:
         return self.frames[:, :self.ricci.shape[1]]
 
-    def mean_curvature_vector(self) -> np.ndarray:
-        coeffs = np.einsum("naii->na", self.second_fundamental)
-        return np.einsum("na,naD->nD", coeffs,
-                         self.frames[:, self.ricci.shape[1]:])
-
     def gauss_residual(self) -> np.ndarray:
         """Max-norm defect of Ric - (W_H - S) per row; zero when consistent."""
         defect = self.ricci - (self.weingarten_mean - self.shape_sum)
@@ -45,10 +40,6 @@ class CurvatureBundle:
     def extrinsic_operator(self) -> np.ndarray:
         """The tangent operator (1/2) W_H - Ric, in the tangent frames."""
         return 0.5 * self.weingarten_mean - self.ricci
-
-    def extrinsic_operator_shape_form(self) -> np.ndarray:
-        """Equivalent form S - (1/2) W_H via the Gauss identity."""
-        return self.shape_sum - 0.5 * self.weingarten_mean
 
     def frame_residual(self) -> np.ndarray:
         """Orthonormality defect of each row's frame."""

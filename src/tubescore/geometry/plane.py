@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from .base import Manifold
-from .quadrature import check_resolution, gauss_legendre
 
 
 class AffinePlane(Manifold):
@@ -137,18 +136,3 @@ class AffinePlane(Manifold):
 
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.embed(rng.standard_normal((n, self.intrinsic_dim)))
-
-    def grid(self, resolution: int,
-             half_width: float = 8.0) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre product rule (nodes, weights) on a chart box of the
-        given half width; the weights sum to the box volume."""
-        n = check_resolution(resolution)
-        d = self.intrinsic_dim
-        x, w = gauss_legendre(n, -half_width, half_width)
-        axes = np.meshgrid(*([x] * d), indexing="ij")
-        coords = np.stack([a.ravel() for a in axes], axis=-1)
-        weights = np.ones(n**d)
-        for wa in np.meshgrid(*([w] * d), indexing="ij"):
-            weights *= wa.ravel()
-        return self.embed(coords), weights
-

@@ -1,19 +1,12 @@
-"""Quadrature building blocks: the resolution floor of the manifold grids
-and the Gauss-Legendre rule."""
+"""Quadrature building blocks: the Gauss-Legendre rule and the product
+rules on the unit spheres S^0 to S^3 that serve as the oracle's tangent
+direction rules."""
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-
-MIN_RESOLUTION = 8
-
-
-def check_resolution(resolution: int) -> int:
-    resolution = int(resolution)
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
-    return resolution
 
 
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -60,3 +53,46 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     w = 2.0 * w / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def sphere_rule(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product rule (nodes, weights) on the unit S^k in R^{k+1}, k in 0..3,
+    at angular resolution n; the weights sum to the volume of S^k.
+
+    S^0 is the exact pair +-1; S^1 takes n equally spaced angles; S^2
+    Gauss-Legendre in t with n nodes times 2n angles; S^3 a rule in the
+    polar angle chi times the S^2 rule.  The chi rule is Gauss-Jacobi
+    (1/2, 1/2) in cos chi, whose nodes chi_k = k pi / (n + 1) and weights
+    pi sin^2 chi_k / (n + 1) are closed-form; it is exact for degree
+    2n - 1 in cos chi against the sin^2 chi weight, where Gauss-Legendre in
+    chi needs about half again as many nodes for the same error.
+    """
+    if k == 0:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
+    if k == 3:
+        chi = math.pi * np.arange(1, n + 1) / (n + 1)
+        w_chi = math.pi * np.sin(chi) ** 2 / (n + 1)
+        # a product of unit rows is unit to rounding, so it is not renormalized
+        sub_nodes, sub_w = sphere_rule(2, n)
+        nodes = np.concatenate(
+            [np.repeat(np.cos(chi), sub_nodes.shape[0])[:, None],
+             np.einsum("i,jk->ijk", np.sin(chi), sub_nodes).reshape(-1, 3)],
+            axis=1)
+        return nodes, np.outer(w_chi, sub_w).ravel()
+    if k == 1:
+        theta = 2.0 * math.pi * np.arange(n) / n
+        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+        weights = np.full(n, 2.0 * math.pi / n)
+    elif k == 2:
+        t, wt = gauss_legendre(n, -1.0, 1.0)
+        phi = 2.0 * math.pi * np.arange(2 * n) / (2 * n)
+        rho = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+        nodes = np.empty((n, 2 * n, 3))
+        nodes[:, :, 0] = rho[:, None] * np.cos(phi)[None, :]
+        nodes[:, :, 1] = rho[:, None] * np.sin(phi)[None, :]
+        nodes[:, :, 2] = t[:, None]
+        nodes = nodes.reshape(-1, 3)
+        weights = np.repeat(wt * (2.0 * math.pi / (2 * n)), 2 * n)
+    else:
+        raise ValueError(f"sphere_rule covers S^0 to S^3, got S^{k}")
+    return nodes / np.linalg.norm(nodes, axis=1, keepdims=True), weights

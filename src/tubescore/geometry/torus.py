@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from .base import Manifold
-from .quadrature import check_resolution
 
 _CUT_TOL = 1e-12
 
@@ -183,12 +182,3 @@ class FlatTorus(Manifold):
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         theta = rng.uniform(-math.pi, math.pi, size=(n, 2))
         return self.from_angles(theta)
-
-    def grid(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform angles on both circles: (nodes, weights), n^2 nodes."""
-        n = check_resolution(resolution)
-        theta = 2.0 * math.pi * np.arange(n) / n - math.pi
-        t1, t2 = np.meshgrid(theta, theta, indexing="ij")
-        nodes = self.from_angles(np.stack([t1.ravel(), t2.ravel()], axis=-1))
-        w = np.full(n * n, self._r[0] * self._r[1] * (2.0 * math.pi / n) ** 2)
-        return nodes, w

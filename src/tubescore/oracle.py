@@ -57,7 +57,7 @@ from .errors import (
 )
 from .geometry import Manifold, Sphere
 from .geometry.base import row_dots, row_norms
-from .geometry.quadrature import gauss_legendre
+from .geometry.quadrature import gauss_legendre, sphere_rule
 
 SIGMA_MIN = 0.01
 SIGMA_MAX = 0.5
@@ -90,13 +90,10 @@ def check_sigma(sigma: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _directions(d: int, angular: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions of a d-dimensional tangent space and their weights:
-    the exact pair +-1 for d = 1, else ``Sphere(d-1).grid(angular)``.
-    Cached and shared, so the arrays are read-only."""
-    if d == 1:
-        dirs, w = np.array([[1.0], [-1.0]]), np.ones(2)
-    else:
-        dirs, w = Sphere(d - 1).grid(angular)
+    """Unit directions of a d-dimensional tangent space and their weights,
+    ``sphere_rule(d - 1, angular)``.  Cached and shared, so the arrays are
+    read-only."""
+    dirs, w = sphere_rule(d - 1, angular)
     dirs.flags.writeable = w.flags.writeable = False
     return dirs, w
 
@@ -200,11 +197,7 @@ class RBOracle:
     finest rule on both axes.  Otherwise only the failing axis is refined:
     n goes to 2n, m to m', or both, and the rules already evaluated at the
     new state are reused.  When the finest rule of the next state would
-    exceed MAX_RULE_NODES the oracle raises QuadratureNotConverged.  A
-    query whose angular estimate fails whatever (2n, m') gives does not
-    build that rule when the budget already settles its next step: it is
-    refused when even (n, m') is over the budget, and goes on to (n, m')
-    when only (2n, m') is.
+    exceed MAX_RULE_NODES the oracle raises QuadratureNotConverged.
     ``convergence_report`` accumulates over calls: ``queries``, ``nodes``
     (tangent nodes evaluated, check rules included), ``nodes_per_query``,
     ``max_estimate`` (largest accepted estimate on either axis),
@@ -264,29 +257,6 @@ class RBOracle:
                     known[rule] = self._frame_targets(
                         queries[idx], frames[idx], *rule)
                     nodes += idx.size * grid_node_count(M, *rule)
-            if self.rel_tol < 0.5 and over_budget(2 * n, m_fine):
-                # An accepted query has |mid - coarse| <= rel_tol |fine| and
-                # |fine - mid| <= rel_tol |fine| (norms floored), so |fine|
-                # is below 2 |mid|.  A query past that bound fails here
-                # whatever the (2n, m') rule gives, which would only pick
-                # its next state, and the budget has already refused
-                # (2n, m'): it is refused outright if (n, m') is over the
-                # budget too, and otherwise goes on to (n, m').
-                mid = known[n, m_fine]
-                gap = np.linalg.norm(mid - known[n, m], axis=1)
-                floor = np.maximum(np.linalg.norm(mid, axis=1), _TARGET_FLOOR)
-                lost = gap > 2.0 * self.rel_tol * floor
-                if lost.any() and over_budget(n, m_fine):
-                    raise self._refusal(int(lost.sum()), n_q,
-                                        float((gap / floor).max()),
-                                        grid_node_count(M, n, m_fine))
-                if lost.any():
-                    groups.append((n, m_fine, idx[lost],
-                                   {k: v[lost] for k, v in known.items()}))
-                    idx = idx[~lost]
-                    known = {k: v[~lost] for k, v in known.items()}
-                    if idx.size == 0:
-                        continue
             known[2 * n, m_fine] = self._frame_targets(
                 queries[idx], frames[idx], 2 * n, m_fine)
             nodes += idx.size * grid_node_count(M, 2 * n, m_fine)
@@ -307,21 +277,16 @@ class RBOracle:
                 if not sel.any():
                     continue
                 if over_budget(n_next, m_next):
-                    raise self._refusal(
-                        int((~ok).sum()), n_q,
-                        float(np.maximum(radial, angular).max()),
-                        grid_node_count(M, 2 * n, m_fine))
+                    estimate = float(np.maximum(radial, angular).max())
+                    raise QuadratureNotConverged(
+                        f"{int((~ok).sum())} of {n_q} queries have error "
+                        f"estimates up to {estimate:.3g} above rel_tol "
+                        f"{self.rel_tol:g} at the largest polar rule "
+                        f"({grid_node_count(M, 2 * n, m_fine)} nodes)")
                 groups.append((n_next, m_next, idx[sel],
                                {k: v[sel] for k, v in known.items()}))
         self._record(n_q, nodes, worst, accepted.max(axis=0))
         return out, accepted
-
-    def _refusal(self, failing: int, n_q: int, estimate: float,
-                 nodes: int) -> QuadratureNotConverged:
-        return QuadratureNotConverged(
-            f"{failing} of {n_q} queries have error estimates up to "
-            f"{estimate:.3g} above rel_tol {self.rel_tol:g} at the largest "
-            f"polar rule ({nodes} nodes)")
 
     def _frame_targets(self, queries, frames, resolution, angular) -> np.ndarray:
         rule = self.rule(resolution, angular)

@@ -1,7 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from tubescore import AffinePlane, FlatTorus, Sphere
+from tubescore.densities import (
+    IsotropicGaussian,
+    ProductVonMises,
+    Uniform,
+    VonMisesFisher,
+)
+from tubescore.geometry.quadrature import gauss_legendre, sphere_rule
 
 
 def make_manifold(name):
@@ -64,3 +73,51 @@ def fd_laplacian(fn, manifold, z, step=1e-3):
     d = basis.shape[0]
     mid = fn(z[None])[0]
     return float(np.sum(vals[:d] - 2.0 * mid + vals[d:]) / step**2)
+
+
+# ---------------------------------------------------------------------------
+# test references: volume rules off the spheres and closed-form Laplacians
+
+
+def volume_rule(manifold, n, half_width=8.0):
+    """Deterministic product rule (nodes, weights), nodes as coordinate
+    rows: ``sphere_rule`` on S^1 to S^3, n uniform angles on each circle of
+    a flat torus, and n Gauss-Legendre nodes per axis on the chart box
+    [-half_width, half_width]^d of a plane.  On a compact manifold the
+    weights sum to the volume, on a plane to the box volume."""
+    if isinstance(manifold, Sphere):
+        return sphere_rule(manifold.intrinsic_dim, n)
+    if isinstance(manifold, FlatTorus):
+        theta = 2.0 * math.pi * np.arange(n) / n - math.pi
+        t1, t2 = np.meshgrid(theta, theta, indexing="ij")
+        nodes = manifold.from_angles(np.stack([t1.ravel(), t2.ravel()],
+                                              axis=-1))
+        r1, r2 = manifold.radii
+        return nodes, np.full(n * n, r1 * r2 * (2.0 * math.pi / n) ** 2)
+    d = manifold.intrinsic_dim
+    x, w = gauss_legendre(n, -half_width, half_width)
+    coords = np.stack([a.ravel() for a in np.meshgrid(*([x] * d),
+                                                      indexing="ij")], axis=-1)
+    weights = np.ones(n**d)
+    for wa in np.meshgrid(*([w] * d), indexing="ij"):
+        weights *= wa.ravel()
+    return manifold.embed(coords), weights
+
+
+def log_laplacian(model, coords):
+    """Delta_M log q at each row, in closed form for the four densities."""
+    if isinstance(model, VonMisesFisher):
+        # <mu, z> restricted to S^d is a first spherical harmonic:
+        # Delta_M <mu, z> = -d <mu, z>
+        return -model.kappa * model.manifold.intrinsic_dim * (coords @ model.mu)
+    if isinstance(model, ProductVonMises):
+        delta = model.manifold.angles(coords) - np.asarray(model.phases)
+        (r1, r2), (k1, k2) = model.manifold.radii, model.kappas
+        return (-k1 * np.cos(delta[:, 0]) / r1**2
+                - k2 * np.cos(delta[:, 1]) / r2**2)
+    if isinstance(model, IsotropicGaussian):
+        return np.full(coords.shape[0],
+                       -model.manifold.intrinsic_dim / model.tau**2)
+    if isinstance(model, Uniform):
+        return np.zeros(coords.shape[0])
+    raise TypeError(f"no closed-form Laplacian for {type(model).__name__}")

@@ -511,7 +511,7 @@ class TestMainFailure:
         (["finite-sample", "--n", "4000", "--repetitions", "2"], 0),
         (["variance-collapse", "--sigma", "0.05,0.1", "--n", "100",
           "--rb-subsample", "10"], 2),
-        (["extrinsic-coef"], 3),
+        (["extrinsic-coef"], 2),
         (["stein-check", "--n", "100"], 2),
         (["langevin", "--marginal-chains", "2", "--marginal-steps", "300",
           "--debias-chains", "2", "--debias-steps", "300",
@@ -525,6 +525,21 @@ class TestMainFailure:
         if code:
             assert out == "" and err.count("\n") == 1
             assert json.loads(err)["exit_code"] == code
+
+    def test_stein_moment_sigma_refused_before_any_posterior(
+            self, capsys, monkeypatch, tmp_path):
+        def no_posterior(*args, **kwargs):
+            raise AssertionError("a posterior was built")
+
+        monkeypatch.setattr(experiments, "FiberPosterior", no_posterior)
+        artifact = tmp_path / "stein.json"
+        code, out, err = run_cli(capsys, "stein-check", "--moment-sigma",
+                                 "0.001", "--n", "100", "--out", str(artifact))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert not artifact.exists()
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert "sigma=0.001" in record["message"]
 
     def test_variance_row_without_two_in_tube_draws(self, capsys):
         # tubes of radius 0.011 keep no draw at sigma 0.4

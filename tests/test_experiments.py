@@ -8,7 +8,9 @@ import pytest
 from tubescore import experiments as ex
 from tubescore import oracle as oracle_mod
 from tubescore.cli import STUDIES
-from tubescore.errors import ConfigError
+from tubescore.densities import VonMisesFisher
+from tubescore.errors import ConfigError, DegenerateScore
+from tubescore.geometry import Sphere
 from tubescore.rng import derive_rng
 
 
@@ -141,8 +143,36 @@ class TestExtrinsicDriver:
         assert len(out["rows"]) == 1
         assert out["rows"][0]["alpha_hat"] == pytest.approx(0.5, abs=0.02)
 
+    def test_vanishing_score_refused_before_quadrature(self, monkeypatch):
+        # kappa = 0 on the spheres: the uniform law has no score to fit
+        # along, and no model of the set is fitted
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a coefficient was fitted")
+
+        monkeypatch.setattr(ex, "extract_extrinsic_coefficient", no_fit)
+        with pytest.raises(ConfigError, match="score of the sphere1 density"):
+            ex.run_extrinsic_coef(ex.default_extrinsic_models(0.0), [0.05])
+
+    def test_score_vanishing_at_the_probe_is_degenerate(self):
+        # a nonzero score that vanishes at the probe, the mode of this vMF,
+        # is a numeric failure of the fit, not a configuration error
+        q = VonMisesFisher(Sphere(2), np.array([1.0, 0.0, 0.0]), 2.0)
+        with pytest.raises(DegenerateScore):
+            ex.run_extrinsic_coef([("sphere2", q)], [0.05])
+
 
 class TestSteinDriver:
+    @pytest.mark.parametrize("sigmas", [(0.001, 0.025), (0.1, 0.6)])
+    def test_sigmas_checked_before_any_posterior(self, monkeypatch, sigmas):
+        def no_posterior(*args, **kwargs):
+            raise AssertionError("a posterior was built")
+
+        monkeypatch.setattr(ex, "FiberPosterior", no_posterior)
+        sigma, moment_sigma = sigmas
+        with pytest.raises(ConfigError, match="outside the supported range"):
+            ex.run_stein_suite(sigma=sigma, moment_sigma=moment_sigma,
+                               logmap_n=100)
+
     def test_all_windows(self):
         out = ex.run_stein_suite(logmap_n=20_000, seed=0)
         assert out["stein_residual_sphere1"] <= 1e-5

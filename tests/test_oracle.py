@@ -21,6 +21,7 @@ from tubescore.errors import (
     UnsupportedManifold,
 )
 from tubescore.geometry import AffinePlane, FlatTorus, Sphere
+from tubescore.geometry.quadrature import sphere_rule
 from tubescore import oracle as oracle_mod
 from tubescore.oracle import (
     ANGULAR_RULE,
@@ -37,6 +38,8 @@ from tubescore.oracle import (
     extrinsic_term,
     predicted_expansion,
 )
+
+from conftest import volume_rule
 
 PLANE = AffinePlane.axis_aligned(2, 4)
 TAU = 0.9
@@ -200,15 +203,6 @@ class TestExpansion:
         comps = np.einsum("nkD,nD->nk", frame, s) * [0.5, 0.125]
         expect = np.einsum("nk,nkD->nD", comps, frame)
         assert np.abs(g - expect).max() <= 1e-12
-
-    def test_extrinsic_forms_agree(self):
-        rng = np.random.default_rng(17)
-        for M in (Sphere(3), FlatTorus(1.0, 2.0)):
-            bundle = M.curvature_bundle(M.random_coords(rng, 20))
-            a = bundle.extrinsic_operator()
-            b = bundle.extrinsic_operator_shape_form()
-            assert a.shape == (20, M.intrinsic_dim, M.intrinsic_dim)
-            assert np.abs(a - b).max() <= 1e-10
 
     @settings(max_examples=5, deadline=None, derandomize=True)
     @given(seed=SEEDS)
@@ -389,7 +383,7 @@ class TestOracleMechanics:
                  "sphere2": np.array([0.48, 0.6, 0.64]),
                  "sphere3": np.array([1.0, 0.0, 0.0, 0.0])}[name]
         sig = 0.1
-        nodes, weights = M.grid({"sphere3": 48}.get(name, 160))
+        nodes, weights = volume_rule(M, {"sphere3": 48}.get(name, 160))
         chords = nodes - z
         frame = M.frames_batch(z[None])[0]
         d = M.intrinsic_dim
@@ -519,9 +513,11 @@ class TestRefinement:
 
     def test_no_check_rule_the_budget_settles(self, monkeypatch):
         # a posterior far narrower than sigma fails both estimates up to
-        # (384, 58), where the angular one fails whatever (768, 106) gives:
-        # a radial failure would be refused, so that rule is not built and
-        # the query goes on to (384, 106), the one next state in budget
+        # (384, 58).  The oracle builds the state's finest rule (768, 106)
+        # even though the angular estimate already fails and the budget
+        # refuses a radial step; both estimates fail there, and the next
+        # state's finest rule (1536, 202) is over the budget, so the query
+        # is refused
         built = []
         frame_targets = RBOracle._frame_targets
 
@@ -537,7 +533,7 @@ class TestRefinement:
             RBOracle(q, 0.01).target_coords(T.from_angles(np.array([[0.9, -1.3]])))
         assert built == [(24, 10), (24, 16), (48, 16), (48, 22), (96, 22),
                          (96, 34), (192, 34), (192, 58), (384, 58), (384, 106),
-                         (384, 202)]
+                         (768, 106)]
 
     def test_reused_rules_are_not_counted_twice(self):
         # a radial refinement at (48, m) evaluates (48, m) and (96, m') only;
@@ -570,11 +566,11 @@ class TestRefinement:
             assert size < 10 * 2**20
 
     def test_sphere3_direction_rule_exact(self):
-        # the d = 4 directions are the public S^3 grid, whose moments
+        # the d = 4 directions are the S^3 rule, whose moments
         # tests/test_geometry.py checks; cached, so read-only
         m = ANGULAR_RULE[4][0]
         x, w = oracle_mod._directions(4, m)
-        ref_x, ref_w = Sphere(3).grid(m)
+        ref_x, ref_w = sphere_rule(3, m)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         assert not x.flags.writeable and not w.flags.writeable
 
