@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import split
 from .densities import (
     DensityModel,
     IsotropicGaussian,
@@ -345,9 +346,9 @@ def run_pythagorean(kappa: float = 2.0, sigma: float = 0.1, n: int = 100_000,
     # at h = 0 it is the identity split above
     twice_score = coarsening_check(data, r_data, r_data,
                                    2.0 * q.score_batch(data.foot))
-    gaps = {name: {key: split[key]
+    gaps = {name: {key: risks[key]
                    for key in ("gap_mean", "gap_se", "gap_over_se")}
-            for name, split in (("zero", coarsenings["identity"]),
+            for name, risks in (("zero", coarsenings["identity"]),
                                 ("twice_score", twice_score))}
 
     rb_risk, rb_risk_se = projected_risk(data, r_data)
@@ -447,7 +448,12 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     """The three equilibrium studies: marginal fit on the 2-sphere,
     drift debiasing on the 3-sphere, and scaled-drift equivalence.
     Chains keep only t = mu . z, the one coordinate the studies read, and
-    the debias chains only their time average of it."""
+    the debias chains only their time average of it.  The scaled study's
+    two independent runs, the drift ``scale`` times the score of q at
+    ``seed`` and the exact score of q at ``scale * kappa`` at ``seed + 1``,
+    go side by side, one per usable CPU (``split.run``), each writing its
+    (chains, kept) block of one output; on one CPU both run here.  Sigma,
+    scale and the scaled kappa are checked before any chain runs."""
     cfg, cfg3, cfg_scaled = (ChainConfig(step=step, n_steps=n, seed=seed)
                              for n in (marginal_steps, debias_steps,
                                        scaled_steps))
@@ -467,6 +473,9 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
     q3 = sphere_vmf(3, kappa)
     raw, debiased = surrogate_factors(q3, sigma)  # checks sigma before any run
     q2 = sphere_vmf(2, kappa)
+    if not (np.isfinite(scale) and scale > 0):
+        raise ConfigError(f"scale must be positive and finite, got {scale!r}")
+    q_scaled = sphere_vmf(2, scale * kappa)  # refuses a kappa above the cap
     samples = run_chains(q2, 1.0, cfg, marginal_chains, direction=q2.mu)
     marginal = {**marginal_diagnostic(samples, q2.t_marginal()),
                 "n_chains": marginal_chains, "n_steps": marginal_steps}
@@ -490,11 +499,18 @@ def run_langevin_suite(sigma: float = 0.3, kappa: float = 2.0,
         "n_chains": debias_chains, "n_steps": debias_steps,
     }
 
-    q_scaled = sphere_vmf(2, scale * kappa)
-    a = run_chains(q2, scale, cfg_scaled, scaled_chains, direction=q2.mu)
-    b = run_chains(q_scaled, 1.0,
-                   ChainConfig(step=step, n_steps=scaled_steps, seed=seed + 1),
-                   scaled_chains, direction=q2.mu)
+    pair = ((q2, scale, cfg_scaled),
+            (q_scaled, 1.0, ChainConfig(step=step, n_steps=scaled_steps,
+                                        seed=seed + 1)))
+
+    def run_pair(runs, block, stops, slot):
+        for i, (q, factor, c) in enumerate(pair[runs.start:runs.stop]):
+            block[0, i] = run_chains(q, factor, c, scaled_chains,
+                                     direction=q2.mu)
+
+    out, _ = split.run(run_pair, split.ranges(2, 1),
+                       (1, 2, scaled_chains, cfg_scaled.kept_count()))
+    a, b = out[0]
     scaled = {
         "scale": scale,
         "two_sample_ks": float(two_sample_ks(a, b)),

@@ -82,15 +82,24 @@ class Sphere(Manifold):
 
     def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
                   norms: np.ndarray | None = None) -> np.ndarray:
-        r = (row_norms(v) if norms is None else norms)[:, None]
+        # half-angle form: with u = tan(r/2), cos r = (1 - u^2) / (1 + u^2)
+        # and sin r / r = (u / (r/2)) / (1 + u^2); the row normalization
+        # removes the common 1 / (1 + u^2), so one trig call per row does.
+        # Rows are the last axis of the transposed views, so each per-row
+        # scalar broadcasts along them, contiguously on column-major rows.
+        r = row_norms(v) if norms is None else norms
+        half = 0.5 * r
+        u = np.tan(half)
         if r.min(initial=np.inf) < 1e-12:
             small = r < 1e-12
-            safe = np.where(small, 1.0, r)
-            sinc = np.where(small, 1.0 - r**2 / 6.0, np.sin(safe) / safe)
+            along = np.where(small, 1.0 + half**2 / 3.0,
+                             u / np.where(small, 1.0, half))
         else:
-            sinc = np.sin(r) / r
-        out = np.cos(r) * z + sinc * v
-        return out / row_norms(out)[:, None]
+            along = u / half
+        out = (1.0 - u * u) * z.T
+        out += along * v.T
+        out /= row_norms(out.T)
+        return out.T
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):
         c = np.clip(np.sum(z * y, axis=1), -1.0, 1.0)

@@ -26,8 +26,11 @@ from .rng import derive_rng
 NOISE_BLOCK = 256
 NOISE_GROUP = 64
 # fewest chains worth a process of their own: on a 2-core machine a step of
-# the S^3 pair costs about the same at 32 to 128 chains and grows beyond, so
-# halving a run of fewer than 256 chains saves less than the fork costs
+# the S^3 pair costs about 55 to 70 us at 32 to 128 chains, 100 us at 256
+# and 150 us at 512, so halving a run of 256 chains saves about a third of
+# each step.  The langevin study's 128-chain runs (the scaled pair) already
+# run side by side, one per CPU; halving them would put four processes on
+# two cores.
 MIN_PROCESS_CHAINS = 128
 
 
@@ -104,9 +107,16 @@ def run_chains(q: DensityModel, factor: float | tuple[float, ...],
     then runs once per factor, every copy from the chain's initial point
     and on the chain's noise, and the result is (len(factor), n_chains,
     kept, D): the single-factor runs stacked, bit for bit wherever the
-    manifold's kernels are row-wise (spheres and tori).  The noise is drawn
-    once per step for all copies, and every copy shares one
-    ``q.score_batch`` call on all rows, scaled row by row by its factor.
+    manifold's kernels are row-wise (spheres and tori).  Every copy shares
+    one ``q.score_batch`` call on all rows, scaled row by row by eps times
+    its factor.
+
+    A step adds sqrt(2 eps) xi to that drift and projects the sum onto the
+    tangent space once, v = P_z(eps f score + sqrt(2 eps) xi), in a buffer
+    the range allocates once; the score is tangent, so this is the step
+    with only the noise projected, to rounding.  One norm pass over v
+    serves the injectivity check and the exponential map, which on a
+    sphere takes one trig call per row (``Sphere.exp_batch``).
 
     The chain state is held column-major (Fortran order), so each per-row
     scalar such as a row norm or dot product runs over contiguous columns.
@@ -116,8 +126,10 @@ def run_chains(q: DensityModel, factor: float | tuple[float, ...],
     the memory order and on the number of rows.  The spheres, tori and the
     vMF, product von Mises and uniform scores keep this rule.  Noise is
     drawn ``NOISE_BLOCK`` steps at a time per chain, in the chain's own
-    stream order, and rearranged once per block into the state's layout,
-    ``NOISE_GROUP`` chains at a time; neither size changes any result.
+    stream order, and laid out once per block as (steps, D, chains),
+    multiplied by sqrt(2 eps), ``NOISE_GROUP`` chains at a time; neither
+    size changes any result.  Each chain's noise is held once and read by
+    every copy through a broadcast.
 
     The chains are split into contiguous ranges, one per usable CPU
     (``split.ranges``), each of at least ``MIN_PROCESS_CHAINS`` chains; a
@@ -210,13 +222,11 @@ def _run_range(q: DensityModel, factors: tuple, config: ChainConfig,
     M = q.manifold
     n = len(chains)
     copies = len(factors)
-    # copy s of chain chains[j] is row s * n + j
-    factor = np.repeat(factors, n)[:, None]
-    eps = config.step
-    root = np.sqrt(2.0 * eps)
+    # copy s of chain chains[j] is row s * n + j; eps times its factor
+    drift = config.step * np.repeat(factors, n)[:, None]
+    root = np.sqrt(2.0 * config.step)
     inj = M.injectivity_radius
 
-    rows = copies * n
     z = np.asfortranarray(np.tile(_initial_rows(q, config, chains),
                                   (copies, 1)))
     D = M.ambient_dim
@@ -224,9 +234,13 @@ def _run_range(q: DensityModel, factors: tuple, config: ChainConfig,
     gens = [derive_rng(config.seed, "langevin.noise", c) for c in chains]
     steps = min(NOISE_BLOCK, config.n_steps)
     fill = np.empty((min(NOISE_GROUP, n), steps, D))
-    # noise[b, :, s, j] is chain j's draw for step b, copied once per
-    # copy, so noise[b] reads as the column-major (rows, D) array of a step
-    noise = np.empty((steps, D, copies, n))
+    # noise[b, :, j] is sqrt(2 eps) times chain j's draw for step b, once
+    # per chain: every copy reads it through a broadcast over the copies
+    noise = np.empty((steps, D, n))
+    # the column-major (rows, D) sum that the step projects; its transpose
+    # is the row-major (D, rows) array, viewed as (D, copies, n)
+    move = np.empty((copies * n, D), order="F")
+    by_copy = move.T.reshape(D, copies, n)
 
     k = 0
     step_idx = 0
@@ -238,13 +252,13 @@ def _run_range(q: DensityModel, factors: tuple, config: ChainConfig,
             group = gens[c0:c0 + len(fill)]
             for g, stream in zip(group, fill):
                 g.standard_normal(out=stream[:block])
-            noise[:block, :, :, c0:c0 + len(group)] = \
-                fill[:len(group), :block].transpose(1, 2, 0)[:, :, None]
+            np.multiply(fill[:len(group), :block].transpose(1, 2, 0), root,
+                        out=noise[:block, :, c0:c0 + len(group)])
         for b in range(block):
             step_idx += 1
-            drift = factor * q.score_batch(z)
-            xi = noise[b].reshape(D, rows).T
-            v = eps * drift + root * M.tangent_project_batch(z, xi)
+            np.multiply(drift, q.score_batch(z), out=move)
+            by_copy += noise[b][:, None]
+            v = M.tangent_project_batch(z, move)
             norms = None
             if np.isfinite(inj):
                 norms = row_norms(v)

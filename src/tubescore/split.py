@@ -1,12 +1,13 @@
 """Independent work split across the usable CPUs in forked workers.
 
 Work that is a run of independent items (Langevin chains, sweep
-repetitions) is cut into contiguous ranges, one per usable CPU.  The
-calling process runs the first range and a forked worker runs each other
-range, every one writing its items' results straight into one shared
-output.  The split changes no result when each item's result depends on
-the item alone, which both callers keep: each item draws from its own
-stream and is computed row by row.
+repetitions, the two runs of the scaled Langevin study) is cut into
+contiguous ranges, one per usable CPU.  The calling process runs the
+first range and a forked worker runs each other range, every one writing
+its items' results straight into one shared output.  The split changes no
+result when each item's result depends on the item alone, which every
+caller keeps: each item draws from its own stream and is computed row by
+row.
 """
 from __future__ import annotations
 

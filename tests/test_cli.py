@@ -541,6 +541,21 @@ class TestMainFailure:
         assert record["error"] == "ConfigError"
         assert "sigma=0.001" in record["message"]
 
+    def test_langevin_scale_refused_before_any_chain(self, capsys,
+                                                     monkeypatch, tmp_path):
+        def no_chains(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(experiments, "run_chains", no_chains)
+        artifact = tmp_path / "langevin.json"
+        code, out, err = run_cli(capsys, "langevin", "--scale", "6000",
+                                 "--out", str(artifact))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert not artifact.exists()
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert "kappa 12000 is above 10000" in record["message"]
+
     def test_variance_row_without_two_in_tube_draws(self, capsys):
         # tubes of radius 0.011 keep no draw at sigma 0.4
         code, out, err = run_cli(

@@ -1,6 +1,7 @@
 """Driver-level checks at reduced scale; full-scale runs live in the
 acceptance module."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from tubescore import experiments as ex
 from tubescore import oracle as oracle_mod
 from tubescore.cli import STUDIES
 from tubescore.densities import VonMisesFisher
-from tubescore.errors import ConfigError, DegenerateScore
+from tubescore.errors import BeyondInjectivity, ConfigError, DegenerateScore
 from tubescore.geometry import Sphere
 from tubescore.rng import derive_rng
 
@@ -340,3 +341,63 @@ class TestLangevinDriver:
         monkeypatch.setattr(ex, "run_chains", no_chains)
         with pytest.raises(ConfigError, match="sigma=0.9"):
             ex.run_langevin_suite(sigma=0.9)
+
+    @pytest.mark.parametrize("scale, message", [
+        (6000.0, "kappa 12000 is above 10000"), (0.0, "scale"),
+        (-1.5, "scale"), (float("nan"), "scale")])
+    def test_scale_refused_before_any_chain(self, monkeypatch, scale,
+                                            message):
+        # the scaled kappa was built, and refused, only after the marginal
+        # and debias chains had run
+        def no_chains(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(ex, "run_chains", no_chains)
+        with pytest.raises(ConfigError, match=message):
+            ex.run_langevin_suite(scale=scale)
+
+    SMALL = dict(seed=3, marginal_chains=2, marginal_steps=100,
+                 debias_chains=2, debias_steps=100, scaled_chains=5,
+                 scaled_steps=300)
+
+    def test_scaled_pair_same_bits_on_one_and_two_cpus(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = ex.run_langevin_suite(**self.SMALL)
+        assert not forks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pair = ex.run_langevin_suite(**self.SMALL)
+        # only the scaled pair forks: every run holds fewer chains than
+        # MIN_PROCESS_CHAINS
+        assert len(forks) == 1
+        assert pair == alone
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_scaled_pair_failure_has_the_unsplit_message(self, monkeypatch):
+        # the second run of the pair, on the density at scale * kappa, runs
+        # in the worker on two CPUs; a steep score takes its first step
+        # beyond the injectivity radius
+        score = VonMisesFisher.score_batch
+
+        def steep_at_the_scaled_kappa(self, coords):
+            steep = 1e6 if self.kappa == 1.5 * 2.0 else 1.0
+            return steep * score(self, coords)
+        monkeypatch.setattr(VonMisesFisher, "score_batch",
+                            steep_at_the_scaled_kappa)
+
+        def message(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            with pytest.raises(BeyondInjectivity) as err:
+                ex.run_langevin_suite(**self.SMALL)
+            return str(err.value)
+        unsplit = message({0})
+        assert unsplit.endswith("at iterate 1")
+        assert message({0, 1}) == unsplit
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

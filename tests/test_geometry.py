@@ -178,6 +178,24 @@ def test_sphere_exp_mixed_rows(rng):
         M.exp_batch(np.asfortranarray(z), np.asfortranarray(v)), out)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sphere_exp_half_angle_matches_trig_form(dim):
+    # the half-angle form against cos r z + (sin r / r) v, from zero steps
+    # through the series cut-off to steps just short of the antipode
+    M = Sphere(dim)
+    lengths = np.array([0.0, 1e-13, 1e-8, 0.05, 1.0, 3.0, math.pi - 1e-9])
+    rng = np.random.default_rng(dim)
+    z = M.random_coords(rng, 40 * lengths.size)
+    w = M.tangent_project_batch(z, rng.standard_normal(z.shape))
+    v = np.tile(lengths, 40)[:, None] * (w / row_norms(w)[:, None])
+    r = row_norms(v)[:, None]
+    sinc = np.sin(r) / np.where(r > 0.0, r, 1.0)
+    trig = np.cos(r) * z + np.where(r > 0.0, sinc, 1.0) * v
+    out = M.exp_batch(z, v)
+    assert np.abs(out - trig).max() <= 1e-15
+    assert np.abs(row_norms(out) - 1.0).max() <= 2 * np.finfo(float).eps
+
+
 @ROWS
 @given(seed=SEEDS)
 def test_transport_roundtrip_sphere(seed):

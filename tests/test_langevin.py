@@ -371,6 +371,31 @@ class TestCoupledChains:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("case", ["sphere3", "torus"])
+    def test_one_step_is_the_projected_noise_step(self, vmf3_generic, case):
+        # the step projects eps f score + sqrt(2 eps) xi once; the score is
+        # tangent, so it is Exp_z(eps f score + sqrt(2 eps) P_z xi) with the
+        # noise alone projected, to rounding
+        q = {"sphere3": vmf3_generic,
+             "torus": ProductVonMises(FlatTorus(1.0, 2.0), (1.5, 0.7),
+                                      (0.3, -1.1))}[case]
+        M = q.manifold
+        factors = (0.955, 1.7)
+        eps, seed, n = 2e-3, 9, 6
+        for z0 in M.random_coords(derive_rng(2, "test.one_step"), 3):
+            cfg = ChainConfig(step=eps, n_steps=1, burn_in=0, thinning=1,
+                              seed=seed, initial=z0)
+            got = run_chains(q, factors, cfg, n)[:, :, 0]
+            z = np.tile(z0, (n, 1))
+            xi = np.array([derive_rng(seed, "langevin.noise", c)
+                           .standard_normal(M.ambient_dim)
+                           for c in range(n)])
+            noise = np.sqrt(2.0 * eps) * M.tangent_project_batch(z, xi)
+            for f, rows in zip(factors, got):
+                step = eps * f * q.score_batch(z) + noise
+                np.testing.assert_allclose(rows, M.exp_batch(z, step),
+                                           rtol=0, atol=1e-15)
+
     def test_empty_tuple_rejected(self, vmf2):
         with pytest.raises(ConfigError):
             run_chains(vmf2, (), ChainConfig(n_steps=10), 2)
