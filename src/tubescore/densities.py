@@ -165,8 +165,6 @@ class VonMisesFisher(DensityModel):
             raise ValueError("mu must be an ambient unit vector")
         if abs(np.linalg.norm(mu) - 1.0) > 1e-10:
             raise ValueError("mu must have unit norm")
-        if kappa < 0:
-            raise ValueError("kappa must be non-negative")
         self.mu = mu
         self.kappa = float(kappa)
         self._marginal = SphereTMarginal(manifold.intrinsic_dim, self.kappa)
@@ -202,16 +200,10 @@ class VonMisesFisher(DensityModel):
         chi = self._marginal.sample_chi(rng.random(n))
         t = np.cos(chi)
         s = np.sin(chi)
-        D = self._manifold.ambient_dim
-        if self._manifold.intrinsic_dim == 1:
-            perp = np.array([-self.mu[1], self.mu[0]])
-            signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            out = t[:, None] * self.mu[None, :] + (s * signs)[:, None] * perp[None, :]
-        else:
-            w = rng.standard_normal((n, D))
-            w -= (w @ self.mu)[:, None] * self.mu[None, :]
-            w /= np.linalg.norm(w, axis=1, keepdims=True)
-            out = t[:, None] * self.mu[None, :] + s[:, None] * w
+        w = rng.standard_normal((n, self._manifold.ambient_dim))
+        w -= (w @ self.mu)[:, None] * self.mu[None, :]
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        out = t[:, None] * self.mu[None, :] + s[:, None] * w
         return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
@@ -265,10 +257,8 @@ class ProductVonMises(DensityModel):
                    in zip(self.kappas, self._manifold.radii, self._mean_sin2))
 
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        a = rng.vonmises(self.phases[0], self.kappas[0], size=n) if self.kappas[0] > 0 \
-            else rng.uniform(-math.pi, math.pi, size=n)
-        b = rng.vonmises(self.phases[1], self.kappas[1], size=n) if self.kappas[1] > 0 \
-            else rng.uniform(-math.pi, math.pi, size=n)
+        a = rng.vonmises(self.phases[0], self.kappas[0], size=n)
+        b = rng.vonmises(self.phases[1], self.kappas[1], size=n)
         return self._manifold.from_angles(np.stack([a, b], axis=-1))
 
 

@@ -1,5 +1,5 @@
 """Exact geometric primitives for the supported embedded manifolds."""
-from .base import Manifold, wrap_angle
+from .base import Manifold
 from .curvature import CurvatureBundle
 from .plane import AffinePlane
 from .quadrature import gauss_legendre
@@ -13,5 +13,4 @@ __all__ = [
     "Manifold",
     "Sphere",
     "gauss_legendre",
-    "wrap_angle",
 ]

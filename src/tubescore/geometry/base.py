@@ -10,7 +10,6 @@ frames of :meth:`Manifold.frames_batch` are the one frame convention.
 from __future__ import annotations
 
 import abc
-import math
 
 import numpy as np
 
@@ -177,12 +176,6 @@ class Manifold(abc.ABC):
                 or not self.project_batch(z[None, :])[1][0] <= POINT_ATOL):
             raise ManifoldMismatch(f"row {z} is not a point of {self.name}")
         return z
-
-
-def wrap_angle(theta: np.ndarray) -> np.ndarray:
-    """Wrap to (-pi, pi]."""
-    out = np.mod(theta + math.pi, 2.0 * math.pi) - math.pi
-    return np.where(out == -math.pi, math.pi, out)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -28,10 +28,6 @@ class CurvatureBundle:
     shape_sum: np.ndarray
     ricci: np.ndarray
 
-    @property
-    def tangent_frames(self) -> np.ndarray:
-        return self.frames[:, :self.ricci.shape[1]]
-
     def gauss_residual(self) -> np.ndarray:
         """Max-norm defect of Ric - (W_H - S) per row; zero when consistent."""
         defect = self.ricci - (self.weingarten_mean - self.shape_sum)
@@ -48,7 +44,7 @@ class CurvatureBundle:
 
     def apply_extrinsic(self, tangent_rows: np.ndarray) -> np.ndarray:
         """Apply (1/2) W_H - Ric to ambient tangent rows, one per point."""
-        tf = self.tangent_frames
+        tf = self.frames[:, :self.ricci.shape[1]]
         coeffs = np.einsum("nkD,nD->nk", tf, tangent_rows)
         out = np.einsum("nij,nj->ni", self.extrinsic_operator(), coeffs)
         return np.einsum("nk,nkD->nD", out, tf)

@@ -166,11 +166,6 @@ class PolarRule:
         for a in (self.v, self.chord, self.log_w):
             a.flags.writeable = False
 
-    @property
-    def tangent_chord(self) -> np.ndarray:
-        """G(v), the tangential part of the chord, (N, d)."""
-        return self.chord[:, :self.v.shape[1]]
-
 
 @functools.lru_cache(maxsize=32)
 def _polar_rule(manifold: Manifold, sigma: float, resolution: int,
@@ -218,9 +213,6 @@ class RBOracle:
                 "the oracle supports dimensions 1 to 4")
         self.rel_tol = float(rel_tol)
         self.convergence_report: dict | None = None
-
-    def rule(self, resolution: int, angular: int) -> PolarRule:
-        return _polar_rule(self.manifold, self.sigma, resolution, angular)
 
     # ---- evaluation ------------------------------------------------------
 
@@ -289,8 +281,8 @@ class RBOracle:
         return out, accepted
 
     def _frame_targets(self, queries, frames, resolution, angular) -> np.ndarray:
-        rule = self.rule(resolution, angular)
-        g = rule.tangent_chord
+        rule = _polar_rule(self.manifold, self.sigma, resolution, angular)
+        g = rule.chord[:, :self.manifold.intrinsic_dim]  # G(v), the tangential part
         out = np.empty((queries.shape[0], g.shape[1]))
         step = max(1, CHUNK_FLOATS // rule.log_w.size // queries.shape[1])
         for s in range(0, queries.shape[0], step):
@@ -540,9 +532,9 @@ class FiberPosterior:
         zc = z[None]
         self._frames = self.manifold.frames_batch(zc)
         _, accepted = oracle._solve(zc, self._frames)
-        rule = oracle.rule(*map(int, accepted[0]))
+        rule = _polar_rule(self.manifold, self.sigma, *map(int, accepted[0]))
         self.coords = rule.v
-        self.chord = rule.tangent_chord
+        self.chord = rule.chord[:, :self.d]
         lw = _log_posterior(q, zc, self._frames, rule.chord, rule.log_w)[:, 0]
         w = np.exp(lw - lw.max())
         self.weights = w / w.sum()

@@ -13,6 +13,12 @@ from tubescore.densities import (
 from tubescore.geometry.quadrature import gauss_legendre, sphere_rule
 
 
+def wrap_angle(theta):
+    """Wrap to (-pi, pi]."""
+    out = np.mod(theta + math.pi, 2.0 * math.pi) - math.pi
+    return np.where(out == -math.pi, math.pi, out)
+
+
 def make_manifold(name):
     if name.startswith("sphere"):
         return Sphere(int(name[-1]))

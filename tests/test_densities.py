@@ -16,9 +16,9 @@ from tubescore.densities import (
     _circle_law,
 )
 from tubescore.errors import ConfigError, ManifoldMismatch, UnsupportedManifold
-from tubescore.geometry import AffinePlane, FlatTorus, Sphere, wrap_angle
+from tubescore.geometry import AffinePlane, FlatTorus, Sphere
 
-from conftest import fd_gradient, fd_laplacian, log_laplacian, volume_rule
+from conftest import fd_gradient, fd_laplacian, log_laplacian, volume_rule, wrap_angle
 
 MU3 = np.array([0.3, -0.5, 0.81, 0.0]) / np.linalg.norm([0.3, -0.5, 0.81, 0.0])
 
@@ -217,21 +217,26 @@ class TestSamplers:
         assert ks.statistic <= 0.012
 
     def test_vmf_direction_symmetry(self):
-        mu = np.array([0.0, 0.0, 1.0])
-        q = VonMisesFisher(Sphere(2), mu, 2.0)
-        X = q.sample_coords_seeded(self.N, seed=11)
-        w = X - (X @ mu)[:, None] * mu[None, :]
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        assert np.linalg.norm(w.mean(axis=0)) <= 0.015
+        # on S^1 the direction is one of the two unit normals to mu, so the
+        # bound checks that the sign is balanced
+        for dim, mu in ((2, np.array([0.0, 0.0, 1.0])), (1, np.array([0.6, 0.8]))):
+            q = VonMisesFisher(Sphere(dim), mu, 2.0)
+            X = q.sample_coords_seeded(self.N, seed=11)
+            w = X - (X @ mu)[:, None] * mu[None, :]
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
+            assert np.linalg.norm(w.mean(axis=0)) <= 0.015
 
     def test_product_vonmises_angle_marginals(self):
         T = FlatTorus(1.0, 2.0)
-        q = ProductVonMises(T, (1.5, 0.8), (0.3, -1.0))
-        ang = T.angles(q.sample_coords_seeded(self.N, seed=12))
-        for i in range(2):
-            delta = wrap_angle(ang[:, i] - q.phases[i])
-            ks = stats.ks_1samp(delta, stats.vonmises(kappa=q.kappas[i]).cdf)
-            assert ks.statistic <= 0.012
+        uniform = stats.uniform(loc=-math.pi, scale=2.0 * math.pi)
+        for kappas in ((1.5, 0.8), (0.0, 0.8)):
+            q = ProductVonMises(T, kappas, (0.3, -1.0))
+            ang = T.angles(q.sample_coords_seeded(self.N, seed=12))
+            for i in range(2):
+                delta = wrap_angle(ang[:, i] - q.phases[i])
+                law = stats.vonmises(kappa=q.kappas[i]) if q.kappas[i] > 0 else uniform
+                ks = stats.ks_1samp(delta, law.cdf)
+                assert ks.statistic <= 0.012
 
     def test_gaussian_chart_marginals(self):
         P = AffinePlane.axis_aligned(2, 4)
@@ -270,7 +275,7 @@ class TestValidation:
             VonMisesFisher(Sphere(2), np.array([1.0, 0.0]), 1.0)
 
     def test_vmf_rejects_negative_kappa(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), -0.5)
 
     def test_gaussian_rejects_bad_tau(self):

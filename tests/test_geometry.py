@@ -7,7 +7,7 @@ from scipy.integrate import dblquad, quad
 
 from tubescore import AffinePlane, FlatTorus, Sphere, VonMisesFisher
 from tubescore.errors import BeyondInjectivity, ManifoldMismatch
-from tubescore.geometry import gauss_legendre, wrap_angle
+from tubescore.geometry import gauss_legendre
 from tubescore.geometry.base import POINT_ATOL, row_dots, row_norms
 from tubescore.geometry.quadrature import sphere_rule
 from tubescore.langevin import ChainConfig, run_chains
@@ -19,6 +19,7 @@ from conftest import (
     random_tangent,
     tangent_rows,
     volume_rule,
+    wrap_angle,
 )
 
 # Properties run on the batch kernels over generated rows: few examples,
