@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ManifoldMismatch, UnsupportedManifold
 from .geometry import AffinePlane, FlatTorus, Sphere
-from .geometry.base import row_dots
+from .geometry.base import row_dots, row_norms
 from .geometry.quadrature import gauss_legendre
 from .geometry.sphere import _SPHERE_VOLUMES
 from .rng import derive_rng, shard_sizes
@@ -133,7 +133,14 @@ class SphereTMarginal:
         self._nodes, self._node_w, self._node_dens = nodes, w, dens
 
     def sample_chi(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self._chi_cdf, self._chi)
+        # np.interp's value at a query does not depend on the other
+        # queries, so looking them up in sorted order and scattering the
+        # results back gives its bits, while each binary search starts next
+        # to the last one's node instead of at a random place in the table
+        order = np.argsort(u)
+        chi = u[order]  # the sorted queries, then their answers in u's order
+        chi[order] = np.interp(chi, self._chi_cdf, self._chi)
+        return chi
 
     def cdf(self, t: np.ndarray) -> np.ndarray:
         t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
@@ -198,13 +205,17 @@ class VonMisesFisher(DensityModel):
 
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         chi = self._marginal.sample_chi(rng.random(n))
-        t = np.cos(chi)
-        s = np.sin(chi)
         w = rng.standard_normal((n, self._manifold.ambient_dim))
-        w -= (w @ self.mu)[:, None] * self.mu[None, :]
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        out = t[:, None] * self.mu[None, :] + s[:, None] * w
-        return out / np.linalg.norm(out, axis=1, keepdims=True)
+        dot = w @ self.mu
+        # the per-row scalars broadcast along the rows of the row-major
+        # (D, n) transpose; the result is written back into w's rows
+        mu = self.mu[:, None]
+        perp = np.subtract(w.T, mu * dot, order="C")
+        perp /= row_norms(perp.T)
+        perp *= np.sin(chi)
+        perp += mu * np.cos(chi)
+        np.divide(perp, row_norms(perp.T), out=w.T)
+        return w
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from . import split
 from .densities import DensityModel
 from .errors import ConfigError, EmptyWindow
 from .geometry import Manifold
+from .geometry.base import row_norms
 from .rng import seed_sequence
 from .targets import CorruptedBatch, _field_values, corrupt
 
@@ -125,7 +126,7 @@ def probe_points(q: DensityModel, seed: int, n_probes: int = 8,
     degenerates and relative MSE loses meaning.
     """
     pts = q.sample_coords_seeded(candidates, seed, label="estimators.probes")
-    norms = np.linalg.norm(q.score_batch(pts), axis=1)
+    norms = row_norms(q.score_batch(pts))
     order = np.argsort(-norms, kind="stable")
     return pts[order[:n_probes]]
 

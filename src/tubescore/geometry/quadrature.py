@@ -8,6 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .base import row_norms
+
 
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [lo, hi]."""
@@ -95,4 +97,5 @@ def sphere_rule(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         weights = np.repeat(wt * (2.0 * math.pi / (2 * n)), 2 * n)
     else:
         raise ValueError(f"sphere_rule covers S^0 to S^3, got S^{k}")
-    return nodes / np.linalg.norm(nodes, axis=1, keepdims=True), weights
+    np.divide(nodes.T, row_norms(nodes), out=nodes.T)
+    return nodes, weights

@@ -62,31 +62,37 @@ class Sphere(Manifold):
 
     # ---- kernels -------------------------------------------------------
 
+    # Row kernels broadcast each per-row scalar along the rows of the
+    # transposed (D, n) view, which are contiguous on column-major rows and
+    # n long on row-major ones, and return rows in the memory order of
+    # their input.
+
     def project_batch(self, x: np.ndarray):
-        norms = np.linalg.norm(x, axis=1)
+        norms = row_norms(x)
         dist = np.abs(norms - 1.0)
         in_tube = dist < self.tube_radius
         safe = np.where(norms > 1e-15, norms, 1.0)
-        proj = x / safe[:, None]
+        proj = (x.T / safe).T
         # Degenerate rows (near the center) get a placeholder pole.
         bad = norms <= 1e-15
         if np.any(bad):
-            proj = proj.copy()
             proj[bad] = 0.0
             proj[bad, 0] = 1.0
             in_tube = in_tube & ~bad
         return proj, dist, in_tube
 
     def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return w - row_dots(w, z)[:, None] * z
+        # z may be one row broadcast over w's; the result takes w's order
+        out = np.empty_like(w)
+        np.multiply(row_dots(w, z), z.T, out=out.T)
+        np.subtract(w.T, out.T, out=out.T)
+        return out
 
     def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
                   norms: np.ndarray | None = None) -> np.ndarray:
         # half-angle form: with u = tan(r/2), cos r = (1 - u^2) / (1 + u^2)
         # and sin r / r = (u / (r/2)) / (1 + u^2); the row normalization
         # removes the common 1 / (1 + u^2), so one trig call per row does.
-        # Rows are the last axis of the transposed views, so each per-row
-        # scalar broadcasts along them, contiguously on column-major rows.
         r = row_norms(v) if norms is None else norms
         half = 0.5 * r
         u = np.tan(half)
@@ -102,14 +108,15 @@ class Sphere(Manifold):
         return out.T
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):
-        c = np.clip(np.sum(z * y, axis=1), -1.0, 1.0)
+        c = np.clip(row_dots(z, y), -1.0, 1.0)
         ok = c > -1.0 + _CUT_TOL
         theta = np.arccos(c)
-        rest = y - c[:, None] * z
-        s = np.linalg.norm(rest, axis=1)
+        rest = y.T - c * z.T
+        s = row_norms(rest.T)
         small = theta < 1e-9
         factor = np.where(small, 1.0, theta / np.where(s > 0, s, 1.0))
-        return factor[:, None] * rest, ok
+        rest *= factor
+        return rest.T, ok
 
     def transport_to_batch(self, p: np.ndarray, v: np.ndarray, z: np.ndarray):
         # P v = v - <v,z> / (1 + <p,z>) (p + z).  With s = p + z, <v,s> =
@@ -119,7 +126,7 @@ class Sphere(Manifold):
         ok = c > -1.0 + _CUT_TOL
         s = p + z
         k = 2.0 * row_dots(v, s) / np.where(ok, row_dots(s, s), 1.0)
-        return v - k[:, None] * s, ok
+        return (v.T - k * s.T).T, ok
 
     def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.arccos(np.clip(p @ z, -1.0, 1.0))
@@ -153,9 +160,11 @@ class Sphere(Manifold):
         return np.concatenate([tangent, z[:, None, :]], axis=1)
 
     def polar_chords(self, v: np.ndarray):
-        rho = np.linalg.norm(v, axis=1)
+        rho = row_norms(v)
         sinc = np.sinc(rho / math.pi)
-        chord = np.column_stack([sinc[:, None] * v, np.cos(rho) - 1.0])
+        chord = np.empty((v.shape[0], self.ambient_dim))
+        np.multiply(sinc, v.T, out=chord.T[:-1])
+        np.subtract(np.cos(rho), 1.0, out=chord[:, -1])
         return chord, (self._dim - 1) * np.log(sinc)
 
     @property
@@ -164,4 +173,5 @@ class Sphere(Manifold):
 
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         x = rng.standard_normal((n, self.ambient_dim))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
+        np.divide(x.T, row_norms(x), out=x.T)
+        return x

@@ -127,3 +127,81 @@ def log_laplacian(model, coords):
     if isinstance(model, Uniform):
         return np.zeros(coords.shape[0])
     raise TypeError(f"no closed-form Laplacian for {type(model).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# reference row kernels: the (n, D) formulas that broadcast each per-row
+# scalar across a row's few entries; the library's kernels work on the
+# transposed rows and must give these bits in the same memory order
+
+
+def same_rows(got, want):
+    """Equal bits, shape and memory order."""
+    return (np.array_equal(got, want)
+            and got.flags.c_contiguous == want.flags.c_contiguous
+            and got.flags.f_contiguous == want.flags.f_contiguous)
+
+
+def reference_sample_chi(marginal, u):
+    return np.interp(u, marginal._chi_cdf, marginal._chi)
+
+
+def reference_vmf_sample_coords(model, n, rng):
+    chi = reference_sample_chi(model.t_marginal(), rng.random(n))
+    t = np.cos(chi)
+    s = np.sin(chi)
+    w = rng.standard_normal((n, model.manifold.ambient_dim))
+    w -= (w @ model.mu)[:, None] * model.mu[None, :]
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    out = t[:, None] * model.mu[None, :] + s[:, None] * w
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+def reference_sphere_project(manifold, x):
+    norms = np.linalg.norm(x, axis=1)
+    dist = np.abs(norms - 1.0)
+    in_tube = dist < manifold.tube_radius
+    safe = np.where(norms > 1e-15, norms, 1.0)
+    proj = x / safe[:, None]
+    bad = norms <= 1e-15
+    if np.any(bad):
+        proj = proj.copy()
+        proj[bad] = 0.0
+        proj[bad, 0] = 1.0
+        in_tube = in_tube & ~bad
+    return proj, dist, in_tube
+
+
+def reference_sphere_tangent_project(z, w):
+    return w - np.sum(w * z, axis=1)[:, None] * z
+
+
+def reference_sphere_log(z, y, cut_tol=1e-12):
+    c = np.clip(np.sum(z * y, axis=1), -1.0, 1.0)
+    ok = c > -1.0 + cut_tol
+    theta = np.arccos(c)
+    rest = y - c[:, None] * z
+    s = np.linalg.norm(rest, axis=1)
+    small = theta < 1e-9
+    factor = np.where(small, 1.0, theta / np.where(s > 0, s, 1.0))
+    return factor[:, None] * rest, ok
+
+
+def reference_sphere_transport(p, v, z, cut_tol=1e-12):
+    c = p @ z
+    ok = c > -1.0 + cut_tol
+    s = p + z
+    k = 2.0 * np.sum(v * s, axis=1) / np.where(ok, np.sum(s * s, axis=1), 1.0)
+    return v - k[:, None] * s, ok
+
+
+def reference_sphere_polar_chords(manifold, v):
+    rho = np.linalg.norm(v, axis=1)
+    sinc = np.sinc(rho / math.pi)
+    chord = np.column_stack([sinc[:, None] * v, np.cos(rho) - 1.0])
+    return chord, (manifold.intrinsic_dim - 1) * np.log(sinc)
+
+
+def reference_sphere_random_coords(manifold, rng, n):
+    x = rng.standard_normal((n, manifold.ambient_dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)

@@ -18,7 +18,16 @@ from tubescore.densities import (
 from tubescore.errors import ConfigError, ManifoldMismatch, UnsupportedManifold
 from tubescore.geometry import AffinePlane, FlatTorus, Sphere
 
-from conftest import fd_gradient, fd_laplacian, log_laplacian, volume_rule, wrap_angle
+from conftest import (
+    fd_gradient,
+    fd_laplacian,
+    log_laplacian,
+    reference_sample_chi,
+    reference_vmf_sample_coords,
+    same_rows,
+    volume_rule,
+    wrap_angle,
+)
 
 MU3 = np.array([0.3, -0.5, 0.81, 0.0]) / np.linalg.norm([0.3, -0.5, 0.81, 0.0])
 
@@ -261,6 +270,35 @@ class TestSamplers:
         # first shard is a fixed block, so a longer run shares the prefix
         assert np.array_equal(a[:65_536], c[:65_536])
         assert not np.array_equal(a, q.sample_coords_seeded(70_000, seed=6))
+
+
+class TestSamplerBits:
+    """The vMF sampler against its row-major reference, bit for bit.
+
+    np.interp precomputes its slopes only when it has at least as many
+    queries as table nodes (8,193), so the counts straddle that; at kappa
+    1e4 the cdf table has flat runs.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kappa", [0.0, 2.0, 1e4])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8192, 8194])
+    def test_vmf_sample_coords(self, dim, kappa, n):
+        M = Sphere(dim)
+        q = VonMisesFisher(M, M.random_coords(np.random.default_rng(dim), 1)[0], kappa)
+        got = q.sample_coords(n, np.random.default_rng(n))
+        assert same_rows(got, reference_vmf_sample_coords(q, n, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("kappa", [0.0, 2.0, 1e4])
+    @pytest.mark.parametrize("n", [7, 8192, 8194])
+    def test_sample_chi_on_unsorted_queries(self, kappa, n):
+        marg = SphereTMarginal(2, kappa)
+        rng = np.random.default_rng(n)
+        u = rng.random(n)
+        u[1::3] = u[0]  # duplicates
+        u[2::5] = 0.0
+        u[3::7] = marg._chi_cdf[rng.integers(0, marg._chi_cdf.size, u[3::7].size)]
+        assert same_rows(marg.sample_chi(u), reference_sample_chi(marg, u))
 
 
 class TestValidation:

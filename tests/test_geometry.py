@@ -17,6 +17,13 @@ from conftest import (
     GRIDDED_MANIFOLDS,
     make_manifold,
     random_tangent,
+    reference_sphere_log,
+    reference_sphere_polar_chords,
+    reference_sphere_project,
+    reference_sphere_random_coords,
+    reference_sphere_tangent_project,
+    reference_sphere_transport,
+    same_rows,
     tangent_rows,
     volume_rule,
     wrap_angle,
@@ -684,6 +691,61 @@ def test_row_reductions_match_numpy(width, rng):
     b = rng.standard_normal((500, width))
     assert np.array_equal(row_dots(a, b), np.sum(a * b, axis=1))
     assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1))
+
+
+def _in_layout(a, layout):
+    """Rows in row-major or column-major order, or the first row alone."""
+    return np.ascontiguousarray(a[:1]) if layout == "one" else np.asarray(a, order=layout)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("layout", ["C", "F", "one"])
+def test_sphere_kernels_match_row_major_reference(dim, layout):
+    M = Sphere(dim)
+    rng = np.random.default_rng(dim)
+    n = 40
+    z = M.random_coords(rng, n)
+    w = rng.standard_normal((n, M.ambient_dim))
+    # ambient rows inside and outside the tube
+    x = z * rng.uniform(0.05, 2.5, (n, 1)) + 0.1 * w
+    y = M.random_coords(rng, n)
+    # log at angle 0 and at the cut locus; transport from the antipode of z[0]
+    y[1], y[2], y[3] = z[1], -z[2], -z[0]
+    if layout == "C":
+        x[4] = 0.0  # the centre, where the projection is a placeholder
+    z, w, x, y = (_in_layout(a, layout) for a in (z, w, x, y))
+
+    proj, dist, in_tube = M.project_batch(x)
+    ref = reference_sphere_project(M, x)
+    assert same_rows(proj, ref[0])
+    assert np.array_equal(dist, ref[1]) and np.array_equal(in_tube, ref[2])
+    assert same_rows(M.tangent_project_batch(z, w),
+                     reference_sphere_tangent_project(z, w))
+    # one row broadcast over w's (the local average's last step): the bits
+    # of the reference, in w's order
+    one = np.broadcast_to(z[0], w.shape)
+    assert same_rows(M.tangent_project_batch(one, w),
+                     np.asarray(reference_sphere_tangent_project(one, w),
+                                order="F" if layout == "F" else "C"))
+    v, ok = M.log_batch(z, y)
+    v_ref, ok_ref = reference_sphere_log(z, y)
+    assert same_rows(v, v_ref) and np.array_equal(ok, ok_ref)
+    t = M.tangent_project_batch(y, w)
+    moved, ok = M.transport_to_batch(y, t, z[0])
+    moved_ref, ok_ref = reference_sphere_transport(y, t, z[0])
+    assert same_rows(moved, moved_ref) and np.array_equal(ok, ok_ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sphere_chords_and_samples_match_row_major_reference(dim):
+    M = Sphere(dim)
+    v = 0.5 * np.random.default_rng(dim).standard_normal((33, dim))
+    v[0] = 0.0
+    chord, log_jac = M.polar_chords(v)
+    chord_ref, log_jac_ref = reference_sphere_polar_chords(M, v)
+    assert same_rows(chord, chord_ref) and np.array_equal(log_jac, log_jac_ref)
+    assert same_rows(M.random_coords(np.random.default_rng(5), 33),
+                     reference_sphere_random_coords(M, np.random.default_rng(5), 33))
 
 
 @pytest.mark.parametrize("d, D", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)])
