@@ -16,19 +16,26 @@ import numpy as np
 
 from . import split
 from .densities import DensityModel
-from .errors import ConfigError, EmptyWindow
+from .errors import ConfigError, EmptyWindow, ManifoldMismatch
 from .geometry import Manifold
 from .geometry.base import row_norms
 from .rng import seed_sequence
 from .targets import CorruptedBatch, _field_values, corrupt
 
 CALIBRATION_FACTORS = (0.5, 1.0, 1.41, 2.0, 2.83)
-# fewest draws, summed over its repetitions, worth a process of their own:
-# on a 2-core machine, 20 repetitions at 8 probes split in two ran slower
-# than in one process at n = 400 (median 0.049 s against 0.037 s over 12
-# alternating pairs, 4,000 draws a range) and faster at n = 1000 (0.033 s
-# against 0.044 s, 10,000 draws a range)
+# fewest draws, summed over its repetitions, worth a process of their own.
+# On a 2-core machine shared with other work, 20 repetitions at 8 probes
+# and 2 bandwidths, split in two against run in one process, over five
+# series of 12 to 30 alternating pairs: the split was faster in 68 of 94
+# pairs at n = 1000 (10,000 draws a range; median 14.0 against 17.4 ms in
+# the last series) and in 68 of 94 at n = 400 (4,000 a range; 9.8 against
+# 12.3 ms), but in 5 and 0 of 20 in the series where the other core was
+# busy.  Below 10,000 draws the gain is no surer, so the floor stays there.
 MIN_PROCESS_DRAWS = 10_000
+# feet per block of local_average's pass: the weights of a calibration
+# call (5 bandwidths, 8 probes) take 1.3 MB, and a block's sums keep their
+# bits whatever the dataset's size
+_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -52,45 +59,76 @@ def window_cap(M: Manifold) -> float:
     return 0.5 * M.injectivity_radius
 
 
-def local_average(data: CorruptedBatch, z: np.ndarray,
+def local_average(data: CorruptedBatch, probes: np.ndarray,
                   bandwidths) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel-weighted averages of the targets at K bandwidths, moved to z.
+    """Kernel-weighted averages of the targets at K bandwidths, moved to
+    each of the P probe rows.
 
-    Each target is carried from its foot to the probe row z along the
-    minimizing geodesic and weighted by K(d_M(foot, z) / h); feet at the
-    cut locus of z get weight zero.  Distances are computed once, and
-    targets transported once over the widest window.  Returns the (K, D)
-    averages, row k at bandwidths[k], and each bandwidth's doublings.
+    Each target is carried from its foot to the probe along the minimizing
+    geodesic and weighted by K(d_M(foot, probe) / h); feet at the cut locus
+    of the probe get weight zero.  The feet are walked once, in blocks, for
+    every probe and bandwidth, through the manifold's ``transport_sums``.
+    Returns the (P, K, D) averages, entry [j, k] at probe j and
+    bandwidths[k], and the (P, K) doublings of each bandwidth.  A probe's
+    row has the bits of a call with that probe alone.
 
     An empty window's bandwidth doubles until the window holds a sample,
-    up to window_cap; EmptyWindow is raised when it is still empty there,
-    or when every in-window foot sits at the cut locus.
+    up to window_cap, and the probes with a doubled window are summed again.
+    EmptyWindow is raised when a window is still empty at the cap (for the
+    first such probe in order), or else when every in-window foot of some
+    window sits at the cut locus.
     """
     M = data.manifold
-    z = M.point_row(z)
+    probes = np.asarray(probes, dtype=float)
+    if probes.ndim != 2:
+        raise ManifoldMismatch(
+            f"probes of shape {probes.shape} are not rows of {M.name}")
+    z = np.array([M.point_row(row) for row in probes]).reshape(probes.shape)
     hs = np.array(bandwidths, dtype=float, ndmin=1)
     if not np.all(hs > 0):
         raise ConfigError("bandwidth must be positive")
-    dist = M.distance_to_batch(data.foot, z)
-    nearest = dist.min(initial=np.inf)
+    h = np.repeat(hs[:, None], len(z), axis=1)
+    sums, mass, nearest = _window_sums(data, z, h)
     cap = window_cap(M)
-    doublings = np.zeros(hs.size, dtype=int)
-    for k in range(hs.size):
-        while epanechnikov(nearest / hs[k]) == 0.0:
-            if hs[k] >= cap or nearest == np.inf:
-                raise EmptyWindow(
-                    f"no samples within bandwidth {hs[k]:.4g} of probe")
-            hs[k] = min(2.0 * hs[k], cap)
-            doublings[k] += 1
-    idx = np.flatnonzero(epanechnikov(dist / hs.max()) > 0.0)
-    moved, ok = M.transport_to_batch(data.foot[idx], data.targets[idx], z)
-    w = epanechnikov(dist[idx] / hs[:, None]) * ok
-    total = w.sum(axis=1)
-    if not np.all(total > 0.0):
+    doublings = np.zeros(h.shape, dtype=int)
+    for j, near in enumerate(nearest):
+        for k in range(hs.size):
+            while epanechnikov(near / h[k, j]) == 0.0:
+                if h[k, j] >= cap or near == np.inf:
+                    raise EmptyWindow(f"no samples within bandwidth "
+                                      f"{h[k, j]:.4g} of probe")
+                h[k, j] = min(2.0 * h[k, j], cap)
+                doublings[k, j] += 1
+    widened = np.flatnonzero(doublings.any(axis=0))
+    if widened.size:
+        sums[:, widened], mass[:, widened], _ = _window_sums(
+            data, z[widened], h[:, widened])
+    if not np.all(mass > 0.0):
         raise EmptyWindow("all in-bandwidth samples sit at the cut locus")
-    est = (w @ moved) / total[:, None]
-    est = M.tangent_project_batch(np.broadcast_to(z, est.shape), est)
-    return est, doublings
+    est = (sums / mass[..., None]).transpose(1, 0, 2).reshape(-1, z.shape[1])
+    est = M.tangent_project_batch(np.repeat(z, hs.size, axis=0), est)
+    return est.reshape(len(z), hs.size, z.shape[1]), doublings.T
+
+
+def _window_sums(data: CorruptedBatch, z: np.ndarray, h: np.ndarray):
+    """One pass over the feet, _BLOCK rows at a time: the (K, P, D)
+    weighted sums of the targets moved to each probe row z_j and the (K, P)
+    weight masses, under the Epanechnikov kernel at bandwidth h[k, j], and
+    each probe's nearest foot distance."""
+    M = data.manifold
+    sums = np.zeros(h.shape + (M.ambient_dim,))
+    mass = np.zeros(h.shape)
+    nearest = np.full(len(z), np.inf)
+    for start in range(0, len(data), _BLOCK):
+        foot = data.foot[start:start + _BLOCK]
+        dist = M.distance_to_batch(foot, z)
+        np.minimum(nearest, dist.min(axis=1), out=nearest)
+        block_sums, block_mass = M.transport_sums(
+            foot, data.targets[start:start + _BLOCK], z,
+            epanechnikov(dist / h[..., None]))
+        sums += block_sums
+        mass += block_mass
+    return sums, mass, nearest
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +214,13 @@ def _score_repetitions(q: DensityModel, sigma: float, n: int, hs: np.ndarray,
     return the range's doublings.  ``stops`` and ``slot`` go unread: the
     calling process finishes its own range whatever the workers do, since
     its failure is the one raised, so no range gains by stopping early."""
-    est = np.empty((hs.size,) + probes.shape)
     widened = 0
     for k, rep in enumerate(reps):
         data = corrupt(q, sigma, n, _cell_seed(seed, label, rep))
-        for j, z in enumerate(probes):
-            est[:, j], doublings = local_average(data, z, hs)
-            widened += int(doublings.sum())
-        out[:, k] = np.mean(np.sum((est - r_true) ** 2, axis=2), axis=1)
+        est, doublings = local_average(data, probes, hs)
+        widened += int(doublings.sum())
+        out[:, k] = np.mean(np.sum((est - r_true[:, None]) ** 2, axis=2),
+                            axis=0)
         del data  # free this draw before corrupt makes the next one
     return widened
 

@@ -107,7 +107,26 @@ class Manifold(abc.ABC):
         """Parallel transport of ``v_i`` at ``p_i`` to the single point ``z``."""
 
     @abc.abstractmethod
-    def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray: ...
+    def transport_sums(
+        self, p: np.ndarray, v: np.ndarray, z: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted sums of the transports of ``v_i`` at ``p_i`` to each
+        row of ``z``, without forming them.
+
+        ``p`` and ``v`` hold n feet and their tangent rows, ``z`` holds P
+        destination rows and ``w`` the (K, P, n) weights.  Returns the
+        (K, P, D) sums of w[k, j, i] times the transport of v_i to z_j, and
+        the (K, P) sums of those weights, both over the pairs that
+        :meth:`transport_to_batch` answers (pairs at the cut locus are
+        left out).  Each (k, j) row is summed on its own, through
+        :func:`weighted_sums`, so its bits do not depend on the other rows.
+        """
+
+    @abc.abstractmethod
+    def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Geodesic distances from the rows ``p`` to the point row ``z``,
+        shape (n,), or to each of P point rows, shape (P, n); row j of the
+        latter has the bits of the call with ``z[j]`` alone."""
 
     @abc.abstractmethod
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
@@ -195,3 +214,14 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean row norms in the order of ``row_dots``; the bits of
     ``np.linalg.norm(x, axis=1)`` on rows of fewer than 8 entries."""
     return np.sqrt(row_dots(x, x))
+
+
+def weighted_sums(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The sums over i of ``w[..., i] * x[i]``, shape w.shape[:-1] + (D,).
+
+    Each weight row is its own vector-matrix product.  One matrix product
+    over all the rows would be faster, but the BLAS picks its kernels by
+    the number of rows, so a row's bits would change with the rows summed
+    beside it.
+    """
+    return (w[..., None, :] @ x)[..., 0, :]

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .base import Manifold
+from .base import Manifold, weighted_sums
 
 
 class AffinePlane(Manifold):
@@ -108,8 +108,12 @@ class AffinePlane(Manifold):
     def transport_to_batch(self, p: np.ndarray, v: np.ndarray, z: np.ndarray):
         return v.copy(), np.ones(p.shape[0], dtype=bool)
 
+    def transport_sums(self, p: np.ndarray, v: np.ndarray, z: np.ndarray,
+                       w: np.ndarray):
+        return weighted_sums(w, v), w.sum(axis=-1)
+
     def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(p - z[None, :], axis=-1)
+        return np.linalg.norm(p - z[..., None, :], axis=-1)
 
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
         d = self.intrinsic_dim

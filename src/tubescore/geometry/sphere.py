@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from ..errors import UnsupportedManifold
-from .base import Manifold, row_dots, row_norms
+from .base import Manifold, row_dots, row_norms, weighted_sums
 
 # volume of the unit S^d; S^0 is two points
 _SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi,
@@ -128,8 +128,37 @@ class Sphere(Manifold):
         k = 2.0 * row_dots(v, s) / np.where(ok, row_dots(s, s), 1.0)
         return (v.T - k * s.T).T, ok
 
+    def transport_sums(self, p: np.ndarray, v: np.ndarray, z: np.ndarray,
+                       w: np.ndarray):
+        # transport_to_batch's P v = v - k (p + z) with k = <v, p + z> /
+        # (1 + <p, z>) for every pair (z_j, p_i), laid out (P, n), sums to
+        # w @ v - (w k) @ p - sum(w k) z.  1 + <p, z> is |p + z|^2 / 2, and
+        # that form keeps full accuracy near the antipode; it is taken on
+        # the pairs with <p, z> < 0 that some weight reaches, which no
+        # window of radius at most pi/2 holds.
+        c = (z[:, None, :] @ p.T)[:, 0]
+        ok = c > -1.0 + _CUT_TOL
+        k = (z[:, None, :] @ v.T)[:, 0]
+        k += row_dots(v, p)
+        den = 1.0 + c
+        far = np.flatnonzero((c < 0.0) & np.any(w, axis=0))
+        if far.size:
+            j, i = np.divmod(far, c.shape[1])
+            s = p[i] + z[j]
+            den[j, i] = 0.5 * row_dots(s, s)
+        if not ok.all():
+            den[~ok] = 1.0
+            w = w * ok
+        k /= den
+        wk = w * k
+        sums = weighted_sums(w, v)
+        sums -= weighted_sums(wk, p)
+        sums -= wk.sum(axis=-1)[..., None] * z
+        return sums, w.sum(axis=-1)
+
     def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.arccos(np.clip(p @ z, -1.0, 1.0))
+        c = (z[..., None, :] @ p.T)[..., 0, :]
+        return np.arccos(np.clip(c, -1.0, 1.0, out=c), out=c)
 
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
         # II(u, v) = -<u, v> z for the outward normal row z.

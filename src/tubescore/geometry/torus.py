@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .base import Manifold
+from .base import Manifold, weighted_sums
 
 _CUT_TOL = 1e-12
 
@@ -87,10 +87,11 @@ class FlatTorus(Manifold):
     def _turned(z: np.ndarray, s: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Rows s_i * turn(z_i) for per-circle scalars ``s`` (n, 2), in z's
-        memory order, or written into ``out`` (``z`` may then be one row)."""
+        memory order, or written into ``out`` (``z`` may then be one row,
+        or rows that ``s`` (..., n, 2) broadcasts over)."""
         out = np.empty_like(z) if out is None else out
-        np.multiply(s, -z[..., 1::2], out=out[:, 0::2])
-        np.multiply(s, z[..., 0::2], out=out[:, 1::2])
+        np.multiply(s, -z[..., 1::2], out=out[..., 0::2])
+        np.multiply(s, z[..., 0::2], out=out[..., 1::2])
         return out
 
     @staticmethod
@@ -141,9 +142,17 @@ class FlatTorus(Manifold):
                            np.empty_like(v))
         return out, np.ones(p.shape[0], dtype=bool)
 
+    def transport_sums(self, p: np.ndarray, v: np.ndarray, z: np.ndarray,
+                       w: np.ndarray):
+        # each transport is turn(z_j) times v_i's per-circle components
+        # <v_i, turn(p_i)> / R^2, so the sums turn z_j by the summed ones
+        coef = weighted_sums(w, self._turn_dots(p, v)) / self._radii ** 2
+        out = np.empty(coef.shape[:-1] + (4,))
+        return self._turned(z, coef, out), w.sum(axis=-1)
+
     def distance_to_batch(self, p: np.ndarray, z: np.ndarray) -> np.ndarray:
-        delta = self._angles_from(z, p)
-        return np.hypot(self._r[0] * delta[:, 0], self._r[1] * delta[:, 1])
+        delta = self._angles_from(z[..., None, :], p)
+        return np.hypot(self._r[0] * delta[..., 0], self._r[1] * delta[..., 1])
 
     def second_fundamental(self, z: np.ndarray) -> np.ndarray:
         h = np.zeros((2, 2, 2))

@@ -27,6 +27,8 @@ from tubescore.langevin import ChainConfig, run_chains
 from tubescore.oracle import FiberPosterior, RBOracle
 from tubescore.targets import CorruptedBatch, corrupt, flat_reduction_residuals
 
+from conftest import make_manifold
+
 S2 = Sphere(2)
 MU = np.array([0.0, 0.0, 1.0])
 
@@ -104,9 +106,21 @@ class TestKernel:
 def average(data, z, h):
     """The local average at the probe row z and one bandwidth, as a single
     tangent row."""
-    est, doublings = local_average(data, z, [h])
-    assert est.shape == (1, z.size) and doublings.tolist() == [0]
-    return est[0]
+    est, doublings = local_average(data, z[None], [h])
+    assert est.shape == (1, 1, z.size) and doublings.tolist() == [[0]]
+    return est[0, 0]
+
+
+def gathered_average(data, z, hs):
+    """The (K, D) local averages at the probe row z by the window formula:
+    every foot's target moved to z by transport_to_batch, then weighted and
+    summed in one matrix product."""
+    M = data.manifold
+    dist = M.distance_to_batch(data.foot, z)
+    moved, ok = M.transport_to_batch(data.foot, data.targets, z)
+    w = epanechnikov(dist / np.asarray(hs, float)[:, None]) * ok
+    est = (w @ moved) / w.sum(axis=1)[:, None]
+    return M.tangent_project_batch(np.broadcast_to(z, est.shape), est)
 
 
 class TestLocalAverage:
@@ -155,11 +169,11 @@ class TestLocalAverage:
         assert window_cap(S2) == pytest.approx(np.pi / 2)
         far = S2.distance_to_batch(data.foot, z) > np.pi / 2 + 0.05
         with pytest.raises(EmptyWindow):
-            local_average(take(data, far), z, [1e-4])
+            local_average(take(data, far), z[None], [1e-4])
         # a window that holds only the cut locus of z has no estimate
         anti = single_foot(vmf2, MU, [1.0, 0.0, 0.0])
         with pytest.raises(EmptyWindow):
-            local_average(anti, z, [3.2])
+            local_average(anti, z[None], [3.2])
 
     @pytest.mark.parametrize("caller", ["local_average", "fiber_posterior",
                                         "run_chains"])
@@ -168,7 +182,7 @@ class TestLocalAverage:
         # of S^3 and a row off S^2 are refused before any work is done
         def call(z):
             if caller == "local_average":
-                return local_average(data, z, [0.4])
+                return local_average(data, z[None], [0.4])
             if caller == "fiber_posterior":
                 return FiberPosterior(z, vmf2, 0.1)
             cfg = ChainConfig(n_steps=10, initial=z)
@@ -180,18 +194,66 @@ class TestLocalAverage:
 
     def test_bandwidths_validated(self, data):
         with pytest.raises(ConfigError):
-            local_average(data, MU, [0.4, 0.0])
+            local_average(data, MU[None], [0.4, 0.0])
+
+    def test_probes_must_be_rows(self, data):
+        with pytest.raises(ManifoldMismatch):
+            local_average(data, MU, [0.4])
 
     def test_many_bandwidths_equal_single_calls(self, data):
-        # one distance pass, one window and one transport serve every
-        # bandwidth; each row matches its own single-bandwidth call
+        # one pass over the feet serves every probe and bandwidth; each
+        # entry matches its own single-bandwidth call
         hs = [0.05, 0.4, 0.1, 0.8, 0.4, 0.2]
-        for row in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])):
-            est, doublings = local_average(data, row, hs)
-            assert est.shape == (len(hs), 3)
-            assert doublings.tolist() == [0] * len(hs)
-            for h, got in zip(hs, est):
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        est, doublings = local_average(data, rows, hs)
+        assert est.shape == (2, len(hs), 3)
+        assert doublings.tolist() == [[0] * len(hs)] * 2
+        for row, row_est in zip(rows, est):
+            for h, got in zip(hs, row_est):
                 assert np.max(np.abs(got - average(data, row, h))) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["sphere2", "torus12", "oblique_plane"])
+    def test_probe_rows_equal_single_probe_calls(self, name):
+        # a probe's row of a P-probe call has the bits of a call with that
+        # probe alone, widened windows included: at h = 0.05 some of the
+        # 1000 feet's windows are empty and double
+        M = make_manifold(name)
+        q = (VonMisesFisher(M, MU, 2.0) if name == "sphere2"
+             else Uniform(M) if name == "torus12"
+             else IsotropicGaussian(M, [0.0, 0.0], 1.0))
+        data = corrupt(q, 0.1, 1000, 31)
+        probes = M.random_coords(np.random.default_rng(31), 9)
+        hs = [0.05, 0.3, 0.6]
+        est, doublings = local_average(data, probes, hs)
+        assert doublings.any()
+        for j, row in enumerate(probes):
+            one, one_doublings = local_average(data, row[None], hs)
+            assert np.array_equal(one[0], est[j])
+            assert np.array_equal(one_doublings[0], doublings[j])
+
+    @pytest.mark.parametrize("n", [1, estimators._BLOCK - 1,
+                                   estimators._BLOCK, estimators._BLOCK + 1])
+    def test_block_edges(self, data, n):
+        # one row, and a row short of, exactly and a row past a whole block
+        # of feet, against the window formula; permuting the rows, which
+        # moves the block edges, moves no estimate by more than roundoff
+        sub = take(data, slice(0, n))
+        # the first foot, and the point a geodesic step of 1 away from it
+        step = S2.tangent_project_batch(sub.foot[:1], np.array([[1.0, 0, 0]]))
+        step /= np.linalg.norm(step)
+        rows = np.vstack([sub.foot[:1], S2.exp_batch(sub.foot[:1], step)])
+        # 2.5 reaches beyond the equator of each probe
+        hs = [0.4, 0.8, 2.5]
+        est, doublings = local_average(sub, rows, hs)
+        assert est.shape == (2, 3, 3)
+        for row, row_est, row_doublings in zip(rows, est, doublings):
+            wide = np.where(row_doublings > 0, np.minimum(
+                np.ldexp(hs, row_doublings), np.pi / 2), hs)
+            ref = gathered_average(sub, row, wide)
+            assert np.max(np.abs(row_est - ref)) <= 1e-13
+        order = np.random.default_rng(n).permutation(n)
+        again, _ = local_average(take(sub, order), rows, hs)
+        assert np.max(np.abs(again - est)) <= 1e-13
 
 
 class TestProjectedRisk:
@@ -325,14 +387,15 @@ class TestMSESweep:
         dists = S2.distance_to_batch(data.foot, z)
         ring = (dists > 0.25) & (dists < 0.35)
         ds = take(data, ring)
-        est, doublings = local_average(ds, z, [0.2, 0.05, 0.4])
-        assert doublings.tolist() == [1, 3, 0] and np.all(np.isfinite(est))
+        est, doublings = local_average(ds, z[None], [0.2, 0.05, 0.4])
+        assert doublings.tolist() == [[1, 3, 0]] and np.all(np.isfinite(est))
         # the widened windows are the doubled bandwidths
-        assert np.array_equal(est, local_average(ds, z, [0.4, 0.4, 0.4])[0])
+        assert np.array_equal(
+            est, local_average(ds, z[None], [0.4, 0.4, 0.4])[0])
         # feet all beyond pi/2 of the probe: widening stops at the cap
         far = dists > np.pi / 2 + 0.05
         with pytest.raises(EmptyWindow):
-            local_average(take(data, far), z, [0.2])
+            local_average(take(data, far), z[None], [0.2])
 
     def test_sweep_widens_past_one_doubling(self, vmf2, oracle):
         # a quarter of the pilot bandwidth at n = 1000: at this seed some

@@ -162,6 +162,60 @@ def test_transport_is_isometric(name, seed):
         assert np.all(gap[ok] <= bound[ok])
 
 
+@pytest.mark.parametrize("name", ALL_MANIFOLDS)
+@ROWS
+@given(seed=SEEDS)
+def test_transport_sums_match_summed_transports(name, seed):
+    # 60 feet at geodesic distances up to pi - 1e-3 from each of 3 probes
+    # (10 of them at pi - 1e-3), 40 random feet and the probes' antipodes
+    # -z_j (their cut loci on the sphere and torus; the plane takes the
+    # probes themselves), under weights of which about 30 % are exact zeros
+    M = make_manifold(name)
+    z, rng = generated(M, seed, n=3)
+    base = np.repeat(z, 60, axis=0)
+    step = random_tangent(M, base, rng)
+    lengths = rng.uniform(0.0, math.pi - 1e-3, (3, 60))
+    lengths[:, :10] = math.pi - 1e-3
+    step *= (lengths.ravel() / row_norms(step))[:, None]
+    anti = -z if math.isfinite(M.injectivity_radius) else z
+    p = np.vstack([M.exp_batch(base, step), M.random_coords(rng, 40), anti])
+    v = random_tangent(M, p, rng)
+    w = rng.uniform(0.0, 1.0, (2, 3, len(p)))
+    w[rng.uniform(size=w.shape) < 0.3] = 0.0
+    sums, mass = M.transport_sums(p, v, z, w)
+    assert sums.shape == (2, 3, M.ambient_dim) and mass.shape == (2, 3)
+    for j, dest in enumerate(z):
+        moved, ok = M.transport_to_batch(p, v, dest)
+        kept = w[:, j] * ok
+        scale = max(1.0, float(np.max(w[:, j] @ row_norms(v))))
+        assert np.max(np.abs(sums[:, j] - kept @ moved)) <= 1e-12 * scale
+        assert np.max(np.abs(mass[:, j] - kept.sum(axis=1))) <= 1e-12 * scale
+    # zero weights give exact zeros
+    zero_sums, zero_mass = M.transport_sums(p, v, z, np.zeros_like(w))
+    assert not zero_sums.any() and not zero_mass.any()
+    # weight on each probe's antipode alone: finite sums, and on the
+    # sphere, where the antipode is the cut locus, zero mass
+    only = np.zeros_like(w)
+    only[:, [0, 1, 2], [len(p) - 3, len(p) - 2, len(p) - 1]] = 1.0
+    anti_sums, anti_mass = M.transport_sums(p, v, z, only)
+    assert np.all(np.isfinite(anti_sums))
+    if isinstance(M, Sphere):
+        assert not anti_sums.any() and not anti_mass.any()
+
+
+@pytest.mark.parametrize("name", ALL_MANIFOLDS)
+@ROWS
+@given(seed=SEEDS)
+def test_distances_to_many_rows_equal_single_row_calls(name, seed):
+    M = make_manifold(name)
+    p, rng = generated(M, seed)
+    z = M.random_coords(rng, 5)
+    many = M.distance_to_batch(p, z)
+    assert many.shape == (5, N)
+    for j, row in enumerate(z):
+        assert np.array_equal(many[j], M.distance_to_batch(p, row))
+
+
 def test_sphere_exp_mixed_rows(rng):
     # zero steps, steps under the 1e-12 series cut-off and ordinary steps,
     # interleaved in one call: each row is evaluated on its own, whichever
