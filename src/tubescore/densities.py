@@ -77,6 +77,16 @@ class DensityModel(abc.ABC):
     @abc.abstractmethod
     def score_batch(self, coords: np.ndarray) -> np.ndarray: ...
 
+    def ambient_score_batch(self, coords: np.ndarray) -> np.ndarray:
+        """An ambient field G whose tangent projection at each row of
+        ``coords`` is the score there: one row per row of ``coords``, or
+        one (D,) vector when G is the same at every point.
+
+        A Langevin step projects its drift together with its noise, so G
+        drives it as the score would; this default is the score itself.
+        """
+        return self.score_batch(coords)
+
     @abc.abstractmethod
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         """The drift correction b_q at each row, as ambient tangent rows."""
@@ -174,6 +184,8 @@ class VonMisesFisher(DensityModel):
             raise ValueError("mu must have unit norm")
         self.mu = mu
         self.kappa = float(kappa)
+        self._gradient = self.kappa * mu
+        self._gradient.flags.writeable = False
         self._marginal = SphereTMarginal(manifold.intrinsic_dim, self.kappa)
         self._log_norm = self._marginal.log_sphere_normalizer()
 
@@ -192,6 +204,11 @@ class VonMisesFisher(DensityModel):
         # column-major rows
         t = row_dots(coords, self.mu[None, :])
         return self.kappa * (self.mu[None, :] - t[:, None] * coords)
+
+    def ambient_score_batch(self, coords: np.ndarray) -> np.ndarray:
+        # kappa mu, the ambient gradient of kappa <mu, z>, projects to the
+        # score kappa (mu - <mu, z> z) at every point
+        return self._gradient
 
     def tweedie_batch(self, coords: np.ndarray) -> np.ndarray:
         d = self._manifold.intrinsic_dim

@@ -45,7 +45,12 @@ from .oracle import (
     surrogate_factors,
 )
 from .rng import derive_rng
-from .targets import CorruptedBatch, corrupt, flat_reduction_residuals
+from .targets import (
+    CorruptedBatch,
+    corrupt,
+    corrupt_at_sigmas,
+    flat_reduction_residuals,
+)
 
 RB_SUBSAMPLE = 20_000
 BOOTSTRAP_DRAWS = 4000
@@ -302,8 +307,8 @@ def run_stein_suite(sigma: float = 0.1, moment_sigma: float = 0.025,
     # chord-vs-logmap targets differ by O(sigma) per sample, so the mean
     # squared gap divided by sigma^2 settles to a constant
     ratios = []
-    for s in plateau_sigmas:
-        batch = corrupt(q2, s, logmap_n, seed)
+    for s, batch in zip(plateau_sigmas,
+                        corrupt_at_sigmas(q2, plateau_sigmas, logmap_n, seed)):
         logm, ok = batch.logmap_targets()
         diff = np.sum((batch.targets[ok] - logm[ok]) ** 2, axis=1)
         ratios.append(float(diff.mean()) / s**2)

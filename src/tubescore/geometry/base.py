@@ -84,16 +84,27 @@ class Manifold(abc.ABC):
         """
 
     @abc.abstractmethod
-    def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ambient rows ``w`` onto T_{z_i}M."""
+    def tangent_project_batch(self, z: np.ndarray, w: np.ndarray, *,
+                              out: np.ndarray | None = None) -> np.ndarray:
+        """Orthogonal projection of ambient rows ``w`` onto T_{z_i}M.
+
+        ``out``, when given, is an array of w's shape that receives the
+        projection and is returned; it must share no memory with ``z`` or
+        ``w``.  The bits are those of the call without it.
+        """
 
     @abc.abstractmethod
     def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
-                  norms: np.ndarray | None = None) -> np.ndarray:
+                  norms: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """Rowwise exponential map Exp_{z_i}(v_i).
 
         ``norms``, when given, holds ``row_norms(v)``; a manifold whose map
-        needs the step lengths uses it in place of its own pass.
+        needs the step lengths uses it in place of its own pass.  ``out``,
+        when given, is an array of z's shape that receives the points and
+        is returned; it may be ``z`` itself, which then steps in place, but
+        must share no memory with ``v``.  The bits are those of the call
+        without it.
         """
 
     @abc.abstractmethod
@@ -197,13 +208,31 @@ class Manifold(abc.ABC):
         return z
 
 
+# most column-major rows whose products row_dots forms all at once.  One
+# product and one reduction make fewer passes than the column loop, which
+# pays while the (D, n) product stays in cache.  Timed interleaved on one
+# core of a 2-core Xeon for D = 3 to 5, the reduction took 0.4 to 0.6 times
+# the loop's time at 64 and 128 rows, 0.6 to 0.8 at 2,048, 0.8 to 1.1 at
+# 4,096, 1.0 at 8,192, 0.9 to 1.2 at 16,384 and 1.35 to 1.6 at 32,768 and
+# 65,536 rows, with twice its memory.
+_DOTS_AT_ONCE = 8192
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row dot products of two (n, D) arrays, summed column by column.
 
     The sum runs left to right, which is the order numpy's reduction uses
     on rows of fewer than 8 entries, so the bits equal
     ``np.sum(a * b, axis=1)`` while narrow rows cost about a third.
+    Column-major rows (a Langevin chain's state) of at most
+    ``_DOTS_AT_ONCE`` rows form every product at once, as the (D, n)
+    transpose, and sum it with one reduction down its columns, which also
+    adds left to right; it starts from -0.0, which leaves every sum's bits
+    as they are.
     """
+    if (a.shape[0] <= _DOTS_AT_ONCE and a.T.flags.c_contiguous
+            and b.T.flags.c_contiguous):
+        return np.add.reduce(a.T * b.T, axis=0, initial=-0.0)
     out = a[:, 0] * b[:, 0]
     for j in range(1, a.shape[1]):
         out += a[:, j] * b[:, j]

@@ -7,6 +7,17 @@ import numpy as np
 
 from .base import Manifold, weighted_sums
 
+# OpenBLAS runs a product of m rows by k by n columns on its threads once
+# m n k reaches 262,144, and on a busy machine such a product of 100,000
+# rows waited about 50 ms for the second core where one thread takes 1 ms.
+# The plane's products over many rows go in row blocks of at most this
+# product, so each stays on the calling thread.  The blocks are of equal
+# size, so none holds a single row: numpy hands a one-row product to the
+# BLAS's vector kernel, whose bits differ from the matrix kernel's.  On two
+# rows or more, a row's bits have not depended on the block that holds it
+# (test_plane_products_over_many_rows checks it).
+_SERIAL_PRODUCT = 65_536
+
 
 class AffinePlane(Manifold):
     """Affine subspace basepoint + span(frame) with the induced flat metric.
@@ -35,6 +46,7 @@ class AffinePlane(Manifold):
         d, D = frame.shape
         q, _ = np.linalg.qr(np.concatenate([frame, np.eye(D)]).T)
         self._full_frame = np.concatenate([frame, q[:, d:].T])
+        self._block = max(2, _SERIAL_PRODUCT // (d * D))
 
     @classmethod
     def axis_aligned(cls, d: int, ambient: int) -> "AffinePlane":
@@ -77,30 +89,57 @@ class AffinePlane(Manifold):
 
     # ---- chart helpers --------------------------------------------------
 
+    def _by_blocks(self, kernel, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """``kernel`` on the row blocks of ``x``, gathered into one array
+        (``out`` when given); anything but a long batch of rows is one
+        block."""
+        if x.ndim != 2 or len(x) <= self._block:
+            if out is None:
+                return kernel(x)
+            out[...] = kernel(x)
+            return out
+        n = len(x)
+        count = -(-n // self._block)
+        for i in range(count):
+            block = slice(i * n // count, (i + 1) * n // count)
+            rows = kernel(x[block])
+            if out is None:
+                out = np.empty((n, rows.shape[1]))
+            out[block] = rows
+        return out
+
     def chart(self, x: np.ndarray) -> np.ndarray:
         """In-plane coordinates of ambient rows."""
-        return (x - self._p0) @ self._frame.T
+        return self._by_blocks(lambda b: (b - self._p0) @ self._frame.T, x)
 
     def embed(self, c: np.ndarray) -> np.ndarray:
         """Ambient coordinates of chart rows."""
-        return self._p0 + np.asarray(c, dtype=float) @ self._frame
+        return self._by_blocks(lambda b: self._p0 + b @ self._frame,
+                               np.asarray(c, dtype=float))
 
     def embed_tangent(self, c: np.ndarray) -> np.ndarray:
-        return np.asarray(c, dtype=float) @ self._frame
+        return self._by_blocks(lambda b: b @ self._frame,
+                               np.asarray(c, dtype=float))
 
     # ---- kernels -------------------------------------------------------
 
     def project_batch(self, x: np.ndarray):
-        proj = self._p0 + ((x - self._p0) @ self._frame.T) @ self._frame
+        proj = self._by_blocks(
+            lambda b: self._p0 + ((b - self._p0) @ self._frame.T) @ self._frame,
+            x)
         dist = np.linalg.norm(x - proj, axis=-1)
         return proj, dist, np.ones(x.shape[0], dtype=bool)
 
-    def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return (w @ self._frame.T) @ self._frame
+    def tangent_project_batch(self, z: np.ndarray, w: np.ndarray, *,
+                              out: np.ndarray | None = None) -> np.ndarray:
+        return self._by_blocks(lambda b: (b @ self._frame.T) @ self._frame,
+                               w, out)
 
     def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
-                  norms: np.ndarray | None = None) -> np.ndarray:
-        return z + v
+                  norms: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        return np.add(z, v, out=out)
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):
         return y - z, np.ones(z.shape[0] if z.ndim > 1 else y.shape[0], dtype=bool)

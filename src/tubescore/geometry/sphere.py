@@ -81,15 +81,17 @@ class Sphere(Manifold):
             in_tube = in_tube & ~bad
         return proj, dist, in_tube
 
-    def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def tangent_project_batch(self, z: np.ndarray, w: np.ndarray, *,
+                              out: np.ndarray | None = None) -> np.ndarray:
         # z may be one row broadcast over w's; the result takes w's order
-        out = np.empty_like(w)
+        out = np.empty_like(w) if out is None else out
         np.multiply(row_dots(w, z), z.T, out=out.T)
         np.subtract(w.T, out.T, out=out.T)
         return out
 
     def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
-                  norms: np.ndarray | None = None) -> np.ndarray:
+                  norms: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
         # half-angle form: with u = tan(r/2), cos r = (1 - u^2) / (1 + u^2)
         # and sin r / r = (u / (r/2)) / (1 + u^2); the row normalization
         # removes the common 1 / (1 + u^2), so one trig call per row does.
@@ -102,10 +104,13 @@ class Sphere(Manifold):
                              u / np.where(small, 1.0, half))
         else:
             along = u / half
-        out = (1.0 - u * u) * z.T
-        out += along * v.T
-        out /= row_norms(out.T)
-        return out.T
+        # written into out, which may be z: each entry of z is read only
+        # to form its own entry of the product
+        points = np.multiply(1.0 - u * u, z.T,
+                             out=None if out is None else out.T)
+        points += along * v.T
+        points /= row_norms(points.T)
+        return points.T if out is None else out
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):
         c = np.clip(row_dots(z, y), -1.0, 1.0)

@@ -117,18 +117,22 @@ class FlatTorus(Manifold):
         proj[bad] = [r[0], 0.0, r[1], 0.0]
         return proj, dist, in_tube
 
-    def tangent_project_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self._turned(z, self._turn_dots(z, w) / self._radii ** 2)
+    def tangent_project_batch(self, z: np.ndarray, w: np.ndarray, *,
+                              out: np.ndarray | None = None) -> np.ndarray:
+        return self._turned(z, self._turn_dots(z, w) / self._radii ** 2, out)
 
     def exp_batch(self, z: np.ndarray, v: np.ndarray, *,
-                  norms: np.ndarray | None = None) -> np.ndarray:
-        # rotate each circle block by its step angle <v_i, e_i> / R_i
+                  norms: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        # rotate each circle block by its step angle <v_i, e_i> / R_i; both
+        # rotated coordinates are formed before either is written, so out
+        # may be z
         phi = self._turn_dots(z, v) / self._radii ** 2
         c, s = np.cos(phi), np.sin(phi)
         x, y = z[:, 0::2], z[:, 1::2]
-        out = np.empty_like(z)
-        out[:, 0::2] = c * x - s * y
-        out[:, 1::2] = s * x + c * y
+        turned = (c * x - s * y, s * x + c * y)
+        out = np.empty_like(z) if out is None else out
+        out[:, 0::2], out[:, 1::2] = turned
         return out
 
     def log_batch(self, z: np.ndarray, y: np.ndarray):

@@ -107,29 +107,35 @@ def run_chains(q: DensityModel, factor: float | tuple[float, ...],
     then runs once per factor, every copy from the chain's initial point
     and on the chain's noise, and the result is (len(factor), n_chains,
     kept, D): the single-factor runs stacked, bit for bit wherever the
-    manifold's kernels are row-wise (spheres and tori).  Every copy shares
-    one ``q.score_batch`` call on all rows, scaled row by row by eps times
-    its factor.
+    manifold's kernels are row-wise (spheres and tori).
 
-    A step adds sqrt(2 eps) xi to that drift and projects the sum onto the
-    tangent space once, v = P_z(eps f score + sqrt(2 eps) xi), in a buffer
-    the range allocates once; the score is tangent, so this is the step
-    with only the noise projected, to rounding.  One norm pass over v
-    serves the injectivity check and the exponential map, which on a
-    sphere takes one trig call per row (``Sphere.exp_batch``).
+    A step never evaluates the score.  It takes an ambient field G whose
+    tangent projection is the score (``q.ambient_score_batch``), adds
+    sqrt(2 eps) xi to eps f G and projects the sum onto the tangent space
+    once: P_z(eps f G + sqrt(2 eps) xi) = eps f score + sqrt(2 eps) P_z xi.
+    A vMF's G is the constant vector kappa mu: a range evaluates it once,
+    forms eps f G for its rows once and adds that to each step's noise.
+    Other densities give their score, one row per row, which each step
+    scales row by row by eps times its copy's factor.  The sum, its
+    projection (``tangent_project_batch(out=)``) and the state, stepped in
+    place (``exp_batch(out=)``), live in buffers the range allocates once.
+    One norm pass over the projection serves the injectivity check and the
+    exponential map, which on a sphere takes one trig call per row
+    (``Sphere.exp_batch``).
 
-    The chain state is held column-major (Fortran order), so each per-row
-    scalar such as a row norm or dot product runs over contiguous columns.
-    Kernels that the step calls (the density's score, the manifold's
-    tangent projection and exponential map) must therefore be elementwise
-    in rows: a BLAS reduction such as ``z @ mu`` gives bits that depend on
-    the memory order and on the number of rows.  The spheres, tori and the
-    vMF, product von Mises and uniform scores keep this rule.  Noise is
-    drawn ``NOISE_BLOCK`` steps at a time per chain, in the chain's own
-    stream order, and laid out once per block as (steps, D, chains),
-    multiplied by sqrt(2 eps), ``NOISE_GROUP`` chains at a time; neither
-    size changes any result.  Each chain's noise is held once and read by
-    every copy through a broadcast.
+    The chain state is held as its (D, rows) transpose, so each per-row
+    scalar such as a row norm or dot product runs over contiguous columns
+    of the column-major rows the kernels see.  Kernels that the step calls
+    (the density's field, the manifold's tangent projection and
+    exponential map) must therefore be elementwise in rows: a BLAS
+    reduction such as ``z @ mu`` gives bits that depend on the memory
+    order and on the number of rows.  The spheres, tori and the vMF,
+    product von Mises and uniform fields keep this rule.  Noise is drawn
+    ``NOISE_BLOCK`` steps at a time per chain, in the chain's own stream
+    order, and laid out once per block as (steps, D, chains), multiplied
+    by sqrt(2 eps), ``NOISE_GROUP`` chains at a time; neither size changes
+    any result.  Each chain's noise is held once and read by every copy
+    through a broadcast.
 
     The chains are split into contiguous ranges, one per usable CPU
     (``split.ranges``), each of at least ``MIN_PROCESS_CHAINS`` chains; a
@@ -220,13 +226,18 @@ def _run_range(q: DensityModel, factors: tuple, config: ChainConfig,
     iterate in ``stops``, where its result can no longer matter.
     """
     M = q.manifold
+    ambient_score, project, exp = (q.ambient_score_batch,
+                                   M.tangent_project_batch, M.exp_batch)
     n = len(chains)
     copies = len(factors)
     # copy s of chain chains[j] is row s * n + j; eps times its factor
     drift = config.step * np.repeat(factors, n)[:, None]
     root = np.sqrt(2.0 * config.step)
     inj = M.injectivity_radius
-
+    bounded = np.isfinite(inj)
+    burn_in, thinning = config.burn_in, config.thinning
+    # the state, stepped in place: column-major (rows, D), so its transpose
+    # is the row-major (D, rows) array
     z = np.asfortranarray(np.tile(_initial_rows(q, config, chains),
                                   (copies, 1)))
     D = M.ambient_dim
@@ -237,10 +248,17 @@ def _run_range(q: DensityModel, factors: tuple, config: ChainConfig,
     # noise[b, :, j] is sqrt(2 eps) times chain j's draw for step b, once
     # per chain: every copy reads it through a broadcast over the copies
     noise = np.empty((steps, D, n))
-    # the column-major (rows, D) sum that the step projects; its transpose
-    # is the row-major (D, rows) array, viewed as (D, copies, n)
+    # the column-major (rows, D) drift plus noise, whose (D, rows)
+    # transpose is viewed as (D, copies, n), and its tangent projection
     move = np.empty((copies * n, D), order="F")
     by_copy = move.T.reshape(D, copies, n)
+    v = np.empty_like(move)
+    # a field given as one vector is the same at every point, so at every
+    # step: eps f G is formed once, as the (D, rows) array that each step
+    # adds to its noise
+    gradient = ambient_score(z)
+    constant = (np.ascontiguousarray((drift * gradient).T)
+                if gradient.ndim == 1 else None)
 
     k = 0
     step_idx = 0
@@ -252,23 +270,28 @@ def _run_range(q: DensityModel, factors: tuple, config: ChainConfig,
             group = gens[c0:c0 + len(fill)]
             for g, stream in zip(group, fill):
                 g.standard_normal(out=stream[:block])
-            np.multiply(fill[:len(group), :block].transpose(1, 2, 0), root,
-                        out=noise[:block, :, c0:c0 + len(group)])
+            drawn = fill[:len(group), :block]
+            drawn *= root
+            noise[:block, :, c0:c0 + len(group)] = drawn.transpose(1, 2, 0)
         for b in range(block):
             step_idx += 1
-            np.multiply(drift, q.score_batch(z), out=move)
-            by_copy += noise[b][:, None]
-            v = M.tangent_project_batch(z, move)
+            if constant is None:
+                np.multiply(drift, ambient_score(z), out=move)
+                by_copy += noise[b][:, None]
+            else:
+                by_copy[...] = noise[b][:, None]
+                np.add(move.T, constant, out=move.T)
+            project(z, move, out=v)
             norms = None
-            if np.isfinite(inj):
+            if bounded:
                 norms = row_norms(v)
                 longest = norms.max()
                 if longest >= inj:
                     stops[slot] = step_idx
                     return step_idx, float(longest)
-            z = M.exp_batch(z, v, norms=norms)
-            past = step_idx - config.burn_in
-            if past > 0 and past % config.thinning == 0:
+            exp(z, v, norms=norms, out=z)
+            past = step_idx - burn_in
+            if past > 0 and past % thinning == 0:
                 kept = (z if direction is None
                         else np.ascontiguousarray(z) @ direction)
                 kept = kept.reshape(copies, n, *item)

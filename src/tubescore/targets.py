@@ -66,6 +66,25 @@ class CorruptedBatch:
         return v / self.sigma**2, ok
 
 
+def _draws(q: DensityModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n latents and standard-normal noise rows of ``corrupt``, which
+    do not depend on sigma."""
+    D = q.manifold.ambient_dim
+    latents, noise = np.empty((n, D)), np.empty((n, D))
+    start = 0
+    for i, size in enumerate(shard_sizes(n)):
+        rows = slice(start, start + size)
+        latents[rows] = q.sample_coords(size, derive_rng(seed, "targets.latent", i))
+        noise[rows] = derive_rng(seed, "targets.noise", i).standard_normal((size, D))
+        start += size
+    return latents, noise
+
+
+def _check_sigma(sigma: float) -> None:
+    if sigma <= 0:
+        raise ConfigError("sigma must be positive")
+
+
 def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
     """Draw n corrupted samples with sharded, seed-derived streams and keep
     the ones inside the tube.
@@ -75,20 +94,27 @@ def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
     partial last shard need not be a prefix of a longer one: a sampler may
     spend its stream differently for a different count.
     """
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    D = q.manifold.ambient_dim
-    sizes = shard_sizes(n)
-    latents, noisy = np.empty((n, D)), np.empty((n, D))
-    start = 0
-    for i, size in enumerate(sizes):
-        rows = slice(start, start + size)
-        latents[rows] = q.sample_coords(size, derive_rng(seed, "targets.latent", i))
-        noisy[rows] = derive_rng(seed, "targets.noise", i).standard_normal((size, D))
-        start += size
+    _check_sigma(sigma)
+    latents, noisy = _draws(q, n, seed)
     noisy *= sigma
     noisy += latents
     return CorruptedBatch.from_draws(q, sigma, latents, noisy)
+
+
+def corrupt_at_sigmas(q: DensityModel, sigmas, n: int, seed: int):
+    """Yield ``corrupt(q, s, n, seed)`` for each s in ``sigmas``, bit for
+    bit, one batch at a time.
+
+    The latents and the noise do not depend on sigma, so they are drawn
+    once for all the batches.
+    """
+    for s in sigmas:
+        _check_sigma(s)
+    latents, noise = _draws(q, n, seed)
+    for s in sigmas:
+        noisy = noise * s  # corrupt's order of operations
+        noisy += latents
+        yield CorruptedBatch.from_draws(q, s, latents, noisy)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import i0e, i1e
 
@@ -97,6 +98,37 @@ class TestDerivatives:
         s = model.score_batch(coords)
         resid = s - M.tangent_project_batch(coords, s)
         assert np.abs(resid).max() <= 1e-10
+
+
+AMBIENT_SCORE_MODELS = [
+    *(VonMisesFisher(Sphere(d), mu / np.linalg.norm(mu), kappa)
+      for d, mu, kappa in ((1, np.array([0.6, -0.8]), 1.7),
+                           (2, np.array([0.3, -0.5, 0.81]), 2.0),
+                           (3, MU3, 2.5),
+                           (4, np.array([0.2, 0.7, -0.4, 0.1, 0.5]), 6.0))),
+    ProductVonMises(FlatTorus(1.0, 2.0), (2.0, 0.7), (0.0, 2.5)),
+    IsotropicGaussian(AffinePlane.axis_aligned(2, 4), [0.3, -0.2], 1.1),
+    Uniform(Sphere(3)),
+    Uniform(FlatTorus(1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("model", AMBIENT_SCORE_MODELS,
+                         ids=lambda m: f"{type(m).__name__}-{m.manifold.name}")
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ambient_score_projects_to_the_score(model, seed):
+    # the Langevin step projects the ambient field with its noise, so the
+    # field's tangent projection must be the score at every point
+    M = model.manifold
+    coords = M.random_coords(np.random.default_rng(seed), 40)
+    field = model.ambient_score_batch(coords)
+    assert field.shape in {coords.shape, (M.ambient_dim,)}
+    projected = M.tangent_project_batch(
+        coords, np.broadcast_to(field, coords.shape))
+    score = model.score_batch(coords)
+    scale = 1.0 + np.abs(field).max()
+    assert np.abs(projected - score).max() <= 1e-14 * scale
 
 
 class TestNormalization:

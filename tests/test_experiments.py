@@ -381,14 +381,14 @@ class TestLangevinDriver:
 
     def test_scaled_pair_failure_has_the_unsplit_message(self, monkeypatch):
         # the second run of the pair, on the density at scale * kappa, runs
-        # in the worker on two CPUs; a steep score takes its first step
+        # in the worker on two CPUs; a steep drift takes its first step
         # beyond the injectivity radius
-        score = VonMisesFisher.score_batch
+        score = VonMisesFisher.ambient_score_batch
 
         def steep_at_the_scaled_kappa(self, coords):
             steep = 1e6 if self.kappa == 1.5 * 2.0 else 1.0
             return steep * score(self, coords)
-        monkeypatch.setattr(VonMisesFisher, "score_batch",
+        monkeypatch.setattr(VonMisesFisher, "ambient_score_batch",
                             steep_at_the_scaled_kappa)
 
         def message(cpus):

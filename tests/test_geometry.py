@@ -7,7 +7,7 @@ from scipy.integrate import dblquad, quad
 
 from tubescore import AffinePlane, FlatTorus, Sphere, VonMisesFisher
 from tubescore.errors import BeyondInjectivity, ManifoldMismatch
-from tubescore.geometry import gauss_legendre
+from tubescore.geometry import base, gauss_legendre
 from tubescore.geometry.base import POINT_ATOL, row_dots, row_norms
 from tubescore.geometry.quadrature import sphere_rule
 from tubescore.langevin import ChainConfig, run_chains
@@ -747,6 +747,26 @@ def test_row_reductions_match_numpy(width, rng):
     assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1))
 
 
+@pytest.mark.parametrize("width", range(1, 8))
+@pytest.mark.parametrize("n", [1, 7, 64, 1000, base._DOTS_AT_ONCE,
+                               base._DOTS_AT_ONCE + 1])
+def test_row_dots_on_column_major_rows(width, n, rng):
+    # the one reduction over the (D, n) products that column-major rows
+    # take keeps the column loop's bits, signed zeros included, and a
+    # broadcast row takes it too
+    a = rng.standard_normal((n, width)) * np.exp(rng.uniform(-30, 30, (n, width)))
+    b = rng.standard_normal((n, width))
+    a[0], b[0] = -0.0, 1.0  # every product -0.0: the sum is -0.0
+    cols = [np.asfortranarray(x) for x in (a, b)]
+    loop = a[:, 0] * b[:, 0]
+    for j in range(1, width):
+        loop += a[:, j] * b[:, j]
+    got = row_dots(*cols)
+    assert np.array_equal(got, loop) and np.signbit(got[0])
+    assert np.array_equal(row_dots(cols[0], b[:1]), row_dots(a, b[:1]))
+    assert np.array_equal(row_norms(cols[0]), np.linalg.norm(a, axis=1))
+
+
 def _in_layout(a, layout):
     """Rows in row-major or column-major order, or the first row alone."""
     return np.ascontiguousarray(a[:1]) if layout == "one" else np.asarray(a, order=layout)
@@ -809,6 +829,49 @@ def test_axis_aligned_plane_frame_is_the_identity(d, D):
     frames = M.frames_batch(np.zeros((3, D)))
     assert frames.shape == (3, D, D)
     assert np.array_equal(frames, np.broadcast_to(np.eye(D), (3, D, D)))
+
+
+@pytest.mark.parametrize("name", ALL_MANIFOLDS)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_kernels_write_their_bits_into_out(name, layout):
+    # the Langevin step projects into a buffer of its own and steps its
+    # state in place: out holds the bits of a fresh result
+    M = make_manifold(name)
+    rng = np.random.default_rng(8)
+    z = np.asarray(M.random_coords(rng, 37), order=layout)
+    w = np.asarray(rng.standard_normal(z.shape), order=layout)
+    fresh = M.tangent_project_batch(z, w)
+    buf = np.empty_like(w)
+    assert M.tangent_project_batch(z, w, out=buf) is buf
+    assert np.array_equal(buf, fresh)
+    v = 0.3 * fresh
+    for norms in (None, row_norms(v)):
+        fresh = M.exp_batch(z, v, norms=norms)
+        state = z.copy(order=layout)
+        assert M.exp_batch(state, v, norms=norms, out=state) is state
+        assert np.array_equal(state, fresh)
+
+
+@pytest.mark.parametrize("name", ["plane", "oblique_plane"])
+def test_plane_products_over_many_rows(name):
+    # products over more rows than one block go block by block; every row
+    # keeps the bits of the unblocked product, across and at the block edges
+    M = make_manifold(name)
+    F, p0, block = M.frame, M._p0, M._block
+    rng = np.random.default_rng(9)
+    for n in (block - 1, block, block + 1, 2 * block + 3):
+        x = rng.standard_normal((n, 4))
+        c = rng.standard_normal((n, 2))
+        buf = np.empty_like(x)
+        for got, want in (
+                (M.project_batch(x)[0], p0 + ((x - p0) @ F.T) @ F),
+                (M.tangent_project_batch(x, x), (x @ F.T) @ F),
+                (M.tangent_project_batch(x, x, out=buf), (x @ F.T) @ F),
+                (M.chart(x), (x - p0) @ F.T),
+                (M.embed(c), p0 + c @ F),
+                (M.embed_tangent(c), c @ F)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 def test_plane_chart_roundtrip(rng):

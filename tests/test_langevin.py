@@ -315,13 +315,13 @@ class TestCoupledChains:
         # test would take minutes unless they are killed
         q = VonMisesFisher(S2, MU, 2.0)
         caller = os.getpid()
-        score = q.score_batch
+        score = q.ambient_score_batch
 
         def failing_score(z):
             if (os.getpid() == caller) == (exc is KeyboardInterrupt):
                 raise exc("from the chain step")
             return score(z)
-        monkeypatch.setattr(q, "score_batch", failing_score)
+        monkeypatch.setattr(q, "ambient_score_batch", failing_score)
         monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         cfg = ChainConfig(step=1e-3, n_steps=n_steps, seed=1)
@@ -338,11 +338,11 @@ class TestCoupledChains:
         # its next noise block
         q = VonMisesFisher(S2, MU, 2.0)
         caller = os.getpid()
-        score = q.score_batch
+        score = q.ambient_score_batch
 
         def steep_score(z):
             return score(z) if os.getpid() == caller else 1e6 * score(z)
-        monkeypatch.setattr(q, "score_batch", steep_score)
+        monkeypatch.setattr(q, "ambient_score_batch", steep_score)
         monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         cfg = ChainConfig(step=1e-3, n_steps=3_000_000, seed=1)
@@ -356,13 +356,13 @@ class TestCoupledChains:
     def test_killed_worker_is_reported(self, monkeypatch):
         q = VonMisesFisher(S2, MU, 2.0)
         caller = os.getpid()
-        score = q.score_batch
+        score = q.ambient_score_batch
 
         def dying_score(z):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             return score(z)
-        monkeypatch.setattr(q, "score_batch", dying_score)
+        monkeypatch.setattr(q, "ambient_score_batch", dying_score)
         monkeypatch.setattr(langevin, "MIN_PROCESS_CHAINS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = ChainConfig(step=1e-3, n_steps=300, seed=1)
@@ -373,9 +373,9 @@ class TestCoupledChains:
 
     @pytest.mark.parametrize("case", ["sphere3", "torus"])
     def test_one_step_is_the_projected_noise_step(self, vmf3_generic, case):
-        # the step projects eps f score + sqrt(2 eps) xi once; the score is
-        # tangent, so it is Exp_z(eps f score + sqrt(2 eps) P_z xi) with the
-        # noise alone projected, to rounding
+        # the step projects eps f G + sqrt(2 eps) xi once, G the density's
+        # ambient field; P_z G is the score, so it is
+        # Exp_z(eps f score + sqrt(2 eps) P_z xi) to rounding
         q = {"sphere3": vmf3_generic,
              "torus": ProductVonMises(FlatTorus(1.0, 2.0), (1.5, 0.7),
                                       (0.3, -1.1))}[case]
@@ -395,6 +395,36 @@ class TestCoupledChains:
                 step = eps * f * q.score_batch(z) + noise
                 np.testing.assert_allclose(rows, M.exp_batch(z, step),
                                            rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["sphere2", "sphere3", "torus"])
+    def test_runs_follow_the_score_step(self, vmf2_generic, vmf3_generic,
+                                        case):
+        # a vMF step projects eps f kappa mu with the noise and never
+        # evaluates the score; 200 steps of it stay within rounding of
+        # Exp_z(P_z(eps f score + sqrt(2 eps) xi)) on the same noise
+        q, factors = {
+            "sphere2": (vmf2_generic, (1.0,)),
+            "sphere3": (vmf3_generic, self.S3_PAIR),
+            "torus": (ProductVonMises(FlatTorus(1.0, 2.0), (1.5, 0.7),
+                                      (0.3, -1.1)), (1.0, 1.5)),
+        }[case]
+        M = q.manifold
+        eps, seed, n, steps = 1e-3, 13, 4, 200
+        cfg = ChainConfig(step=eps, n_steps=steps, burn_in=0, thinning=1,
+                          seed=seed)
+        got = run_chains(q, factors, cfg, n)
+        start = np.array([q.sample_coords_seeded(
+            1, seed, label=f"langevin.init.{c}")[0] for c in range(n)])
+        xi = np.array([derive_rng(seed, "langevin.noise", c)
+                       .standard_normal((steps, M.ambient_dim))
+                       for c in range(n)])
+        noise = np.sqrt(2.0 * eps) * xi
+        for f, rows in zip(factors, got):
+            z = start
+            for b in range(steps):
+                move = eps * f * q.score_batch(z) + noise[:, b]
+                z = M.exp_batch(z, M.tangent_project_batch(z, move))
+                np.testing.assert_allclose(rows[:, b], z, rtol=0, atol=1e-12)
 
     def test_empty_tuple_rejected(self, vmf2):
         with pytest.raises(ConfigError):

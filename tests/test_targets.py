@@ -94,6 +94,25 @@ class TestCorrupt:
         with pytest.raises(ConfigError, match="sigma must be positive"):
             tg.corrupt(q, 0.0, 10, seed=1)
 
+    def test_shared_draws_give_each_sigmas_batch(self, monkeypatch):
+        # one draw of latents and noise serves every sigma, with the bits
+        # of a corrupt call per sigma; a partial shard is included, and at
+        # sigma 0.4 some draws leave the tube
+        q = VonMisesFisher(Sphere(2), np.array([0.6, 0.0, 0.8]), 2.0)
+        sigmas = (0.1, 0.05, 0.4)
+        n = (1 << 16) + 123
+        batches = list(tg.corrupt_at_sigmas(q, sigmas, n, 7))
+        assert batches[-1].n_outside > 0
+        for s, got in zip(sigmas, batches):
+            want = tg.corrupt(q, s, n, 7)
+            assert got.sigma == s and got.n_outside == want.n_outside
+            for name in ("latents", "noisy", "foot", "targets"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        # a bad sigma anywhere in the list is refused before any draw
+        monkeypatch.setattr(q, "sample_coords", None)
+        with pytest.raises(ConfigError, match="sigma must be positive"):
+            next(tg.corrupt_at_sigmas(q, (0.1, -0.2), 10, 1))
+
 
 class TestRawTarget:
     def test_circle_signed_length_is_sine_over_sigma_sq(self):
