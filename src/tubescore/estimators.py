@@ -18,7 +18,7 @@ from . import split
 from .densities import DensityModel
 from .errors import ConfigError, EmptyWindow, ManifoldMismatch
 from .geometry import Manifold
-from .geometry.base import row_norms
+from .geometry.base import row_norms, row_sq_dists
 from .rng import seed_sequence
 from .targets import CorruptedBatch, _field_values, corrupt
 
@@ -141,8 +141,7 @@ def projected_risk(data: CorruptedBatch,
 
     values holds h at the feet, one row per sample of data.
     """
-    vals = _field_values(values, data)
-    sq = np.sum((data.targets - vals) ** 2, axis=1)
+    sq = row_sq_dists(data.targets, _field_values(values, data))
     se = sq.std(ddof=1) / np.sqrt(sq.size) if sq.size > 1 else 0.0
     return float(sq.mean()), float(se)
 
@@ -314,10 +313,10 @@ def coarsening_check(data: CorruptedBatch, r: np.ndarray, eta_s: np.ndarray,
     eta_s = _field_values(eta_s, data)
     h = np.zeros_like(r) if h is None else _field_values(h, data)
     t = data.targets
-    a = np.sum((t - r) ** 2, axis=1)
-    b = np.sum((r - eta_s) ** 2, axis=1)
-    cterm = np.sum((eta_s - h) ** 2, axis=1)
-    tot = np.sum((t - h) ** 2, axis=1)
+    a = row_sq_dists(t, r)
+    b = row_sq_dists(r, eta_s)
+    cterm = row_sq_dists(eta_s, h)
+    tot = row_sq_dists(t, h)
     gap = tot - a - b - cterm
     gap_mean = float(gap.mean())
     gap_se = float(gap.std(ddof=1) / np.sqrt(gap.size))

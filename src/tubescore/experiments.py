@@ -30,6 +30,7 @@ from .estimators import (
     projected_risk,
 )
 from .geometry import AffinePlane, FlatTorus, Sphere
+from .geometry.base import row_dots, row_sq_dists
 from .langevin import (
     ChainConfig,
     marginal_diagnostic,
@@ -119,8 +120,9 @@ def run_flat_check(d: int = 2, ambient: int = 4, tau: float = 1.0,
 
     worst = 0.0
     per_field = []
+    residuals = flat_reduction_residuals(batch)
     for name, values in flat_test_fields(batch, tau):
-        lhs, rhs = flat_reduction_residuals(batch, values)
+        lhs, rhs = residuals(values)
         rel = float(np.max(np.abs(lhs - rhs) / (1.0 + lhs)))
         per_field.append({"field": name, "max_rel_residual": rel})
         worst = max(worst, rel)
@@ -171,9 +173,13 @@ def run_variance_collapse(q: DensityModel, sigma_grid, n: int, seed: int,
     ``conditional_target`` at the first rb_subsample in-tube feet (off the
     von Mises-Fisher table, each foot is a quadrature of its own, and the
     subsample's Monte Carlo error is tiny next to the 15 percent tolerance
-    the flatness check uses).  The payload's rb_subsample is the fewest feet
-    any row used.  The conditioned column is compared with E||grad log q||^2,
-    so a density whose score vanishes is refused before anything is drawn.
+    the flatness check uses).  The rows share one draw of latents and noise
+    (``corrupt_at_sigmas`` at the row-0 cell seed), so the first row is
+    ``corrupt``'s batch at that seed, each row still keeps its own in-tube
+    draws, and the Monte Carlo error common to the rows largely cancels in
+    the slope.  The payload's rb_subsample is the fewest feet any row used.
+    The conditioned column is compared with E||grad log q||^2, so a density
+    whose score vanishes is refused before anything is drawn.
     """
     ssm = float(q.score_second_moment())
     if ssm == 0.0:
@@ -184,17 +190,18 @@ def run_variance_collapse(q: DensityModel, sigma_grid, n: int, seed: int,
         raise ConfigError("sigma grid needs at least two distinct points")
     rows = []
     used = rb_subsample
-    for i, sig in enumerate(sigmas):
-        data = corrupt(q, sig, n, _cell_seed(seed, "sweep.variance", i))
+    batches = corrupt_at_sigmas(q, sigmas, n,
+                                _cell_seed(seed, "sweep.variance", 0))
+    for sig, data in zip(sigmas, batches):
         if len(data.foot) < 2:
             raise EmptyWindow(
                 f"sigma={sig:g} kept {len(data.foot)} in-tube draws of {n}"
                 f" ({data.n_outside} discarded); a standard error needs two")
-        sq = np.sum(data.targets ** 2, axis=1)
+        sq = row_dots(data.targets, data.targets)
         feet = data.foot[:rb_subsample]
         used = min(used, len(feet))
-        rsq = np.sum(conditional_target(q, sig).target_coords(feet) ** 2,
-                     axis=1)
+        r = conditional_target(q, sig).target_coords(feet)
+        rsq = row_dots(r, r)
         rows.append({"sigma": sig, "raw_second_moment": float(sq.mean()),
                      "rb_second_moment": float(rsq.mean()),
                      "raw_se": float(sq.std(ddof=1) / np.sqrt(sq.size)),
@@ -310,7 +317,7 @@ def run_stein_suite(sigma: float = 0.1, moment_sigma: float = 0.025,
     for s, batch in zip(plateau_sigmas,
                         corrupt_at_sigmas(q2, plateau_sigmas, logmap_n, seed)):
         logm, ok = batch.logmap_targets()
-        diff = np.sum((batch.targets[ok] - logm[ok]) ** 2, axis=1)
+        diff = row_sq_dists(batch.targets, logm)[ok]
         ratios.append(float(diff.mean()) / s**2)
     out["logmap_ratio_sigmas"] = list(plateau_sigmas)
     out["logmap_ratios"] = ratios

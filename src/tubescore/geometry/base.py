@@ -239,6 +239,20 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances ||a_i - b_i||^2 between the rows of two (n, D)
+    arrays, summed column by column in the order of ``row_dots``; the bits
+    of ``np.sum((a - b) ** 2, axis=1)`` on rows of fewer than 8 entries.
+    Only one column of a - b is held at a time."""
+    out = a[:, 0] - b[:, 0]
+    out *= out
+    for j in range(1, a.shape[1]):
+        col = a[:, j] - b[:, j]
+        col *= col
+        out += col
+    return out
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean row norms in the order of ``row_dots``; the bits of
     ``np.linalg.norm(x, axis=1)`` on rows of fewer than 8 entries."""

@@ -11,12 +11,14 @@ whose noise stayed in it and counts the others.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 import numpy as np
 
 from .densities import DensityModel
 from .errors import ConfigError, ManifoldMismatch
 from .geometry import AffinePlane, Manifold
+from .geometry.base import row_sq_dists
 from .rng import derive_rng, shard_sizes
 
 
@@ -131,28 +133,37 @@ def _field_values(values, data: CorruptedBatch) -> np.ndarray:
     return vals
 
 
-def flat_reduction_residuals(batch: CorruptedBatch,
-                             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample squared norms of the ambient and reduced regression residuals.
+def flat_reduction_residuals(
+        batch: CorruptedBatch,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Per-sample squared norms of the ambient and reduced regression
+    residuals, as a function of a field's values at the feet.
 
-    values holds an ambient field h at the feet of a plane batch, one row per
-    sample.  With P the tangential projector and X_i - pi(X_i) the normal
-    part of the draw, the ambient field is g_h(X) = P h(pi(X)) - (X -
-    pi(X)) / sigma^2, and
+    The returned function takes values, an ambient field h at the feet of
+    a plane batch with one row per sample, and returns (lhs, rhs).  With P
+    the tangential projector and X_i - pi(X_i) the normal part of the draw,
+    the ambient field is g_h(X) = P h(pi(X)) - (X - pi(X)) / sigma^2, and
 
     lhs_i = ||(Z_i - X_i)/sigma^2 - g_h(X_i)||^2,
     rhs_i = ||T_i - P h(pi(X_i))||^2.
 
     The two residual vectors are equal sample by sample on a plane, so the
-    arrays agree to rounding error.
+    arrays agree to rounding error.  (Z - X)/sigma^2 and (X - pi(X))/sigma^2
+    do not depend on h, so they are formed once here for every field the
+    batch is scored at; a call holds no (n, D) array but the projected
+    field, and its arrays have the same bits whatever was scored before.
     """
     plane = batch.manifold
     if not isinstance(plane, AffinePlane):
         raise ManifoldMismatch("flat reduction applies to affine planes only")
-    fitted = plane.tangent_project_batch(batch.foot,
-                                         _field_values(values, batch))
     y = (batch.latents - batch.noisy) / batch.sigma**2
-    g = fitted - (batch.noisy - batch.foot) / batch.sigma**2
-    lhs = np.sum((y - g) ** 2, axis=-1)
-    rhs = np.sum((batch.targets - fitted) ** 2, axis=-1)
-    return lhs, rhs
+    normal = (batch.noisy - batch.foot) / batch.sigma**2
+
+    def residuals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        fitted = plane.tangent_project_batch(batch.foot,
+                                             _field_values(values, batch))
+        rhs = row_sq_dists(batch.targets, fitted)
+        fitted -= normal  # g_h(X)
+        return row_sq_dists(y, fitted), rhs
+
+    return residuals

@@ -337,8 +337,8 @@ class TestMainSuccess:
 
     def test_variance_reports_feet_used(self, capsys):
         # rb_subsample is the number of feet the conditioned column used:
-        # the rows discarded 7 and 150 of 2000 draws, so the second row
-        # queried the oracle at 1850 feet
+        # the rows discarded 7 and 147 of the same 2000 draws, so the
+        # second row queried the oracle at 1853 feet
         code, out, _ = run_cli(capsys, "variance-collapse",
                                "--sigma", "0.3,0.5", "--n", "2000",
                                "--seed", "0")
@@ -346,8 +346,8 @@ class TestMainSuccess:
         lines = [l for l in out.strip().split("\n")
                  if not l.startswith("#")]
         discards = [int(l.split(",")[-1]) for l in lines[1:]]
-        assert discards == [7, 150]
-        assert "# rb_subsample: 1850" in out.split("\n")
+        assert discards == [7, 147]
+        assert "# rb_subsample: 1853" in out.split("\n")
 
     def test_torus_variance_above_sphere_kappa_cap(self, capsys):
         # the torus's circle law has no t-marginal table, so no 1e4 cap

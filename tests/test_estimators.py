@@ -270,7 +270,7 @@ class TestProjectedRisk:
 
         def tweedie(foot):
             return q.score_batch(foot) * (tau**2 / (tau**2 + sigma**2))
-        lhs, rhs = flat_reduction_residuals(batch, tweedie(batch.foot))
+        lhs, rhs = flat_reduction_residuals(batch)(tweedie(batch.foot))
         risk, _ = projected_risk(batch, tweedie(batch.foot))
         assert risk == pytest.approx(lhs.mean(), rel=1e-12)
         assert risk == pytest.approx(rhs.mean(), rel=1e-12)

@@ -9,10 +9,16 @@ import pytest
 from tubescore import experiments as ex
 from tubescore import oracle as oracle_mod
 from tubescore.cli import STUDIES
-from tubescore.densities import VonMisesFisher
+from tubescore.densities import IsotropicGaussian, VonMisesFisher
 from tubescore.errors import BeyondInjectivity, ConfigError, DegenerateScore
-from tubescore.geometry import Sphere
+from tubescore.estimators import _cell_seed
+from tubescore.geometry import AffinePlane, Sphere
 from tubescore.rng import derive_rng
+from tubescore.targets import (
+    corrupt,
+    corrupt_at_sigmas,
+    flat_reduction_residuals,
+)
 
 
 class TestGeometryDriver:
@@ -61,6 +67,29 @@ class TestFlatDriver:
         assert out["max_rel_residual"] <= 1e-12
         assert out["second_order_slope"] >= 3.5
 
+    @pytest.mark.parametrize("d,ambient", [(2, 4), (3, 5)])
+    def test_residuals_once_per_batch_keep_per_field_bits(self, d, ambient):
+        # one residual function serves all five fields in turn; each field's
+        # arrays are the bits of a fresh function and of the per-field sums
+        plane = AffinePlane.axis_aligned(d, ambient)
+        q = IsotropicGaussian(plane, np.zeros(d), 0.8)
+        batch = corrupt(q, 0.15, 300, 4)
+        shared = flat_reduction_residuals(batch)
+        s2 = batch.sigma**2
+        for name, values in ex.flat_test_fields(batch, 0.8):
+            lhs, rhs = shared(values)
+            one_lhs, one_rhs = flat_reduction_residuals(batch)(values)
+            fitted = plane.tangent_project_batch(batch.foot, values)
+            y = (batch.latents - batch.noisy) / s2
+            g = fitted - (batch.noisy - batch.foot) / s2
+            for got in (lhs, one_lhs):
+                np.testing.assert_array_equal(
+                    got, np.sum((y - g) ** 2, axis=-1), err_msg=name)
+            for got in (rhs, one_rhs):
+                np.testing.assert_array_equal(
+                    got, np.sum((batch.targets - fitted) ** 2, axis=-1),
+                    err_msg=name)
+
 
 class TestVarianceDriver:
     def test_collapse_summaries(self):
@@ -104,6 +133,28 @@ class TestVarianceDriver:
         b = ex.run_variance_collapse(q, [0.1, 0.2], 2000, 9, rb_subsample=200)
         assert a["rows"] == b["rows"]
         assert a["rb_subsample"] == 200
+
+    def test_rows_share_one_draw(self):
+        # every row is corrupt_at_sigmas' batch under the row-0 cell seed,
+        # so a sigma's row does not depend on its place in the grid, and
+        # the first row is the one-sigma corrupt batch at that seed
+        q = ex.sphere_vmf(2, 2.0)
+        n, seed, sigmas = 3000, 11, [0.1, 0.3, 0.5]
+        out = ex.run_variance_collapse(q, sigmas, n, seed, rb_subsample=50)
+        cell = _cell_seed(seed, "sweep.variance", 0)
+        for row, batch in zip(out["rows"],
+                              corrupt_at_sigmas(q, sigmas, n, cell)):
+            sq = np.sum(batch.targets ** 2, axis=1)
+            assert row["raw_second_moment"] == float(sq.mean())
+            assert row["raw_se"] == float(sq.std(ddof=1) / np.sqrt(sq.size))
+            assert row["discards"] == batch.n_outside
+        one = corrupt(q, sigmas[0], n, cell)
+        first = np.sum(one.targets ** 2, axis=1)
+        assert out["rows"][0]["raw_second_moment"] == float(first.mean())
+        assert out["rows"][-1]["discards"] > 0
+        turned = ex.run_variance_collapse(q, sigmas[::-1], n, seed,
+                                          rb_subsample=50)
+        assert turned["rows"][0] == out["rows"][-1]
 
     def test_needs_two_sigmas(self):
         with pytest.raises(ConfigError, match="two distinct"):

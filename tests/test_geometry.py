@@ -8,7 +8,12 @@ from scipy.integrate import dblquad, quad
 from tubescore import AffinePlane, FlatTorus, Sphere, VonMisesFisher
 from tubescore.errors import BeyondInjectivity, ManifoldMismatch
 from tubescore.geometry import base, gauss_legendre
-from tubescore.geometry.base import POINT_ATOL, row_dots, row_norms
+from tubescore.geometry.base import (
+    POINT_ATOL,
+    row_dots,
+    row_norms,
+    row_sq_dists,
+)
 from tubescore.geometry.quadrature import sphere_rule
 from tubescore.langevin import ChainConfig, run_chains
 
@@ -745,6 +750,19 @@ def test_row_reductions_match_numpy(width, rng):
     b = rng.standard_normal((500, width))
     assert np.array_equal(row_dots(a, b), np.sum(a * b, axis=1))
     assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1))
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_sq_dists_match_numpy(width, rng):
+    # the bits of the summed squared differences in every layout, and
+    # against one row broadcast over the others
+    a = rng.standard_normal((500, width)) * np.exp(rng.uniform(-30, 30, (500, width)))
+    b = rng.standard_normal((500, width))
+    want = np.sum((a - b) ** 2, axis=1)
+    for x, y in ((a, b), (np.asfortranarray(a), b), (a, np.asfortranarray(b))):
+        assert np.array_equal(row_sq_dists(x, y), want)
+    row = np.broadcast_to(b[3], a.shape)
+    assert np.array_equal(row_sq_dists(a, row), np.sum((a - b[3]) ** 2, axis=1))
 
 
 @pytest.mark.parametrize("width", range(1, 8))

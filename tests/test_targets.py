@@ -207,22 +207,22 @@ class TestFlatReduction:
     def test_per_sample_identity_all_fields(self):
         b = flat_batch()
         for h in field_suite():
-            lhs, rhs = tg.flat_reduction_residuals(b, h(b.foot))
+            lhs, rhs = tg.flat_reduction_residuals(b)(h(b.foot))
             assert np.max(np.abs(lhs - rhs) / (1.0 + lhs)) <= 1e-12
 
     def test_scalar_variant_matches(self):
         # a single draw's residuals equal its row of the full batch
         b = flat_batch(n=20, seed=8)
         h = field_suite()[3]
-        lhs, rhs = tg.flat_reduction_residuals(b, h(b.foot))
+        lhs, rhs = tg.flat_reduction_residuals(b)(h(b.foot))
         one = one_draw(b.density, SIGMA, b.latents[4], b.noisy[4])
-        (l0,), (r0,) = tg.flat_reduction_residuals(one, h(one.foot))
+        (l0,), (r0,) = tg.flat_reduction_residuals(one)(h(one.foot))
         assert l0 == pytest.approx(lhs[4], rel=1e-12)
         assert r0 == pytest.approx(rhs[4], rel=1e-12)
 
     def test_zero_field_gives_projected_chord_norm(self):
         b = flat_batch(n=100, seed=9)
-        lhs, rhs = tg.flat_reduction_residuals(b, np.zeros_like(b.foot))
+        lhs, rhs = tg.flat_reduction_residuals(b)(np.zeros_like(b.foot))
         expect = np.sum((b.latents - b.foot) ** 2, axis=1) / SIGMA**4
         assert np.allclose(lhs, expect, rtol=1e-12)
         assert np.allclose(rhs, expect, rtol=1e-12)
@@ -251,7 +251,7 @@ class TestFlatReduction:
                 e[j] = 1e-6
                 fd[j] = (log_p(x + e) - log_p(x - e)) / 2e-6
             one = one_draw(q, SIGMA, x + SIGMA**2 * fd, x)
-            (lhs,), _ = tg.flat_reduction_residuals(one, hstar(one.foot))
+            (lhs,), _ = tg.flat_reduction_residuals(one)(hstar(one.foot))
             assert math.sqrt(lhs) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
     def test_ambient_field_edge_cases(self):
@@ -262,17 +262,17 @@ class TestFlatReduction:
         normal = np.array([0.0, 0.0, 1.0, 0.0])
         for x, g in ((inplane, np.zeros(4)), (normal, -normal / 0.25)):
             one = one_draw(q, 0.5, x + 0.25 * g, x)
-            (lhs,), _ = tg.flat_reduction_residuals(one, np.zeros((1, 4)))
+            (lhs,), _ = tg.flat_reduction_residuals(one)(np.zeros((1, 4)))
             assert math.sqrt(lhs) <= 1e-14
 
     def test_field_shape_validated(self):
         # one row of values would broadcast over every draw
         b = flat_batch(n=10, seed=2)
         with pytest.raises(ConfigError, match="field values have shape"):
-            tg.flat_reduction_residuals(b, np.zeros(4))
+            tg.flat_reduction_residuals(b)(np.zeros(4))
 
     def test_rejects_non_plane(self):
         q = VonMisesFisher(Sphere(2), np.array([0.0, 0.0, 1.0]), 2.0)
         b = tg.corrupt(q, 0.1, 10, seed=2)
         with pytest.raises(ManifoldMismatch):
-            tg.flat_reduction_residuals(b, np.zeros_like(b.foot))
+            tg.flat_reduction_residuals(b)(np.zeros_like(b.foot))
