@@ -14,16 +14,16 @@ class CurvatureBundle:
 
     ``frames`` are the (n, D, D) frames of ``Manifold.frames_batch``: d
     tangent rows, then the normal rows.  Matrices are expressed in those
-    tangent rows; ``second_fundamental[i, a]`` is the shape operator for
-    normal row a (for our geometries II is frame-diagonal so shape operator
-    and form coefficients coincide).  ``weingarten_mean`` is W_H for the
-    mean curvature vector H = sum_a tr(h_a) n_a, ``shape_sum`` is
-    sum_a h_a^2, and ``ricci`` is the intrinsic Ricci operator, which must
-    satisfy the Gauss identity Ric = W_H - sum_a h_a^2.
+    tangent rows.  With h_a the shape operator for normal row a
+    (``Manifold.second_fundamental``; for our geometries II is
+    frame-diagonal so shape operator and form coefficients coincide),
+    ``weingarten_mean`` is W_H for the mean curvature vector
+    H = sum_a tr(h_a) n_a, ``shape_sum`` is sum_a h_a^2, and ``ricci`` is
+    the intrinsic Ricci operator, which must satisfy the Gauss identity
+    Ric = W_H - sum_a h_a^2.
     """
 
     frames: np.ndarray
-    second_fundamental: np.ndarray
     weingarten_mean: np.ndarray
     shape_sum: np.ndarray
     ricci: np.ndarray
@@ -56,7 +56,6 @@ def build_bundle(manifold: Manifold, coords: np.ndarray) -> CurvatureBundle:
     traces = np.einsum("naii->na", h)
     return CurvatureBundle(
         frames=manifold.frames_batch(coords),
-        second_fundamental=h,
         weingarten_mean=np.einsum("na,naij->nij", traces, h),
         shape_sum=np.einsum("naik,nakj->nij", h, h),
         ricci=manifold.ricci_matrix(coords),

@@ -20,9 +20,18 @@ node, and a batch of queries is a few matrix products.
 
 The table is Gauss-Legendre with n nodes in the radius on
 [0, min(14 sigma, band)] times a rule of angular resolution m on the unit
-directions of T_z M (``_directions``).  The radius stops at the tube band
-||m(v)|| < tube_radius: beyond it the tangential chord can shrink again (cut
-locus), which would add posterior mass that the tube conditioning excludes.
+directions of T_z M (``_directions``).  So the latents are integrated over
+the geodesic ball of that radius about z, which the band keeps inside
+||m(v)|| < tube_radius, short of where the tangential chord can shrink again
+(cut locus).  The fiber factor integrates the normal offset of X over the
+whole normal space, with the signed tube Jacobian
+(``Manifold.fiber_from_coeffs``).  ``targets.corrupt`` instead keeps a draw
+when X lies in the tube, whatever its latent, and a latent beyond the band
+can still put X in z's fiber inside the tube.  Above sigma of about 0.17 the
+target is therefore no longer the conditional mean of the in-tube draws to
+``rel_tol``: the gap in g (``ZonalTarget``) measured up to 1.3e-4 at
+sigma = 0.2, and 5 to 14 % at sigma = 0.5, in the cases checked.
+
 The two axes converge at their own rates, so each query carries a radial
 and an angular error estimate, and only the axis whose estimate fails is
 refined (``RBOracle``).
@@ -225,6 +234,17 @@ class RBOracle:
         r, _ = self._solve(queries, frames)
         return np.einsum("nk,nkd->nd", r, frames[:, :r.shape[1]])
 
+    def posterior(self, z: np.ndarray) -> tuple[PolarRule, np.ndarray]:
+        """The latent posterior at one foot row z: the polar rule this
+        query accepts and the normalized weights of its nodes.  A row that
+        is not a point of the manifold raises ManifoldMismatch."""
+        z = self.manifold.point_row(z)[None]
+        frames = self.manifold.frames_batch(z)
+        _, accepted = self._solve(z, frames)
+        rule = _polar_rule(self.manifold, self.sigma, *map(int, accepted[0]))
+        w, total = self._weights(z, frames, rule)
+        return rule, w[:, 0] / total[0]
+
     def _solve(self, queries, frames) -> tuple[np.ndarray, np.ndarray]:
         """Frame-coordinate targets and the accepted (n, m) rule per query."""
         M = self.manifold
@@ -244,14 +264,12 @@ class RBOracle:
         while groups:
             n, m, idx, known = groups.pop()
             m_fine = _finer_angles(d, m)
-            for rule in ((n, m), (n, m_fine)):
+            # reuse the rules the previous state evaluated (never its finest)
+            for rule in ((n, m), (n, m_fine), (2 * n, m_fine)):
                 if rule not in known:
                     known[rule] = self._frame_targets(
                         queries[idx], frames[idx], *rule)
                     nodes += idx.size * grid_node_count(M, *rule)
-            known[2 * n, m_fine] = self._frame_targets(
-                queries[idx], frames[idx], 2 * n, m_fine)
-            nodes += idx.size * grid_node_count(M, 2 * n, m_fine)
             fine, mid = known[2 * n, m_fine], known[n, m_fine]
             scale = np.maximum(np.linalg.norm(fine, axis=1), _TARGET_FLOOR)
             radial = np.linalg.norm(fine - mid, axis=1) / scale
@@ -287,15 +305,22 @@ class RBOracle:
         step = max(1, CHUNK_FLOATS // rule.log_w.size // queries.shape[1])
         for s in range(0, queries.shape[0], step):
             sl = slice(s, s + step)
-            lw = _log_posterior(self.density, queries[sl], frames[sl],
-                               rule.chord, rule.log_w)
-            top = lw.max(axis=0)
-            if not np.all(np.isfinite(top)):
-                raise QuadratureNotConverged("no posterior mass at a query point")
-            lw -= top
-            w = np.exp(lw, out=lw)
-            out[sl] = (g.T @ w / w.sum(axis=0)).T
+            w, total = self._weights(queries[sl], frames[sl], rule)
+            out[sl] = (g.T @ w / total).T
         return out / self.sigma**2
+
+    def _weights(self, queries, frames, rule: PolarRule):
+        """Posterior weights of ``rule``'s nodes, nodes by queries, and
+        their sums per query.  Each query's log posterior is shifted by its
+        maximum before it is exponentiated."""
+        lw = _log_posterior(self.density, queries, frames, rule.chord,
+                            rule.log_w)
+        top = lw.max(axis=0)
+        if not np.all(np.isfinite(top)):
+            raise QuadratureNotConverged("no posterior mass at a query point")
+        lw -= top
+        w = np.exp(lw, out=lw)
+        return w, w.sum(axis=0)
 
     def _record(self, queries: int, nodes: int, estimate: float,
                 accepted: np.ndarray) -> None:
@@ -514,30 +539,29 @@ class FiberPosterior:
         a(v) = q(Exp_z v) * J(v) * exp((||v||^2 - ||G(v)||^2) / (2 sigma^2))
                * fiber(m(v), sigma),
 
-    the oracle's posterior written against the Gaussian in v.  The weights
-    come from the same ``_log_posterior`` on the rule the oracle accepts for
-    this query, so every expectation here matches the target node for node.
+    the oracle's posterior written against the Gaussian in v.  The nodes
+    and weights are ``RBOracle.posterior``'s, on the rule the oracle accepts
+    for this query, so every expectation here matches the target node for
+    node; ``_log_a`` evaluates the posterior off those nodes.
     ``stein_residual`` differentiates log a by central differences of step
     ``STEIN_FD_STEP``.
     """
 
     def __init__(self, z: np.ndarray, q: DensityModel, sigma: float):
-        z = q.manifold.point_row(z)
         oracle = RBOracle(q, sigma)
+        rule, self.weights = oracle.posterior(z)
         self.sigma = oracle.sigma
         self.manifold = q.manifold
         self.density = q
-        self.z = z
+        self.z = np.asarray(z, dtype=float)  # posterior checked the row
         self.d = self.manifold.intrinsic_dim
-        zc = z[None]
-        self._frames = self.manifold.frames_batch(zc)
-        _, accepted = oracle._solve(zc, self._frames)
-        rule = _polar_rule(self.manifold, self.sigma, *map(int, accepted[0]))
         self.coords = rule.v
         self.chord = rule.chord[:, :self.d]
-        lw = _log_posterior(q, zc, self._frames, rule.chord, rule.log_w)[:, 0]
-        w = np.exp(lw - lw.max())
-        self.weights = w / w.sum()
+
+    @functools.cached_property
+    def _frames(self) -> np.ndarray:
+        # only the Stein residual evaluates the posterior off the nodes
+        return self.manifold.frames_batch(self.z[None])
 
     def _log_a(self, coords: np.ndarray) -> np.ndarray:
         chord, log_k = _log_kernel(self.manifold, coords, self.sigma)
@@ -561,8 +585,9 @@ class FiberPosterior:
         return float(np.linalg.norm(lhs - rhs))
 
     def moment(self, k: int) -> float:
-        if not 1 <= int(k) <= 6:
-            raise ValueError("moment order k must be in [1, 6]")
+        """E[||v||^k] for an integer order k from 1 to 6."""
+        if k not in range(1, 7):
+            raise ValueError("moment order k must be an integer in [1, 6]")
         rho = np.linalg.norm(self.coords, axis=-1)
         return float(self.expectation(rho ** k))
 

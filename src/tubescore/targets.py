@@ -96,25 +96,22 @@ def corrupt(q: DensityModel, sigma: float, n: int, seed: int) -> CorruptedBatch:
     partial last shard need not be a prefix of a longer one: a sampler may
     spend its stream differently for a different count.
     """
-    _check_sigma(sigma)
-    latents, noisy = _draws(q, n, seed)
-    noisy *= sigma
-    noisy += latents
-    return CorruptedBatch.from_draws(q, sigma, latents, noisy)
+    return next(corrupt_at_sigmas(q, (sigma,), n, seed))
 
 
 def corrupt_at_sigmas(q: DensityModel, sigmas, n: int, seed: int):
-    """Yield ``corrupt(q, s, n, seed)`` for each s in ``sigmas``, bit for
-    bit, one batch at a time.
+    """Yield ``corrupt(q, s, n, seed)`` for each s in the sequence
+    ``sigmas``, one batch at a time.
 
     The latents and the noise do not depend on sigma, so they are drawn
-    once for all the batches.
+    once for all the batches.  The last sigma scales the noise in place.
     """
     for s in sigmas:
         _check_sigma(s)
     latents, noise = _draws(q, n, seed)
-    for s in sigmas:
-        noisy = noise * s  # corrupt's order of operations
+    last = len(sigmas) - 1
+    for i, s in enumerate(sigmas):
+        noisy = np.multiply(noise, s, out=noise if i == last else None)
         noisy += latents
         yield CorruptedBatch.from_draws(q, s, latents, noisy)
 

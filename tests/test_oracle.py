@@ -302,8 +302,12 @@ class TestPosteriorSuite:
         assert post.chord_ratio() <= 1e-6
 
     def test_moment_order_validated(self):
-        with pytest.raises(ValueError):
-            FiberPosterior(equator_point(1), sphere_vmf(1), 0.1).moment(7)
+        # a fractional order inside [1, 6] is refused, not taken as E[rho^k]
+        post = FiberPosterior(equator_point(1), sphere_vmf(1), 0.1)
+        for k in (7, 0, 2.5):
+            with pytest.raises(ValueError):
+                post.moment(k)
+        assert post.moment(np.int64(2)) == post.moment(2)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_stein_residual_higher_spheres(self, d):
@@ -497,8 +501,8 @@ class TestRefinement:
         assert np.abs(got - expect).max() <= 1e-6
 
     def test_fiber_posterior_uses_the_accepted_pair(self):
-        # the posterior view rebuilds the refined rule, so its mean chord
-        # is the oracle's target node for node
+        # the posterior view reads the oracle's posterior on the refined
+        # rule, so its mean chord is the oracle's target node for node
         q = flat_density()
         z = PLANE.embed(np.array([2.0, -1.0]))
         oracle = RBOracle(q, 0.3)
@@ -510,6 +514,54 @@ class TestRefinement:
         frame = PLANE.frames_batch(z[None])[0, :2]
         got = post.expectation(post.chord) / 0.3**2 @ frame
         assert np.abs(got - expect).max() <= 1e-12
+
+    def test_posterior_weights_sum_to_one(self):
+        for q, z in ((flat_density(), PLANE.embed(np.array([2.0, -1.0]))),
+                     (sphere_vmf(2), equator_point(2)),
+                     (sphere_vmf(3), feet(Sphere(3), 5, n=1)[0])):
+            rule, w = RBOracle(q, 0.3).posterior(z)
+            assert w.shape == (rule.v.shape[0],) and np.all(w >= 0.0)
+            assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
+
+    def test_posterior_rule_is_its_own_querys_pair(self):
+        # the report's pair is a running maximum over the oracle's queries,
+        # the posterior's rule is the pair its own query accepts: [2, -1] at
+        # sigma = 0.3 refines the angles, a row near the mean does not
+        q = flat_density()
+        far, near = PLANE.embed(np.array([[2.0, -1.0], [0.1, 0.05]]))
+
+        def own_pair(z):
+            oracle = RBOracle(q, 0.3)
+            oracle.target_coords(z[None])
+            rep = oracle.convergence_report
+            return rep["resolution"], rep["angular_resolution"]
+
+        pair_far, pair_near = own_pair(far), own_pair(near)
+        assert pair_near == self.base_pair(2)
+        assert pair_far[1] > pair_near[1]
+        oracle = RBOracle(q, 0.3)
+        for z, pair in ((far, pair_far), (near, pair_near), (far, pair_far)):
+            rule, w = oracle.posterior(z)
+            count = oracle_mod.grid_node_count(PLANE, *pair)
+            assert w.size == rule.v.shape[0] == count
+        rep = oracle.convergence_report
+        assert (rep["resolution"], rep["angular_resolution"]) == pair_far
+
+    def test_fiber_posterior_reads_the_oracles_posterior(self):
+        for q, z in ((sphere_vmf(2), feet(Sphere(2), 3, n=1)[0]),
+                     (flat_density(), PLANE.embed(np.array([2.0, -1.0])))):
+            rule, w = RBOracle(q, 0.1).posterior(z)
+            post = FiberPosterior(z, q, 0.1)
+            assert np.array_equal(post.weights, w)
+            assert np.array_equal(post.coords, rule.v)
+
+    def test_posterior_refuses_off_manifold_rows(self):
+        # a row off S^2 and a row of S^3, refused before any query
+        oracle = RBOracle(sphere_vmf(2), 0.1)
+        for z in (np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])):
+            with pytest.raises(ManifoldMismatch):
+                oracle.posterior(z)
+        assert oracle.convergence_report is None
 
     def test_no_check_rule_the_budget_settles(self, monkeypatch):
         # a posterior far narrower than sigma fails both estimates up to
